@@ -3,7 +3,7 @@
 Exit codes: 0 success (for verify: zero conclusion failures), 1 conclusion
 failures found in verify mode, 2 usage or malformed input, 3 domain rejection
 (a non-topologizing section).  All outputs are deterministic given the inputs
-and seed; TOPAB_THREADS sets the worker count for verify/search runs.
+and seed.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    BudgetExceeded,
+    InvalidFamilySpec,
     NotTopologizing,
     TopabError,
     UnknownHypothesis,
@@ -62,8 +64,12 @@ def _family_from_args(args) -> FamilySpec:
     )
 
 
-def _run_and_write(task: SearchTask, out_dir: str | None, threads: int | None):
-    result = run_search(task, threads=threads)
+# Errors of a verify or search request, reported as usage errors (exit 2).
+_RUN_ERRORS = (UnknownTheorem, UnknownHypothesis, InvalidFamilySpec, BudgetExceeded)
+
+
+def _run_and_write(task: SearchTask, out_dir: str | None):
+    result = run_search(task)
     jsonl = result.to_jsonl()
     md = result.to_markdown()
     if out_dir:
@@ -77,25 +83,25 @@ def _run_and_write(task: SearchTask, out_dir: str | None, threads: int | None):
 
 
 def cmd_verify(args) -> int:
-    task = SearchTask(args.theorem, (), _family_from_args(args))
     try:
-        result = _run_and_write(task, args.out, args.threads)
-    except UnknownTheorem as exc:
+        task = SearchTask(args.theorem, (), _family_from_args(args))
+        result = _run_and_write(task, args.out)
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if result.failure_count == 0 else 1
 
 
 def cmd_search(args) -> int:
-    task = SearchTask(
-        args.theorem,
-        tuple(args.drop or ()),
-        _family_from_args(args),
-        stop_at_first=args.stop_at_first,
-    )
     try:
-        result = _run_and_write(task, args.out, args.threads)
-    except (UnknownTheorem, UnknownHypothesis) as exc:
+        task = SearchTask(
+            args.theorem,
+            tuple(args.drop or ()),
+            _family_from_args(args),
+            stop_at_first=args.stop_at_first,
+        )
+        result = _run_and_write(task, args.out)
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"witnesses: {result.failure_count}")
@@ -187,31 +193,39 @@ def cmd_sections(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    lines = []
-    try:
-        text = Path(args.reports).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _render_report(text: str) -> str:
+    """Markdown for a JSONL report; ValueError, KeyError or TypeError if it is
+    malformed."""
     records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    if not all(isinstance(r, dict) for r in records):
+        raise ValueError("every line must be a JSON object")
     summary = next((r for r in records if r.get("type") == "summary"), None)
-    failures = [r for r in records if r.get("type") == "failure"]
     if summary is None:
-        print("error: no summary record found", file=sys.stderr)
-        return 2
+        raise ValueError("no summary record found")
     task = summary["task"]
-    lines += [
+    lines = [
         f"# {task['theorem']}",
         "",
         f"- dropped hypotheses: {', '.join(task['dropped_hypotheses']) or 'none'}",
         f"- evaluated: {summary['evaluated']} (filtered: {summary['filtered']})",
         f"- failures: {summary['failures']}",
     ]
+    failures = [r for r in records if r.get("type") == "failure"]
     for i, r in enumerate(failures):
         bad = [d["name"] for d in r["details"] if not d["ok"]]
         lines.append(f"- failure {i}: {', '.join(bad)}")
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def cmd_report(args) -> int:
+    try:
+        text = _render_report(Path(args.reports).read_text(encoding="utf-8"))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"error: malformed report {args.reports}: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -234,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-cocycles", type=int, default=None)
         sp.add_argument("--strata", type=str, default=None)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("verify", help="run a theorem over its default family")
     sp.add_argument("theorem", choices=None, metavar="THEOREM")

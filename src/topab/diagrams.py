@@ -162,21 +162,21 @@ class VerificationReport:
         }
 
 
-def _finish(
+def finish_report(
     theorem_id: str,
     hyps: tuple[tuple[str, bool], ...],
     conclude,
     dropped: frozenset[str],
     enforce: bool,
-    instance: dict | None,
     extra_collapse: tuple[str, ...] = (),
 ) -> VerificationReport:
+    """The report of one verifier: the conclusion clauses from `conclude()`
+    if every hypothesis not in `dropped` holds; otherwise no conclusion, or
+    HypothesisViolation if `enforce` is set."""
     collapse = MODEL_COLLAPSE_NOTES + extra_collapse
     unmet = [n for n, ok in hyps if not ok and n not in dropped]
     if unmet:
-        report = VerificationReport(
-            theorem_id, hyps, None, (), collapse, instance, None
-        )
+        report = VerificationReport(theorem_id, hyps, None, (), collapse)
         if enforce:
             raise HypothesisViolation(
                 f"{theorem_id}: hypotheses not met: {', '.join(unmet)}", report
@@ -184,13 +184,7 @@ def _finish(
         return report
     details = tuple(conclude())
     return VerificationReport(
-        theorem_id,
-        hyps,
-        all(ok for _, ok in details),
-        details,
-        collapse,
-        instance,
-        None,
+        theorem_id, hyps, all(ok for _, ok in details), details, collapse
     )
 
 
@@ -229,7 +223,6 @@ def verify_lemma_strictness_injectivity(
     sq: InjectiveSquare,
     dropped: frozenset[str] = frozenset(),
     enforce: bool = True,
-    instance: dict | None = None,
 ) -> VerificationReport:
     """All four maps injective continuous and f, g, beta strict => alpha strict."""
     maps = {"f": sq.f, "g": sq.g, "alpha": sq.alpha, "beta": sq.beta}
@@ -245,9 +238,7 @@ def verify_lemma_strictness_injectivity(
         ok = is_continuous(sq.alpha) and is_strict(sq.alpha)
         return (("alpha_strict", ok),)
 
-    return _finish(
-        "strictness_injectivity", hyps, conclude, dropped, enforce, instance
-    )
+    return finish_report("strictness_injectivity", hyps, conclude, dropped, enforce)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +249,6 @@ def verify_haus_exactness(
     E: Extension,
     dropped: frozenset[str] = frozenset(),
     enforce: bool = True,
-    instance: dict | None = None,
 ) -> VerificationReport:
     """Under case (a) N_A = 0 or case (b) N_B = 0, the separated sequence and
     the dual sequence are both topological extensions."""
@@ -288,9 +278,7 @@ def verify_haus_exactness(
         "finite model: separated rows are built from discrete groups, where "
         "every homomorphism is continuous and strict",
     )
-    return _finish(
-        "haus_exactness", hyps, conclude, dropped, enforce, instance, extra
-    )
+    return finish_report("haus_exactness", hyps, conclude, dropped, enforce, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +317,6 @@ def verify_p3_generalized(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
     enforce: bool = True,
-    instance: dict | None = None,
 ) -> VerificationReport:
     """alpha, beta continuous + compatible sections => gamma continuous."""
     hyps = (
@@ -345,14 +332,13 @@ def verify_p3_generalized(
             ("psi_decomposition", True),
         )
 
-    return _finish("p3_generalized", hyps, conclude, dropped, enforce, instance)
+    return finish_report("p3_generalized", hyps, conclude, dropped, enforce)
 
 
 def verify_open_fibers(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
     enforce: bool = True,
-    instance: dict | None = None,
 ) -> VerificationReport:
     """If sigma has open fibers: gamma is continuous (resp. continuous and
     strict) iff alpha and beta are.
@@ -374,14 +360,13 @@ def verify_open_fibers(
             ("strictness_iff", (a_cs and b_cs) == g_cs),
         )
 
-    return _finish("open_fibers", hyps, conclude, dropped, enforce, instance)
+    return finish_report("open_fibers", hyps, conclude, dropped, enforce)
 
 
 def verify_p3_discrete(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
     enforce: bool = True,
-    instance: dict | None = None,
 ) -> VerificationReport:
     """B1 discrete: gamma continuous iff alpha continuous (and the strict iff);
     A2 indiscrete: gamma continuous iff beta continuous.
@@ -408,14 +393,13 @@ def verify_p3_discrete(
         return tuple(out)
 
     extra = (f"case split on this instance: b1_discrete={b1_discrete}, a2_indiscrete={a2_indiscrete}",)
-    return _finish("p3_discrete", hyps, conclude, dropped, enforce, instance, extra)
+    return finish_report("p3_discrete", hyps, conclude, dropped, enforce, extra)
 
 
 def verify_five_lemma_nagao(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
     enforce: bool = True,
-    instance: dict | None = None,
 ) -> VerificationReport:
     """alpha, beta continuous + case gate => gamma_Haus well-defined and
     continuous; and gamma continuous outright if G2 is Hausdorff.
@@ -455,9 +439,7 @@ def verify_five_lemma_nagao(
         "well-definedness inclusion",
         f"case split on this instance: a={case_a}, b_i={case_b_i}, b_ii={case_b_ii}",
     )
-    return _finish(
-        "five_lemma_nagao", hyps, conclude, dropped, enforce, instance, extra
-    )
+    return finish_report("five_lemma_nagao", hyps, conclude, dropped, enforce, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +517,13 @@ def _reduced_row(row: FiveTermRow):
     h_prime = hom_from_table(
         c_top.group, imh_top.group, {x: inv[h(x)] for x in c_top.group.elements}
     )
-    return bq_top, imh_top, g_prime, h_prime, bq_proj, imh_incl
+    return bq_top, imh_top, g_prime, h_prime
 
 
 def verify_topological_five_lemma(
     fts: FiveTermSquare,
     dropped: frozenset[str] = frozenset(),
     enforce: bool = True,
-    instance: dict | None = None,
     relaxed: bool = False,
 ) -> VerificationReport:
     """beta, delta topological isos; epsilon injective; alpha surjective; rows
@@ -583,8 +564,8 @@ def verify_topological_five_lemma(
         out = [("gamma_group_iso", fts.verticals[2].is_bijective())]
         # the three-term reduction, mirroring the classical proof
         try:
-            bq1, imh1, g1p, h1p, _, _ = _reduced_row(row1)
-            bq2, imh2, g2p, h2p, _, _ = _reduced_row(row2)
+            bq1, imh1, g1p, h1p = _reduced_row(row1)
+            bq2, imh2, g2p, h2p = _reduced_row(row2)
             e1 = Extension(
                 bq1,
                 row1.groups[2],
@@ -622,7 +603,7 @@ def verify_topological_five_lemma(
 
     extra = (f"case split on this instance: a={case_a}, b={case_b}",)
     theorem_id = "five_lemma_topological_relaxed" if relaxed else "five_lemma_topological"
-    return _finish(theorem_id, hyps, conclude, dropped, enforce, instance, extra)
+    return finish_report(theorem_id, hyps, conclude, dropped, enforce, extra)
 
 
 # ---------------------------------------------------------------------------

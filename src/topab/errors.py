@@ -73,5 +73,9 @@ class UnknownHypothesis(TopabError):
     pass
 
 
+class InvalidFamilySpec(TopabError):
+    """A family bound is out of range (an order below 1, a negative count)."""
+
+
 class BudgetExceeded(TopabError):
     """Full enumeration would exceed the configured budget; sample instead."""

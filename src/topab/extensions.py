@@ -28,6 +28,7 @@ from .groups import (
     FinAbGroup,
     Homomorphism,
     Subgroup,
+    cached_hash,
     group_structure,
     hom_from_table,
     is_exact_at,
@@ -49,13 +50,7 @@ class FactorSet:
     B: FinAbGroup
     entries: tuple[tuple[Element, Element, Element], ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.A, self.B, self.entries))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.A, s.B, s.entries))
 
     def __post_init__(self):
         table = {}
@@ -122,13 +117,7 @@ class TwistedGroup:
 
     h: FactorSet
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash(self.h)
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: s.h)
 
     def __post_init__(self):
         bad = cocycle_violations(self.h)
@@ -197,13 +186,7 @@ class Section:
     G: FinAbGroup
     entries: tuple[tuple[Element, Element], ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.B, self.G, self.entries))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.B, s.G, s.entries))
 
     def __post_init__(self):
         table = {self.B.check_element(b): self.G.check_element(g) for b, g in self.entries}
@@ -231,13 +214,7 @@ class AlgExtension:
     iota: Homomorphism
     pi: Homomorphism
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.A, self.G, self.B, self.iota, self.pi))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.A, s.G, s.B, s.iota, s.pi))
 
     def __post_init__(self):
         if self.iota.source != self.A.group or self.iota.target != self.G:
@@ -272,13 +249,7 @@ class Extension:
     iota: TopHom
     pi: TopHom
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.A, self.G, self.B))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.A, s.G, s.B))
 
     def __post_init__(self):
         if self.iota.source != self.A or self.iota.target != self.G:

@@ -26,19 +26,27 @@ from .errors import (
 Element = tuple[int, ...]
 
 
+def cached_hash(key: Callable):
+    """A __hash__ for frozen dataclasses: hash(key(self)), computed once and
+    kept in the instance dict, since instances are set and cache keys."""
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(key(self))
+            return h
+
+    return __hash__
+
+
 @dataclass(frozen=True)
 class FinAbGroup:
     """Z/m1 + ... + Z/mk; the empty tuple of moduli is the trivial group."""
 
     moduli: tuple[int, ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash(self.moduli)
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: s.moduli)
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
@@ -120,13 +128,7 @@ class Subgroup:
     parent: FinAbGroup
     elements: tuple[Element, ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.parent.moduli, self.elements))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.parent.moduli, s.elements))
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
@@ -193,13 +195,7 @@ class Homomorphism:
     target: FinAbGroup
     gen_images: tuple[Element, ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.source.moduli, self.target.moduli, self.gen_images))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.source.moduli, s.target.moduli, s.gen_images))
 
     def __post_init__(self):
         if len(self.gen_images) != self.source.rank:
@@ -296,13 +292,6 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     return Homomorphism(
         inner.source, outer.target, tuple(outer(inner(g)) for g in inner.source.generators())
     )
-
-
-def hom_inverse(f: Homomorphism) -> Homomorphism:
-    if not f.is_bijective():
-        raise IllDefined("only bijective homomorphisms can be inverted")
-    inv = {y: x for x, y in f.table.items()}
-    return hom_from_table(f.target, f.source, inv)
 
 
 def all_homs(source: FinAbGroup, target: FinAbGroup) -> Iterator[Homomorphism]:

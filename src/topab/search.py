@@ -1,25 +1,25 @@
 """Instance families and hypothesis-dropping counterexample search.
 
 Each registered theorem owns a family builder (deterministic, stratified:
-small exhaustive strata plus a seeded sample of the larger space) and an
-evaluator mapping an instance to a VerificationReport.  run_search streams
-the family, skips instances failing surviving hypotheses, evaluates the
-conclusion on the rest, and reports failures as replayable witnesses after
-a core-shrinking pass.
+small exhaustive strata plus a seeded sample of the larger space) and a
+verifier.  Every instance has one protocol: build() makes the object the
+verifier takes, to_json()/from_json() make it a replayable witness.
+run_search builds each instance of the family, skips those failing surviving
+hypotheses, evaluates the conclusion on the rest, and reports failures as
+witnesses after a core-shrinking pass.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass, field, replace
+from functools import cache, partial
 
 from .errors import (
     BudgetExceeded,
     DiagramError,
+    InvalidFamilySpec,
     InvalidSection,
     NotTopologizing,
     UnknownHypothesis,
@@ -31,6 +31,8 @@ from .groups import (
     Homomorphism,
     all_homs,
     all_subgroups,
+    cached_hash,
+    compose,
     hom_from_table,
     identity_hom,
     isomorphism_class_moduli,
@@ -59,6 +61,7 @@ from .diagrams import (
     InjectiveSquare,
     SquareWithSections,
     VerificationReport,
+    finish_report,
     verify_five_lemma_nagao,
     verify_haus_exactness,
     verify_lemma_strictness_injectivity,
@@ -88,12 +91,12 @@ def all_groups_up_to_order(n: int) -> tuple[FinAbGroup, ...]:
 @cache
 def all_cocycles(A: FinAbGroup, B: FinAbGroup, budget: int = 10**6) -> tuple[FactorSet, ...]:
     """All normalized symmetric cocycles B x B -> A, by direct enumeration."""
-    if A.order ** ((B.order - 1) ** 2) > budget:
-        raise BudgetExceeded(
-            f"{A.order}^{(B.order - 1) ** 2} raw tables exceed the budget; sample instead"
-        )
     nonzero = [b for b in B.elements if b != B.zero]
     slots = [(b, bp) for i, b in enumerate(nonzero) for bp in nonzero[i:]]
+    if A.order ** len(slots) > budget:
+        raise BudgetExceeded(
+            f"{A.order}^{len(slots)} raw tables exceed the budget; sample instead"
+        )
     out = []
     for values in itertools.product(A.elements, repeat=len(slots)):
         mapping = {}
@@ -208,6 +211,16 @@ class FamilySpec:
     generators: tuple[str, ...] = ()  # stratum names; () = theorem defaults
     sample_count: int = 400
 
+    def __post_init__(self):
+        cocycles = 0 if self.max_cocycle_count == "all" else self.max_cocycle_count
+        for name, value, least in (
+            ("max_group_order", self.max_group_order, 1),
+            ("max_cocycle_count", cocycles, 0),
+            ("sample_count", self.sample_count, 0),
+        ):
+            if value < least:
+                raise InvalidFamilySpec(f"{name} must be at least {least}, got {value}")
+
     def to_json(self) -> dict:
         return {
             "max_group_order": self.max_group_order,
@@ -257,6 +270,14 @@ class SearchTask:
 # instances
 
 
+def _pairs_json(pairs) -> list:
+    return [[list(b), list(g)] for b, g in pairs]
+
+
+def _pairs_from(source: FinAbGroup, target: FinAbGroup, data) -> tuple:
+    return tuple((source.reduce(b), target.reduce(g)) for b, g in data)
+
+
 @dataclass(frozen=True)
 class RowData:
     """An extension row: a cocycle over topologized ends plus a section."""
@@ -266,13 +287,7 @@ class RowData:
     h: FactorSet
     s_entries: tuple[tuple[Element, Element], ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.A, self.B, self.h, self.s_entries))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.A, s.B, s.h, s.s_entries))
 
     def realize(self) -> tuple[AlgExtension, Section, Extension]:
         return _realize_row(self)
@@ -282,7 +297,7 @@ class RowData:
             "A": jsonio.topgroup_to_json(self.A),
             "B": jsonio.topgroup_to_json(self.B),
             "h": jsonio.cocycle_to_json(self.h),
-            "s": [[list(b), list(g)] for b, g in self.s_entries],
+            "s": _pairs_json(self.s_entries),
         }
 
     @staticmethod
@@ -291,10 +306,7 @@ class RowData:
         B = jsonio.topgroup_from_json(data["B"])
         h = jsonio.cocycle_from_json(data["h"])
         alg = _cached_alg(A, B, h)
-        entries = tuple(
-            (B.group.reduce(b), alg.G.reduce(g)) for b, g in data["s"]
-        )
-        return RowData(A, B, h, entries)
+        return RowData(A, B, h, _pairs_from(B.group, alg.G, data["s"]))
 
 
 @cache
@@ -349,6 +361,23 @@ def gamma_lifts(
     return tuple(out)
 
 
+def _gamma_from_lift(
+    alg1: AlgExtension,
+    s1: Section,
+    alg2: AlgExtension,
+    alpha: Homomorphism,
+    lift: tuple[tuple[Element, Element], ...],
+) -> Homomorphism:
+    """The middle map iota1(a) + s1(b) -> iota2(alpha(a)) + lift(b)."""
+    t = dict(lift)
+    table = {}
+    for a in alg1.A.group.elements:
+        for b in alg1.B.group.elements:
+            g1 = alg1.G.add(alg1.iota(a), s1(b))
+            table[g1] = alg2.G.add(alg2.iota(alpha(a)), t[b])
+    return hom_from_table(alg1.G, alg2.G, table)
+
+
 @dataclass(frozen=True)
 class P3Instance:
     """A commutative extension square with sections; gamma given by its lift."""
@@ -359,24 +388,12 @@ class P3Instance:
     beta: Homomorphism
     lift: tuple[tuple[Element, Element], ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.row1, self.row2, self.alpha, self.beta, self.lift))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.row1, s.row2, s.alpha, s.beta, s.lift))
 
     def build(self) -> SquareWithSections:
         alg1, s1, e1 = self.row1.realize()
         alg2, s2, e2 = self.row2.realize()
-        t = dict(self.lift)
-        table = {}
-        for a in alg1.A.group.elements:
-            for b in alg1.B.group.elements:
-                g1 = alg1.G.add(alg1.iota(a), s1(b))
-                table[g1] = alg2.G.add(alg2.iota(self.alpha(a)), t[b])
-        gamma = hom_from_table(alg1.G, alg2.G, table)
+        gamma = _gamma_from_lift(alg1, s1, alg2, self.alpha, self.lift)
         square = ExtensionSquare(e1, e2, self.alpha, gamma, self.beta)
         return SquareWithSections(square, s1, s2)
 
@@ -387,20 +404,17 @@ class P3Instance:
             "row2": self.row2.to_json(),
             "alpha": _hom_json(self.alpha),
             "beta": _hom_json(self.beta),
-            "lift": [[list(b), list(g)] for b, g in self.lift],
+            "lift": _pairs_json(self.lift),
         }
 
     @staticmethod
     def from_json(data) -> "P3Instance":
         row1 = RowData.from_json(data["row1"])
         row2 = RowData.from_json(data["row2"])
-        alg1 = _cached_alg(row1.A, row1.B, row1.h)
         alg2 = _cached_alg(row2.A, row2.B, row2.h)
         alpha = _hom_from(row1.A.group, row2.A.group, data["alpha"])
         beta = _hom_from(row1.B.group, row2.B.group, data["beta"])
-        lift = tuple(
-            (row1.B.group.reduce(b), alg2.G.reduce(g)) for b, g in data["lift"]
-        )
+        lift = _pairs_from(row1.B.group, alg2.G, data["lift"])
         return P3Instance(row1, row2, alpha, beta, lift)
 
 
@@ -417,13 +431,7 @@ class InjSquareInstance:
     alpha: Homomorphism
     beta: Homomorphism
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.A, self.B, self.Ap, self.Bp, self.f, self.g, self.alpha, self.beta))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.A, s.B, s.Ap, s.Bp, s.f, s.g, s.alpha, s.beta))
 
     def build(self) -> InjectiveSquare:
         return InjectiveSquare(
@@ -470,13 +478,7 @@ class ExtensionInstance:
 
     row: RowData
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash(self.row)
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: s.row)
 
     def build(self) -> Extension:
         return self.row.realize()[2]
@@ -497,15 +499,9 @@ class CocycleInstance:
     B: TopAbGroup
     h: FactorSet
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.A, self.B, self.h))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.A, s.B, s.h))
 
-    def alg(self) -> AlgExtension:
+    def build(self) -> AlgExtension:
         return _cached_alg(self.A, self.B, self.h)
 
     def to_json(self) -> dict:
@@ -528,6 +524,15 @@ class CocycleInstance:
 _TRIVIAL_TOP = discrete(FinAbGroup(()))
 
 
+def _zero_padded_row(alg: AlgExtension, e: Extension) -> FiveTermRow:
+    """0 -> A -> G -> B -> 0 as a five-term row."""
+    z = _TRIVIAL_TOP.group
+    return FiveTermRow(
+        (_TRIVIAL_TOP, e.A, e.G, e.B, _TRIVIAL_TOP),
+        (zero_hom(z, alg.A.group), alg.iota, alg.pi, zero_hom(alg.B.group, z)),
+    )
+
+
 @dataclass(frozen=True)
 class FiveLemmaInstance:
     """A five-term square built from extensions by zero-padding or gluing."""
@@ -540,76 +545,32 @@ class FiveLemmaInstance:
     v_b: Homomorphism
     lift: tuple[tuple[Element, Element], ...]
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.shape, self.row1, self.row2, self.chain1, self.v_a, self.v_b, self.lift))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(
+        lambda s: (s.shape, s.row1, s.row2, s.chain1, s.v_a, s.v_b, s.lift)
+    )
 
     def build(self) -> FiveTermSquare:
+        z = _TRIVIAL_TOP.group
         if self.shape == "zero_pad":
             alg1, s1, e1 = self.row1.realize()
-            alg2, s2, e2 = self.row2.realize()
-            t = dict(self.lift)
-            table = {}
-            for a in alg1.A.group.elements:
-                for b in alg1.B.group.elements:
-                    g1 = alg1.G.add(alg1.iota(a), s1(b))
-                    table[g1] = alg2.G.add(alg2.iota(self.v_a(a)), t[b])
-            gamma = hom_from_table(alg1.G, alg2.G, table)
-            triv = _TRIVIAL_TOP
-            z = triv.group
-            r1 = FiveTermRow(
-                (triv, e1.A, e1.G, e1.B, triv),
-                (
-                    zero_hom(z, alg1.A.group),
-                    alg1.iota,
-                    alg1.pi,
-                    zero_hom(alg1.B.group, z),
-                ),
+            alg2, _, e2 = self.row2.realize()
+            gamma = _gamma_from_lift(alg1, s1, alg2, self.v_a, self.lift)
+            verts = (identity_hom(z), self.v_a, gamma, self.v_b, identity_hom(z))
+            return FiveTermSquare(
+                _zero_padded_row(alg1, e1), _zero_padded_row(alg2, e2), verts
             )
-            r2 = FiveTermRow(
-                (triv, e2.A, e2.G, e2.B, triv),
-                (
-                    zero_hom(z, alg2.A.group),
-                    alg2.iota,
-                    alg2.pi,
-                    zero_hom(alg2.B.group, z),
-                ),
-            )
-            verts = (
-                identity_hom(z),
-                self.v_a,
-                gamma,
-                self.v_b,
-                identity_hom(z),
-            )
-            return FiveTermSquare(r1, r2, verts)
         if self.shape != "glued":
             raise ValueError(f"unknown shape {self.shape}")
         # glued: both 5-term rows come from the same chain E, E'; the middle
         # vertical is a lift over E' with identity outer maps.
-        alg, s, e = self.row1.realize()
+        alg, _, e = self.row1.realize()
         algc, sc, ec = self.chain1.realize()
         if algc.A != e.B:
             raise DiagramError("chain must extend the base row's quotient")
-        t = dict(self.lift)
-        table = {}
-        for a in algc.A.group.elements:
-            for b in algc.B.group.elements:
-                g1 = algc.G.add(algc.iota(a), sc(b))
-                table[g1] = algc.G.add(algc.iota(a), t[b])
-        gamma_p = hom_from_table(algc.G, algc.G, table)
-        triv = _TRIVIAL_TOP
-        z = triv.group
-        from .groups import compose as _compose
-
-        mid = _compose(algc.iota, alg.pi)
+        gamma_p = _gamma_from_lift(algc, sc, algc, identity_hom(algc.A.group), self.lift)
         row = FiveTermRow(
-            (e.A, e.G, ec.G, ec.B, triv),
-            (alg.iota, mid, algc.pi, zero_hom(algc.B.group, z)),
+            (e.A, e.G, ec.G, ec.B, _TRIVIAL_TOP),
+            (alg.iota, compose(algc.iota, alg.pi), algc.pi, zero_hom(algc.B.group, z)),
         )
         verts = (
             identity_hom(alg.A.group),
@@ -629,7 +590,7 @@ class FiveLemmaInstance:
             "chain1": self.chain1.to_json() if self.chain1 else None,
             "v_a": _hom_json(self.v_a),
             "v_b": _hom_json(self.v_b),
-            "lift": [[list(b), list(g)] for b, g in self.lift],
+            "lift": _pairs_json(self.lift),
         }
 
     @staticmethod
@@ -637,34 +598,34 @@ class FiveLemmaInstance:
         row1 = RowData.from_json(data["row1"])
         row2 = RowData.from_json(data["row2"])
         chain1 = RowData.from_json(data["chain1"]) if data.get("chain1") else None
-        alg1 = _cached_alg(row1.A, row1.B, row1.h)
-        alg2 = _cached_alg(row2.A, row2.B, row2.h)
         v_a = _hom_from(row1.A.group, row2.A.group, data["v_a"])
         v_b = _hom_from(row1.B.group, row2.B.group, data["v_b"])
-        target = (
-            _cached_alg(chain1.A, chain1.B, chain1.h).G if chain1 else alg2.G
-        )
-        src_b = chain1.B.group if chain1 else row1.B.group
-        lift = tuple(
-            (src_b.reduce(b) if chain1 else row1.B.group.reduce(b), target.reduce(g))
-            for b, g in data["lift"]
-        )
+        # the lift maps the quotient of row1 (glued: of chain1) into the
+        # middle group of row2 (glued: of chain1)
+        lifted = chain1 or row2
+        target = _cached_alg(lifted.A, lifted.B, lifted.h).G
+        lift = _pairs_from((chain1 or row1).B.group, target, data["lift"])
         return FiveLemmaInstance(data["shape"], row1, row2, chain1, v_a, v_b, lift)
+
+
+def _zero_pad(r1, r2, v_a, v_b, lift) -> FiveLemmaInstance:
+    return FiveLemmaInstance("zero_pad", r1, r2, None, v_a, v_b, lift)
+
+
+_INSTANCE_KINDS = {
+    "square_with_sections": P3Instance,
+    "injective_square": InjSquareInstance,
+    "extension": ExtensionInstance,
+    "cocycle": CocycleInstance,
+    "five_lemma": FiveLemmaInstance,
+}
 
 
 def instance_from_json(data):
     kind = data["kind"]
-    if kind == "square_with_sections":
-        return P3Instance.from_json(data)
-    if kind == "injective_square":
-        return InjSquareInstance.from_json(data)
-    if kind == "extension":
-        return ExtensionInstance.from_json(data)
-    if kind == "cocycle":
-        return CocycleInstance.from_json(data)
-    if kind == "five_lemma":
-        return FiveLemmaInstance.from_json(data)
-    raise UnknownTheorem(f"unknown instance kind {kind}")
+    if kind not in _INSTANCE_KINDS:
+        raise UnknownTheorem(f"unknown instance kind {kind}")
+    return _INSTANCE_KINDS[kind].from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +658,52 @@ def _row_pool(spec: FamilySpec, max_order: int, reps: bool) -> list[RowData]:
     return rows
 
 
-def _first_topologizing_row(spec, A_top, B_top, h) -> RowData | None:
-    alg = _cached_alg(A_top, B_top, h)
-    secs = _topologizing_sections(alg)
-    if not secs:
-        return None
-    return RowData(A_top, B_top, h, secs[0].entries)
+# A square of extension rows is (row1, row2, alpha, beta, lift): verticals
+# alpha on the kernels and beta on the quotients, and the middle map given by
+# its lift t = gamma o s1 (see gamma_lifts).  The square families share these
+# two strata.
+
+
+def _small_squares(spec: FamilySpec):
+    """Every square of extension rows over groups of order <= 2."""
+    rows = _row_pool(spec, min(2, spec.max_group_order), reps=False)
+    for r1 in rows:
+        for r2 in rows:
+            alg1 = _cached_alg(r1.A, r1.B, r1.h)
+            alg2 = _cached_alg(r2.A, r2.B, r2.h)
+            s1 = Section(r1.B.group, alg1.G, r1.s_entries)
+            for alpha in all_homs(r1.A.group, r2.A.group):
+                for beta in all_homs(r1.B.group, r2.B.group):
+                    for lift in gamma_lifts(alg1, s1, alg2, alpha, beta):
+                        yield r1, r2, alpha, beta, lift
+
+
+def _sampled_squares(spec: FamilySpec):
+    """A seeded sample of squares of extension rows up to the order bound."""
+    rng = random.Random(spec.seed)
+    tops = topologized_groups(spec.max_group_order)
+    made, attempts = 0, 0
+    while made < spec.sample_count and attempts < 40 * spec.sample_count:
+        attempts += 1
+        a1, b1 = rng.choice(tops), rng.choice(tops)
+        a2, b2 = rng.choice(tops), rng.choice(tops)
+        h1 = rng.choice(all_cocycles(a1.group, b1.group))
+        h2 = rng.choice(all_cocycles(a2.group, b2.group))
+        alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
+        s1s, s2s = _topologizing_sections(alg1), _topologizing_sections(alg2)
+        if not s1s or not s2s:
+            continue
+        s1, s2 = rng.choice(s1s), rng.choice(s2s)
+        alpha = rng.choice(list(all_homs(a1.group, a2.group)))
+        beta = rng.choice(list(all_homs(b1.group, b2.group)))
+        lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)
+        if not lifts:
+            continue
+        lift = lifts[rng.randrange(len(lifts))]
+        r1 = RowData(a1, b1, h1, s1.entries)
+        r2 = RowData(a2, b2, h2, s2.entries)
+        yield r1, r2, alpha, beta, lift
+        made += 1
 
 
 @cache
@@ -717,18 +718,7 @@ def p3_family(spec: FamilySpec) -> list[tuple[str, object]]:
     out: list[tuple[str, object]] = []
 
     if "squares_small" in strata:
-        small = _row_pool(spec, min(2, spec.max_group_order), reps=False)
-        for r1 in small:
-            for r2 in small:
-                alg1 = _cached_alg(r1.A, r1.B, r1.h)
-                alg2 = _cached_alg(r2.A, r2.B, r2.h)
-                s1 = Section(r1.B.group, alg1.G, r1.s_entries)
-                for alpha in all_homs(r1.A.group, r2.A.group):
-                    for beta in all_homs(r1.B.group, r2.B.group):
-                        for lift in gamma_lifts(alg1, s1, alg2, alpha, beta):
-                            out.append(
-                                ("squares_small", P3Instance(r1, r2, alpha, beta, lift))
-                            )
+        out += [("squares_small", P3Instance(*sq)) for sq in _small_squares(spec)]
 
     if "diagonal" in strata:
         for A_top in topologized_groups(spec.max_group_order):
@@ -748,32 +738,7 @@ def p3_family(spec: FamilySpec) -> list[tuple[str, object]]:
                         )
 
     if "sampled" in strata:
-        rng = random.Random(spec.seed)
-        tops = topologized_groups(spec.max_group_order)
-        made = 0
-        attempts = 0
-        while made < spec.sample_count and attempts < 40 * spec.sample_count:
-            attempts += 1
-            a1, b1 = rng.choice(tops), rng.choice(tops)
-            a2, b2 = rng.choice(tops), rng.choice(tops)
-            h1 = rng.choice(all_cocycles(a1.group, b1.group))
-            h2 = rng.choice(all_cocycles(a2.group, b2.group))
-            alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
-            s1s, s2s = _topologizing_sections(alg1), _topologizing_sections(alg2)
-            if not s1s or not s2s:
-                continue
-            s1, s2 = rng.choice(s1s), rng.choice(s2s)
-            alphas = list(all_homs(a1.group, a2.group))
-            betas = list(all_homs(b1.group, b2.group))
-            alpha, beta = rng.choice(alphas), rng.choice(betas)
-            lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)
-            if not lifts:
-                continue
-            lift = lifts[rng.randrange(len(lifts))]
-            r1 = RowData(a1, b1, h1, s1.entries)
-            r2 = RowData(a2, b2, h2, s2.entries)
-            out.append(("sampled", P3Instance(r1, r2, alpha, beta, lift)))
-            made += 1
+        out += [("sampled", P3Instance(*sq)) for sq in _sampled_squares(spec)]
 
     return out
 
@@ -868,23 +833,7 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
     out: list[tuple[str, object]] = []
 
     if "zero_pad_small" in strata:
-        rows = _row_pool(spec, min(2, spec.max_group_order), reps=False)
-        for r1 in rows:
-            for r2 in rows:
-                alg1 = _cached_alg(r1.A, r1.B, r1.h)
-                alg2 = _cached_alg(r2.A, r2.B, r2.h)
-                s1 = Section(r1.B.group, alg1.G, r1.s_entries)
-                for v_a in all_homs(r1.A.group, r2.A.group):
-                    for v_b in all_homs(r1.B.group, r2.B.group):
-                        for lift in gamma_lifts(alg1, s1, alg2, v_a, v_b):
-                            out.append(
-                                (
-                                    "zero_pad_small",
-                                    FiveLemmaInstance(
-                                        "zero_pad", r1, r2, None, v_a, v_b, lift
-                                    ),
-                                )
-                            )
+        out += [("zero_pad_small", _zero_pad(*sq)) for sq in _small_squares(spec)]
 
     if "zero_pad_diagonal" in strata:
         for A_top in topologized_groups(spec.max_group_order):
@@ -899,17 +848,11 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
                     ida = identity_hom(A_top.group)
                     idb = identity_hom(B_top.group)
                     for lift in gamma_lifts(alg, s1, alg, ida, idb):
-                        out.append(
-                            (
-                                "zero_pad_diagonal",
-                                FiveLemmaInstance("zero_pad", r, r, None, ida, idb, lift),
-                            )
-                        )
+                        out.append(("zero_pad_diagonal", _zero_pad(r, r, ida, idb, lift)))
 
     if "glued_small" in strata:
         rows = _row_pool(spec, min(2, spec.max_group_order), reps=False)
         for base in rows:
-            alg = _cached_alg(base.A, base.B, base.h)
             e_b = base.B
             for C_top in topologized_groups(min(2, spec.max_group_order)):
                 for hc in all_cocycles(e_b.group, C_top.group):
@@ -932,144 +875,61 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
                             )
 
     if "sampled" in strata:
-        rng = random.Random(spec.seed)
-        tops = topologized_groups(spec.max_group_order)
-        made, attempts = 0, 0
-        while made < spec.sample_count and attempts < 40 * spec.sample_count:
-            attempts += 1
-            a1, b1 = rng.choice(tops), rng.choice(tops)
-            a2, b2 = rng.choice(tops), rng.choice(tops)
-            h1 = rng.choice(all_cocycles(a1.group, b1.group))
-            h2 = rng.choice(all_cocycles(a2.group, b2.group))
-            alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
-            s1s, s2s = _topologizing_sections(alg1), _topologizing_sections(alg2)
-            if not s1s or not s2s:
-                continue
-            s1, s2 = rng.choice(s1s), rng.choice(s2s)
-            v_a = rng.choice(list(all_homs(a1.group, a2.group)))
-            v_b = rng.choice(list(all_homs(b1.group, b2.group)))
-            lifts = gamma_lifts(alg1, s1, alg2, v_a, v_b)
-            if not lifts:
-                continue
-            lift = lifts[rng.randrange(len(lifts))]
-            out.append(
-                (
-                    "sampled",
-                    FiveLemmaInstance(
-                        "zero_pad",
-                        RowData(a1, b1, h1, s1.entries),
-                        RowData(a2, b2, h2, s2.entries),
-                        None,
-                        v_a,
-                        v_b,
-                        lift,
-                    ),
-                )
-            )
-            made += 1
+        out += [("sampled", _zero_pad(*sq)) for sq in _sampled_squares(spec)]
+
     return out
 
 
 # ---------------------------------------------------------------------------
-# evaluators
+# the cocycle theorems' verifiers; the others are in diagrams
 
 
-def _eval_p3(inst: P3Instance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_p3_generalized(inst.build(), dropped, False, inst.to_json())
-
-
-def _eval_open_fibers(inst: P3Instance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_open_fibers(inst.build(), dropped, False, inst.to_json())
-
-
-def _eval_p3_discrete(inst: P3Instance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_p3_discrete(inst.build(), dropped, False, inst.to_json())
-
-
-def _eval_fln(inst: P3Instance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_five_lemma_nagao(inst.build(), dropped, False, inst.to_json())
-
-
-def _eval_inj(inst: InjSquareInstance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_lemma_strictness_injectivity(inst.build(), dropped, False, inst.to_json())
-
-
-def _eval_haus(inst: ExtensionInstance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_haus_exactness(inst.build(), dropped, False, inst.to_json())
-
-
-def _eval_flt(inst: FiveLemmaInstance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_topological_five_lemma(inst.build(), dropped, False, inst.to_json())
-
-
-def _eval_flt_relaxed(inst: FiveLemmaInstance, dropped: frozenset[str]) -> VerificationReport:
-    return verify_topological_five_lemma(
-        inst.build(), dropped, False, inst.to_json(), relaxed=True
-    )
-
-
-def _eval_comparison(inst: CocycleInstance, dropped: frozenset[str]) -> VerificationReport:
+def verify_nagao_comparison(
+    alg: AlgExtension, dropped: frozenset[str] = frozenset(), enforce: bool = True
+) -> VerificationReport:
     """Core equality vs comparison-map continuity, over all section pairs."""
-    alg = inst.alg()
     secs = _topologizing_sections(alg)
-    cores = [nagao_core(alg, s).element_set for s in secs]
-    core_a = inst.A.core_set
-    nb = list(inst.B.open_core)
-    details = []
-    ok = True
-    first_bad = None
-    for i in range(len(secs)):
-        for j in range(i, len(secs)):
-            by_cores = cores[i] == cores[j]
-            f = comparison_map(alg, secs[i], secs[j])
-            by_map = all(f[b] in core_a for b in nb)
-            if by_cores != by_map:
-                ok = False
-                if first_bad is None:
-                    first_bad = (i, j)
-    details.append(("criteria_agree_on_all_pairs", ok))
-    if first_bad is not None:
-        details.append((f"disagreeing_pair_{first_bad[0]}_{first_bad[1]}", False))
-    return VerificationReport(
-        "nagao_comparison",
-        (("has_topologizing_sections", bool(secs)),),
-        all(okk for _, okk in details) if secs else None,
-        tuple(details),
-        instance=inst.to_json(),
-    )
+
+    def conclude():
+        cores = [nagao_core(alg, s).element_set for s in secs]
+        core_a = alg.A.core_set
+        nb = list(alg.B.open_core)
+        for i in range(len(secs)):
+            for j in range(i, len(secs)):
+                f = comparison_map(alg, secs[i], secs[j])
+                if (cores[i] == cores[j]) != all(f[b] in core_a for b in nb):
+                    return (
+                        ("criteria_agree_on_all_pairs", False),
+                        (f"disagreeing_pair_{i}_{j}", False),
+                    )
+        return (("criteria_agree_on_all_pairs", True),)
+
+    hyps = (("has_topologizing_sections", bool(secs)),)
+    return finish_report("nagao_comparison", hyps, conclude, dropped, enforce)
 
 
-def _eval_choice_discrete(inst: CocycleInstance, dropped: frozenset[str]) -> VerificationReport:
-    alg = inst.alg()
-    hyps = (("b_discrete", is_discrete(inst.B)),)
-    unmet = [n for n, okk in hyps if not okk and n not in dropped]
-    if unmet:
-        return VerificationReport(
-            "choice_discrete", hyps, None, (), instance=inst.to_json()
-        )
-    secs = _topologizing_sections(alg)
-    cores = {nagao_core(alg, s).elements for s in secs}
-    details = (("unique_core_across_sections", len(cores) <= 1),)
-    return VerificationReport(
-        "choice_discrete",
-        hyps,
-        all(okk for _, okk in details),
-        details,
-        instance=inst.to_json(),
-    )
+def verify_choice_discrete(
+    alg: AlgExtension, dropped: frozenset[str] = frozenset(), enforce: bool = True
+) -> VerificationReport:
+    """Over a discrete quotient every topologizing section gives one core."""
+
+    def conclude():
+        cores = {nagao_core(alg, s).elements for s in _topologizing_sections(alg)}
+        return (("unique_core_across_sections", len(cores) <= 1),)
+
+    hyps = (("b_discrete", is_discrete(alg.B)),)
+    return finish_report("choice_discrete", hyps, conclude, dropped, enforce)
 
 
-def _eval_topologizable(inst: CocycleInstance, dropped: frozenset[str]) -> VerificationReport:
-    alg = inst.alg()
-    secs = _topologizing_sections(alg)
-    details = (("topologizing_section_exists", bool(secs)),)
-    return VerificationReport(
-        "topologizable",
-        (),
-        bool(secs),
-        details,
-        instance=inst.to_json(),
-    )
+def verify_topologizable(
+    alg: AlgExtension, dropped: frozenset[str] = frozenset(), enforce: bool = True
+) -> VerificationReport:
+    """Some section of the extension is topologizing."""
+
+    def conclude():
+        return (("topologizing_section_exists", bool(_topologizing_sections(alg))),)
+
+    return finish_report("topologizable", (), conclude, dropped, enforce)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,6 +938,9 @@ def _eval_topologizable(inst: CocycleInstance, dropped: frozenset[str]) -> Verif
 
 @dataclass(frozen=True)
 class TheoremSpec:
+    """A theorem: its droppable hypotheses, its family, and its verifier,
+    called as evaluate(instance.build(), dropped, enforce)."""
+
     theorem_id: str
     droppable: tuple[str, ...]
     build_family: object
@@ -1096,28 +959,28 @@ _register(
     "p3_generalized",
     ("alpha_continuous", "beta_continuous", "sections_compatible"),
     p3_family,
-    _eval_p3,
+    verify_p3_generalized,
 )
 _register(
-    "open_fibers", ("sigma_open_fibers",), p3_family, _eval_open_fibers, expect_zero=False
+    "open_fibers", ("sigma_open_fibers",), p3_family, verify_open_fibers, expect_zero=False
 )
 _register(
-    "p3_discrete", ("case_gate",), p3_family, _eval_p3_discrete, expect_zero=False
+    "p3_discrete", ("case_gate",), p3_family, verify_p3_discrete, expect_zero=False
 )
 _register(
     "five_lemma_nagao",
     ("alpha_continuous", "beta_continuous", "case_gate"),
     p3_family,
-    _eval_fln,
+    verify_five_lemma_nagao,
     expect_zero=False,
 )
 _register(
     "strictness_injectivity",
     ("maps_injective", "maps_continuous", "f_strict", "g_strict", "beta_strict"),
     inj_family,
-    _eval_inj,
+    verify_lemma_strictness_injectivity,
 )
-_register("haus_exactness", ("case_gate",), extension_family, _eval_haus)
+_register("haus_exactness", ("case_gate",), extension_family, verify_haus_exactness)
 _register(
     "five_lemma_topological",
     (
@@ -1128,7 +991,7 @@ _register(
         "case_gate",
     ),
     five_lemma_family,
-    _eval_flt,
+    verify_topological_five_lemma,
     expect_zero=False,
 )
 _register(
@@ -1141,54 +1004,20 @@ _register(
         "case_gate",
     ),
     five_lemma_family,
-    _eval_flt_relaxed,
+    partial(verify_topological_five_lemma, relaxed=True),
 )
-_register("nagao_comparison", (), cocycle_family, _eval_comparison)
+_register("nagao_comparison", (), cocycle_family, verify_nagao_comparison)
 _register(
     "choice_discrete",
     (),
     lambda spec: cocycle_family(spec, b_discrete_only=True),
-    _eval_choice_discrete,
+    verify_choice_discrete,
 )
-_register("topologizable", (), cocycle_family, _eval_topologizable, expect_zero=False)
+_register("topologizable", (), cocycle_family, verify_topologizable, expect_zero=False)
 
 
 # ---------------------------------------------------------------------------
 # shrinking
-
-
-def _with_cores(inst, cores):
-    """Rebuild an instance with replacement open cores, or None if invalid."""
-    try:
-        if isinstance(inst, P3Instance):
-            r1 = RowData(
-                TopAbGroup(inst.row1.A.group, cores[0]),
-                TopAbGroup(inst.row1.B.group, cores[1]),
-                inst.row1.h,
-                inst.row1.s_entries,
-            )
-            r2 = RowData(
-                TopAbGroup(inst.row2.A.group, cores[2]),
-                TopAbGroup(inst.row2.B.group, cores[3]),
-                inst.row2.h,
-                inst.row2.s_entries,
-            )
-            new = P3Instance(r1, r2, inst.alpha, inst.beta, inst.lift)
-            new.build()
-            return new
-        if isinstance(inst, ExtensionInstance):
-            r = RowData(
-                TopAbGroup(inst.row.A.group, cores[0]),
-                TopAbGroup(inst.row.B.group, cores[1]),
-                inst.row.h,
-                inst.row.s_entries,
-            )
-            new = ExtensionInstance(r)
-            new.build()
-            return new
-    except (NotTopologizing, DiagramError, InvalidSection):
-        return None
-    return None
 
 
 def _instance_cores(inst):
@@ -1204,10 +1033,24 @@ def _instance_cores(inst):
     return None
 
 
+def _with_cores(inst, cores):
+    """The instance with the open cores of _instance_cores replaced."""
+
+    def row(r: RowData, a_core, b_core) -> RowData:
+        return replace(
+            r, A=TopAbGroup(r.A.group, a_core), B=TopAbGroup(r.B.group, b_core)
+        )
+
+    if isinstance(inst, P3Instance):
+        return replace(
+            inst, row1=row(inst.row1, *cores[:2]), row2=row(inst.row2, *cores[2:])
+        )
+    return replace(inst, row=row(inst.row, *cores))
+
+
 def shrink_witness(inst, evaluate, dropped):
     """Greedily shrink open cores while the conclusion failure persists."""
-    cores = _instance_cores(inst)
-    if cores is None:
+    if _instance_cores(inst) is None:
         return inst
     current = inst
     improved = True
@@ -1218,13 +1061,12 @@ def shrink_witness(inst, evaluate, dropped):
             for cand in all_subgroups(core.parent):
                 if cand.order >= core.order:
                     continue
-                trial_cores = list(cores)
-                trial_cores[i] = cand
-                trial = _with_cores(current, tuple(trial_cores))
-                if trial is None:
+                trial = _with_cores(current, cores[:i] + (cand,) + cores[i + 1 :])
+                try:
+                    built = trial.build()
+                except (NotTopologizing, DiagramError, InvalidSection):
                     continue
-                rep = evaluate(trial, dropped)
-                if rep.conclusion_checked is False:
+                if evaluate(built, dropped, False).conclusion_checked is False:
                     current = trial
                     improved = True
                     break
@@ -1302,28 +1144,8 @@ def _check_task(task: SearchTask) -> TheoremSpec:
     return info
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TOPAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
-
-def _evaluate_slice(task_json: dict, lo: int, hi: int) -> list[tuple[int, dict, bool]]:
-    """Re-generate the family in a worker and evaluate an index slice."""
-    task = SearchTask.from_json(task_json)
-    info = _check_task(task)
-    family = info.build_family(task.family)
-    dropped = frozenset(task.dropped_hypotheses)
-    out = []
-    for idx in range(lo, min(hi, len(family))):
-        _, inst = family[idx]
-        rep = info.evaluate(inst, dropped)
-        out.append((idx, rep.to_json(), rep.conclusion_checked is None))
-    return out
-
-
-def run_search(task: SearchTask, threads: int | None = None) -> RunResult:
+def run_search(task: SearchTask) -> RunResult:
     """Evaluate a theorem over its family; failures become witnesses."""
     info = _check_task(task)
     family = info.build_family(task.family)
@@ -1332,60 +1154,22 @@ def run_search(task: SearchTask, threads: int | None = None) -> RunResult:
     for stratum, _ in family:
         strata_counts[stratum] = strata_counts.get(stratum, 0) + 1
 
-    threads = _worker_count() if threads is None else max(1, threads)
     evaluated = filtered = 0
     failures: list[VerificationReport] = []
-
-    def handle(idx: int, rep: VerificationReport):
-        nonlocal evaluated, filtered
+    for _, inst in family:
+        rep = info.evaluate(inst.build(), dropped, False)
         if rep.conclusion_checked is None:
             filtered += 1
-            return False
+            continue
         evaluated += 1
         if rep.conclusion_checked is False:
-            _, inst = family[idx]
             small = shrink_witness(inst, info.evaluate, dropped)
-            final = info.evaluate(small, dropped)
-            final.witness = small.to_json()
-            failures.append(final)
-            return True
-        return False
-
-    if threads == 1 or len(family) < 64:
-        for idx, (_, inst) in enumerate(family):
-            rep = info.evaluate(inst, dropped)
-            found = handle(idx, rep)
-            if found and task.stop_at_first:
+            if small is not inst:
+                rep = info.evaluate(small.build(), dropped, False)
+            rep.instance = rep.witness = small.to_json()
+            failures.append(rep)
+            if task.stop_at_first:
                 break
-    else:
-        chunk = (len(family) + threads - 1) // threads
-        spans = [(i, min(i + chunk, len(family))) for i in range(0, len(family), chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_evaluate_slice, task.to_json(), lo, hi)
-                for lo, hi in spans
-            ]
-            results: list[tuple[int, dict, bool]] = []
-            for f in futures:
-                results.extend(f.result())
-        results.sort(key=lambda r: r[0])
-        stop = False
-        for idx, rep_json, was_filtered in results:
-            if stop:
-                break
-            if was_filtered:
-                filtered += 1
-                continue
-            evaluated += 1
-            if rep_json["conclusion"] is False:
-                _, inst = family[idx]
-                small = shrink_witness(inst, info.evaluate, dropped)
-                final = info.evaluate(small, dropped)
-                final.witness = small.to_json()
-                failures.append(final)
-                if task.stop_at_first:
-                    stop = True
-
     return RunResult(task, strata_counts, evaluated, filtered, failures)
 
 
@@ -1393,4 +1177,4 @@ def replay_witness(theorem_id: str, witness_json: dict, dropped=()) -> Verificat
     """Re-run a reported witness through the verifier in isolation."""
     info = _check_task(SearchTask(theorem_id, tuple(dropped)))
     inst = instance_from_json(witness_json)
-    return info.evaluate(inst, frozenset(dropped))
+    return info.evaluate(inst.build(), frozenset(dropped), False)

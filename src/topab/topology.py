@@ -20,6 +20,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     all_subgroups,
+    cached_hash,
     compose,
     hom_from_table,
     quotient,
@@ -36,13 +37,7 @@ class TopAbGroup:
     group: FinAbGroup
     open_core: Subgroup
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.group, self.open_core))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.group, s.open_core))
 
     def __post_init__(self):
         if self.open_core.parent != self.group:
@@ -76,13 +71,7 @@ class TopHom:
     source: TopAbGroup
     target: TopAbGroup
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.map, self.source, self.target))
-            self.__dict__["_hash"] = h
-            return h
+    __hash__ = cached_hash(lambda s: (s.map, s.source, s.target))
 
     def __post_init__(self):
         if self.map.source != self.source.group or self.map.target != self.target.group:

@@ -241,3 +241,53 @@ def test_outputs_reparse_roundtrip(tmp_path, capsys):
     for cj in data["characters"]:
         chi = jsonio.character_from_json(z4, cj)
         assert chi((2,)) == 0  # they all kill the open core
+
+
+def assert_usage_error(code, out, err, *needles):
+    """Exit 2 with a one-line message on stderr and nothing on stdout."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+def test_verify_max_order_zero_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "p3_generalized", "--max-order", "0")
+    assert_usage_error(code, out, err, "max_group_order must be at least 1")
+
+
+def test_verify_budget_exceeded_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "p3_generalized",
+        "--max-order",
+        "8",
+        "--strata",
+        "sampled",
+        "--sample",
+        "1",
+    )
+    assert_usage_error(code, out, err, "exceed the budget")
+
+
+def test_report_malformed_jsonl_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"type": "summary"\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", str(bad))
+    assert_usage_error(code, out, err, "malformed report")
+
+
+def test_search_negative_max_cocycles_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "p3_generalized", "--max-order", "2", "--max-cocycles", "-1"
+    )
+    assert_usage_error(code, out, err, "max_cocycle_count must be at least 0")
+
+
+def test_verify_negative_sample_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "p3_generalized", "--max-order", "2", "--sample", "-1"
+    )
+    assert_usage_error(code, out, err, "sample_count must be at least 0")
