@@ -11,7 +11,6 @@ that are vacuous at finite scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import DiagramError, HypothesisViolation, NotAnExtension
 from .groups import Element, Homomorphism, compose, hom_from_table, is_exact_at
@@ -48,84 +47,6 @@ MODEL_COLLAPSE_NOTES = (
     "finite model: Hausdorff, discrete, and 'Hausdorff compact' all mean "
     "'trivial open core'",
 )
-
-
-# ---------------------------------------------------------------------------
-# generic diagrams
-
-
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    hom: Homomorphism
-
-
-@dataclass(frozen=True)
-class Row:
-    edges: tuple[str, ...]
-    kind: str  # "exact" or "strict-exact"
-
-
-@dataclass
-class Diagram:
-    nodes: dict[str, TopAbGroup]
-    edges: dict[str, Edge]
-    squares: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
-    rows: tuple[Row, ...] = ()
-
-    def __post_init__(self):
-        for name, e in self.edges.items():
-            if e.src not in self.nodes or e.dst not in self.nodes:
-                raise DiagramError(f"edge {name} references unknown nodes")
-            if (
-                e.hom.source != self.nodes[e.src].group
-                or e.hom.target != self.nodes[e.dst].group
-            ):
-                raise DiagramError(f"edge {name} does not match its endpoints")
-
-    def compose_path(self, path: tuple[str, ...]) -> Homomorphism:
-        homs = [self.edges[name].hom for name in path]
-        return reduce(lambda acc, h: compose(h, acc), homs[1:], homs[0])
-
-    def top_hom(self, name: str) -> TopHom:
-        e = self.edges[name]
-        return TopHom(e.hom, self.nodes[e.src], self.nodes[e.dst])
-
-
-@dataclass
-class DiagramReport:
-    square_failures: tuple[str, ...]
-    row_failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.square_failures and not self.row_failures
-
-
-def check_diagram(d: Diagram) -> DiagramReport:
-    """Validate every declared square and row annotation; diagnostic only."""
-    square_failures = []
-    for i, (pa, pb) in enumerate(d.squares):
-        fa, fb = d.compose_path(pa), d.compose_path(pb)
-        if fa.source != fb.source or fa.target != fb.target:
-            square_failures.append(f"square {i}: paths have different endpoints")
-        elif fa.table != fb.table:
-            square_failures.append(f"square {i}: {'/'.join(pa)} != {'/'.join(pb)}")
-    row_failures = []
-    for i, row in enumerate(d.rows):
-        homs = [d.edges[name].hom for name in row.edges]
-        for f, g, fname, gname in zip(homs, homs[1:], row.edges, row.edges[1:]):
-            if not is_exact_at(f, g):
-                row_failures.append(f"row {i}: not exact between {fname} and {gname}")
-        if row.kind == "strict-exact":
-            for name in row.edges:
-                th = d.top_hom(name)
-                if not is_continuous(th):
-                    row_failures.append(f"row {i}: {name} is not continuous")
-                elif not is_strict(th):
-                    row_failures.append(f"row {i}: {name} is not strict")
-    return DiagramReport(tuple(square_failures), tuple(row_failures))
 
 
 # ---------------------------------------------------------------------------
@@ -605,59 +526,3 @@ def verify_topological_five_lemma(
     theorem_id = "five_lemma_topological_relaxed" if relaxed else "five_lemma_topological"
     return finish_report(theorem_id, hyps, conclude, dropped, enforce, extra)
 
-
-# ---------------------------------------------------------------------------
-# Diagram builders (for reports and the JSON surface)
-
-
-def square_diagram(sq: ExtensionSquare) -> Diagram:
-    a1, a2 = sq.row1.alg, sq.row2.alg
-    nodes = {
-        "A1": sq.row1.A,
-        "G1": sq.row1.G,
-        "B1": sq.row1.B,
-        "A2": sq.row2.A,
-        "G2": sq.row2.G,
-        "B2": sq.row2.B,
-    }
-    edges = {
-        "iota1": Edge("A1", "G1", a1.iota),
-        "pi1": Edge("G1", "B1", a1.pi),
-        "iota2": Edge("A2", "G2", a2.iota),
-        "pi2": Edge("G2", "B2", a2.pi),
-        "alpha": Edge("A1", "A2", sq.alpha),
-        "gamma": Edge("G1", "G2", sq.gamma),
-        "beta": Edge("B1", "B2", sq.beta),
-    }
-    squares = (
-        (("iota1", "gamma"), ("alpha", "iota2")),
-        (("pi1", "beta"), ("gamma", "pi2")),
-    )
-    rows = (
-        Row(("iota1", "pi1"), "strict-exact"),
-        Row(("iota2", "pi2"), "strict-exact"),
-    )
-    return Diagram(nodes, edges, squares, rows)
-
-
-def five_term_diagram(fts: FiveTermSquare) -> Diagram:
-    names = ("A", "B", "C", "D", "E")
-    vert_names = ("alpha", "beta", "gamma", "delta", "epsilon")
-    nodes, edges = {}, {}
-    for i, n in enumerate(names):
-        nodes[f"{n}1"] = fts.row1.groups[i]
-        nodes[f"{n}2"] = fts.row2.groups[i]
-    for i in range(4):
-        edges[f"f{i + 1}_1"] = Edge(f"{names[i]}1", f"{names[i + 1]}1", fts.row1.maps[i])
-        edges[f"f{i + 1}_2"] = Edge(f"{names[i]}2", f"{names[i + 1]}2", fts.row2.maps[i])
-    for i, vn in enumerate(vert_names):
-        edges[vn] = Edge(f"{names[i]}1", f"{names[i]}2", fts.verticals[i])
-    squares = tuple(
-        ((f"f{i + 1}_1", vert_names[i + 1]), (vert_names[i], f"f{i + 1}_2"))
-        for i in range(4)
-    )
-    rows = (
-        Row(tuple(f"f{i + 1}_1" for i in range(4)), "strict-exact"),
-        Row(tuple(f"f{i + 1}_2" for i in range(4)), "strict-exact"),
-    )
-    return Diagram(nodes, edges, squares, rows)

@@ -78,4 +78,4 @@ class InvalidFamilySpec(TopabError):
 
 
 class BudgetExceeded(TopabError):
-    """Full enumeration would exceed the configured budget; sample instead."""
+    """Full enumeration would exceed the configured budget; lower the order bound."""

@@ -13,7 +13,6 @@ from .extensions import AlgExtension, Extension, FactorSet, Section
 from .duality import Character, DualGroup
 from .groups import Element, FinAbGroup, Homomorphism, Subgroup, subgroup
 from .topology import TopAbGroup, TopHom
-from . import diagrams
 
 
 def dumps(obj) -> str:
@@ -177,27 +176,3 @@ def extension_from_json(data) -> Extension:
     iota, pi = hom_from_json(data["iota"]), hom_from_json(data["pi"])
     return Extension(A, G, B, TopHom(iota, A, G), TopHom(pi, G, B))
 
-
-def diagram_to_json(d: diagrams.Diagram) -> dict:
-    return {
-        "nodes": {name: topgroup_to_json(t) for name, t in d.nodes.items()},
-        "edges": {
-            name: {"from": e.src, "to": e.dst, "hom": hom_to_json(e.hom)}
-            for name, e in d.edges.items()
-        },
-        "squares": [[list(pa), list(pb)] for pa, pb in d.squares],
-        "rows": [{"edges": list(r.edges), "kind": r.kind} for r in d.rows],
-    }
-
-
-def diagram_from_json(data) -> diagrams.Diagram:
-    nodes = {name: topgroup_from_json(t) for name, t in data["nodes"].items()}
-    edges = {
-        name: diagrams.Edge(e["from"], e["to"], hom_from_json(e["hom"]))
-        for name, e in data["edges"].items()
-    }
-    squares = tuple((tuple(pa), tuple(pb)) for pa, pb in data.get("squares", []))
-    rows = tuple(
-        diagrams.Row(tuple(r["edges"]), r["kind"]) for r in data.get("rows", [])
-    )
-    return diagrams.Diagram(nodes, edges, squares, rows)

@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from math import prod
 
 from .errors import (
     BudgetExceeded,
@@ -88,25 +89,15 @@ def all_groups_up_to_order(n: int) -> tuple[FinAbGroup, ...]:
     return tuple(out)
 
 
-@cache
-def all_cocycles(A: FinAbGroup, B: FinAbGroup, budget: int = 10**6) -> tuple[FactorSet, ...]:
-    """All normalized symmetric cocycles B x B -> A, by direct enumeration."""
-    nonzero = [b for b in B.elements if b != B.zero]
-    slots = [(b, bp) for i, b in enumerate(nonzero) for bp in nonzero[i:]]
-    if A.order ** len(slots) > budget:
-        raise BudgetExceeded(
-            f"{A.order}^{len(slots)} raw tables exceed the budget; sample instead"
-        )
-    out = []
-    for values in itertools.product(A.elements, repeat=len(slots)):
-        mapping = {}
-        for (b, bp), a in zip(slots, values):
-            mapping[(b, bp)] = a
-            mapping[(bp, b)] = a
-        h = factor_set(A, B, mapping)
-        if validate_cocycle(h):
-            out.append(h)
-    return tuple(out)
+def _coset_representatives(A: FinAbGroup, n: int) -> tuple[Element, ...]:
+    """The least element of each coset of nA in A, in increasing order."""
+    nA = {A.scale(n, a) for a in A.elements}
+    reps, covered = [], set()
+    for a in A.elements:
+        if a not in covered:
+            reps.append(a)
+            covered.update(A.add(a, x) for x in nA)
+    return tuple(reps)
 
 
 def _structured_cocycle(A: FinAbGroup, B: FinAbGroup, coeffs, t) -> FactorSet:
@@ -127,60 +118,57 @@ def _structured_cocycle(A: FinAbGroup, B: FinAbGroup, coeffs, t) -> FactorSet:
     return factor_set(A, B, mapping)
 
 
-def sample_cocycles(
-    A: FinAbGroup, B: FinAbGroup, seed: int, count: int
-) -> tuple[FactorSet, ...]:
-    """Seeded sample of valid cocycles, for spaces beyond the budget."""
-    rng = random.Random(seed)
-    seen, out = set(), []
-    attempts = 0
-    while len(out) < count and attempts < 200 * count:
-        attempts += 1
-        coeffs = [A.elements[rng.randrange(A.order)] for _ in B.moduli]
-        t = {b: A.elements[rng.randrange(A.order)] for b in B.elements}
-        t[B.zero] = A.zero
-        h = _structured_cocycle(A, B, coeffs, t)
-        if h.entries in seen:
-            continue
-        assert validate_cocycle(h)
-        seen.add(h.entries)
-        out.append(h)
+_COCYCLE_BUDGET = 10**6
+
+
+@cache
+def _cocycles_by_class(
+    A: FinAbGroup, B: FinAbGroup, budget: int
+) -> tuple[tuple[FactorSet, ...], ...]:
+    """The normalized symmetric cocycles B x B -> A, one tuple per class.
+
+    Ext(Z/n_1 + ... + Z/n_k, A) = A/n_1A + ... + A/n_kA, so the class with
+    residues (c_j mod n_jA) is the carry cocycle of the c_j plus every
+    coboundary dt over every t: B -> A with t(0) = 0.  Each constructed table
+    is checked against the cocycle identity.
+    """
+    cosets = [_coset_representatives(A, n) for n in B.moduli]
+    nonzero = [b for b in B.elements if b != B.zero]
+    classes = prod(len(c) for c in cosets)
+    if classes * A.order ** len(nonzero) > budget:
+        raise BudgetExceeded(
+            f"{classes} x {A.order}^{len(nonzero)} cocycle tables for A = {A}, "
+            f"B = {B} exceed the budget; lower --max-order"
+        )
+    out = []
+    for coeffs in itertools.product(*cosets):
+        tables = {}
+        for imgs in itertools.product(A.elements, repeat=len(nonzero)):
+            t = {B.zero: A.zero}
+            t.update(zip(nonzero, imgs))
+            h = _structured_cocycle(A, B, coeffs, t)
+            if h.entries not in tables:
+                assert validate_cocycle(h)
+                tables[h.entries] = h
+        out.append(tuple(tables.values()))
     return tuple(out)
 
 
 @cache
+def all_cocycles(
+    A: FinAbGroup, B: FinAbGroup, budget: int = _COCYCLE_BUDGET
+) -> tuple[FactorSet, ...]:
+    """All normalized symmetric cocycles B x B -> A, sorted by table."""
+    hs = itertools.chain.from_iterable(_cocycles_by_class(A, B, budget))
+    return tuple(sorted(hs, key=lambda h: h.entries))
+
+
+@cache
 def cocycle_class_representatives(A: FinAbGroup, B: FinAbGroup) -> tuple[FactorSet, ...]:
-    """One cocycle per cohomology class (min table), deterministic order."""
-    cocycles = all_cocycles(A, B)
-    nonzero = [b for b in B.elements if b != B.zero]
-    coboundaries = set()
-    for imgs in itertools.product(A.elements, repeat=len(nonzero)):
-        t = {B.zero: A.zero}
-        t.update(zip(nonzero, imgs))
-        entries = tuple(
-            sorted(
-                (b, bp, A.sub(A.add(t[b], t[bp]), t[B.add(b, bp)]))
-                for b in B.elements
-                for bp in B.elements
-            )
-        )
-        coboundaries.add(entries)
-    reps = {}
-    for h in cocycles:
-        shifted = []
-        for cob in coboundaries:
-            cob_map = {(b, bp): a for b, bp, a in cob}
-            shifted.append(
-                tuple(
-                    sorted(
-                        (b, bp, A.add(a, cob_map[(b, bp)]))
-                        for b, bp, a in h.entries
-                    )
-                )
-            )
-        key = min(shifted)
-        reps.setdefault(key, h)
-    return tuple(reps[k] for k in sorted(reps))
+    """The least table of each cohomology class, sorted by table."""
+    classes = _cocycles_by_class(A, B, _COCYCLE_BUDGET)
+    reps = (min(hs, key=lambda h: h.entries) for hs in classes)
+    return tuple(sorted(reps, key=lambda h: h.entries))
 
 
 @cache

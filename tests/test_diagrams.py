@@ -2,13 +2,7 @@ import pytest
 
 from topab.errors import HypothesisViolation
 from topab.diagrams import (
-    Diagram,
-    Edge,
     InjectiveSquare,
-    Row,
-    check_diagram,
-    five_term_diagram,
-    square_diagram,
     verify_five_lemma_nagao,
     verify_haus_exactness,
     verify_lemma_strictness_injectivity,
@@ -17,8 +11,8 @@ from topab.diagrams import (
     verify_p3_generalized,
     verify_topological_five_lemma,
 )
-from topab.extensions import ExtensionSquare, split_extension
-from topab.groups import identity_hom, make_group, make_hom, zero_hom
+from topab.extensions import split_extension
+from topab.groups import identity_hom, make_group, zero_hom
 from topab.search import (
     FiveLemmaInstance,
     P3Instance,
@@ -46,43 +40,6 @@ def identity_p3_instance(row):
     return P3Instance(
         row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s_entries
     )
-
-
-def test_check_diagram_identity_square():
-    e = split_extension(discrete(Z2), discrete(Z2))
-    sq = ExtensionSquare(
-        e, e, identity_hom(Z2), identity_hom(e.G.group), identity_hom(Z2)
-    )
-    d = square_diagram(sq)
-    rep = check_diagram(d)
-    assert rep.ok
-
-
-def test_check_diagram_catches_bad_square():
-    t = discrete(Z2)
-    d = Diagram(
-        {"X": t, "Y": t},
-        {"f": Edge("X", "Y", identity_hom(Z2)), "g": Edge("X", "Y", zero_hom(Z2, Z2))},
-        squares=((("f",), ("g",)),),
-    )
-    rep = check_diagram(d)
-    assert not rep.ok
-    assert "square 0" in rep.square_failures[0]
-
-
-def test_check_diagram_catches_non_strict_row():
-    g_top = topologize(Z4, [(0,), (2,)])
-    a_top, b_top = discrete(Z2), indiscrete(Z2)
-    d = Diagram(
-        {"A": a_top, "G": g_top, "B": b_top},
-        {
-            "iota": Edge("A", "G", make_hom(Z2, Z4, [(2,)])),
-            "pi": Edge("G", "B", make_hom(Z4, Z2, [(1,)])),
-        },
-        rows=(Row(("iota", "pi"), "strict-exact"),),
-    )
-    rep = check_diagram(d)
-    assert not rep.ok
 
 
 def test_strictness_injectivity_identity():
@@ -188,8 +145,7 @@ def test_five_lemma_topological_identity():
     fts = zero_pad_instance(row).build()
     rep = verify_topological_five_lemma(fts)
     assert rep.conclusion_checked is True
-    d = five_term_diagram(fts)
-    assert check_diagram(d).ok
+    assert fts.row1.is_strict_exact() and fts.row2.is_strict_exact()
 
 
 def test_five_lemma_topological_case_gate():

@@ -1,16 +1,14 @@
 import pytest
 
 from topab import jsonio
-from topab.diagrams import square_diagram
 from topab.errors import ElementNotInGroup, InvalidCocycle
 from topab.extensions import (
-    ExtensionSquare,
     canonical_section,
     factor_set,
     split_extension,
 )
 from topab.duality import dual_group
-from topab.groups import identity_hom, make_group, make_hom, subgroup
+from topab.groups import make_group, make_hom, subgroup
 from topab.topology import discrete, indiscrete, topologize
 
 Z2 = make_group([2])
@@ -81,19 +79,6 @@ def test_alg_extension_roundtrip():
     data = jsonio.alg_extension_to_json(e.alg)
     back = jsonio.alg_extension_from_json(data)
     assert back == e.alg
-
-
-def test_diagram_roundtrip():
-    e = split_extension(discrete(Z2), discrete(Z2))
-    sq = ExtensionSquare(
-        e, e, identity_hom(Z2), identity_hom(e.G.group), identity_hom(Z2)
-    )
-    d = square_diagram(sq)
-    back = jsonio.diagram_from_json(jsonio.diagram_to_json(d))
-    assert back.nodes == d.nodes
-    assert back.edges == d.edges
-    assert back.squares == d.squares
-    assert back.rows == d.rows
 
 
 def test_dumps_byte_stable():

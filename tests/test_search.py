@@ -1,10 +1,13 @@
+import itertools
 import json
+from math import prod
 
 import pytest
 
 from topab import jsonio
 from topab.errors import BudgetExceeded, UnknownHypothesis, UnknownTheorem
-from topab.groups import make_group
+from topab.extensions import factor_set
+from topab.groups import all_homs, make_group
 from topab.search import (
     THEOREMS,
     FamilySpec,
@@ -15,7 +18,6 @@ from topab.search import (
     instance_from_json,
     replay_witness,
     run_search,
-    sample_cocycles,
     topologized_groups,
 )
 
@@ -54,17 +56,14 @@ def test_all_cocycles_budget():
     z16 = make_group([2, 2, 2, 2])
     with pytest.raises(BudgetExceeded):
         all_cocycles(z16, z16)
-    sampled = sample_cocycles(z16, z16, seed=7, count=3)
-    assert len(sampled) == 3
-    assert sampled == sample_cocycles(z16, z16, seed=7, count=3)
 
 
 def test_all_cocycles_budget_counts_symmetric_slots():
-    # Z/4 has 3 nonzero elements, so 3 * 4 / 2 = 6 table slots: 2^6 = 64
+    # the budget charges the constructed tables: |Z/2 / 4(Z/2)| * 2^3 = 16
     z4_over_z2 = all_cocycles(Z2, Z4)
-    assert all_cocycles(Z2, Z4, budget=100) == z4_over_z2
-    with pytest.raises(BudgetExceeded, match=r"2\^6 "):
-        all_cocycles(Z2, Z4, budget=63)
+    assert all_cocycles(Z2, Z4, budget=16) == z4_over_z2
+    with pytest.raises(BudgetExceeded, match=r"2 x 2\^3 "):
+        all_cocycles(Z2, Z4, budget=15)
 
 
 def test_cocycle_representatives():
@@ -72,6 +71,73 @@ def test_cocycle_representatives():
     assert len(reps) == 4  # Ext(Z/4, Z/4) has order 4
     reps = cocycle_class_representatives(Z2, Z2)
     assert len(reps) == 2
+
+
+def _filtered_cocycles(A, B):
+    """Reference: every normalized symmetric table passing the cocycle identity."""
+    nonzero = [b for b in B.elements if b != B.zero]
+    slots = [(b, bp) for i, b in enumerate(nonzero) for bp in nonzero[i:]]
+    out = []
+    for values in itertools.product(A.elements, repeat=len(slots)):
+        h = {(b, bp): A.zero for b in B.elements for bp in B.elements}
+        for (b, bp), a in zip(slots, values):
+            h[(b, bp)] = h[(bp, b)] = a
+        if all(
+            A.add(h[(x, y)], h[(B.add(x, y), z)]) == A.add(h[(y, z)], h[(x, B.add(y, z))])
+            for x in B.elements
+            for y in B.elements
+            for z in B.elements
+        ):
+            out.append(factor_set(A, B, h))
+    return tuple(out)
+
+
+def _orbit_min_representatives(A, B, cocycles):
+    """Reference: key each cocycle by the least table of its coboundary orbit."""
+    nonzero = [b for b in B.elements if b != B.zero]
+    pairs = [(x, y) for x in B.elements for y in B.elements]
+    coboundaries = set()
+    for imgs in itertools.product(A.elements, repeat=len(nonzero)):
+        t = {B.zero: A.zero}
+        t.update(zip(nonzero, imgs))
+        coboundaries.add(tuple(A.sub(A.add(t[x], t[y]), t[B.add(x, y)]) for x, y in pairs))
+    reps = {}
+    for h in cocycles:
+        key = min(
+            tuple(A.add(h(x, y), c) for (x, y), c in zip(pairs, cob)) for cob in coboundaries
+        )
+        reps.setdefault(key, h)
+    return tuple(reps[k] for k in sorted(reps))
+
+
+@pytest.mark.parametrize(
+    "A,B", itertools.product(all_groups_up_to_order(4), repeat=2), ids=str
+)
+def test_constructed_cocycles_match_filter_and_orbit_reference(A, B):
+    reference = _filtered_cocycles(A, B)
+    assert all_cocycles(A, B) == reference
+    assert cocycle_class_representatives(A, B) == _orbit_min_representatives(A, B, reference)
+
+
+def _quotient_order(A, n):
+    return A.order // len({A.scale(n, a) for a in A.elements})
+
+
+@pytest.mark.parametrize(
+    "A,B", itertools.product(all_groups_up_to_order(5), repeat=2), ids=str
+)
+def test_cocycle_counts_follow_ext(A, B):
+    # Ext(B, A) = sum_j A/n_jA; each class holds |A|^(|B|-1) / |Hom(B, A)| tables
+    classes = prod(_quotient_order(A, n) for n in B.moduli)
+    homs = sum(1 for _ in all_homs(B, A))
+    assert len(all_cocycles(A, B)) * homs == classes * A.order ** (B.order - 1)
+    assert len(cocycle_class_representatives(A, B)) == classes
+
+
+def test_order_5_cocycles_fit_the_budget():
+    z5 = make_group([5])
+    assert len(all_cocycles(Z4, z5)) == 256
+    assert len(cocycle_class_representatives(Z4, z5)) == 1
 
 
 def test_topologized_groups_count():
