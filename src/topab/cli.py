@@ -26,11 +26,10 @@ from .extensions import (
     alg_extension_from_cocycle,
     canonical_section,
     enumerate_sections,
-    factor_set_from_section,
-    is_topologizing,
     nagao_core,
     nagao_topology,
     realize_cocycle,
+    topologizing_sections,
 )
 from .duality import dual_group
 from . import jsonio
@@ -66,6 +65,10 @@ def _family_from_args(args) -> FamilySpec:
 
 # Errors of a verify or search request, reported as usage errors (exit 2).
 _RUN_ERRORS = (UnknownTheorem, UnknownHypothesis, InvalidFamilySpec, BudgetExceeded)
+
+# Errors of decoding a JSON input that has the wrong shape (a missing key, an
+# array for an object, a non-integer entry) or denotes no valid value; exit 2.
+_DECODE_ERRORS = (TopabError, KeyError, ValueError, IndexError, TypeError)
 
 
 def _run_and_write(task: SearchTask, out_dir: str | None):
@@ -128,7 +131,7 @@ def cmd_extend(args) -> int:
             s = Section(b_top.group, alg.G, tuple(mapping.items()))
         else:
             s = canonical_section(alg)
-    except (TopabError, KeyError, ValueError, IndexError) as exc:
+    except _DECODE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -151,7 +154,7 @@ def cmd_extend(args) -> int:
 def cmd_dual(args) -> int:
     try:
         t = jsonio.topgroup_from_json(_read(args.group))
-    except TopabError as exc:
+    except _DECODE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     d = dual_group(t)
@@ -162,22 +165,15 @@ def cmd_dual(args) -> int:
 def cmd_sections(args) -> int:
     try:
         alg = jsonio.alg_extension_from_json(_read(args.extension))
-    except (TopabError, KeyError) as exc:
+    except _DECODE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sections = list(enumerate_sections(alg))
-    topologizing = []
-    cores = []
-    for i, s in enumerate(sections):
-        hs = factor_set_from_section(alg, s)
-        if is_topologizing(alg.A, alg.B, hs):
-            topologizing.append(i)
-            cores.append(nagao_core(alg, s).elements)
-        else:
-            cores.append(None)
+    census = set(topologizing_sections(alg))
+    topologizing = [i for i, s in enumerate(sections) if s in census]
     classes: dict[tuple, list[int]] = {}
     for i in topologizing:
-        classes.setdefault(cores[i], []).append(i)
+        classes.setdefault(nagao_core(alg, sections[i]).elements, []).append(i)
     out = {
         "sections": [jsonio.section_to_json(s) for s in sections],
         "topologizing": topologizing,

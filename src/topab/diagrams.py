@@ -1,8 +1,10 @@
-"""Commutative diagrams and verifiers for the continuity-transfer theorems.
+"""Commutative diagrams and the verifiers of all 11 continuity-transfer laws.
 
-Each verifier evaluates named hypotheses, then the conclusion predicates, on
-one concrete instance, and returns a VerificationReport.  Hypotheses can be
-dropped (for counterexample search); conclusions are always computed from the
+Each verifier takes one built instance and the set of dropped hypotheses,
+evaluates the named hypotheses, then the conclusion predicates, and returns a
+VerificationReport.  An unmet hypothesis that is not dropped gives a report
+with no conclusion (conclusion_checked is None), so the search counts the
+instance as filtered.  Conclusions are always computed from the
 topology-module predicates, never assumed, so the harness can refute as well
 as confirm.  Every report carries model-collapse notes listing hypotheses
 that are vacuous at finite scale.
@@ -12,18 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DiagramError, HypothesisViolation, NotAnExtension
+from .errors import DiagramError, NotAnExtension
 from .groups import Element, Homomorphism, compose, hom_from_table, is_exact_at
 from .extensions import (
+    AlgExtension,
     Extension,
     ExtensionSquare,
     Section,
+    comparison_map,
     has_open_fibers,
     is_compatible,
     nagao_core,
     psi_maps,
     sigma,
     snake_haus_sequence,
+    topologizing_sections,
 )
 from .duality import dual_extension
 from .topology import (
@@ -60,8 +65,7 @@ class VerificationReport:
     conclusion_checked: bool | None
     details: tuple[tuple[str, bool], ...] = ()
     model_collapse: tuple[str, ...] = MODEL_COLLAPSE_NOTES
-    instance: dict | None = None
-    witness: dict | None = None
+    witness: dict | None = None  # the instance JSON of a reported failure
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -78,31 +82,24 @@ class VerificationReport:
             "conclusion": self.conclusion_checked,
             "details": [{"name": n, "ok": ok} for n, ok in self.details],
             "model_collapse": list(self.model_collapse),
-            "instance": self.instance,
+            # the report format carries the witness under both keys
+            "instance": self.witness,
             "witness": self.witness,
         }
 
 
-def finish_report(
+def _finish(
     theorem_id: str,
     hyps: tuple[tuple[str, bool], ...],
     conclude,
     dropped: frozenset[str],
-    enforce: bool,
     extra_collapse: tuple[str, ...] = (),
 ) -> VerificationReport:
     """The report of one verifier: the conclusion clauses from `conclude()`
-    if every hypothesis not in `dropped` holds; otherwise no conclusion, or
-    HypothesisViolation if `enforce` is set."""
+    if every hypothesis not in `dropped` holds; otherwise no conclusion."""
     collapse = MODEL_COLLAPSE_NOTES + extra_collapse
-    unmet = [n for n, ok in hyps if not ok and n not in dropped]
-    if unmet:
-        report = VerificationReport(theorem_id, hyps, None, (), collapse)
-        if enforce:
-            raise HypothesisViolation(
-                f"{theorem_id}: hypotheses not met: {', '.join(unmet)}", report
-            )
-        return report
+    if any(not ok and n not in dropped for n, ok in hyps):
+        return VerificationReport(theorem_id, hyps, None, (), collapse)
     details = tuple(conclude())
     return VerificationReport(
         theorem_id, hyps, all(ok for _, ok in details), details, collapse
@@ -136,14 +133,9 @@ class InjectiveSquare:
             raise DiagramError("square does not commute")
 
 
-def _cont_strict(f: TopHom) -> bool:
-    return is_continuous(f) and is_strict(f)
-
-
 def verify_lemma_strictness_injectivity(
     sq: InjectiveSquare,
     dropped: frozenset[str] = frozenset(),
-    enforce: bool = True,
 ) -> VerificationReport:
     """All four maps injective continuous and f, g, beta strict => alpha strict."""
     maps = {"f": sq.f, "g": sq.g, "alpha": sq.alpha, "beta": sq.beta}
@@ -159,7 +151,7 @@ def verify_lemma_strictness_injectivity(
         ok = is_continuous(sq.alpha) and is_strict(sq.alpha)
         return (("alpha_strict", ok),)
 
-    return finish_report("strictness_injectivity", hyps, conclude, dropped, enforce)
+    return _finish("strictness_injectivity", hyps, conclude, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +161,6 @@ def verify_lemma_strictness_injectivity(
 def verify_haus_exactness(
     E: Extension,
     dropped: frozenset[str] = frozenset(),
-    enforce: bool = True,
 ) -> VerificationReport:
     """Under case (a) N_A = 0 or case (b) N_B = 0, the separated sequence and
     the dual sequence are both topological extensions."""
@@ -199,7 +190,7 @@ def verify_haus_exactness(
         "finite model: separated rows are built from discrete groups, where "
         "every homomorphism is continuous and strict",
     )
-    return finish_report("haus_exactness", hyps, conclude, dropped, enforce, extra)
+    return _finish("haus_exactness", hyps, conclude, dropped, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +228,6 @@ class SquareWithSections:
 def verify_p3_generalized(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
-    enforce: bool = True,
 ) -> VerificationReport:
     """alpha, beta continuous + compatible sections => gamma continuous."""
     hyps = (
@@ -253,13 +243,12 @@ def verify_p3_generalized(
             ("psi_decomposition", True),
         )
 
-    return finish_report("p3_generalized", hyps, conclude, dropped, enforce)
+    return _finish("p3_generalized", hyps, conclude, dropped)
 
 
 def verify_open_fibers(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
-    enforce: bool = True,
 ) -> VerificationReport:
     """If sigma has open fibers: gamma is continuous (resp. continuous and
     strict) iff alpha and beta are.
@@ -281,13 +270,12 @@ def verify_open_fibers(
             ("strictness_iff", (a_cs and b_cs) == g_cs),
         )
 
-    return finish_report("open_fibers", hyps, conclude, dropped, enforce)
+    return _finish("open_fibers", hyps, conclude, dropped)
 
 
 def verify_p3_discrete(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
-    enforce: bool = True,
 ) -> VerificationReport:
     """B1 discrete: gamma continuous iff alpha continuous (and the strict iff);
     A2 indiscrete: gamma continuous iff beta continuous.
@@ -314,13 +302,12 @@ def verify_p3_discrete(
         return tuple(out)
 
     extra = (f"case split on this instance: b1_discrete={b1_discrete}, a2_indiscrete={a2_indiscrete}",)
-    return finish_report("p3_discrete", hyps, conclude, dropped, enforce, extra)
+    return _finish("p3_discrete", hyps, conclude, dropped, extra)
 
 
 def verify_five_lemma_nagao(
     sws: SquareWithSections,
     dropped: frozenset[str] = frozenset(),
-    enforce: bool = True,
 ) -> VerificationReport:
     """alpha, beta continuous + case gate => gamma_Haus well-defined and
     continuous; and gamma continuous outright if G2 is Hausdorff.
@@ -360,7 +347,7 @@ def verify_five_lemma_nagao(
         "well-definedness inclusion",
         f"case split on this instance: a={case_a}, b_i={case_b_i}, b_ii={case_b_ii}",
     )
-    return finish_report("five_lemma_nagao", hyps, conclude, dropped, enforce, extra)
+    return _finish("five_lemma_nagao", hyps, conclude, dropped, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +431,6 @@ def _reduced_row(row: FiveTermRow):
 def verify_topological_five_lemma(
     fts: FiveTermSquare,
     dropped: frozenset[str] = frozenset(),
-    enforce: bool = True,
     relaxed: bool = False,
 ) -> VerificationReport:
     """beta, delta topological isos; epsilon injective; alpha surjective; rows
@@ -524,5 +510,56 @@ def verify_topological_five_lemma(
 
     extra = (f"case split on this instance: a={case_a}, b={case_b}",)
     theorem_id = "five_lemma_topological_relaxed" if relaxed else "five_lemma_topological"
-    return finish_report(theorem_id, hyps, conclude, dropped, enforce, extra)
+    return _finish(theorem_id, hyps, conclude, dropped, extra)
 
+
+# ---------------------------------------------------------------------------
+# the cocycle theorems, quantified over the sections of one extension
+
+
+def verify_nagao_comparison(
+    alg: AlgExtension, dropped: frozenset[str] = frozenset()
+) -> VerificationReport:
+    """Core equality vs comparison-map continuity, over all section pairs."""
+    secs = topologizing_sections(alg)
+
+    def conclude():
+        cores = [nagao_core(alg, s).element_set for s in secs]
+        core_a = alg.A.core_set
+        nb = list(alg.B.open_core)
+        for i in range(len(secs)):
+            for j in range(i, len(secs)):
+                f = comparison_map(alg, secs[i], secs[j])
+                if (cores[i] == cores[j]) != all(f[b] in core_a for b in nb):
+                    return (
+                        ("criteria_agree_on_all_pairs", False),
+                        (f"disagreeing_pair_{i}_{j}", False),
+                    )
+        return (("criteria_agree_on_all_pairs", True),)
+
+    hyps = (("has_topologizing_sections", bool(secs)),)
+    return _finish("nagao_comparison", hyps, conclude, dropped)
+
+
+def verify_choice_discrete(
+    alg: AlgExtension, dropped: frozenset[str] = frozenset()
+) -> VerificationReport:
+    """Over a discrete quotient every topologizing section gives one core."""
+
+    def conclude():
+        cores = {nagao_core(alg, s).elements for s in topologizing_sections(alg)}
+        return (("unique_core_across_sections", len(cores) <= 1),)
+
+    hyps = (("b_discrete", is_discrete(alg.B)),)
+    return _finish("choice_discrete", hyps, conclude, dropped)
+
+
+def verify_topologizable(
+    alg: AlgExtension, dropped: frozenset[str] = frozenset()
+) -> VerificationReport:
+    """Some section of the extension is topologizing."""
+
+    def conclude():
+        return (("topologizing_section_exists", bool(topologizing_sections(alg))),)
+
+    return _finish("topologizable", (), conclude, dropped)

@@ -64,11 +64,6 @@ class Character:
         return all(self.values[x] == 0 for x in elems)
 
 
-def _char_add(x: Character, y: Character) -> Character:
-    e = x.group.exponent
-    return Character(x.group, tuple((a + b) % e for a, b in zip(x.gen_values, y.gen_values)))
-
-
 def all_characters(G: FinAbGroup) -> tuple[Character, ...]:
     """Every character of the bare group, in deterministic order."""
     e = G.exponent
@@ -190,7 +185,6 @@ class DualSequence:
     pi_dual: Homomorphism
     iota_dual: Homomorphism
     checks: tuple[tuple[str, bool], ...]
-    hypothesis_flags: tuple[tuple[str, bool], ...]
 
     @property
     def is_extension(self) -> bool:
@@ -216,11 +210,7 @@ def dual_extension(E: Extension) -> DualSequence:
         ("iota_dual_continuous", is_continuous(iota_dual_top)),
         ("iota_dual_strict", is_continuous(iota_dual_top) and is_strict(iota_dual_top)),
     )
-    flags = (
-        ("kernel_group_hausdorff", E.A.open_core.order == 1),
-        ("quotient_group_hausdorff", E.B.open_core.order == 1),
-    )
-    return DualSequence(b_dual, g_dual, a_dual, pi_dual, iota_dual, checks, flags)
+    return DualSequence(b_dual, g_dual, a_dual, pi_dual, iota_dual, checks)
 
 
 def duals_isomorphic(T1: TopAbGroup, T2: TopAbGroup) -> bool:

@@ -57,14 +57,6 @@ class DiagramError(TopabError):
     """A diagram fails a structural requirement (commutativity, typing)."""
 
 
-class HypothesisViolation(TopabError):
-    """A verifier was invoked on an instance that fails its hypotheses."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class UnknownTheorem(TopabError):
     pass
 

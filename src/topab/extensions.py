@@ -405,6 +405,16 @@ def is_topologizing(A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet) -> bool:
 
 
 @cache
+def topologizing_sections(alg: AlgExtension) -> tuple[Section, ...]:
+    """The topologizing sections of alg, in enumerate_sections order."""
+    return tuple(
+        s
+        for s in enumerate_sections(alg)
+        if is_topologizing(alg.A, alg.B, factor_set_from_section(alg, s))
+    )
+
+
+@cache
 def nagao_core(alg: AlgExtension, s: Section) -> Subgroup:
     G = alg.G
     elems = {

@@ -168,10 +168,6 @@ def trivial_subgroup(G: FinAbGroup) -> Subgroup:
     return Subgroup(G, (G.zero,))
 
 
-def full_subgroup(G: FinAbGroup) -> Subgroup:
-    return Subgroup(G, G.elements)
-
-
 def subgroup_generated(G: FinAbGroup, gens: Iterable[Element]) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
     for g in gens:

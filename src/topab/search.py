@@ -47,13 +47,11 @@ from .extensions import (
     FactorSet,
     Section,
     alg_extension_from_cocycle,
-    comparison_map,
-    enumerate_sections,
     factor_set,
     factor_set_from_section,
-    is_topologizing,
     nagao_core,
     nagao_topology,
+    topologizing_sections,
     validate_cocycle,
 )
 from .diagrams import (
@@ -62,14 +60,16 @@ from .diagrams import (
     InjectiveSquare,
     SquareWithSections,
     VerificationReport,
-    finish_report,
+    verify_choice_discrete,
     verify_five_lemma_nagao,
     verify_haus_exactness,
     verify_lemma_strictness_injectivity,
+    verify_nagao_comparison,
     verify_open_fibers,
     verify_p3_discrete,
     verify_p3_generalized,
     verify_topological_five_lemma,
+    verify_topologizable,
 )
 from . import jsonio
 
@@ -620,30 +620,34 @@ def instance_from_json(data):
 # family builders
 
 
-@cache
-def _topologizing_sections(alg: AlgExtension) -> tuple[Section, ...]:
-    out = []
-    for s in enumerate_sections(alg):
-        hs = factor_set_from_section(alg, s)
-        if is_topologizing(alg.A, alg.B, hs):
-            out.append(s)
-    return tuple(out)
+def _cocycle_triples(spec: FamilySpec, max_order: int, reps: bool):
+    """Every (A, B, h) over topologized groups of order <= max_order, h a
+    cocycle (a class representative if reps), at most max_cocycle_count per
+    pair of groups."""
+    tops = topologized_groups(max_order)
+    for A_top in tops:
+        for B_top in tops:
+            A, B = A_top.group, B_top.group
+            hs = cocycle_class_representatives(A, B) if reps else all_cocycles(A, B)
+            for h in _cap(hs, spec.max_cocycle_count):
+                yield A_top, B_top, h
 
 
-def _cocycles_for(spec: FamilySpec, A: FinAbGroup, B: FinAbGroup, reps: bool):
-    hs = cocycle_class_representatives(A, B) if reps else all_cocycles(A, B)
-    return _cap(hs, spec.max_cocycle_count)
+def _row_pool(spec: FamilySpec, max_order: int) -> list[RowData]:
+    return [
+        RowData(A_top, B_top, h, s.entries)
+        for A_top, B_top, h in _cocycle_triples(spec, max_order, reps=False)
+        for s in topologizing_sections(_cached_alg(A_top, B_top, h))
+    ]
 
 
-def _row_pool(spec: FamilySpec, max_order: int, reps: bool) -> list[RowData]:
-    rows = []
-    for A_top in topologized_groups(max_order):
-        for B_top in topologized_groups(max_order):
-            for h in _cocycles_for(spec, A_top.group, B_top.group, reps):
-                alg = _cached_alg(A_top, B_top, h)
-                for s in _topologizing_sections(alg):
-                    rows.append(RowData(A_top, B_top, h, s.entries))
-    return rows
+def _diagonal_rows(spec: FamilySpec):
+    """Each class representative row with its topologizing sections, the first
+    of which is the row's own section."""
+    for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=True):
+        secs = topologizing_sections(_cached_alg(A_top, B_top, h))
+        if secs:
+            yield RowData(A_top, B_top, h, secs[0].entries), secs
 
 
 # A square of extension rows is (row1, row2, alpha, beta, lift): verticals
@@ -654,7 +658,7 @@ def _row_pool(spec: FamilySpec, max_order: int, reps: bool) -> list[RowData]:
 
 def _small_squares(spec: FamilySpec):
     """Every square of extension rows over groups of order <= 2."""
-    rows = _row_pool(spec, min(2, spec.max_group_order), reps=False)
+    rows = _row_pool(spec, min(2, spec.max_group_order))
     for r1 in rows:
         for r2 in rows:
             alg1 = _cached_alg(r1.A, r1.B, r1.h)
@@ -678,7 +682,7 @@ def _sampled_squares(spec: FamilySpec):
         h1 = rng.choice(all_cocycles(a1.group, b1.group))
         h2 = rng.choice(all_cocycles(a2.group, b2.group))
         alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
-        s1s, s2s = _topologizing_sections(alg1), _topologizing_sections(alg2)
+        s1s, s2s = topologizing_sections(alg1), topologizing_sections(alg2)
         if not s1s or not s2s:
             continue
         s1, s2 = rng.choice(s1s), rng.choice(s2s)
@@ -709,21 +713,11 @@ def p3_family(spec: FamilySpec) -> list[tuple[str, object]]:
         out += [("squares_small", P3Instance(*sq)) for sq in _small_squares(spec)]
 
     if "diagonal" in strata:
-        for A_top in topologized_groups(spec.max_group_order):
-            for B_top in topologized_groups(spec.max_group_order):
-                for h in _cocycles_for(spec, A_top.group, B_top.group, True):
-                    alg = _cached_alg(A_top, B_top, h)
-                    secs = _topologizing_sections(alg)
-                    if not secs:
-                        continue
-                    r1 = RowData(A_top, B_top, h, secs[0].entries)
-                    ida = identity_hom(A_top.group)
-                    idb = identity_hom(B_top.group)
-                    for s2 in secs:
-                        r2 = RowData(A_top, B_top, h, s2.entries)
-                        out.append(
-                            ("diagonal", P3Instance(r1, r2, ida, idb, r1.s_entries))
-                        )
+        for r1, secs in _diagonal_rows(spec):
+            ida, idb = identity_hom(r1.A.group), identity_hom(r1.B.group)
+            for s2 in secs:
+                r2 = replace(r1, s_entries=s2.entries)
+                out.append(("diagonal", P3Instance(r1, r2, ida, idb, r1.s_entries)))
 
     if "sampled" in strata:
         out += [("sampled", P3Instance(*sq)) for sq in _sampled_squares(spec)]
@@ -787,32 +781,25 @@ def inj_family(spec: FamilySpec) -> list[tuple[str, object]]:
 def extension_family(spec: FamilySpec) -> list[tuple[str, object]]:
     """Every topological extension up to the bound, deduplicated by core."""
     out: list[tuple[str, object]] = []
-    for A_top in topologized_groups(spec.max_group_order):
-        for B_top in topologized_groups(spec.max_group_order):
-            for h in _cocycles_for(spec, A_top.group, B_top.group, False):
-                alg = _cached_alg(A_top, B_top, h)
-                seen_cores = set()
-                for s in _topologizing_sections(alg):
-                    core = nagao_core(alg, s).elements
-                    if core in seen_cores:
-                        continue
-                    seen_cores.add(core)
-                    out.append(
-                        ("extensions", ExtensionInstance(RowData(A_top, B_top, h, s.entries)))
-                    )
+    for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False):
+        alg = _cached_alg(A_top, B_top, h)
+        seen_cores = set()
+        for s in topologizing_sections(alg):
+            core = nagao_core(alg, s).elements
+            if core not in seen_cores:
+                seen_cores.add(core)
+                row = RowData(A_top, B_top, h, s.entries)
+                out.append(("extensions", ExtensionInstance(row)))
     return out
 
 
 @cache
 def cocycle_family(spec: FamilySpec, b_discrete_only: bool = False):
-    out: list[tuple[str, object]] = []
-    for A_top in topologized_groups(spec.max_group_order):
-        for B_top in topologized_groups(spec.max_group_order):
-            if b_discrete_only and not is_discrete(B_top):
-                continue
-            for h in _cocycles_for(spec, A_top.group, B_top.group, False):
-                out.append(("cocycles", CocycleInstance(A_top, B_top, h)))
-    return out
+    return [
+        ("cocycles", CocycleInstance(A_top, B_top, h))
+        for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False)
+        if is_discrete(B_top) or not b_discrete_only
+    ]
 
 
 @cache
@@ -824,28 +811,20 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
         out += [("zero_pad_small", _zero_pad(*sq)) for sq in _small_squares(spec)]
 
     if "zero_pad_diagonal" in strata:
-        for A_top in topologized_groups(spec.max_group_order):
-            for B_top in topologized_groups(spec.max_group_order):
-                for h in _cocycles_for(spec, A_top.group, B_top.group, True):
-                    alg = _cached_alg(A_top, B_top, h)
-                    secs = _topologizing_sections(alg)
-                    if not secs:
-                        continue
-                    r = RowData(A_top, B_top, h, secs[0].entries)
-                    s1 = Section(B_top.group, alg.G, r.s_entries)
-                    ida = identity_hom(A_top.group)
-                    idb = identity_hom(B_top.group)
-                    for lift in gamma_lifts(alg, s1, alg, ida, idb):
-                        out.append(("zero_pad_diagonal", _zero_pad(r, r, ida, idb, lift)))
+        for r, secs in _diagonal_rows(spec):
+            alg = _cached_alg(r.A, r.B, r.h)
+            ida, idb = identity_hom(r.A.group), identity_hom(r.B.group)
+            for lift in gamma_lifts(alg, secs[0], alg, ida, idb):
+                out.append(("zero_pad_diagonal", _zero_pad(r, r, ida, idb, lift)))
 
     if "glued_small" in strata:
-        rows = _row_pool(spec, min(2, spec.max_group_order), reps=False)
+        rows = _row_pool(spec, min(2, spec.max_group_order))
         for base in rows:
             e_b = base.B
             for C_top in topologized_groups(min(2, spec.max_group_order)):
                 for hc in all_cocycles(e_b.group, C_top.group):
                     algc = _cached_alg(e_b, C_top, hc)
-                    for sc in _topologizing_sections(algc):
+                    for sc in topologizing_sections(algc):
                         chain = RowData(e_b, C_top, hc, sc.entries)
                         idb = identity_hom(e_b.group)
                         idc = identity_hom(C_top.group)
@@ -869,65 +848,13 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# the cocycle theorems' verifiers; the others are in diagrams
-
-
-def verify_nagao_comparison(
-    alg: AlgExtension, dropped: frozenset[str] = frozenset(), enforce: bool = True
-) -> VerificationReport:
-    """Core equality vs comparison-map continuity, over all section pairs."""
-    secs = _topologizing_sections(alg)
-
-    def conclude():
-        cores = [nagao_core(alg, s).element_set for s in secs]
-        core_a = alg.A.core_set
-        nb = list(alg.B.open_core)
-        for i in range(len(secs)):
-            for j in range(i, len(secs)):
-                f = comparison_map(alg, secs[i], secs[j])
-                if (cores[i] == cores[j]) != all(f[b] in core_a for b in nb):
-                    return (
-                        ("criteria_agree_on_all_pairs", False),
-                        (f"disagreeing_pair_{i}_{j}", False),
-                    )
-        return (("criteria_agree_on_all_pairs", True),)
-
-    hyps = (("has_topologizing_sections", bool(secs)),)
-    return finish_report("nagao_comparison", hyps, conclude, dropped, enforce)
-
-
-def verify_choice_discrete(
-    alg: AlgExtension, dropped: frozenset[str] = frozenset(), enforce: bool = True
-) -> VerificationReport:
-    """Over a discrete quotient every topologizing section gives one core."""
-
-    def conclude():
-        cores = {nagao_core(alg, s).elements for s in _topologizing_sections(alg)}
-        return (("unique_core_across_sections", len(cores) <= 1),)
-
-    hyps = (("b_discrete", is_discrete(alg.B)),)
-    return finish_report("choice_discrete", hyps, conclude, dropped, enforce)
-
-
-def verify_topologizable(
-    alg: AlgExtension, dropped: frozenset[str] = frozenset(), enforce: bool = True
-) -> VerificationReport:
-    """Some section of the extension is topologizing."""
-
-    def conclude():
-        return (("topologizing_section_exists", bool(_topologizing_sections(alg))),)
-
-    return finish_report("topologizable", (), conclude, dropped, enforce)
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 
 @dataclass(frozen=True)
 class TheoremSpec:
     """A theorem: its droppable hypotheses, its family, and its verifier,
-    called as evaluate(instance.build(), dropped, enforce)."""
+    called as evaluate(instance.build(), dropped)."""
 
     theorem_id: str
     droppable: tuple[str, ...]
@@ -1054,7 +981,7 @@ def shrink_witness(inst, evaluate, dropped):
                     built = trial.build()
                 except (NotTopologizing, DiagramError, InvalidSection):
                     continue
-                if evaluate(built, dropped, False).conclusion_checked is False:
+                if evaluate(built, dropped).conclusion_checked is False:
                     current = trial
                     improved = True
                     break
@@ -1145,7 +1072,7 @@ def run_search(task: SearchTask) -> RunResult:
     evaluated = filtered = 0
     failures: list[VerificationReport] = []
     for _, inst in family:
-        rep = info.evaluate(inst.build(), dropped, False)
+        rep = info.evaluate(inst.build(), dropped)
         if rep.conclusion_checked is None:
             filtered += 1
             continue
@@ -1153,8 +1080,8 @@ def run_search(task: SearchTask) -> RunResult:
         if rep.conclusion_checked is False:
             small = shrink_witness(inst, info.evaluate, dropped)
             if small is not inst:
-                rep = info.evaluate(small.build(), dropped, False)
-            rep.instance = rep.witness = small.to_json()
+                rep = info.evaluate(small.build(), dropped)
+            rep.witness = small.to_json()
             failures.append(rep)
             if task.stop_at_first:
                 break
@@ -1165,4 +1092,4 @@ def replay_witness(theorem_id: str, witness_json: dict, dropped=()) -> Verificat
     """Re-run a reported witness through the verifier in isolation."""
     info = _check_task(SearchTask(theorem_id, tuple(dropped)))
     inst = instance_from_json(witness_json)
-    return info.evaluate(inst.build(), frozenset(dropped), False)
+    return info.evaluate(inst.build(), frozenset(dropped))

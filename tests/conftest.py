@@ -7,14 +7,13 @@ default family contains the order-2 ones and that each fails there.
 
 import pytest
 
-from topab.extensions import zero_factor_set
+from topab.extensions import topologizing_sections, zero_factor_set
 from topab.groups import identity_hom, make_group, zero_hom
 from topab.search import (
     FiveLemmaInstance,
     P3Instance,
     RowData,
     _cached_alg,
-    _topologizing_sections,
 )
 from topab.topology import discrete, indiscrete
 
@@ -26,7 +25,7 @@ def _split_row(a_top, b_top) -> RowData:
     """The split extension of b_top by a_top with its first topologizing
     section."""
     h = zero_factor_set(a_top.group, b_top.group)
-    secs = _topologizing_sections(_cached_alg(a_top, b_top, h))
+    secs = topologizing_sections(_cached_alg(a_top, b_top, h))
     return RowData(a_top, b_top, h, secs[0].entries)
 
 

@@ -248,7 +248,7 @@ def _check_refutations(label, tid, count, broken, never_broken, case, finding):
         problems.append(f"the oracles disagree with witnesses {disagreeing[:5]}...")
     if finding not in THEOREMS[tid].build_family(DEFAULT):
         problems.append(f"the pinned counterexample is not in stratum {finding[0]}")
-    elif not THEOREMS[tid].evaluate(finding[1].build(), frozenset(), False).failed:
+    elif not THEOREMS[tid].evaluate(finding[1].build(), frozenset()).failed:
         problems.append("the pinned counterexample does not fail")
     _report_criterion_7(label, res, not problems)
     assert not problems, problems

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from topab.cli import main
 from topab import jsonio
 from topab.groups import make_group
@@ -291,3 +293,20 @@ def test_verify_negative_sample_exit_2(capsys):
         capsys, "verify", "p3_generalized", "--max-order", "2", "--sample", "-1"
     )
     assert_usage_error(code, out, err, "sample_count must be at least 0")
+
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("dual", {"group": {"moduli": [2]}}),  # no open_core
+        ("dual", [{"moduli": [2]}]),  # a top-level array
+        ("dual", {"group": {"moduli": ["x"]}, "open_core": {"elements": []}}),
+        ("sections", []),
+        ("extend", []),
+    ],
+)
+def test_input_of_wrong_shape_exit_2(tmp_path, capsys, command, data):
+    path = write(tmp_path, "in.json", data)
+    args = [path] * (3 if command == "extend" else 1)
+    assert_usage_error(*run_cli(capsys, command, *args))

@@ -1,6 +1,3 @@
-import pytest
-
-from topab.errors import HypothesisViolation
 from topab.diagrams import (
     InjectiveSquare,
     verify_five_lemma_nagao,
@@ -11,7 +8,7 @@ from topab.diagrams import (
     verify_p3_generalized,
     verify_topological_five_lemma,
 )
-from topab.extensions import split_extension
+from topab.extensions import split_extension, topologizing_sections, zero_factor_set
 from topab.groups import identity_hom, make_group, zero_hom
 from topab.search import (
     FiveLemmaInstance,
@@ -20,7 +17,6 @@ from topab.search import (
     _cached_alg,
 )
 from topab.topology import TopHom, discrete, indiscrete, topologize
-from topab.extensions import zero_factor_set
 
 Z2 = make_group([2])
 Z4 = make_group([4])
@@ -28,15 +24,16 @@ Z4 = make_group([4])
 
 def make_row(a_top, b_top, h=None, s_index=0):
     h = h if h is not None else zero_factor_set(a_top.group, b_top.group)
-    alg = _cached_alg(a_top, b_top, h)
-    from topab.search import _topologizing_sections
-
-    secs = _topologizing_sections(alg)
+    secs = topologizing_sections(_cached_alg(a_top, b_top, h))
     return RowData(a_top, b_top, h, secs[s_index].entries)
 
 
+def unmet(rep):
+    """The names of the hypotheses a report found false."""
+    return [n for n, ok in rep.hypotheses_checked if not ok]
+
+
 def identity_p3_instance(row):
-    alg = _cached_alg(row.A, row.B, row.h)
     return P3Instance(
         row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s_entries
     )
@@ -51,17 +48,17 @@ def test_strictness_injectivity_identity():
 
 
 def test_strictness_injectivity_gate():
-    # beta not strict -> hypothesis violation unless dropped
+    # g and beta not strict -> no conclusion unless both are dropped
     a = discrete(Z2)
     b = indiscrete(Z2)
     idm = TopHom(identity_hom(Z2), a, b)
     ida = TopHom(identity_hom(Z2), a, a)
-    idb = TopHom(identity_hom(Z2), b, b)
     sq = InjectiveSquare(ida, idm, ida, idm)
-    with pytest.raises(HypothesisViolation):
-        verify_lemma_strictness_injectivity(sq)
-    rep = verify_lemma_strictness_injectivity(sq, enforce=False)
+    rep = verify_lemma_strictness_injectivity(sq)
     assert rep.conclusion_checked is None
+    assert unmet(rep) == ["g_strict", "beta_strict"]
+    rep = verify_lemma_strictness_injectivity(sq, frozenset({"g_strict", "beta_strict"}))
+    assert rep.conclusion_checked is True
 
 
 def test_haus_exactness_cases():
@@ -75,8 +72,9 @@ def test_haus_exactness_cases():
     assert rep.conclusion_checked is True
     # neither case: gate
     e = split_extension(indiscrete(Z2), indiscrete(Z2))
-    with pytest.raises(HypothesisViolation):
-        verify_haus_exactness(e)
+    rep = verify_haus_exactness(e)
+    assert rep.conclusion_checked is None
+    assert unmet(rep) == ["case_gate"]
 
 
 def test_p3_generalized_identity_and_pfunc_case():
@@ -103,7 +101,7 @@ def test_p3_generalized_incompatible_gate():
     # lift sending the generator of B1 into iota2(1)
     lift = ((alg1.B.group.zero, alg2.G.zero), ((1,), alg2.iota((1,))))
     inst = P3Instance(row1, row2, alpha, beta, lift)
-    rep = verify_p3_generalized(inst.build(), enforce=False)
+    rep = verify_p3_generalized(inst.build())
     assert dict(rep.hypotheses_checked)["sections_compatible"] is False
     assert rep.conclusion_checked is None
 
@@ -120,20 +118,21 @@ def test_p3_discrete_gate():
     # B1 not discrete and A2 not indiscrete -> gate
     row = make_row(discrete(Z2), indiscrete(Z2))
     sws = identity_p3_instance(row).build()
-    with pytest.raises(HypothesisViolation):
-        verify_p3_discrete(sws)
+    rep = verify_p3_discrete(sws)
+    assert rep.conclusion_checked is None
+    assert unmet(rep) == ["case_gate"]
 
 
 def test_five_lemma_nagao_case_gate():
     # B1 indiscrete, A2 indiscrete (so not Hausdorff): neither case applies
     row = make_row(indiscrete(Z2), indiscrete(Z2))
     sws = identity_p3_instance(row).build()
-    with pytest.raises(HypothesisViolation):
-        verify_five_lemma_nagao(sws)
+    rep = verify_five_lemma_nagao(sws)
+    assert rep.conclusion_checked is None
+    assert unmet(rep) == ["case_gate"]
 
 
 def zero_pad_instance(row, v_a=None, v_b=None, lift=None):
-    alg = _cached_alg(row.A, row.B, row.h)
     v_a = v_a or identity_hom(row.A.group)
     v_b = v_b or identity_hom(row.B.group)
     lift = lift or row.s_entries
@@ -152,8 +151,9 @@ def test_five_lemma_topological_case_gate():
     # B-slot (= A of the padded extension) not Hausdorff, D-slot not discrete
     row = make_row(indiscrete(Z2), indiscrete(Z2))
     fts = zero_pad_instance(row).build()
-    with pytest.raises(HypothesisViolation):
-        verify_topological_five_lemma(fts)
+    rep = verify_topological_five_lemma(fts)
+    assert rep.conclusion_checked is None
+    assert unmet(rep) == ["case_gate"]
 
 
 def test_five_lemma_glued_shape():

@@ -36,7 +36,7 @@ def test_five_lemma_nagao_case_b_fails(shear_square):
     """Shear on (discrete Z2) x (indiscrete Z2): case (b)(i) holds, alpha and
     beta are continuous, yet gamma does not descend to the separations."""
     sws = shear_square.build()
-    rep = verify_five_lemma_nagao(sws, enforce=False)
+    rep = verify_five_lemma_nagao(sws)
     assert rep.hypotheses_ok, rep.hypotheses_checked
     assert any("b_i=True" in n for n in rep.model_collapse)
     assert rep.conclusion_checked is False
@@ -45,7 +45,7 @@ def test_five_lemma_nagao_case_b_fails(shear_square):
 
 def test_five_lemma_topological_case_b_fails(shear_five_term):
     """The same shear, zero-padded: the five-term case (b) clause fails."""
-    rep = verify_topological_five_lemma(shear_five_term.build(), enforce=False)
+    rep = verify_topological_five_lemma(shear_five_term.build())
     assert rep.hypotheses_ok
     assert rep.conclusion_checked is False
     assert dict(rep.details)["gamma_haus_well_defined"] is False
@@ -55,12 +55,12 @@ def test_open_fibers_strict_clause_fails_forward(forward_open_fibers_square):
     """alpha and beta continuous strict, sigma with open fibers, but gamma is
     not strict: sigma takes a value outside the image of alpha."""
     sws = forward_open_fibers_square.build()
-    rep = verify_open_fibers(sws, enforce=False)
+    rep = verify_open_fibers(sws)
     assert rep.hypotheses_ok
     assert dict(rep.details)["continuity_iff"] is True
     assert dict(rep.details)["strictness_iff"] is False
     # the same square breaks the strict clause of the discrete corollary
-    rep2 = verify_p3_discrete(sws, enforce=False)
+    rep2 = verify_p3_discrete(sws)
     assert dict(rep2.details)["b1_discrete_strictness_iff"] is False
     assert dict(rep2.details)["b1_discrete_alpha_iff"] is True
 
@@ -69,7 +69,7 @@ def test_open_fibers_strict_clause_fails_converse(converse_open_fibers_square):
     """gamma continuous and strict but beta is not strict (discrete B1 into
     indiscrete B2); fibers are open since B1 is discrete."""
     sws = converse_open_fibers_square.build()
-    rep = verify_open_fibers(sws, enforce=False)
+    rep = verify_open_fibers(sws)
     assert rep.hypotheses_ok
     assert dict(rep.details)["strictness_iff"] is False
     assert is_continuous(sws.gamma_top) and is_strict(sws.gamma_top)

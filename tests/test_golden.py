@@ -1,10 +1,13 @@
-"""Golden reports: every theorem's JSONL at a small pinned spec, byte for byte.
+"""Golden reports: every theorem's JSONL and Markdown at a small pinned spec,
+byte for byte.
 
-The files under tests/golden/ were written by `run_search(...).to_jsonl()` at
-GOLDEN_SPEC before the runner and the instance code were refactored.  The
-spec covers every stratum of every family and 293 witnesses, so a change to
-the family order, a verdict, a detail or a shrunk witness shows here.
-Regenerate a file only for an intended change of the reports, and say why.
+The `.jsonl` files under tests/golden/ were written by
+`run_search(...).to_jsonl()` at GOLDEN_SPEC before the runner and the instance
+code were refactored; the `.md` files by `run_search(...).to_markdown()`
+before the verifiers were gathered into one module.  The spec covers every
+stratum of every family and 293 witnesses, so a change to the family order, a
+verdict, a detail or a shrunk witness shows here.  Regenerate a file only for
+an intended change of the reports, and say why.
 """
 
 from pathlib import Path
@@ -18,11 +21,13 @@ GOLDEN_SPEC = FamilySpec(max_group_order=3, sample_count=60, seed=0)
 
 
 def test_one_golden_file_per_theorem():
-    assert sorted(p.stem for p in GOLDEN.glob("*.jsonl")) == sorted(THEOREMS)
+    for suffix in (".jsonl", ".md"):
+        assert sorted(p.stem for p in GOLDEN.glob(f"*{suffix}")) == sorted(THEOREMS), suffix
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_report_matches_golden(theorem):
-    expected = (GOLDEN / f"{theorem}.jsonl").read_text(encoding="utf-8")
-    got = run_search(SearchTask(theorem, (), GOLDEN_SPEC)).to_jsonl()
-    assert got == expected
+    result = run_search(SearchTask(theorem, (), GOLDEN_SPEC))
+    for suffix, got in ((".jsonl", result.to_jsonl()), (".md", result.to_markdown())):
+        expected = (GOLDEN / f"{theorem}{suffix}").read_text(encoding="utf-8")
+        assert got == expected, f"{theorem}{suffix}"

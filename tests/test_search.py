@@ -217,7 +217,7 @@ def test_topologizable_search_finds_witnesses():
         SearchTask("topologizable", family=FamilySpec(max_group_order=2))
     )
     assert res.failure_count > 0
-    w = res.failures[0].instance
+    w = res.failures[0].witness
     assert w["h"]["table"][-1][2] != [0]  # the nontrivial class
 
 
@@ -255,7 +255,7 @@ def test_instance_protocol_round_trip_and_replay(theorem):
         data = inst.to_json()
         back = instance_from_json(json.loads(jsonio.dumps(data)))
         assert back == inst and hash(back) == hash(inst), stratum
-        expected = info.evaluate(inst.build(), frozenset(), False)
+        expected = info.evaluate(inst.build(), frozenset())
         replayed = replay_witness(theorem, data)
         assert replayed.conclusion_checked == expected.conclusion_checked, stratum
         assert replayed.details == expected.details, stratum
