@@ -470,6 +470,12 @@ def comparison_map(alg: AlgExtension, s1: Section, s2: Section) -> dict[Element,
     }
 
 
+def comparison_key(alg: AlgExtension, s: Section, base: Section) -> tuple[Element, ...]:
+    """Over b in N_B, the least element of iota^{-1}(s(b) - base(b)) + N_A."""
+    gs = [alg.pull_back(alg.G.sub(s(b), base(b))) for b in alg.B.open_core]
+    return tuple(min(alg.A.group.add(g, n) for n in alg.A.open_core) for g in gs)
+
+
 def same_topology(alg: AlgExtension, s1: Section, s2: Section) -> bool:
     """Do two topologizing sections induce the same topology on G?
 

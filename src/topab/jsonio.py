@@ -23,8 +23,14 @@ def element_to_json(x: Element) -> list[int]:
     return list(x)
 
 
+def _ints(data) -> tuple[int, ...]:
+    if any(type(c) is not int for c in data):  # rejects floats, strings, bools
+        raise ValueError(f"expected an array of integers, got {data!r}")
+    return tuple(data)
+
+
 def element_from_json(G: FinAbGroup, data) -> Element:
-    return G.check_element(tuple(int(c) for c in data))
+    return G.check_element(_ints(data))
 
 
 def group_to_json(G: FinAbGroup) -> dict:
@@ -32,7 +38,7 @@ def group_to_json(G: FinAbGroup) -> dict:
 
 
 def group_from_json(data) -> FinAbGroup:
-    return FinAbGroup(tuple(int(m) for m in data["moduli"]))
+    return FinAbGroup(_ints(data["moduli"]))
 
 
 def subgroup_to_json(S: Subgroup) -> dict:

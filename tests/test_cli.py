@@ -5,6 +5,7 @@ import pytest
 from topab.cli import main
 from topab import jsonio
 from topab.groups import make_group
+from topab.search import THEOREMS
 from topab.topology import discrete, indiscrete, topologize
 
 
@@ -310,3 +311,34 @@ def test_input_of_wrong_shape_exit_2(tmp_path, capsys, command, data):
     path = write(tmp_path, "in.json", data)
     args = [path] * (3 if command == "extend" else 1)
     assert_usage_error(*run_cli(capsys, command, *args))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"group": {"moduli": [2.7]}, "open_core": {"elements": [[0]]}},
+        {"group": {"moduli": [True, "3"]}, "open_core": {"elements": [[0, 0]]}},
+        {"group": {"moduli": [4]}, "open_core": {"elements": [[0], [2.9]]}},
+    ],
+    ids=["float_modulus", "bool_and_string_moduli", "float_core_element"],
+)
+def test_non_integer_json_entry_exit_2(tmp_path, capsys, data):
+    path = write(tmp_path, "in.json", data)
+    assert_usage_error(*run_cli(capsys, "dual", path), "expected an array of integers")
+
+
+@pytest.mark.parametrize(
+    "theorem, argv, code",
+    [
+        ("five_lemma_nagao", ["--max-order", "1"], 0),
+        ("open_fibers", ["--max-order", "2", "--strata", "squares_small"], 1),
+    ],
+)
+def test_verify_exit_code_ignores_expect_zero_failures(capsys, theorem, argv, code):
+    """verify exits 1 exactly when it finds a failure, also for the refuted
+    laws that the registry declares with expect_zero_failures=False."""
+    assert THEOREMS[theorem].expect_zero_failures is False
+    got, out, _ = run_cli(capsys, "verify", theorem, *argv)
+    assert got == code
+    assert "instances evaluated: 0 " not in out
+    assert ("conclusion failures: 0" in out) == (code == 0)
