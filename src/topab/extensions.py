@@ -282,14 +282,20 @@ def section_for(ext, mapping: dict[Element, Element]) -> Section:
     return s
 
 
-def enumerate_sections(ext) -> Iterator[Section]:
-    """All sections with s(0) = 0; there are |A| ** (|B| - 1) of them."""
-    alg = _as_alg(ext)
+def _fibers(alg: AlgExtension) -> tuple[list[Element], list[list[Element]]]:
+    """The nonzero b of B in order, and the fiber pi^{-1}(b) of each."""
     fibers = {b: [] for b in alg.B.group.elements}
     for g in alg.G.elements:
         fibers[alg.pi(g)].append(g)
     nonzero = [b for b in alg.B.group.elements if b != alg.B.group.zero]
-    for choice in itertools.product(*(fibers[b] for b in nonzero)):
+    return nonzero, [fibers[b] for b in nonzero]
+
+
+def enumerate_sections(ext) -> Iterator[Section]:
+    """All sections with s(0) = 0; there are |A| ** (|B| - 1) of them."""
+    alg = _as_alg(ext)
+    nonzero, fibers = _fibers(alg)
+    for choice in itertools.product(*fibers):
         mapping = {alg.B.group.zero: alg.G.zero}
         mapping.update(dict(zip(nonzero, choice)))
         yield Section(alg.B.group, alg.G, tuple(mapping.items()))
@@ -406,23 +412,37 @@ def is_topologizing(A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet) -> bool:
 
 @cache
 def topologizing_sections(alg: AlgExtension) -> tuple[Section, ...]:
-    """The topologizing sections of alg, in enumerate_sections order."""
+    """The topologizing sections of alg, in enumerate_sections order.
+
+    Whether s is topologizing depends only on its restriction r to N_B, so
+    each r is tested once: r(b) + r(b') - r(b + b') in iota(N_A) on N_B x N_B.
+    """
+    G, B, core_b = alg.G, alg.B.group, alg.B.open_core
+    nonzero, fibers = _fibers(alg)
+    on_core = [i for i, b in enumerate(nonzero) if b in core_b.element_set]
+    iota_core = {alg.iota(a) for a in alg.A.open_core}
+    passing = set()
+    for r in itertools.product(*(fibers[i] for i in on_core)):
+        t = {B.zero: G.zero, **{nonzero[i]: g for i, g in zip(on_core, r)}}
+        pairs = itertools.product(core_b, repeat=2)
+        if all(G.sub(G.add(t[b], t[c]), t[B.add(b, c)]) in iota_core for b, c in pairs):
+            passing.add(r)
     return tuple(
-        s
-        for s in enumerate_sections(alg)
-        if is_topologizing(alg.A, alg.B, factor_set_from_section(alg, s))
+        Section(B, G, ((B.zero, G.zero), *zip(nonzero, choice)))
+        for choice in itertools.product(*fibers)
+        if tuple(choice[i] for i in on_core) in passing
     )
 
 
-@cache
 def nagao_core(alg: AlgExtension, s: Section) -> Subgroup:
+    """theta_s(N_A x N_B) = iota(N_A) + s(N_B), which depends only on s on N_B."""
+    return _core_on(alg, tuple(s(b) for b in alg.B.open_core))
+
+
+@cache
+def _core_on(alg: AlgExtension, images: tuple[Element, ...]) -> Subgroup:
     G = alg.G
-    elems = {
-        G.add(alg.iota(a), s(b))
-        for a in alg.A.open_core
-        for b in alg.B.open_core
-    }
-    return subgroup(G, elems)
+    return subgroup(G, {G.add(alg.iota(a), g) for a in alg.A.open_core for g in images})
 
 
 def nagao_topology(alg: AlgExtension, s: Section) -> Extension:

@@ -130,10 +130,10 @@ def character_to_json(chi: Character) -> dict:
 
 
 def character_from_json(G: FinAbGroup, data) -> Character:
-    if int(data["denominator"]) != G.exponent:
+    if _ints([data["denominator"]])[0] != G.exponent:
         raise DiagramError("character denominator must be the group exponent")
     values = {
-        element_from_json(G, x): int(v) % G.exponent for x, v in data["values"]
+        element_from_json(G, x): _ints([v])[0] % G.exponent for x, v in data["values"]
     }
     gen_values = tuple(values[g] for g in G.generators())
     chi = Character(G, gen_values)

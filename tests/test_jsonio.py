@@ -68,6 +68,27 @@ def test_character_roundtrip():
         assert back == chi
 
 
+@pytest.mark.parametrize(
+    "moduli, field, bad",
+    [
+        ([4], "denominator", 4.0),
+        # true reads as 1, the exponent of the trivial group
+        ([], "denominator", True),
+        ([4], "denominator", "4"),
+        ([4], "value", 1.5),
+    ],
+)
+def test_character_rejects_non_integer_json(moduli, field, bad):
+    G = make_group(moduli)
+    data = jsonio.character_to_json(dual_group(topologize(G, [G.zero])).characters[-1])
+    if field == "denominator":
+        data["denominator"] = bad
+    else:
+        data["values"][-1][1] = bad
+    with pytest.raises(ValueError):
+        jsonio.character_from_json(G, data)
+
+
 def test_extension_roundtrip():
     e = split_extension(discrete(Z2), indiscrete(Z2))
     back = jsonio.extension_from_json(jsonio.extension_to_json(e))
