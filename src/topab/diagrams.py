@@ -1,19 +1,22 @@
-"""Commutative diagrams and the verifiers of all 11 continuity-transfer laws.
+"""Commutative diagrams and the 11 continuity-transfer laws.
 
-Each verifier takes one built instance and the set of dropped hypotheses,
-evaluates the named hypotheses, then the conclusion predicates, and returns a
+Each law is one `Law` declaration: a tuple of named hypotheses (predicates on
+the built instance), a conclusion function and a notes function.  Calling
+`law(x, dropped)` evaluates the hypotheses, then the conclusion, and returns a
 VerificationReport.  An unmet hypothesis that is not dropped gives a report
 with no conclusion (conclusion_checked is None), so the search counts the
-instance as filtered.  Conclusions are always computed from the
-topology-module predicates, never assumed, so the harness can refute as well
-as confirm.  Every report carries model-collapse notes listing hypotheses
-that are vacuous at finite scale.
+instance as filtered.  The names of a law's hypotheses are its droppable
+hypotheses, which the search registry reads from `Law.droppable`.
+Conclusions are always computed from the topology-module predicates, never
+assumed, so the harness can refute as well as confirm.  Every report carries
+model-collapse notes listing hypotheses that are vacuous at finite scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .errors import DiagramError, NotAnExtension
 from .groups import Element, Homomorphism, compose, hom_from_table, is_exact_at
@@ -107,6 +110,28 @@ def _finish(
     )
 
 
+@dataclass(frozen=True)
+class Law:
+    """A law: named hypotheses on the built instance, the conclusion clauses
+    and the instance's extra model-collapse notes.  `law(x, dropped)` is its
+    verifier; the hypothesis names are its droppable hypotheses."""
+
+    theorem_id: str
+    hypotheses: tuple[tuple[str, Callable[[object], bool]], ...]
+    conclusion: Callable[[object], tuple[tuple[str, bool], ...]]
+    notes: Callable[[object], tuple[str, ...]] = lambda x: ()
+
+    @property
+    def droppable(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.hypotheses)
+
+    def __call__(self, x, dropped: frozenset[str] = frozenset()) -> VerificationReport:
+        hyps = tuple((name, holds(x)) for name, holds in self.hypotheses)
+        return _finish(
+            self.theorem_id, hyps, lambda: self.conclusion(x), dropped, self.notes(x)
+        )
+
+
 # ---------------------------------------------------------------------------
 # strictness-and-injectivity lemma
 
@@ -134,64 +159,66 @@ class InjectiveSquare:
             raise DiagramError("square does not commute")
 
 
-def verify_lemma_strictness_injectivity(
-    sq: InjectiveSquare,
-    dropped: frozenset[str] = frozenset(),
-) -> VerificationReport:
+def _continuous_strict(m: TopHom) -> bool:
+    return is_continuous(m) and is_strict(m)
+
+
+def _maps(sq: InjectiveSquare) -> tuple[TopHom, ...]:
+    return (sq.f, sq.g, sq.alpha, sq.beta)
+
+
+def _alpha_strict(sq: InjectiveSquare):
     """All four maps injective continuous and f, g, beta strict => alpha strict."""
-    maps = {"f": sq.f, "g": sq.g, "alpha": sq.alpha, "beta": sq.beta}
-    hyps = (
-        ("maps_injective", all(m.map.is_injective() for m in maps.values())),
-        ("maps_continuous", all(is_continuous(m) for m in maps.values())),
-        ("f_strict", is_continuous(sq.f) and is_strict(sq.f)),
-        ("g_strict", is_continuous(sq.g) and is_strict(sq.g)),
-        ("beta_strict", is_continuous(sq.beta) and is_strict(sq.beta)),
-    )
+    return (("alpha_strict", _continuous_strict(sq.alpha)),)
 
-    def conclude():
-        ok = is_continuous(sq.alpha) and is_strict(sq.alpha)
-        return (("alpha_strict", ok),)
 
-    return _finish("strictness_injectivity", hyps, conclude, dropped)
+verify_lemma_strictness_injectivity = Law(
+    "strictness_injectivity",
+    (
+        ("maps_injective", lambda sq: all(m.map.is_injective() for m in _maps(sq))),
+        ("maps_continuous", lambda sq: all(is_continuous(m) for m in _maps(sq))),
+        ("f_strict", lambda sq: _continuous_strict(sq.f)),
+        ("g_strict", lambda sq: _continuous_strict(sq.g)),
+        ("beta_strict", lambda sq: _continuous_strict(sq.beta)),
+    ),
+    _alpha_strict,
+)
 
 
 # ---------------------------------------------------------------------------
 # separation exactness
 
 
-def verify_haus_exactness(
-    E: Extension,
-    dropped: frozenset[str] = frozenset(),
-) -> VerificationReport:
+def _separated_and_dual_sequences(E: Extension):
     """Under case (a) N_A = 0 or case (b) N_B = 0, the separated sequence and
     the dual sequence are both topological extensions."""
-    case_a = is_hausdorff(E.A)
-    case_b = is_hausdorff(E.B)
-    hyps = (("case_gate", case_a or case_b),)
+    out = []
+    haus_a, _ = separation(E.A)
+    haus_g, _ = separation(E.G)
+    haus_b, _ = separation(E.B)
+    try:
+        iota_h = separation_hom(E.iota)
+        pi_h = separation_hom(E.pi)
+        Extension(haus_a, haus_g, haus_b, iota_h, pi_h)
+        out.append(("separated_sequence_extension", True))
+    except NotAnExtension:
+        out.append(("separated_sequence_extension", False))
+    dual = dual_extension(E)
+    out.append(("dual_sequence_extension", dual.is_extension))
+    snake = snake_haus_sequence(E)
+    out.append(("snake_sequence_exact", snake.is_exact))
+    return tuple(out)
 
-    def conclude():
-        out = []
-        haus_a, _ = separation(E.A)
-        haus_g, _ = separation(E.G)
-        haus_b, _ = separation(E.B)
-        try:
-            iota_h = separation_hom(E.iota)
-            pi_h = separation_hom(E.pi)
-            Extension(haus_a, haus_g, haus_b, iota_h, pi_h)
-            out.append(("separated_sequence_extension", True))
-        except NotAnExtension:
-            out.append(("separated_sequence_extension", False))
-        dual = dual_extension(E)
-        out.append(("dual_sequence_extension", dual.is_extension))
-        snake = snake_haus_sequence(E)
-        out.append(("snake_sequence_exact", snake.is_exact))
-        return tuple(out)
 
-    extra = (
+verify_haus_exactness = Law(
+    "haus_exactness",
+    (("case_gate", lambda E: is_hausdorff(E.A) or is_hausdorff(E.B)),),
+    _separated_and_dual_sequences,
+    lambda E: (
         "finite model: separated rows are built from discrete groups, where "
         "every homomorphism is continuous and strict",
-    )
-    return _finish("haus_exactness", hyps, conclude, dropped, extra)
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -226,129 +253,131 @@ class SquareWithSections:
         return TopHom(self.square.gamma, self.square.row1.G, self.square.row2.G)
 
 
-def verify_p3_generalized(
-    sws: SquareWithSections,
-    dropped: frozenset[str] = frozenset(),
-) -> VerificationReport:
+_ALPHA_CONTINUOUS = ("alpha_continuous", lambda sws: is_continuous(sws.alpha_top))
+_BETA_CONTINUOUS = ("beta_continuous", lambda sws: is_continuous(sws.beta_top))
+
+
+def _gamma_continuous(sws: SquareWithSections):
     """alpha, beta continuous + compatible sections => gamma continuous."""
-    hyps = (
-        ("alpha_continuous", is_continuous(sws.alpha_top)),
-        ("beta_continuous", is_continuous(sws.beta_top)),
-        ("sections_compatible", is_compatible(sws.square, sws.s1, sws.s2)),
+    psi_maps(sws.square, sws.s1, sws.s2)  # asserts psi = psi1 + psi2 pointwise
+    return (
+        ("gamma_continuous", is_continuous(sws.gamma_top)),
+        ("psi_decomposition", True),
     )
 
-    def conclude():
-        psi_maps(sws.square, sws.s1, sws.s2)  # asserts psi = psi1 + psi2 pointwise
-        return (
-            ("gamma_continuous", is_continuous(sws.gamma_top)),
-            ("psi_decomposition", True),
-        )
 
-    return _finish("p3_generalized", hyps, conclude, dropped)
+verify_p3_generalized = Law(
+    "p3_generalized",
+    (
+        _ALPHA_CONTINUOUS,
+        _BETA_CONTINUOUS,
+        ("sections_compatible", lambda sws: is_compatible(sws.square, sws.s1, sws.s2)),
+    ),
+    _gamma_continuous,
+)
 
 
-def verify_open_fibers(
-    sws: SquareWithSections,
-    dropped: frozenset[str] = frozenset(),
-) -> VerificationReport:
+def _open_fibers_iffs(sws: SquareWithSections):
     """If sigma has open fibers: gamma is continuous (resp. continuous and
     strict) iff alpha and beta are.
 
     Refuted in strictness_iff, in both directions, by the squares of
     test_open_fibers_strict_clause_fails_{forward,converse} in
     tests/test_findings.py."""
-    sg = sigma(sws.square, sws.s1, sws.s2)
-    hyps = (("sigma_open_fibers", has_open_fibers(sg, sws.square.row1.B)),)
-
-    def conclude():
-        a_c, b_c = is_continuous(sws.alpha_top), is_continuous(sws.beta_top)
-        g_c = is_continuous(sws.gamma_top)
-        a_cs = a_c and is_strict(sws.alpha_top)
-        b_cs = b_c and is_strict(sws.beta_top)
-        g_cs = g_c and is_strict(sws.gamma_top)
-        return (
-            ("continuity_iff", (a_c and b_c) == g_c),
-            ("strictness_iff", (a_cs and b_cs) == g_cs),
-        )
-
-    return _finish("open_fibers", hyps, conclude, dropped)
+    a_c, b_c = is_continuous(sws.alpha_top), is_continuous(sws.beta_top)
+    g_c = is_continuous(sws.gamma_top)
+    a_cs, b_cs = _continuous_strict(sws.alpha_top), _continuous_strict(sws.beta_top)
+    return (
+        ("continuity_iff", (a_c and b_c) == g_c),
+        ("strictness_iff", (a_cs and b_cs) == _continuous_strict(sws.gamma_top)),
+    )
 
 
-def verify_p3_discrete(
-    sws: SquareWithSections,
-    dropped: frozenset[str] = frozenset(),
-) -> VerificationReport:
+def _sigma_open_fibers(sws: SquareWithSections) -> bool:
+    return has_open_fibers(sigma(sws.square, sws.s1, sws.s2), sws.square.row1.B)
+
+
+verify_open_fibers = Law(
+    "open_fibers", (("sigma_open_fibers", _sigma_open_fibers),), _open_fibers_iffs
+)
+
+
+def _p3_discrete_cases(sws: SquareWithSections) -> tuple[bool, bool]:
+    """(B1 discrete, A2 indiscrete)."""
+    return is_discrete(sws.square.row1.B), is_indiscrete(sws.square.row2.A)
+
+
+def _p3_discrete_iffs(sws: SquareWithSections):
     """B1 discrete: gamma continuous iff alpha continuous (and the strict iff);
     A2 indiscrete: gamma continuous iff beta continuous.
 
     Refuted in b1_discrete_strictness_iff by the open-fibers squares of
     test_open_fibers_strict_clause_fails_{forward,converse} in
     tests/test_findings.py."""
-    b1_discrete = is_discrete(sws.square.row1.B)
-    a2_indiscrete = is_indiscrete(sws.square.row2.A)
-    hyps = (("case_gate", b1_discrete or a2_indiscrete),)
-
-    def conclude():
-        out = []
-        g_c = is_continuous(sws.gamma_top)
-        if b1_discrete:
-            a_c = is_continuous(sws.alpha_top)
-            out.append(("b1_discrete_alpha_iff", g_c == a_c))
-            a_cs = a_c and is_strict(sws.alpha_top)
-            b_cs = is_continuous(sws.beta_top) and is_strict(sws.beta_top)
-            g_cs = g_c and is_strict(sws.gamma_top)
-            out.append(("b1_discrete_strictness_iff", (a_cs and b_cs) == g_cs))
-        if a2_indiscrete:
-            out.append(("a2_indiscrete_beta_iff", g_c == is_continuous(sws.beta_top)))
-        return tuple(out)
-
-    extra = (f"case split on this instance: b1_discrete={b1_discrete}, a2_indiscrete={a2_indiscrete}",)
-    return _finish("p3_discrete", hyps, conclude, dropped, extra)
+    b1_discrete, a2_indiscrete = _p3_discrete_cases(sws)
+    out = []
+    g_c = is_continuous(sws.gamma_top)
+    if b1_discrete:
+        out.append(("b1_discrete_alpha_iff", g_c == is_continuous(sws.alpha_top)))
+        a_cs, b_cs = _continuous_strict(sws.alpha_top), _continuous_strict(sws.beta_top)
+        g_cs = _continuous_strict(sws.gamma_top)
+        out.append(("b1_discrete_strictness_iff", (a_cs and b_cs) == g_cs))
+    if a2_indiscrete:
+        out.append(("a2_indiscrete_beta_iff", g_c == is_continuous(sws.beta_top)))
+    return tuple(out)
 
 
-def verify_five_lemma_nagao(
-    sws: SquareWithSections,
-    dropped: frozenset[str] = frozenset(),
-) -> VerificationReport:
+verify_p3_discrete = Law(
+    "p3_discrete",
+    (("case_gate", lambda sws: any(_p3_discrete_cases(sws))),),
+    _p3_discrete_iffs,
+    lambda sws: (
+        "case split on this instance: b1_discrete=%s, a2_indiscrete=%s"
+        % _p3_discrete_cases(sws),
+    ),
+)
+
+
+def _nagao_cases(sws: SquareWithSections) -> tuple[bool, bool, bool]:
+    """Cases (a) B1 discrete, (b)(i) A2 and A1 Hausdorff, (b)(ii) A2 and B1
+    Hausdorff."""
+    r1, r2 = sws.square.row1, sws.square.row2
+    return (
+        is_discrete(r1.B),
+        is_hausdorff(r2.A) and is_hausdorff(r1.A),
+        is_hausdorff(r2.A) and is_hausdorff(r1.B),
+    )
+
+
+def _gamma_haus(sws: SquareWithSections):
     """alpha, beta continuous + case gate => gamma_Haus well-defined and
     continuous; and gamma continuous outright if G2 is Hausdorff.
 
     Refuted in gamma_haus_well_defined, in case (b)(i), by the shear of
     test_five_lemma_nagao_case_b_fails in tests/test_findings.py."""
-    r1, r2 = sws.square.row1, sws.square.row2
-    case_a = is_discrete(r1.B)
-    case_b_i = is_hausdorff(r2.A) and is_hausdorff(r1.A)
-    case_b_ii = is_hausdorff(r2.A) and is_hausdorff(r1.B)
-    hyps = (
-        ("alpha_continuous", is_continuous(sws.alpha_top)),
-        ("beta_continuous", is_continuous(sws.beta_top)),
-        ("case_gate", case_a or case_b_i or case_b_ii),
+    well = is_continuous(sws.gamma_top)  # gamma(N_G1) <= N_G2
+    return (
+        ("gamma_haus_well_defined", well),
+        ("gamma_haus_continuous", well and is_continuous(separation_hom(sws.gamma_top))),
+        ("g2_hausdorff_implies_gamma_continuous", not is_hausdorff(sws.square.row2.G) or well),
     )
 
-    def conclude():
-        out = []
-        well = is_continuous(sws.gamma_top)  # gamma(N_G1) <= N_G2
-        out.append(("gamma_haus_well_defined", well))
-        if well:
-            gh = separation_hom(sws.gamma_top)
-            out.append(("gamma_haus_continuous", is_continuous(gh)))
-        else:
-            out.append(("gamma_haus_continuous", False))
-        out.append(
-            (
-                "g2_hausdorff_implies_gamma_continuous",
-                (not is_hausdorff(r2.G)) or is_continuous(sws.gamma_top),
-            )
-        )
-        return tuple(out)
 
-    extra = (
+verify_five_lemma_nagao = Law(
+    "five_lemma_nagao",
+    (
+        _ALPHA_CONTINUOUS,
+        _BETA_CONTINUOUS,
+        ("case_gate", lambda sws: any(_nagao_cases(sws))),
+    ),
+    _gamma_haus,
+    lambda sws: (
         "finite model: once gamma_Haus is well-defined it is automatically "
         "continuous (separations are discrete); the content is the "
         "well-definedness inclusion",
-        f"case split on this instance: a={case_a}, b_i={case_b_i}, b_ii={case_b_ii}",
-    )
-    return _finish("five_lemma_nagao", hyps, conclude, dropped, extra)
+        "case split on this instance: a=%s, b_i=%s, b_ii=%s" % _nagao_cases(sws),
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -429,89 +458,91 @@ def _reduced_row(row: FiveTermRow):
     return bq_top, imh_top, g_prime, h_prime
 
 
-def verify_topological_five_lemma(
-    fts: FiveTermSquare,
-    dropped: frozenset[str] = frozenset(),
-    relaxed: bool = False,
-) -> VerificationReport:
+def _five_lemma_cases(fts: FiveTermSquare) -> tuple[bool, bool]:
+    """Cases (a) D1 and D2 discrete, (b) B1 and B2 Hausdorff."""
+    g1, g2 = fts.row1.groups, fts.row2.groups
+    return (
+        is_discrete(g1[3]) and is_discrete(g2[3]),
+        is_hausdorff(g1[1]) and is_hausdorff(g2[1]),
+    )
+
+
+def _gamma_iso_and_gamma_haus(fts: FiveTermSquare):
     """beta, delta topological isos; epsilon injective; alpha surjective; rows
     strict exact; D_i discrete or B_i Hausdorff compact => gamma is a group
     isomorphism, gamma_Haus is well-defined, continuous and surjective; and a
     continuous bijection outright when C2 is Hausdorff.
 
-    With relaxed=True the iso hypothesis weakens to continuous bijections.
+    The relaxed law weakens the iso hypothesis to continuous bijections.
 
     Refuted in the gamma_haus_* clauses, in case (b), by the zero-padded
     shear of test_five_lemma_topological_case_b_fails in
     tests/test_findings.py.
     """
-    row1, row2 = fts.row1, fts.row2
-    beta_t, delta_t = fts.vertical_top(1), fts.vertical_top(3)
-    if relaxed:
-        iso_ok = all(
-            v.map.is_bijective() and is_continuous(v) for v in (beta_t, delta_t)
-        )
-        iso_name = "beta_delta_continuous_bijections"
-    else:
-        iso_ok = all(
-            is_topological_isomorphism(v) for v in (beta_t, delta_t)
-        )
-        iso_name = "beta_delta_top_isos"
-    case_a = is_discrete(row1.groups[3]) and is_discrete(row2.groups[3])
-    case_b = is_hausdorff(row1.groups[1]) and is_hausdorff(row2.groups[1])
-    hyps = (
-        ("rows_strict_exact", row1.is_strict_exact() and row2.is_strict_exact()),
-        (iso_name, iso_ok),
-        ("epsilon_injective", fts.verticals[4].is_injective()),
-        ("alpha_surjective", fts.verticals[0].is_surjective()),
-        ("case_gate", case_a or case_b),
-    )
     gamma_t = fts.vertical_top(2)
+    bijective = fts.verticals[2].is_bijective()
+    # the three-term reduction, mirroring the classical proof
+    try:
+        reduced = [(_reduced_row(row), row.groups[2]) for row in (fts.row1, fts.row2)]
+        for (bq, imh, gp, hp), c in reduced:
+            Extension(bq, c, imh, TopHom(gp, bq, c), TopHom(hp, c, imh))
+        reduction_ok = True
+    except NotAnExtension:
+        reduction_ok = False
+    well = is_continuous(gamma_t)
+    gh = separation_hom(gamma_t) if well else None
+    return (
+        ("gamma_group_iso", bijective),
+        ("reduction_rows_extensions", reduction_ok),
+        ("gamma_haus_well_defined", well),
+        ("gamma_haus_continuous", well and is_continuous(gh)),
+        ("gamma_haus_surjective", well and gh.map.is_surjective()),
+        (
+            "c2_hausdorff_implies_continuous_bijection",
+            not is_hausdorff(fts.row2.groups[2]) or (well and bijective),
+        ),
+    )
 
-    def conclude():
-        out = [("gamma_group_iso", fts.verticals[2].is_bijective())]
-        # the three-term reduction, mirroring the classical proof
-        try:
-            bq1, imh1, g1p, h1p = _reduced_row(row1)
-            bq2, imh2, g2p, h2p = _reduced_row(row2)
-            e1 = Extension(
-                bq1,
-                row1.groups[2],
-                imh1,
-                TopHom(g1p, bq1, row1.groups[2]),
-                TopHom(h1p, row1.groups[2], imh1),
-            )
-            e2 = Extension(
-                bq2,
-                row2.groups[2],
-                imh2,
-                TopHom(g2p, bq2, row2.groups[2]),
-                TopHom(h2p, row2.groups[2], imh2),
-            )
-            out.append(("reduction_rows_extensions", True))
-        except NotAnExtension:
-            out.append(("reduction_rows_extensions", False))
-        well = is_continuous(gamma_t)
-        out.append(("gamma_haus_well_defined", well))
-        if well:
-            gh = separation_hom(gamma_t)
-            out.append(("gamma_haus_continuous", is_continuous(gh)))
-            out.append(("gamma_haus_surjective", gh.map.is_surjective()))
-        else:
-            out.append(("gamma_haus_continuous", False))
-            out.append(("gamma_haus_surjective", False))
-        out.append(
+
+def _five_lemma(theorem_id: str, iso: tuple[str, Callable]) -> Law:
+    """The topological five lemma with `iso` as its hypothesis on beta, delta."""
+    return Law(
+        theorem_id,
+        (
             (
-                "c2_hausdorff_implies_continuous_bijection",
-                (not is_hausdorff(row2.groups[2]))
-                or (is_continuous(gamma_t) and fts.verticals[2].is_bijective()),
-            )
-        )
-        return tuple(out)
+                "rows_strict_exact",
+                lambda fts: fts.row1.is_strict_exact() and fts.row2.is_strict_exact(),
+            ),
+            iso,
+            ("epsilon_injective", lambda fts: fts.verticals[4].is_injective()),
+            ("alpha_surjective", lambda fts: fts.verticals[0].is_surjective()),
+            ("case_gate", lambda fts: any(_five_lemma_cases(fts))),
+        ),
+        _gamma_iso_and_gamma_haus,
+        lambda fts: ("case split on this instance: a=%s, b=%s" % _five_lemma_cases(fts),),
+    )
 
-    extra = (f"case split on this instance: a={case_a}, b={case_b}",)
-    theorem_id = "five_lemma_topological_relaxed" if relaxed else "five_lemma_topological"
-    return _finish(theorem_id, hyps, conclude, dropped, extra)
+
+def _beta_delta(fts: FiveTermSquare) -> tuple[TopHom, TopHom]:
+    return fts.vertical_top(1), fts.vertical_top(3)
+
+
+verify_topological_five_lemma = _five_lemma(
+    "five_lemma_topological",
+    (
+        "beta_delta_top_isos",
+        lambda fts: all(is_topological_isomorphism(v) for v in _beta_delta(fts)),
+    ),
+)
+verify_topological_five_lemma_relaxed = _five_lemma(
+    "five_lemma_topological_relaxed",
+    (
+        "beta_delta_continuous_bijections",
+        lambda fts: all(
+            v.map.is_bijective() and is_continuous(v) for v in _beta_delta(fts)
+        ),
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -526,44 +557,38 @@ def first_disagreeing_pair(xs: list, ys: list) -> tuple[int, int] | None:
     return next((i, j) for i, j in pairs if (xs[i] == xs[j]) != (ys[i] == ys[j]))
 
 
-def verify_nagao_comparison(
-    alg: AlgExtension, dropped: frozenset[str] = frozenset()
-) -> VerificationReport:
+def _criteria_agree(alg: AlgExtension):
     """Core equality vs continuity of the comparison map f_ij on all pairs of
     sections, as partitions by Nagao core and by `comparison_key` against s_0.
     Exact: iota is injective, so f_ij = g_i - g_j with g = iota^{-1}(s - s_0)."""
     secs = topologizing_sections(alg)
-
-    def conclude():
-        cores = [nagao_core(alg, s).element_set for s in secs]
-        keys = [comparison_key(alg, s, secs[0]) for s in secs]
-        pair = first_disagreeing_pair(cores, keys)
-        bad = () if pair is None else (("disagreeing_pair_%d_%d" % pair, False),)
-        return (("criteria_agree_on_all_pairs", pair is None),) + bad
-
-    hyps = (("has_topologizing_sections", bool(secs)),)
-    return _finish("nagao_comparison", hyps, conclude, dropped)
+    cores = [nagao_core(alg, s).element_set for s in secs]
+    keys = [comparison_key(alg, s, secs[0]) for s in secs]
+    pair = first_disagreeing_pair(cores, keys)
+    bad = () if pair is None else (("disagreeing_pair_%d_%d" % pair, False),)
+    return (("criteria_agree_on_all_pairs", pair is None),) + bad
 
 
-def verify_choice_discrete(
-    alg: AlgExtension, dropped: frozenset[str] = frozenset()
-) -> VerificationReport:
+verify_nagao_comparison = Law(
+    "nagao_comparison",
+    (("has_topologizing_sections", lambda alg: bool(topologizing_sections(alg))),),
+    _criteria_agree,
+)
+
+
+def _unique_core(alg: AlgExtension):
     """Over a discrete quotient every topologizing section gives one core."""
-
-    def conclude():
-        cores = {nagao_core(alg, s).elements for s in topologizing_sections(alg)}
-        return (("unique_core_across_sections", len(cores) <= 1),)
-
-    hyps = (("b_discrete", is_discrete(alg.B)),)
-    return _finish("choice_discrete", hyps, conclude, dropped)
+    cores = {nagao_core(alg, s).elements for s in topologizing_sections(alg)}
+    return (("unique_core_across_sections", len(cores) <= 1),)
 
 
-def verify_topologizable(
-    alg: AlgExtension, dropped: frozenset[str] = frozenset()
-) -> VerificationReport:
-    """Some section of the extension is topologizing."""
+verify_choice_discrete = Law(
+    "choice_discrete", (("b_discrete", lambda alg: is_discrete(alg.B)),), _unique_core
+)
 
-    def conclude():
-        return (("topologizing_section_exists", bool(topologizing_sections(alg))),)
-
-    return _finish("topologizable", (), conclude, dropped)
+# Some section of the extension is topologizing.
+verify_topologizable = Law(
+    "topologizable",
+    (),
+    lambda alg: (("topologizing_section_exists", bool(topologizing_sections(alg))),),
+)

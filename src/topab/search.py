@@ -1,9 +1,11 @@
 """Instance families and hypothesis-dropping counterexample search.
 
 Each registered theorem owns a family builder (deterministic, stratified:
-small exhaustive strata plus a seeded sample of the larger space) and a
-verifier.  Every instance has one protocol: build() makes the object the
-verifier takes, to_json()/from_json() make it a replayable witness.
+small exhaustive strata plus a seeded sample of the larger space, declared
+once per family in a `_strata` call) and a law from `diagrams`, whose
+hypothesis names are the theorem's droppable hypotheses.  Every instance
+has one protocol: build() makes the object the verifier takes,
+to_json()/from_json() make it a replayable witness.
 run_search builds each instance of the family, skips those failing surviving
 hypotheses, evaluates the conclusion on the rest, and reports failures as
 witnesses after a core-shrinking pass.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 from math import prod
 
 from .errors import (
@@ -69,6 +71,7 @@ from .diagrams import (
     verify_p3_discrete,
     verify_p3_generalized,
     verify_topological_five_lemma,
+    verify_topological_five_lemma_relaxed,
     verify_topologizable,
 )
 from . import jsonio
@@ -196,7 +199,7 @@ class FamilySpec:
     max_group_order: int = 4
     max_cocycle_count: object = "all"  # int or "all"
     seed: int = 0
-    generators: tuple[str, ...] = ()  # stratum names; () = theorem defaults
+    generators: tuple[str, ...] = ()  # stratum names; () = all of the family's
     sample_count: int = 400
 
     def __post_init__(self):
@@ -218,16 +221,6 @@ class FamilySpec:
             "sample_count": self.sample_count,
         }
 
-    @staticmethod
-    def from_json(data) -> "FamilySpec":
-        return FamilySpec(
-            int(data.get("max_group_order", 4)),
-            data.get("max_cocycle_count", "all"),
-            int(data.get("seed", 0)),
-            tuple(data.get("generators", ())),
-            int(data.get("sample_count", 400)),
-        )
-
 
 @dataclass(frozen=True)
 class SearchTask:
@@ -243,15 +236,6 @@ class SearchTask:
             "family": self.family.to_json(),
             "stop_at_first": self.stop_at_first,
         }
-
-    @staticmethod
-    def from_json(data) -> "SearchTask":
-        return SearchTask(
-            data["theorem"],
-            tuple(data.get("dropped_hypotheses", ())),
-            FamilySpec.from_json(data.get("family", {})),
-            bool(data.get("stop_at_first", False)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +682,32 @@ def _sampled_squares(spec: FamilySpec):
         made += 1
 
 
+def _strata(spec: FamilySpec, **generators) -> list[tuple[str, object]]:
+    """(stratum, instance) pairs of the strata that spec.generators names, or
+    of all of them, in the order given; generators[name](spec) yields the
+    instances of a stratum.  An unknown name raises InvalidFamilySpec."""
+    for name in spec.generators:
+        if name not in generators:
+            raise InvalidFamilySpec(
+                f"unknown stratum {name!r}; the strata are {', '.join(generators)}"
+            )
+    chosen = spec.generators or tuple(generators)
+    return [
+        (name, inst)
+        for name, generate in generators.items()
+        if name in chosen
+        for inst in generate(spec)
+    ]
+
+
+def _diagonal_squares(spec: FamilySpec):
+    for r1, secs in _diagonal_rows(spec):
+        ida, idb = identity_hom(r1.A.group), identity_hom(r1.B.group)
+        for s2 in secs:
+            r2 = replace(r1, s_entries=s2.entries)
+            yield P3Instance(r1, r2, ida, idb, r1.s_entries)
+
+
 @cache
 def p3_family(spec: FamilySpec) -> list[tuple[str, object]]:
     """Shared family for the square-with-sections theorems.
@@ -706,81 +716,65 @@ def p3_family(spec: FamilySpec) -> list[tuple[str, object]]:
     same-extension squares (identity outer verticals, all section pairs) up to
     the order bound; and a seeded sample of the full square space.
     """
-    strata = spec.generators or ("squares_small", "diagonal", "sampled")
-    out: list[tuple[str, object]] = []
+    return _strata(
+        spec,
+        squares_small=lambda spec: itertools.starmap(P3Instance, _small_squares(spec)),
+        diagonal=_diagonal_squares,
+        sampled=lambda spec: itertools.starmap(P3Instance, _sampled_squares(spec)),
+    )
 
-    if "squares_small" in strata:
-        out += [("squares_small", P3Instance(*sq)) for sq in _small_squares(spec)]
 
-    if "diagonal" in strata:
-        for r1, secs in _diagonal_rows(spec):
-            ida, idb = identity_hom(r1.A.group), identity_hom(r1.B.group)
-            for s2 in secs:
-                r2 = replace(r1, s_entries=s2.entries)
-                out.append(("diagonal", P3Instance(r1, r2, ida, idb, r1.s_entries)))
+def _commuting_squares(spec: FamilySpec):
+    tops = topologized_groups(min(2, spec.max_group_order))
+    for A in tops:
+        for B in tops:
+            for f in all_homs(A.group, B.group):
+                for Ap in tops:
+                    alphas = list(all_homs(A.group, Ap.group))
+                    for Bp in tops:
+                        for g in all_homs(Ap.group, Bp.group):
+                            for alpha in alphas:
+                                for beta in all_homs(B.group, Bp.group):
+                                    ok = all(
+                                        beta(f(x)) == g(alpha(x))
+                                        for x in A.group.elements
+                                    )
+                                    if ok:
+                                        yield InjSquareInstance(
+                                            A, B, Ap, Bp, f, g, alpha, beta
+                                        )
 
-    if "sampled" in strata:
-        out += [("sampled", P3Instance(*sq)) for sq in _sampled_squares(spec)]
 
-    return out
+def _sampled_commuting_squares(spec: FamilySpec):
+    rng = random.Random(spec.seed)
+    tops = topologized_groups(spec.max_group_order)
+    made, attempts = 0, 0
+    while made < spec.sample_count and attempts < 40 * spec.sample_count:
+        attempts += 1
+        A, B, Ap, Bp = (rng.choice(tops) for _ in range(4))
+        f = rng.choice(list(all_homs(A.group, B.group)))
+        g = rng.choice(list(all_homs(Ap.group, Bp.group)))
+        alpha = rng.choice(list(all_homs(A.group, Ap.group)))
+        betas = [
+            b
+            for b in all_homs(B.group, Bp.group)
+            if all(b(f(x)) == g(alpha(x)) for x in A.group.elements)
+        ]
+        if not betas:
+            continue
+        beta = rng.choice(betas)
+        yield InjSquareInstance(A, B, Ap, Bp, f, g, alpha, beta)
+        made += 1
 
 
 @cache
 def inj_family(spec: FamilySpec) -> list[tuple[str, object]]:
-    strata = spec.generators or ("squares_small", "sampled")
-    out: list[tuple[str, object]] = []
-
-    def commuting_squares(tops):
-        for A in tops:
-            for B in tops:
-                for f in all_homs(A.group, B.group):
-                    for Ap in tops:
-                        alphas = list(all_homs(A.group, Ap.group))
-                        for Bp in tops:
-                            for g in all_homs(Ap.group, Bp.group):
-                                for alpha in alphas:
-                                    for beta in all_homs(B.group, Bp.group):
-                                        ok = all(
-                                            beta(f(x)) == g(alpha(x))
-                                            for x in A.group.elements
-                                        )
-                                        if ok:
-                                            yield InjSquareInstance(
-                                                A, B, Ap, Bp, f, g, alpha, beta
-                                            )
-
-    if "squares_small" in strata:
-        tops = topologized_groups(min(2, spec.max_group_order))
-        for inst in commuting_squares(tops):
-            out.append(("squares_small", inst))
-
-    if "sampled" in strata:
-        rng = random.Random(spec.seed)
-        tops = topologized_groups(spec.max_group_order)
-        made, attempts = 0, 0
-        while made < spec.sample_count and attempts < 40 * spec.sample_count:
-            attempts += 1
-            A, B, Ap, Bp = (rng.choice(tops) for _ in range(4))
-            f = rng.choice(list(all_homs(A.group, B.group)))
-            g = rng.choice(list(all_homs(Ap.group, Bp.group)))
-            alpha = rng.choice(list(all_homs(A.group, Ap.group)))
-            betas = [
-                b
-                for b in all_homs(B.group, Bp.group)
-                if all(b(f(x)) == g(alpha(x)) for x in A.group.elements)
-            ]
-            if not betas:
-                continue
-            beta = rng.choice(betas)
-            out.append(("sampled", InjSquareInstance(A, B, Ap, Bp, f, g, alpha, beta)))
-            made += 1
-    return out
+    return _strata(
+        spec, squares_small=_commuting_squares, sampled=_sampled_commuting_squares
+    )
 
 
-@cache
-def extension_family(spec: FamilySpec) -> list[tuple[str, object]]:
-    """Every topological extension up to the bound, deduplicated by core."""
-    out: list[tuple[str, object]] = []
+def _extensions(spec: FamilySpec):
     for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False):
         alg = _cached_alg(A_top, B_top, h)
         seen_cores = set()
@@ -788,63 +782,58 @@ def extension_family(spec: FamilySpec) -> list[tuple[str, object]]:
             core = nagao_core(alg, s).elements
             if core not in seen_cores:
                 seen_cores.add(core)
-                row = RowData(A_top, B_top, h, s.entries)
-                out.append(("extensions", ExtensionInstance(row)))
-    return out
+                yield ExtensionInstance(RowData(A_top, B_top, h, s.entries))
+
+
+@cache
+def extension_family(spec: FamilySpec) -> list[tuple[str, object]]:
+    """Every topological extension up to the bound, deduplicated by core."""
+    return _strata(spec, extensions=_extensions)
 
 
 @cache
 def cocycle_family(spec: FamilySpec, b_discrete_only: bool = False):
-    return [
-        ("cocycles", CocycleInstance(A_top, B_top, h))
-        for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False)
-        if is_discrete(B_top) or not b_discrete_only
-    ]
+    def cocycles(spec):
+        for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False):
+            if is_discrete(B_top) or not b_discrete_only:
+                yield CocycleInstance(A_top, B_top, h)
+
+    return _strata(spec, cocycles=cocycles)
+
+
+def _zero_pad_diagonal(spec: FamilySpec):
+    for r, secs in _diagonal_rows(spec):
+        alg = _cached_alg(r.A, r.B, r.h)
+        ida, idb = identity_hom(r.A.group), identity_hom(r.B.group)
+        for lift in gamma_lifts(alg, secs[0], alg, ida, idb):
+            yield _zero_pad(r, r, ida, idb, lift)
+
+
+def _glued_small(spec: FamilySpec):
+    """Each small row glued to every extension of its quotient by a small group."""
+    small = min(2, spec.max_group_order)
+    for base in _row_pool(spec, small):
+        e_b = base.B
+        ida, idb = identity_hom(base.A.group), identity_hom(e_b.group)
+        for C_top in topologized_groups(small):
+            idc = identity_hom(C_top.group)
+            for hc in all_cocycles(e_b.group, C_top.group):
+                algc = _cached_alg(e_b, C_top, hc)
+                for sc in topologizing_sections(algc):
+                    chain = RowData(e_b, C_top, hc, sc.entries)
+                    for lift in gamma_lifts(algc, sc, algc, idb, idc):
+                        yield FiveLemmaInstance("glued", base, base, chain, ida, idb, lift)
 
 
 @cache
 def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
-    strata = spec.generators or ("zero_pad_small", "zero_pad_diagonal", "glued_small", "sampled")
-    out: list[tuple[str, object]] = []
-
-    if "zero_pad_small" in strata:
-        out += [("zero_pad_small", _zero_pad(*sq)) for sq in _small_squares(spec)]
-
-    if "zero_pad_diagonal" in strata:
-        for r, secs in _diagonal_rows(spec):
-            alg = _cached_alg(r.A, r.B, r.h)
-            ida, idb = identity_hom(r.A.group), identity_hom(r.B.group)
-            for lift in gamma_lifts(alg, secs[0], alg, ida, idb):
-                out.append(("zero_pad_diagonal", _zero_pad(r, r, ida, idb, lift)))
-
-    if "glued_small" in strata:
-        rows = _row_pool(spec, min(2, spec.max_group_order))
-        for base in rows:
-            e_b = base.B
-            for C_top in topologized_groups(min(2, spec.max_group_order)):
-                for hc in all_cocycles(e_b.group, C_top.group):
-                    algc = _cached_alg(e_b, C_top, hc)
-                    for sc in topologizing_sections(algc):
-                        chain = RowData(e_b, C_top, hc, sc.entries)
-                        idb = identity_hom(e_b.group)
-                        idc = identity_hom(C_top.group)
-                        for lift in gamma_lifts(algc, sc, algc, idb, idc):
-                            out.append(
-                                (
-                                    "glued_small",
-                                    FiveLemmaInstance(
-                                        "glued", base, base, chain,
-                                        identity_hom(base.A.group),
-                                        identity_hom(e_b.group),
-                                        lift,
-                                    ),
-                                )
-                            )
-
-    if "sampled" in strata:
-        out += [("sampled", _zero_pad(*sq)) for sq in _sampled_squares(spec)]
-
-    return out
+    return _strata(
+        spec,
+        zero_pad_small=lambda spec: itertools.starmap(_zero_pad, _small_squares(spec)),
+        zero_pad_diagonal=_zero_pad_diagonal,
+        glued_small=_glued_small,
+        sampled=lambda spec: itertools.starmap(_zero_pad, _sampled_squares(spec)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -853,8 +842,8 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """A theorem: its droppable hypotheses, its family, and its verifier,
-    called as evaluate(instance.build(), dropped)."""
+    """A theorem: its droppable hypotheses (its law's hypothesis names), its
+    family, and its law, called as evaluate(instance.build(), dropped)."""
 
     theorem_id: str
     droppable: tuple[str, ...]
@@ -866,69 +855,25 @@ class TheoremSpec:
 THEOREMS: dict[str, TheoremSpec] = {}
 
 
-def _register(tid, droppable, family, evaluate, expect_zero=True):
-    THEOREMS[tid] = TheoremSpec(tid, tuple(droppable), family, evaluate, expect_zero)
+def _register(law, family, expect_zero=True):
+    THEOREMS[law.theorem_id] = TheoremSpec(
+        law.theorem_id, law.droppable, family, law, expect_zero
+    )
 
 
+_register(verify_p3_generalized, p3_family)
+_register(verify_open_fibers, p3_family, expect_zero=False)
+_register(verify_p3_discrete, p3_family, expect_zero=False)
+_register(verify_five_lemma_nagao, p3_family, expect_zero=False)
+_register(verify_lemma_strictness_injectivity, inj_family)
+_register(verify_haus_exactness, extension_family)
+_register(verify_topological_five_lemma, five_lemma_family, expect_zero=False)
+_register(verify_topological_five_lemma_relaxed, five_lemma_family)
+_register(verify_nagao_comparison, cocycle_family)
 _register(
-    "p3_generalized",
-    ("alpha_continuous", "beta_continuous", "sections_compatible"),
-    p3_family,
-    verify_p3_generalized,
+    verify_choice_discrete, lambda spec: cocycle_family(spec, b_discrete_only=True)
 )
-_register(
-    "open_fibers", ("sigma_open_fibers",), p3_family, verify_open_fibers, expect_zero=False
-)
-_register(
-    "p3_discrete", ("case_gate",), p3_family, verify_p3_discrete, expect_zero=False
-)
-_register(
-    "five_lemma_nagao",
-    ("alpha_continuous", "beta_continuous", "case_gate"),
-    p3_family,
-    verify_five_lemma_nagao,
-    expect_zero=False,
-)
-_register(
-    "strictness_injectivity",
-    ("maps_injective", "maps_continuous", "f_strict", "g_strict", "beta_strict"),
-    inj_family,
-    verify_lemma_strictness_injectivity,
-)
-_register("haus_exactness", ("case_gate",), extension_family, verify_haus_exactness)
-_register(
-    "five_lemma_topological",
-    (
-        "rows_strict_exact",
-        "beta_delta_top_isos",
-        "epsilon_injective",
-        "alpha_surjective",
-        "case_gate",
-    ),
-    five_lemma_family,
-    verify_topological_five_lemma,
-    expect_zero=False,
-)
-_register(
-    "five_lemma_topological_relaxed",
-    (
-        "rows_strict_exact",
-        "beta_delta_continuous_bijections",
-        "epsilon_injective",
-        "alpha_surjective",
-        "case_gate",
-    ),
-    five_lemma_family,
-    partial(verify_topological_five_lemma, relaxed=True),
-)
-_register("nagao_comparison", (), cocycle_family, verify_nagao_comparison)
-_register(
-    "choice_discrete",
-    (),
-    lambda spec: cocycle_family(spec, b_discrete_only=True),
-    verify_choice_discrete,
-)
-_register("topologizable", (), cocycle_family, verify_topologizable, expect_zero=False)
+_register(verify_topologizable, cocycle_family, expect_zero=False)
 
 
 # ---------------------------------------------------------------------------

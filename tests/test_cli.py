@@ -5,7 +5,7 @@ import pytest
 from topab.cli import main
 from topab import jsonio
 from topab.groups import make_group
-from topab.search import THEOREMS
+from topab.search import THEOREMS, FamilySpec
 from topab.topology import discrete, indiscrete, topologize
 
 
@@ -79,6 +79,43 @@ def test_search_unknown_hypothesis(capsys):
     code, _, err = run_cli(capsys, "search", "p3_generalized", "--drop", "nope")
     assert code == 2
     assert "droppable" in err
+
+
+@pytest.mark.parametrize(
+    "theorem, hypothesis",
+    [
+        ("nagao_comparison", "has_topologizing_sections"),
+        ("choice_discrete", "b_discrete"),
+    ],
+)
+def test_search_drops_every_reported_hypothesis(capsys, theorem, hypothesis):
+    code, out, err = run_cli(
+        capsys, "search", theorem, "--drop", hypothesis, "--max-order", "2"
+    )
+    assert code == 0, err
+    assert f"dropped hypotheses: {hypothesis}" in out
+
+
+@pytest.mark.parametrize(
+    "strata, bad", [("foo", "foo"), ("diagonal,squars_small", "squars_small")]
+)
+def test_verify_unknown_stratum(capsys, strata, bad):
+    code, out, err = run_cli(
+        capsys, "verify", "open_fibers", "--max-order", "2", "--strata", strata
+    )
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert repr(bad) in line
+    assert "squares_small, diagonal, sampled" in line
+
+
+def test_strata_come_in_declaration_order():
+    spec = FamilySpec(max_group_order=2, generators=("diagonal", "squares_small"))
+    strata = [name for name, _ in THEOREMS["open_fibers"].build_family(spec)]
+    small, diagonal = strata.count("squares_small"), strata.count("diagonal")
+    assert small > 0 and diagonal > 0
+    assert strata == ["squares_small"] * small + ["diagonal"] * diagonal
 
 
 def test_extend_zero_cocycle(tmp_path, capsys):

@@ -199,16 +199,6 @@ def test_witnesses_shrink_and_replay():
         assert again.conclusion_checked is False
 
 
-def test_task_json_roundtrip():
-    task = SearchTask(
-        "open_fibers",
-        ("sigma_open_fibers",),
-        FamilySpec(3, 5, 11, ("sampled",), 20),
-        True,
-    )
-    assert SearchTask.from_json(task.to_json()) == task
-
-
 def test_topologizable_search_finds_witnesses():
     """The nontrivial class over an indiscrete quotient with Hausdorff kernel
     has no topologizing section: every h_s stays in the class, so h_s(1,1)
@@ -259,3 +249,14 @@ def test_instance_protocol_round_trip_and_replay(theorem):
         replayed = replay_witness(theorem, data)
         assert replayed.conclusion_checked == expected.conclusion_checked, stratum
         assert replayed.details == expected.details, stratum
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_reported_hypotheses_are_the_droppable_ones(theorem):
+    """Every report checks exactly the hypotheses the registry lets a search
+    drop, in the same order, on the first instance of each stratum."""
+    info = THEOREMS[theorem]
+    spec = FamilySpec(max_group_order=2, sample_count=10)
+    for stratum, inst in _first_instance_of_each_stratum(theorem, spec):
+        rep = info.evaluate(inst.build(), frozenset())
+        assert tuple(n for n, _ in rep.hypotheses_checked) == info.droppable, stratum
