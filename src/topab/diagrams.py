@@ -86,8 +86,6 @@ class VerificationReport:
             "conclusion": self.conclusion_checked,
             "details": [{"name": n, "ok": ok} for n, ok in self.details],
             "model_collapse": list(self.model_collapse),
-            # the report format carries the witness under both keys
-            "instance": self.witness,
             "witness": self.witness,
         }
 

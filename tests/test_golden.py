@@ -4,10 +4,12 @@ byte for byte.
 The `.jsonl` files under tests/golden/ were written by
 `run_search(...).to_jsonl()` at GOLDEN_SPEC before the runner and the instance
 code were refactored; the `.md` files by `run_search(...).to_markdown()`
-before the verifiers were gathered into one module.  The spec covers every
-stratum of every family and 293 witnesses, so a change to the family order, a
-verdict, a detail or a shrunk witness shows here.  Regenerate a file only for
-an intended change of the reports, and say why.
+before the verifiers were gathered into one module.  The `.jsonl` files were
+rewritten once since, when failure records stopped carrying the witness a
+second time under `instance`: each line is the old line without that key.
+The spec covers every stratum of every family and 293 witnesses, so a change
+to the family order, a verdict, a detail or a shrunk witness shows here.
+Regenerate a file only for an intended change of the reports, and say why.
 """
 
 from pathlib import Path
