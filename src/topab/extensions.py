@@ -67,6 +67,14 @@ class FactorSet:
     def table(self) -> dict[tuple[Element, Element], Element]:
         return {(b, bp): a for b, bp, a in self.entries}
 
+    @cached_property
+    def rows(self) -> dict[Element, dict[Element, Element]]:
+        """b -> {b': h(b, b')}."""
+        out: dict[Element, dict[Element, Element]] = {}
+        for b, bp, a in self.entries:
+            out.setdefault(b, {})[bp] = a
+        return out
+
     def __call__(self, b: Element, bp: Element) -> Element:
         return self.table[(b, bp)]
 
@@ -148,7 +156,8 @@ class TwistedGroup:
 
     def add(self, x: Pair, y: Pair) -> Pair:
         (a, b), (ap, bp) = x, y
-        return (self.A.add(self.A.add(a, ap), self.h(b, bp)), self.B.add(b, bp))
+        sums_a = self.A.sums
+        return (sums_a[sums_a[a][ap]][self.h.rows[b][bp]], self.B.sums[b][bp])
 
     def neg(self, x: Pair) -> Pair:
         a, b = x
@@ -317,10 +326,12 @@ def factor_set_from_section(ext, s: Section) -> FactorSet:
     if s.B != alg.B.group or s.G != alg.G:
         raise InvalidSection("section does not belong to this extension")
     G, B = alg.G, alg.B.group
+    sums_g, neg_g, sums_b, t = G.sums, G.negation, B.sums, s.table
     entries = []
     for b in B.elements:
+        row = sums_g[t[b]]
         for bp in B.elements:
-            g = G.sub(G.add(s(b), s(bp)), s(B.add(b, bp)))
+            g = sums_g[row[t[bp]]][neg_g[t[sums_b[b][bp]]]]
             entries.append((b, bp, alg.pull_back(g)))
     return FactorSet(alg.A.group, B, tuple(entries))
 
@@ -534,11 +545,13 @@ class ExtensionSquare:
             or self.beta.target != a2.B.group
         ):
             raise DiagramError("vertical maps do not match the rows")
+        gamma, alpha, beta = self.gamma.table, self.alpha.table, self.beta.table
+        iota1, iota2, pi1, pi2 = a1.iota.table, a2.iota.table, a1.pi.table, a2.pi.table
         for a in a1.A.group.elements:
-            if self.gamma(a1.iota(a)) != a2.iota(self.alpha(a)):
+            if gamma[iota1[a]] != iota2[alpha[a]]:
                 raise DiagramError(f"left square does not commute at {a}")
         for g in a1.G.elements:
-            if a2.pi(self.gamma(g)) != self.beta(a1.pi(g)):
+            if pi2[gamma[g]] != beta[pi1[g]]:
                 raise DiagramError(f"right square does not commute at {g}")
 
 

@@ -1,17 +1,24 @@
 """Finite abelian groups, subgroups, homomorphisms, quotients.
 
 Groups are direct sums of cyclic groups Z/m1 x ... x Z/mk in additive
-notation.  Elements are coordinate tuples reduced into [0, mi).  Everything
-is immutable after construction; homomorphisms are defined on the standard
-generators and totalized eagerly so applying them inside enumeration loops
-is a dict lookup.
+notation.  Elements are coordinate tuples reduced into [0, mi), listed in
+`itertools.product` order.  Arithmetic is by lookup.  The first `add`,
+`sub`, `neg` or `scale` on a group builds its tables, which every group with
+the same moduli shares: a row of sums for each element (each row built on
+its first use), the negation map, and the multiples k * x, k < exponent, of
+each element.  Every entry is the tuple object of `elements`, and the hot
+loops below read the rows directly.  `elements`, `index` and
+`check_element` build no table.  Everything is immutable after
+construction; homomorphisms are defined on the standard generators and
+totalized eagerly so applying them inside enumeration loops is a dict
+lookup.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -38,6 +45,81 @@ def cached_hash(key: Callable):
             return h
 
     return __hash__
+
+
+@cache
+def _elements(moduli: tuple[int, ...]) -> tuple[Element, ...]:
+    return tuple(itertools.product(*(range(m) for m in moduli)))
+
+
+@cache
+def _index(moduli: tuple[int, ...]) -> dict[Element, int]:
+    return {x: i for i, x in enumerate(_elements(moduli))}
+
+
+class _Rows(dict):
+    """element -> row, each row built by `build` on its first lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, x):
+        row = self[x] = self.build(x)
+        return row
+
+
+class _Tables:
+    """The arithmetic of Z/m1 + ... + Z/mk, filled from the coordinate
+    formulas; every entry is a tuple object of `_elements(moduli)`.  A row
+    lookup at a non-element raises KeyError.  The rows are shared by every
+    group with these moduli, so callers only read them."""
+
+    def __init__(self, moduli: tuple[int, ...]):
+        self.moduli = moduli
+        self.elements = _elements(moduli)
+        self.index = _index(moduli)
+        self.exponent = lcm(*moduli) if moduli else 1
+        # flat index of x in product order: sum of x_j * strides[j]
+        self.strides = [prod(moduli[j + 1 :]) for j in range(len(moduli))]
+        self.sums = _Rows(self._sum_row)
+        self.multiples = _Rows(self._multiples_row)
+
+    def _at(self, columns: list[list[int]]) -> list[Element]:
+        """The elements at the flat indices i_1 + ... + i_k over the
+        product of the columns, in product order."""
+        flat = [0]
+        for col in columns:
+            flat = [i + c for i in flat for c in col]
+        return list(map(self.elements.__getitem__, flat))
+
+    def _sum_row(self, x: Element) -> dict[Element, Element]:
+        self.index[x]  # KeyError unless x is an element
+        cols = [
+            [(a + c) % m * s for c in range(m)]
+            for a, m, s in zip(x, self.moduli, self.strides)
+        ]
+        return dict(zip(self.elements, self._at(cols)))
+
+    @cached_property
+    def negation(self) -> dict[Element, Element]:
+        cols = [[-c % m * s for c in range(m)] for m, s in zip(self.moduli, self.strides)]
+        return dict(zip(self.elements, self._at(cols)))
+
+    def _multiples_row(self, x: Element) -> tuple[Element, ...]:
+        self.index[x]  # KeyError unless x is an element
+        terms = list(zip(x, self.moduli, self.strides))
+        return tuple(
+            self.elements[sum(k * a % m * s for a, m, s in terms)]
+            for k in range(self.exponent)
+        )
+
+
+@cache
+def _tables(moduli: tuple[int, ...]) -> _Tables:
+    return _Tables(moduli)
 
 
 @dataclass(frozen=True)
@@ -67,15 +149,15 @@ class FinAbGroup:
 
     @cached_property
     def zero(self) -> Element:
-        return (0,) * len(self.moduli)
+        return self.elements[0]
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        return tuple(itertools.product(*(range(m) for m in self.moduli)))
+        return _elements(self.moduli)
 
     @cached_property
     def index(self) -> dict[Element, int]:
-        return {x: i for i, x in enumerate(self.elements)}
+        return _index(self.moduli)
 
     def check_element(self, x: Element) -> Element:
         if x not in self.index:
@@ -89,17 +171,47 @@ class FinAbGroup:
             )
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
+    @cached_property
+    def sums(self) -> dict[Element, dict[Element, Element]]:
+        """x -> the row {y: x + y}."""
+        return _tables(self.moduli).sums
+
+    @cached_property
+    def negation(self) -> dict[Element, Element]:
+        return _tables(self.moduli).negation
+
+    @cached_property
+    def multiples(self) -> dict[Element, tuple[Element, ...]]:
+        """x -> (k * x for k in range(exponent))."""
+        return _tables(self.moduli).multiples
+
     def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
+        try:
+            return self.sums[x][y]
+        except KeyError:
+            raise self._not_element(x, y) from None
 
     def neg(self, x: Element) -> Element:
-        return tuple((-a) % m for a, m in zip(x, self.moduli))
+        try:
+            return self.negation[x]
+        except KeyError:
+            raise self._not_element(x) from None
 
     def sub(self, x: Element, y: Element) -> Element:
-        return tuple((a - b) % m for a, b, m in zip(x, y, self.moduli))
+        try:
+            return self.sums[x][self.negation[y]]
+        except KeyError:
+            raise self._not_element(x, y) from None
 
     def scale(self, k: int, x: Element) -> Element:
-        return tuple((k * a) % m for a, m in zip(x, self.moduli))
+        try:
+            return self.multiples[x][k % self.exponent]
+        except KeyError:
+            raise self._not_element(x) from None
+
+    def _not_element(self, *xs: Element) -> ElementNotInGroup:
+        x = next((x for x in xs if x not in self.index), xs[0])
+        return ElementNotInGroup(f"{x!r} is not an element of {self}")
 
     def generators(self) -> tuple[Element, ...]:
         n = len(self.moduli)
@@ -131,19 +243,23 @@ class Subgroup:
     __hash__ = cached_hash(lambda s: (s.parent.moduli, s.elements))
 
     def __post_init__(self):
+        G = self.parent
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
-        for x in elems:
-            self.parent.check_element(x)
         eset = frozenset(elems)
-        if self.parent.zero not in eset:
+        if not G.index.keys() >= eset:
+            for x in elems:
+                G.check_element(x)
+        if G.zero not in eset:
             raise NotASubgroup("subgroup must contain zero")
+        negation, sums = G.negation, G.sums
         for x in elems:
-            if self.parent.neg(x) not in eset:
+            if negation[x] not in eset:
                 raise NotASubgroup(f"not closed under negation at {x}")
-            for y in elems:
-                if self.parent.add(x, y) not in eset:
-                    raise NotASubgroup(f"not closed under addition at {x} + {y}")
+            row = sums[x]
+            if not eset.issuperset(map(row.__getitem__, elems)):
+                y = next(y for y in elems if row[y] not in eset)
+                raise NotASubgroup(f"not closed under addition at {x} + {y}")
 
     @cached_property
     def element_set(self) -> frozenset[Element]:
@@ -170,16 +286,16 @@ def trivial_subgroup(G: FinAbGroup) -> Subgroup:
 
 def subgroup_generated(G: FinAbGroup, gens: Iterable[Element]) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
+    gens = set(gens)
     for g in gens:
         G.check_element(g)
     span = {G.zero}
-    for g in sorted(set(gens)):
-        multiples = []
-        y = G.zero
-        for _ in range(G.element_order(g)):
-            multiples.append(y)
-            y = G.add(y, g)
-        span = {G.add(s, m) for s in span for m in multiples}
+    sums = G.sums
+    for g in sorted(gens):
+        if g in span:
+            continue
+        multiples = G.multiples[g][: G.element_order(g)]
+        span = {sums[m][s] for m in multiples for s in span}
     return Subgroup(G, tuple(span))
 
 
@@ -208,15 +324,19 @@ class Homomorphism:
 
     @cached_property
     def table(self) -> dict[Element, Element]:
-        out = {}
-        tgt = self.target
-        for x in self.source.elements:
-            acc = tgt.zero
-            for c, img in zip(x, self.gen_images):
-                if c:
-                    acc = tgt.add(acc, tgt.scale(c, img))
-            out[x] = acc
-        return out
+        # In product order the last coordinate runs fastest, so generator j
+        # extends each value v so far to v, v + img_j, v + 2 img_j, ...
+        sums = self.target.sums
+        values = [self.target.zero]
+        for m, img in zip(self.source.moduli, self.gen_images):
+            step = sums[img]
+            extended = []
+            for v in values:
+                for _ in range(m):
+                    extended.append(v)
+                    v = step[v]
+            values = extended
+        return dict(zip(self.source.elements, values))
 
     def __call__(self, x: Element) -> Element:
         try:
@@ -266,9 +386,10 @@ def hom_from_table(
     """Build a homomorphism from a total element map, verifying additivity."""
     gen_images = tuple(table[g] for g in source.generators())
     f = Homomorphism(source, target, gen_images)
-    for x in source.elements:
-        if f.table[x] != table[x]:
-            raise IllDefined(f"table is not additive at {x}")
+    if f.table != table:
+        for x in source.elements:
+            if f.table[x] != table[x]:
+                raise IllDefined(f"table is not additive at {x}")
     return f
 
 

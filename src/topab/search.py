@@ -41,7 +41,7 @@ from .groups import (
     isomorphism_class_moduli,
     zero_hom,
 )
-from .topology import TopAbGroup, TopHom, discrete, is_discrete
+from .topology import TopAbGroup, TopHom, discrete
 from .extensions import (
     AlgExtension,
     Extension,
@@ -315,20 +315,19 @@ def gamma_lifts(
     for g in G2.elements:
         fibers.setdefault(alg2.pi(g), []).append(g)
     nonzero = [b for b in B1.elements if b != B1.zero]
+    # t(b) + t(b') = t(b + b') + iota2(alpha(h1(b, b'))); both sides are
+    # symmetric in (b, b') and hold when either is 0, as h1 is normalized.
+    conditions = [
+        (b, bp, B1.add(b, bp), alg2.iota(alpha(h1(b, bp))))
+        for i, b in enumerate(nonzero)
+        for bp in nonzero[i:]
+    ]
+    sums = G2.sums
     out = []
     for choice in itertools.product(*(fibers[beta(b)] for b in nonzero)):
         t = {B1.zero: G2.zero}
         t.update(zip(nonzero, choice))
-        ok = True
-        for b in B1.elements:
-            for bp in B1.elements:
-                lhs = G2.sub(G2.add(t[b], t[bp]), t[B1.add(b, bp)])
-                if lhs != alg2.iota(alpha(h1(b, bp))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(sums[t[b]][t[bp]] == sums[t[c]][e] for b, bp, c, e in conditions):
             out.append(tuple(sorted(t.items())))
     return tuple(out)
 
@@ -342,11 +341,13 @@ def _gamma_from_lift(
 ) -> Homomorphism:
     """The middle map iota1(a) + s1(b) -> iota2(alpha(a)) + lift(b)."""
     t = dict(lift)
+    B1 = alg1.B.group.elements
+    s1_values, t_values = [s1(b) for b in B1], [t[b] for b in B1]
+    sums1, sums2 = alg1.G.sums, alg2.G.sums
     table = {}
     for a in alg1.A.group.elements:
-        for b in alg1.B.group.elements:
-            g1 = alg1.G.add(alg1.iota(a), s1(b))
-            table[g1] = alg2.G.add(alg2.iota(alpha(a)), t[b])
+        row1, row2 = sums1[alg1.iota(a)], sums2[alg2.iota(alpha(a))]
+        table.update(zip(map(row1.__getitem__, s1_values), map(row2.__getitem__, t_values)))
     return hom_from_table(alg1.G, alg2.G, table)
 
 
@@ -493,14 +494,18 @@ class CocycleInstance:
         )
 
 
-_TRIVIAL_TOP = discrete(FinAbGroup(()))
+@cache
+def _trivial_top() -> TopAbGroup:
+    """The trivial group, built on first use so that importing builds no
+    arithmetic table."""
+    return discrete(FinAbGroup(()))
 
 
 def _zero_padded_row(alg: AlgExtension, e: Extension) -> FiveTermRow:
     """0 -> A -> G -> B -> 0 as a five-term row."""
-    z = _TRIVIAL_TOP.group
+    z = _trivial_top().group
     return FiveTermRow(
-        (_TRIVIAL_TOP, e.A, e.G, e.B, _TRIVIAL_TOP),
+        (_trivial_top(), e.A, e.G, e.B, _trivial_top()),
         (zero_hom(z, alg.A.group), alg.iota, alg.pi, zero_hom(alg.B.group, z)),
     )
 
@@ -522,7 +527,7 @@ class FiveLemmaInstance:
     )
 
     def build(self) -> FiveTermSquare:
-        z = _TRIVIAL_TOP.group
+        z = _trivial_top().group
         if self.shape == "zero_pad":
             alg1, s1, e1 = self.row1.realize()
             alg2, _, e2 = self.row2.realize()
@@ -541,7 +546,7 @@ class FiveLemmaInstance:
             raise DiagramError("chain must extend the base row's quotient")
         gamma_p = _gamma_from_lift(algc, sc, algc, identity_hom(algc.A.group), self.lift)
         row = FiveTermRow(
-            (e.A, e.G, ec.G, ec.B, _TRIVIAL_TOP),
+            (e.A, e.G, ec.G, ec.B, _trivial_top()),
             (alg.iota, compose(algc.iota, alg.pi), algc.pi, zero_hom(algc.B.group, z)),
         )
         verts = (
@@ -792,11 +797,10 @@ def extension_family(spec: FamilySpec) -> list[tuple[str, object]]:
 
 
 @cache
-def cocycle_family(spec: FamilySpec, b_discrete_only: bool = False):
+def cocycle_family(spec: FamilySpec):
     def cocycles(spec):
         for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False):
-            if is_discrete(B_top) or not b_discrete_only:
-                yield CocycleInstance(A_top, B_top, h)
+            yield CocycleInstance(A_top, B_top, h)
 
     return _strata(spec, cocycles=cocycles)
 
@@ -870,9 +874,7 @@ _register(verify_haus_exactness, extension_family)
 _register(verify_topological_five_lemma, five_lemma_family, expect_zero=False)
 _register(verify_topological_five_lemma_relaxed, five_lemma_family)
 _register(verify_nagao_comparison, cocycle_family)
-_register(
-    verify_choice_discrete, lambda spec: cocycle_family(spec, b_discrete_only=True)
-)
+_register(verify_choice_discrete, cocycle_family)
 _register(verify_topologizable, cocycle_family, expect_zero=False)
 
 

@@ -125,15 +125,14 @@ def _open_family(T: TopAbGroup) -> frozenset[frozenset[Element]]:
 
 def is_continuous(f: TopHom) -> bool:
     """f is continuous iff it maps the source core into the target core."""
-    tgt_core = f.target.core_set
-    return all(f.map(n) in tgt_core for n in f.source.open_core)
+    return f.target.core_set.issuperset(map(f.map.table.__getitem__, f.source.open_core))
 
 
 def is_strict(f: TopHom) -> bool:
     """Continuous f is strict iff f(N_src) = f(G_src) intersect N_tgt."""
     if not is_continuous(f):
         raise NotContinuous("strictness is a property of continuous homomorphisms")
-    core_image = frozenset(f.map(n) for n in f.source.open_core)
+    core_image = frozenset(map(f.map.table.__getitem__, f.source.open_core))
     return core_image == f.map.image().element_set & f.target.core_set
 
 

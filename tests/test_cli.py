@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,40 @@ def test_search_drops_every_reported_hypothesis(capsys, theorem, hypothesis):
     )
     assert code == 0, err
     assert f"dropped hypotheses: {hypothesis}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, evaluated, filtered, failures",
+    [((), 43, 38, 0), (("--drop", "b_discrete"), 81, 0, 4)],
+)
+def test_choice_discrete_filters_b_discrete(tmp_path, capsys, argv, evaluated, filtered, failures):
+    """The family holds every cocycle instance, so `b_discrete` filters the
+    non-discrete quotients, and dropping it finds the laws' witnesses."""
+    code, out, err = run_cli(
+        capsys, "search", "choice_discrete", "--max-order", "3", "--out", str(tmp_path), *argv
+    )
+    assert code == 0, err
+    assert f"witnesses: {failures}" in out
+    summary = json.loads((tmp_path / "choice_discrete.jsonl").read_text().splitlines()[-1])
+    assert (summary["evaluated"], summary["filtered"], summary["failures"]) == (
+        evaluated,
+        filtered,
+        failures,
+    )
+    assert summary["strata"] == {"cocycles": 81}
+
+
+def test_python_m_topab_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "topab", "verify", "bogus"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "unknown theorem" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,12 @@
+import itertools
+import os
+import subprocess
+import sys
+from math import prod
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topab.errors import (
     CompositionMismatch,
@@ -59,6 +67,71 @@ def test_element_arithmetic():
         g.check_element((4, 0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.add((5,), (0,)),
+        lambda g: g.add((0,), (5,)),
+        lambda g: g.sub((1,), (2,)),
+        lambda g: g.sub((-1,), (0,)),
+        lambda g: g.neg((0, 0)),
+        lambda g: g.scale(3, (2,)),
+    ],
+)
+def test_arithmetic_rejects_non_elements(call):
+    # the coordinate formulas reduced these silently: add((5,), (0,)) was (1,)
+    with pytest.raises(ElementNotInGroup, match="is not an element of Z/2") as exc:
+        call(make_group([2]))
+    assert not isinstance(exc.value, KeyError)
+
+
+def test_membership_builds_no_table():
+    big = make_group([100, 1000])  # a sum table would hold 10**10 entries
+    assert big.check_element((99, 999)) == (99, 999)
+    with pytest.raises(ElementNotInGroup):
+        big.check_element((100, 0))
+    assert len(big.elements) == len(big.index) == 10**5
+    assert "sums" not in vars(big) and "multiples" not in vars(big)
+
+
+def test_import_builds_no_table():
+    code = "import topab.cli, topab.groups as g; print(g._tables.cache_info().currsize)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "0"
+
+
+@st.composite
+def groups_up_to_order_32(draw):
+    moduli = []
+    while len(moduli) < 4 and draw(st.booleans()):
+        moduli.append(draw(st.integers(1, 32 // prod(moduli))))
+    return make_group(moduli)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(groups_up_to_order_32())
+def test_tables_equal_the_coordinate_formulas(g):
+    ms = g.moduli
+    assert g.elements == tuple(itertools.product(*(range(m) for m in ms)))
+    canonical = {x: x for x in g.elements}
+    for x in g.elements:
+        assert g.neg(x) == tuple(-a % m for a, m in zip(x, ms))
+        for y in g.elements:
+            total = g.add(x, y)
+            assert total == tuple((a + b) % m for a, b, m in zip(x, y, ms))
+            assert total is canonical[total]
+            assert g.sub(x, y) == tuple((a - b) % m for a, b, m in zip(x, y, ms))
+        for k in range(-2 * g.exponent - 1, 2 * g.exponent + 2):
+            assert g.scale(k, x) == tuple(k * a % m for a, m in zip(x, ms))
+
+
 def test_subgroup_generated():
     z4 = make_group([4])
     assert subgroup_generated(z4, {(2,)}).elements == ((0,), (2,))
@@ -75,6 +148,11 @@ def test_subgroup_rejects_non_closed():
         subgroup(z4, [(0,), (1,)])
     with pytest.raises(NotASubgroup):
         subgroup(z4, [(2,)])
+    # contain zero and are closed under negation, but not under addition
+    with pytest.raises(NotASubgroup, match=r"addition at \(0, 1\) \+ \(1, 0\)"):
+        subgroup(make_group([2, 2]), [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(NotASubgroup, match="addition"):
+        subgroup(make_group([5]), [(0,), (1,), (4,)])
 
 
 def test_subgroup_generated_idempotent():
