@@ -22,13 +22,13 @@ from .errors import (
     UnknownTheorem,
 )
 from .extensions import (
-    Section,
-    alg_extension_from_cocycle,
+    AlgExtension,
     canonical_section,
     enumerate_sections,
     nagao_core,
     nagao_topology,
     realize_cocycle,
+    section_for,
     topologizing_sections,
 )
 from .duality import dual_group
@@ -119,16 +119,17 @@ def cmd_extend(args) -> int:
         if h.A != a_top.group or h.B != b_top.group:
             raise TopabError("cocycle groups do not match the given groups")
         real = realize_cocycle(a_top.group, b_top.group, h)
-        alg = alg_extension_from_cocycle(a_top, b_top, h)
+        alg = AlgExtension(a_top, real.G, b_top, real.iota, real.pi)
         if args.section:
             data = _read(args.section)
+            A, B = a_top.group, b_top.group
             mapping = {}
             for b_raw, g_raw in data["table"]:
-                b = b_top.group.reduce(b_raw)
-                pair_a = a_top.group.reduce(g_raw[: a_top.group.rank])
-                pair_b = b_top.group.reduce(g_raw[a_top.group.rank :])
+                b = jsonio.element_from_json(B, b_raw)
+                pair_a = jsonio.element_from_json(A, g_raw[: A.rank])
+                pair_b = jsonio.element_from_json(B, g_raw[A.rank :])
                 mapping[b] = real.from_pair[(pair_a, pair_b)]
-            s = Section(b_top.group, alg.G, tuple(mapping.items()))
+            s = section_for(alg, mapping)
         else:
             s = canonical_section(alg)
     except _DECODE_ERRORS as exc:

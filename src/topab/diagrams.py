@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import DiagramError, NotAnExtension
-from .groups import Element, Homomorphism, compose, hom_from_table, is_exact_at
+from .groups import Homomorphism, compose, hom_from_table, is_exact_at
 from .extensions import (
     AlgExtension,
     Extension,
@@ -443,10 +443,8 @@ def _reduced_row(row: FiveTermRow):
     bq_top, bq_proj = quotient_top(b_top, f.image())
     imh_top, imh_incl = subspace_top(d_top, h.image())
     # induced g': B/Im f -> C
-    pre: dict[Element, Element] = {}
-    for x in b_top.group.elements:
-        pre.setdefault(bq_proj.map(x), x)
-    g_table = {y: g(pre[y]) for y in bq_top.group.elements}
+    pre = bq_proj.map.fibers()
+    g_table = {y: g(pre[y][0]) for y in bq_top.group.elements}
     g_prime = hom_from_table(bq_top.group, c_top.group, g_table)
     # corestriction h': C -> Im h
     inv = {imh_incl.map(x): x for x in imh_top.group.elements}

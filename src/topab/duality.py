@@ -107,26 +107,15 @@ def dual_group(T: TopAbGroup) -> DualGroup:
     continuous = tuple(
         chi for chi in all_characters(T.group) if chi.kills(core)
     )
-    zero_char = Character(T.group, (0,) * T.group.rank)
     key = {chi.gen_values: chi for chi in continuous}
+    e = T.group.exponent
 
     def add(u, v):
-        e = T.group.exponent
         return tuple((a + b) % e for a, b in zip(u, v))
 
-    factors, basis_keys = group_structure(
-        [chi.gen_values for chi in continuous], add, zero_char.gen_values
-    )
-    structure = FinAbGroup(factors)
-    pairs = []
-    for y in structure.elements:
-        acc = zero_char.gen_values
-        for c, bk in zip(y, basis_keys):
-            for _ in range(c):
-                acc = add(acc, bk)
-        pairs.append((y, key[acc]))
-    assert len({c for _, c in pairs}) == len(continuous)
-    return DualGroup(T, continuous, structure, tuple(pairs))
+    structure, keys = group_structure(key, add, (0,) * T.group.rank)
+    pairs = tuple(zip(structure.elements, map(key.__getitem__, keys)))
+    return DualGroup(T, continuous, structure, pairs)
 
 
 def _rescale(value: int, from_den: int, to_den: int) -> int:

@@ -291,32 +291,20 @@ def section_for(ext, mapping: dict[Element, Element]) -> Section:
     return s
 
 
-def _fibers(alg: AlgExtension) -> tuple[list[Element], list[list[Element]]]:
-    """The nonzero b of B in order, and the fiber pi^{-1}(b) of each."""
-    fibers = {b: [] for b in alg.B.group.elements}
-    for g in alg.G.elements:
-        fibers[alg.pi(g)].append(g)
-    nonzero = [b for b in alg.B.group.elements if b != alg.B.group.zero]
-    return nonzero, [fibers[b] for b in nonzero]
-
-
 def enumerate_sections(ext) -> Iterator[Section]:
     """All sections with s(0) = 0; there are |A| ** (|B| - 1) of them."""
     alg = _as_alg(ext)
-    nonzero, fibers = _fibers(alg)
-    for choice in itertools.product(*fibers):
-        mapping = {alg.B.group.zero: alg.G.zero}
-        mapping.update(dict(zip(nonzero, choice)))
-        yield Section(alg.B.group, alg.G, tuple(mapping.items()))
+    B, G, fibers = alg.B.group, alg.G, alg.pi.fibers()
+    nonzero = B.elements[1:]
+    for choice in itertools.product(*map(fibers.__getitem__, nonzero)):
+        yield Section(B, G, ((B.zero, G.zero), *zip(nonzero, choice)))
 
 
 def canonical_section(ext) -> Section:
     """The section picking the lexicographically least preimage of each b."""
     alg = _as_alg(ext)
-    mapping = {alg.B.group.zero: alg.G.zero}
-    for g in alg.G.elements:
-        mapping.setdefault(alg.pi(g), g)
-    return Section(alg.B.group, alg.G, tuple(mapping.items()))
+    entries = tuple((b, gs[0]) for b, gs in alg.pi.fibers().items())
+    return Section(alg.B.group, alg.G, entries)
 
 
 @cache
@@ -374,10 +362,8 @@ def theta(ext, s: Section, check: bool = True) -> ThetaIso:
 class Realization:
     """A cocycle realized as an honest extension of canonical-form groups."""
 
-    twisted: TwistedGroup
     G: FinAbGroup
     from_pair: dict  # Pair -> Element of G
-    to_pair: dict  # Element of G -> Pair
     iota: Homomorphism
     pi: Homomorphism
 
@@ -385,22 +371,11 @@ class Realization:
 def realize_cocycle(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> Realization:
     """Canonicalize the twisted group and return the extension data around it."""
     tw = twisted_group(A, B, h)
-    factors, basis = group_structure(list(tw.elements), tw.add, tw.zero)
-    G = FinAbGroup(factors)
-    from_coords = {}
-    for y in G.elements:
-        acc = tw.zero
-        for c, b in zip(y, basis):
-            for _ in range(c):
-                acc = tw.add(acc, b)
-        from_coords[y] = acc
-    assert len(set(from_coords.values())) == G.order == tw.order
-    to_coords = {p: y for y, p in from_coords.items()}
-    iota = hom_from_table(
-        A, G, {a: to_coords[(a, B.zero)] for a in A.elements}
-    )
-    pi = hom_from_table(G, B, {y: from_coords[y][1] for y in G.elements})
-    return Realization(tw, G, to_coords, from_coords, iota, pi)
+    G, pairs = group_structure(tw.elements, tw.add, tw.zero)
+    from_pair = dict(zip(pairs, G.elements))
+    iota = hom_from_table(A, G, {a: from_pair[(a, B.zero)] for a in A.elements})
+    pi = hom_from_table(G, B, {y: b for y, (_, b) in zip(G.elements, pairs)})
+    return Realization(G, from_pair, iota, pi)
 
 
 def alg_extension_from_cocycle(
@@ -429,7 +404,8 @@ def topologizing_sections(alg: AlgExtension) -> tuple[Section, ...]:
     each r is tested once: r(b) + r(b') - r(b + b') in iota(N_A) on N_B x N_B.
     """
     G, B, core_b = alg.G, alg.B.group, alg.B.open_core
-    nonzero, fibers = _fibers(alg)
+    nonzero = B.elements[1:]
+    fibers = list(map(alg.pi.fibers().__getitem__, nonzero))
     on_core = [i for i, b in enumerate(nonzero) if b in core_b.element_set]
     iota_core = {alg.iota(a) for a in alg.A.open_core}
     passing = set()
@@ -481,14 +457,12 @@ def nagao_topology(alg: AlgExtension, s: Section) -> Extension:
 
 def topologizing_section(E: Extension) -> Section:
     """A section realizing E's topology: s(N_B) inside N_G, least preimages."""
-    alg = E.alg
-    mapping = {alg.B.group.zero: alg.G.zero}
-    core_g = sorted(E.G.core_set)
-    for g in core_g:
-        mapping.setdefault(alg.pi(g), g)
-    for g in alg.G.elements:
-        mapping.setdefault(alg.pi(g), g)
-    s = Section(alg.B.group, alg.G, tuple(mapping.items()))
+    alg, core = E.alg, E.G.core_set
+    # the least preimage in N_G if the fiber meets N_G, else the least one
+    entries = tuple(
+        (b, min(gs, key=lambda g: g not in core)) for b, gs in alg.pi.fibers().items()
+    )
+    s = Section(alg.B.group, alg.G, entries)
     assert nagao_core(alg, s).element_set == E.G.core_set
     return s
 
@@ -623,10 +597,8 @@ def compatible_section_via_eta(
     if not beta.is_surjective():
         raise InvalidSection("the construction needs beta surjective")
     if eta is None:
-        mapping = {a2.B.group.zero: a1.B.group.zero}
-        for b1 in a1.B.group.elements:
-            mapping.setdefault(beta(b1), b1)
-        eta = Section(a2.B.group, a1.B.group, tuple(mapping.items()))
+        entries = tuple((b2, b1s[0]) for b2, b1s in beta.fibers().items())
+        eta = Section(a2.B.group, a1.B.group, entries)
     else:
         if eta.B != a2.B.group or eta.G != a1.B.group:
             raise InvalidSection("eta must be a section table B2 -> B1")
@@ -684,7 +656,7 @@ def snake_haus_sequence(E: Extension) -> SnakeSequence:
     f = hom_from_table(
         alg.A.group,
         kemb.group,
-        {a: kemb.coord_of(q_g(alg.iota(a))) for a in alg.A.group.elements},
+        {a: kemb.coords[q_g(alg.iota(a))] for a in alg.A.group.elements},
     )
     ker_f_emb = subgroup_as_group(f.kernel())
     ng_emb = subgroup_as_group(E.G.open_core)
@@ -696,7 +668,7 @@ def snake_haus_sequence(E: Extension) -> SnakeSequence:
         ker_f_emb.group,
         ng_emb.group,
         {
-            x: ng_emb.coord_of(alg.iota(ker_f_emb.include(x)))
+            x: ng_emb.coords[alg.iota(ker_f_emb.include(x))]
             for x in ker_f_emb.group.elements
         },
     )
@@ -705,19 +677,17 @@ def snake_haus_sequence(E: Extension) -> SnakeSequence:
         ng_emb.group,
         nb_emb.group,
         {
-            x: nb_emb.coord_of(alg.pi(ng_emb.include(x)))
+            x: nb_emb.coords[alg.pi(ng_emb.include(x))]
             for x in ng_emb.group.elements
         },
     )
     # connecting map N_B -> coker f: lift along pi, push through q_G, project
-    lift = {}
-    for g in G.elements:
-        lift.setdefault(alg.pi(g), g)
+    lift = alg.pi.fibers()
     m3 = hom_from_table(
         nb_emb.group,
         coker,
         {
-            x: coker_proj(kemb.coord_of(q_g(lift[nb_emb.include(x)])))
+            x: coker_proj(kemb.coords[q_g(lift[nb_emb.include(x)][0])])
             for x in nb_emb.group.elements
         },
     )

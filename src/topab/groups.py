@@ -12,6 +12,11 @@ loops below read the rows directly.  `elements`, `index` and
 construction; homomorphisms are defined on the standard generators and
 totalized eagerly so applying them inside enumeration loops is a dict
 lookup.
+
+The other modules call three constructions owned here: `group_structure`
+(the canonical form of any concrete finite abelian group, with the concrete
+element of each of its elements), `coset_reps` (x -> the least element of
+x + K) and `Homomorphism.fibers` (y -> its preimages in element order).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     CompositionMismatch,
@@ -214,9 +219,11 @@ class FinAbGroup:
         return ElementNotInGroup(f"{x!r} is not an element of {self}")
 
     def generators(self) -> tuple[Element, ...]:
+        """The standard generators; the generator of a Z/1 factor is 0."""
         n = len(self.moduli)
         return tuple(
-            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
+            tuple(1 % m if j == i else 0 for j in range(n))
+            for i, m in enumerate(self.moduli)
         )
 
     def element_order(self, x: Element) -> int:
@@ -355,11 +362,23 @@ class Homomorphism:
     def _image(self) -> Subgroup:
         return Subgroup(self.target, tuple(set(self.table.values())))
 
+    @cached_property
+    def _fibers(self) -> dict[Element, tuple[Element, ...]]:
+        out: dict[Element, list[Element]] = {}
+        for x, y in self.table.items():
+            out.setdefault(y, []).append(x)
+        return {y: tuple(xs) for y, xs in out.items()}
+
     def kernel(self) -> Subgroup:
         return self._kernel
 
     def image(self) -> Subgroup:
         return self._image
+
+    def fibers(self) -> dict[Element, tuple[Element, ...]]:
+        """y -> its preimages in element order, for each y in the image; the
+        first preimage is the least."""
+        return self._fibers
 
     def is_injective(self) -> bool:
         return len(set(self.table.values())) == self.source.order
@@ -423,14 +442,6 @@ def all_homs(source: FinAbGroup, target: FinAbGroup) -> Iterator[Homomorphism]:
         yield Homomorphism(source, target, imgs)
 
 
-def kernel(f: Homomorphism) -> Subgroup:
-    return f.kernel()
-
-
-def image(f: Homomorphism) -> Subgroup:
-    return f.image()
-
-
 def is_exact_at(f: Homomorphism, g: Homomorphism) -> bool:
     """Exactness at the middle of source(f) -> target(f) = source(g) -> target(g)."""
     if f.target != g.source:
@@ -451,44 +462,41 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+def _from_partitions(parts: dict[int, list[int]]) -> tuple[int, ...]:
+    """Invariant factors (ascending) of the group whose p-part is
+    Z/p^e1 + Z/p^e2 + ..., for p -> [e1 >= e2 >= ...]."""
+    r = max(map(len, parts.values()), default=0)
+    return tuple(
+        prod(p ** lam[t] for p, lam in parts.items() if t < len(lam))
+        for t in reversed(range(r))
+    )
+
+
 def invariant_factors(moduli: Iterable[int]) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr (ascending) of a cyclic decomposition."""
     per_prime: dict[int, list[int]] = {}
     for m in moduli:
         for p, e in _prime_factors(m).items():
             per_prime.setdefault(p, []).append(e)
-    for p in per_prime:
-        per_prime[p].sort(reverse=True)
-    r = max((len(v) for v in per_prime.values()), default=0)
-    desc = []
-    for t in range(r):
-        d = 1
-        for p, exps in per_prime.items():
-            if t < len(exps):
-                d *= p ** exps[t]
-        desc.append(d)
-    return tuple(reversed(desc))
+    return _from_partitions({p: sorted(es, reverse=True) for p, es in per_prime.items()})
 
 
 def canonical_form(G: FinAbGroup) -> FinAbGroup:
     return FinAbGroup(invariant_factors(G.moduli))
 
 
-def group_structure(
-    elems: Sequence, add: Callable, zero
-) -> tuple[tuple[int, ...], tuple]:
-    """Invariant factors (ascending) and a matching direct-sum basis.
+def group_structure(elems: Iterable, add: Callable, zero) -> tuple[FinAbGroup, tuple]:
+    """The canonical form H of a concrete finite abelian group, and the
+    concrete element of each element of H, in `H.elements` order.
 
-    Works on any concrete finite abelian group: a sortable element list, a
-    binary operation and a zero.  The factors come from order statistics
-    (counting solutions of p^j * x = 0 reads off the conjugate partition of
-    the p-primary type); the basis from a backtracking search constrained to
-    those factors.
+    Works on any concrete finite abelian group: sortable elements, a binary
+    operation and a zero.  The factors come from order statistics (counting
+    solutions of p^j * x = 0 reads off the conjugate partition of the
+    p-primary type); a basis b from a backtracking search constrained to
+    those factors.  y in H stands for sum_i y_i * b_i.
     """
     elems = sorted(elems)
     n = len(elems)
-    if n == 1:
-        return (), ()
     order = {}
     for x in elems:
         k, y = 1, x
@@ -518,22 +526,16 @@ def group_structure(
             conj.append(t)
         lam = [sum(1 for v in conj if v >= i) for i in range(1, conj[0] + 1)]
         parts[p] = lam
-    r = max(len(v) for v in parts.values())
-    desc = []
-    for t in range(r):
-        d = 1
-        for p, lam in parts.items():
-            if t < len(lam):
-                d *= p ** lam[t]
-        desc.append(d)
-    assert prod(desc) == n
+    factors = _from_partitions(parts)
+    assert prod(factors) == n
+    desc = factors[::-1]
 
     by_order: dict[int, list] = {}
     for x in elems:
         by_order.setdefault(order[x], []).append(x)
 
     def extend(idx: int, span: frozenset, chosen: tuple):
-        if idx == r:
+        if idx == len(desc):
             return chosen
         d = desc[idx]
         for x in by_order.get(d, []):
@@ -557,39 +559,41 @@ def group_structure(
 
     basis = extend(0, frozenset([zero]), ())
     assert basis is not None, "no basis found; input is not a group?"
-    return tuple(reversed(desc)), tuple(reversed(basis))
+    # In product order the last coordinate runs fastest, as in
+    # Homomorphism.table, so each value is one add from an earlier one.
+    values = [zero]
+    for d, b in zip(factors, reversed(basis)):
+        extended = []
+        for v in values:
+            for _ in range(d):
+                extended.append(v)
+                v = add(v, b)
+        values = extended
+    assert len(set(values)) == n, "the coordinates are not a bijection"
+    return FinAbGroup(factors), tuple(values)
+
+
+def coset_reps(G: FinAbGroup, K: Collection[Element]) -> dict[Element, Element]:
+    """x -> the least element of the coset x + K, for K the elements of a
+    subgroup of G."""
+    rep: dict[Element, Element] = {}
+    # elements come in increasing order, so a coset's first is its least
+    for x in G.elements:
+        if x not in rep:
+            row = G.sums[x]
+            for k in K:
+                rep[row[k]] = x
+    return rep
 
 
 def quotient(G: FinAbGroup, K: Subgroup) -> tuple[FinAbGroup, Homomorphism]:
     """G/K in canonical cyclic decomposition plus the projection."""
     if K.parent != G:
         raise NotASubgroup("K is not a subgroup of G")
-    rep: dict[Element, Element] = {}
-    for x in G.elements:
-        if x in rep:
-            continue
-        coset = sorted(G.add(x, k) for k in K.elements)
-        for y in coset:
-            rep[y] = coset[0]
-    reps = sorted(set(rep.values()))
-    zero_rep = rep[G.zero]
-
-    def radd(a, b):
-        return rep[G.add(a, b)]
-
-    factors, basis = group_structure(reps, radd, zero_rep)
-    Q = FinAbGroup(factors)
-    to_rep = {}
-    for y in Q.elements:
-        acc = zero_rep
-        for c, b in zip(y, basis):
-            for _ in range(c):
-                acc = radd(acc, b)
-        to_rep[y] = acc
-    assert len(set(to_rep.values())) == Q.order == len(reps)
-    from_rep = {v: k for k, v in to_rep.items()}
-    proj = Homomorphism(G, Q, tuple(from_rep[rep[g]] for g in G.generators()))
-    assert all(proj(x) == from_rep[rep[x]] for x in G.elements)
+    rep = coset_reps(G, K)
+    Q, reps = group_structure(set(rep.values()), lambda a, b: rep[G.add(a, b)], G.zero)
+    coords = dict(zip(reps, Q.elements))
+    proj = hom_from_table(G, Q, {x: coords[rep[x]] for x in G.elements})
     assert proj.kernel().elements == K.elements
     assert Q.order * K.order == G.order
     return Q, proj
@@ -603,26 +607,12 @@ class GroupEmbedding:
     include: Homomorphism
     coords: dict  # parent element of the subgroup -> element of .group
 
-    def coord_of(self, x: Element) -> Element:
-        return self.coords[x]
-
 
 def subgroup_as_group(S: Subgroup) -> GroupEmbedding:
     G = S.parent
-    factors, basis = group_structure(list(S.elements), G.add, G.zero)
-    H = FinAbGroup(factors)
-    to_parent = {}
-    for y in H.elements:
-        acc = G.zero
-        for c, b in zip(y, basis):
-            if c:
-                acc = G.add(acc, G.scale(c, b))
-        to_parent[y] = acc
-    assert len(set(to_parent.values())) == H.order == S.order
-    include = Homomorphism(H, G, tuple(basis))
-    assert all(include(y) == to_parent[y] for y in H.elements)
-    coords = {v: k for k, v in to_parent.items()}
-    return GroupEmbedding(H, include, coords)
+    H, values = group_structure(S.elements, G.add, G.zero)
+    include = hom_from_table(H, G, dict(zip(H.elements, values)))
+    return GroupEmbedding(H, include, dict(zip(values, H.elements)))
 
 
 def direct_product(

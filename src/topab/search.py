@@ -36,6 +36,7 @@ from .groups import (
     all_subgroups,
     cached_hash,
     compose,
+    coset_reps,
     hom_from_table,
     identity_hom,
     isomorphism_class_moduli,
@@ -92,17 +93,6 @@ def all_groups_up_to_order(n: int) -> tuple[FinAbGroup, ...]:
     return tuple(out)
 
 
-def _coset_representatives(A: FinAbGroup, n: int) -> tuple[Element, ...]:
-    """The least element of each coset of nA in A, in increasing order."""
-    nA = {A.scale(n, a) for a in A.elements}
-    reps, covered = [], set()
-    for a in A.elements:
-        if a not in covered:
-            reps.append(a)
-            covered.update(A.add(a, x) for x in nA)
-    return tuple(reps)
-
-
 def _structured_cocycle(A: FinAbGroup, B: FinAbGroup, coeffs, t) -> FactorSet:
     """Carry cocycles along each cyclic factor of B, shifted by a coboundary.
 
@@ -135,7 +125,11 @@ def _cocycles_by_class(
     coboundary dt over every t: B -> A with t(0) = 0.  Each constructed table
     is checked against the cocycle identity.
     """
-    cosets = [_coset_representatives(A, n) for n in B.moduli]
+    # the least element of each coset of n_jA in A, in increasing order
+    cosets = [
+        sorted(set(coset_reps(A, {A.scale(n, a) for a in A.elements}).values()))
+        for n in B.moduli
+    ]
     nonzero = [b for b in B.elements if b != B.zero]
     classes = prod(len(c) for c in cosets)
     if classes * A.order ** len(nonzero) > budget:
@@ -247,7 +241,10 @@ def _pairs_json(pairs) -> list:
 
 
 def _pairs_from(source: FinAbGroup, target: FinAbGroup, data) -> tuple:
-    return tuple((source.reduce(b), target.reduce(g)) for b, g in data)
+    return tuple(
+        (jsonio.element_from_json(source, b), jsonio.element_from_json(target, g))
+        for b, g in data
+    )
 
 
 @dataclass(frozen=True)
@@ -298,7 +295,9 @@ def _hom_json(f: Homomorphism) -> list:
 
 
 def _hom_from(source: FinAbGroup, target: FinAbGroup, data) -> Homomorphism:
-    return Homomorphism(source, target, tuple(target.reduce(x) for x in data))
+    return Homomorphism(
+        source, target, tuple(jsonio.element_from_json(target, x) for x in data)
+    )
 
 
 def gamma_lifts(
@@ -311,9 +310,7 @@ def gamma_lifts(
     """All middle maps commuting over (alpha, beta), as tables t = gamma o s1."""
     h1 = factor_set_from_section(alg1, s1)
     B1, G2 = alg1.B.group, alg2.G
-    fibers: dict[Element, list[Element]] = {}
-    for g in G2.elements:
-        fibers.setdefault(alg2.pi(g), []).append(g)
+    fibers = alg2.pi.fibers()
     nonzero = [b for b in B1.elements if b != B1.zero]
     # t(b) + t(b') = t(b + b') + iota2(alpha(h1(b, b'))); both sides are
     # symmetric in (b, b') and hold when either is 0, as h1 is normalized.

@@ -22,6 +22,7 @@ from .groups import (
     all_subgroups,
     cached_hash,
     compose,
+    coset_reps,
     hom_from_table,
     quotient,
     subgroup,
@@ -86,17 +87,10 @@ def compose_top(outer: TopHom, inner: TopHom) -> TopHom:
 
 
 def cosets_of_core(T: TopAbGroup) -> tuple[frozenset[Element], ...]:
+    """The cosets of the open core, in the order of their least elements."""
     G, N = T.group, T.open_core
-    seen: dict[Element, frozenset] = {}
-    out = []
-    for x in G.elements:
-        if x in seen:
-            continue
-        coset = frozenset(G.add(x, n) for n in N)
-        for y in coset:
-            seen[y] = coset
-        out.append(coset)
-    return tuple(out)
+    reps = sorted(set(coset_reps(G, N).values()))
+    return tuple(frozenset(G.add(x, n) for n in N) for x in reps)
 
 
 def open_sets(T: TopAbGroup) -> tuple[frozenset[Element], ...]:
@@ -176,10 +170,8 @@ def separation_hom(f: TopHom) -> TopHom:
         )
     src_haus, q_src = separation(f.source)
     tgt_haus, q_tgt = separation(f.target)
-    pre: dict[Element, Element] = {}
-    for x in f.source.group.elements:
-        pre.setdefault(q_src(x), x)
-    table = {y: q_tgt(f.map(pre[y])) for y in src_haus.group.elements}
+    pre = q_src.map.fibers()
+    table = {y: q_tgt(f.map(pre[y][0])) for y in src_haus.group.elements}
     induced = hom_from_table(src_haus.group, tgt_haus.group, table)
     assert all(
         induced(q_src(x)) == q_tgt(f.map(x)) for x in f.source.group.elements
@@ -199,7 +191,7 @@ def subspace_top(T: TopAbGroup, S: Subgroup) -> tuple[TopAbGroup, TopHom]:
     if S.parent != T.group:
         raise NotASubgroup("S is not a subgroup of the underlying group")
     emb: GroupEmbedding = subgroup_as_group(S)
-    core = tuple(emb.coord_of(x) for x in S.elements if x in T.core_set)
+    core = tuple(emb.coords[x] for x in S.elements if x in T.core_set)
     sub = TopAbGroup(emb.group, subgroup(emb.group, core))
     return sub, TopHom(emb.include, sub, T)
 

@@ -233,6 +233,35 @@ def test_extend_with_explicit_section(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [[[1.9], [1, 1]], [[1], [True, 1]], [[1], [1, 3]], [[1], [1, 0]]],
+    ids=["float_b", "bool_pair_coordinate", "out_of_range_coordinate", "not_a_section"],
+)
+def test_extend_section_entries_decode_strictly(tmp_path, capsys, entry):
+    """Section entries are decoded like every other JSON element: a float,
+    a bool or an unreduced coordinate exits 2 instead of being coerced, and
+    so does a table that is not a section of the projection."""
+    z2 = {"moduli": [2]}
+    top = write(tmp_path, "t.json", {"group": z2, "open_core": {"elements": [[0]]}})
+    table = [[[x], [y], [x * y]] for x in range(2) for y in range(2)]
+    h = write(tmp_path, "h.json", {"A": z2, "B": z2, "table": table})
+    s = write(tmp_path, "s.json", {"table": [[[0], [0, 0]], entry]})
+    assert_usage_error(*run_cli(capsys, "extend", top, top, h, "--section", s))
+
+
+def test_extend_kernel_of_modulus_one(tmp_path, capsys):
+    """Z/1 + Z/2 is Z/2: the generator of a Z/1 factor is 0, an element."""
+    z1, z2 = {"moduli": [1]}, {"moduli": [2]}
+    a = write(tmp_path, "a.json", {"group": z1, "open_core": {"elements": [[0]]}})
+    b = write(tmp_path, "b.json", {"group": z2, "open_core": {"elements": [[0]]}})
+    table = [[[x], [y], [0]] for x in range(2) for y in range(2)]
+    h = write(tmp_path, "h.json", {"A": z1, "B": z2, "table": table})
+    code, out, err = run_cli(capsys, "extend", a, b, h)
+    assert code == 0, err
+    assert json.loads(out)["group"]["moduli"] == [2]
+
+
 def test_extend_malformed_exit_2(tmp_path, capsys):
     a = write(tmp_path, "a.json", {"nope": 1})
     code, _, _ = run_cli(capsys, "extend", a, a, a)

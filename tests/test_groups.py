@@ -16,19 +16,19 @@ from topab.errors import (
     NotASubgroup,
 )
 from topab.groups import (
+    Homomorphism,
     all_homs,
     all_subgroups,
     canonical_form,
     compose,
+    coset_reps,
     direct_product,
     group_structure,
     hom_from_table,
     identity_hom,
-    image,
     invariant_factors,
     is_exact_at,
     isomorphism_class_moduli,
-    kernel,
     make_group,
     make_hom,
     quotient,
@@ -130,6 +130,82 @@ def test_tables_equal_the_coordinate_formulas(g):
             assert g.sub(x, y) == tuple((a - b) % m for a, b, m in zip(x, y, ms))
         for k in range(-2 * g.exponent - 1, 2 * g.exponent + 2):
             assert g.scale(k, x) == tuple(k * a % m for a, m in zip(x, ms))
+
+
+@st.composite
+def groups_with_subgroup(draw):
+    """A group of order at most 32 and the subgroup of up to three of its
+    elements."""
+    g = draw(groups_up_to_order_32())
+    gens = draw(st.lists(st.sampled_from(g.elements), max_size=3))
+    return g, subgroup_generated(g, gens)
+
+
+@st.composite
+def homomorphisms(draw):
+    """A homomorphism between groups of order at most 32."""
+    source, target = draw(groups_up_to_order_32()), draw(groups_up_to_order_32())
+    # the image of a generator of order m is an element killed by m
+    images = [
+        draw(st.sampled_from([y for y in target.elements if not any(target.scale(m, y))]))
+        for m in source.moduli
+    ]
+    return Homomorphism(source, target, tuple(images))
+
+
+PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTIES
+@given(groups_with_subgroup())
+def test_group_structure_coordinates_are_a_bijection(gs):
+    g, s = gs
+    h, values = group_structure(s.elements, g.add, g.zero)
+    assert sorted(values) == list(s.elements)
+    assert all(b % a == 0 for a, b in zip(h.moduli, h.moduli[1:]))
+    assert hom_from_table(h, g, dict(zip(h.elements, values))).is_injective()
+
+
+@PROPERTIES
+@given(groups_with_subgroup())
+def test_quotient_has_kernel_k(gs):
+    g, k = gs
+    q, proj = quotient(g, k)
+    assert proj.kernel().elements == k.elements
+    assert q.order * k.order == g.order
+    assert proj.is_surjective()
+
+
+@PROPERTIES
+@given(groups_with_subgroup())
+def test_subgroup_as_group_round_trips(gs):
+    _, s = gs
+    emb = subgroup_as_group(s)
+    assert emb.include.image().elements == s.elements
+    assert {x: emb.include(y) for x, y in emb.coords.items()} == {x: x for x in s}
+    assert sorted(emb.coords.values()) == list(emb.group.elements)
+
+
+@PROPERTIES
+@given(groups_with_subgroup())
+def test_coset_reps_gives_each_coset_its_least_element(gs):
+    g, k = gs
+    rep = coset_reps(g, k)
+    assert rep.keys() == set(g.elements)
+    for x in g.elements:
+        coset = [g.add(x, n) for n in k]
+        assert {rep[y] for y in coset} == {min(coset)}
+
+
+@PROPERTIES
+@given(homomorphisms())
+def test_fibers_partition_the_source_in_element_order(f):
+    fibers = f.fibers()
+    assert fibers.keys() == f.image().element_set
+    assert sorted(x for xs in fibers.values() for x in xs) == list(f.source.elements)
+    for y, xs in fibers.items():
+        assert list(xs) == sorted(xs)
+        assert all(f(x) == y for x in xs)
 
 
 def test_subgroup_generated():
@@ -252,8 +328,14 @@ def test_is_exact_at():
 def test_kernel_image_module_functions():
     z4, z2 = make_group([4]), make_group([2])
     f = make_hom(z4, z2, [(1,)])
-    assert kernel(f).elements == ((0,), (2,))
-    assert image(f).elements == ((0,), (1,))
+    assert f.kernel().elements == ((0,), (2,))
+    assert f.image().elements == ((0,), (1,))
+
+
+def test_modulus_one_generator_is_zero():
+    g = make_group([1, 2])
+    assert g.generators() == ((0, 0), (0, 1))
+    assert identity_hom(g).table == {x: x for x in g.elements}
 
 
 def test_compose():
@@ -270,19 +352,20 @@ def test_compose():
 
 def test_group_structure_on_quotient_like_sets():
     g = make_group([2, 4])
-    factors, basis = group_structure(list(g.elements), g.add, g.zero)
-    assert factors == (2, 4)
+    h, values = group_structure(list(g.elements), g.add, g.zero)
+    assert h.moduli == (2, 4)
+    basis = [values[h.index[e]] for e in h.generators()]
     assert sorted(g.element_order(b) for b in basis) == [2, 4]
 
 
 def test_group_structure_klein_and_cyclic():
     z6 = make_group([6])
-    factors, _ = group_structure(list(z6.elements), z6.add, z6.zero)
-    assert factors == (6,)
+    h, _ = group_structure(list(z6.elements), z6.add, z6.zero)
+    assert h.moduli == (6,)
     k = make_group([2, 2])
-    factors, basis = group_structure(list(k.elements), k.add, k.zero)
-    assert factors == (2, 2)
-    assert len(set(basis)) == 2
+    h, values = group_structure(list(k.elements), k.add, k.zero)
+    assert h.moduli == (2, 2)
+    assert len({values[h.index[e]] for e in h.generators()}) == 2
 
 
 def test_subgroup_as_group_roundtrip():

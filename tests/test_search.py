@@ -251,6 +251,24 @@ def test_instance_protocol_round_trip_and_replay(theorem):
         assert replayed.details == expected.details, stratum
 
 
+@pytest.mark.parametrize("key", ["alpha", "beta", "lift"])
+def test_witness_elements_decode_strictly(key):
+    """Witness maps and pairs are decoded by jsonio: a float coordinate is
+    rejected, not truncated to an integer."""
+    spec = FamilySpec(max_group_order=2, generators=("squares_small",))
+    inst = next(
+        i
+        for _, i in THEOREMS["p3_generalized"].build_family(spec)
+        if all(f.source.rank and f.target.rank for f in (i.alpha, i.beta))
+    )
+    data = inst.to_json()
+    assert instance_from_json(data) == inst
+    entries = data[key][-1] if key == "lift" else data[key]
+    entries[-1] = [float(c) for c in entries[-1]]
+    with pytest.raises(ValueError, match="expected an array of integers"):
+        instance_from_json(data)
+
+
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_reported_hypotheses_are_the_droppable_ones(theorem):
     """Every report checks exactly the hypotheses the registry lets a search
