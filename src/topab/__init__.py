@@ -7,46 +7,4 @@ topologies, Pontryagin duals, and exhaustive verifiers (with hypothesis-
 dropping counterexample search) for a family of continuity-transfer laws.
 """
 
-from .groups import (
-    FinAbGroup,
-    Homomorphism,
-    Subgroup,
-    all_subgroups,
-    is_exact_at,
-    make_group,
-    make_hom,
-    quotient,
-    subgroup,
-    subgroup_generated,
-)
-from .topology import (
-    TopAbGroup,
-    TopHom,
-    discrete,
-    indiscrete,
-    is_continuous,
-    is_strict,
-    open_sets,
-    separation,
-    separation_hom,
-    topologize,
-)
-from .extensions import (
-    AlgExtension,
-    Extension,
-    FactorSet,
-    Section,
-    TwistedGroup,
-    enumerate_sections,
-    factor_set,
-    factor_set_from_section,
-    is_topologizing,
-    nagao_topology,
-    same_topology,
-    theta,
-    twisted_group,
-)
-from .duality import Character, DualGroup, dual_extension, dual_group, dual_hom, duals_isomorphic, evaluation
-from .search import FamilySpec, SearchTask, all_cocycles, all_groups_up_to_order, run_search
-
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import (
     BudgetExceeded,
     InvalidFamilySpec,
+    InvalidSection,
     NotTopologizing,
     TopabError,
     UnknownHypothesis,
@@ -126,6 +127,8 @@ def cmd_extend(args) -> int:
             mapping = {}
             for b_raw, g_raw in data["table"]:
                 b = jsonio.element_from_json(B, b_raw)
+                if b in mapping:
+                    raise InvalidSection(f"section table lists {b} twice")
                 pair_a = jsonio.element_from_json(A, g_raw[: A.rank])
                 pair_b = jsonio.element_from_json(B, g_raw[A.rank :])
                 mapping[b] = real.from_pair[(pair_a, pair_b)]

@@ -71,14 +71,6 @@ class VerificationReport:
     model_collapse: tuple[str, ...] = MODEL_COLLAPSE_NOTES
     witness: dict | None = None  # the instance JSON of a reported failure
 
-    @property
-    def hypotheses_ok(self) -> bool:
-        return all(ok for _, ok in self.hypotheses_checked)
-
-    @property
-    def failed(self) -> bool:
-        return self.conclusion_checked is False
-
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem_id,

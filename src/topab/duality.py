@@ -22,10 +22,9 @@ from .groups import (
     Homomorphism,
     group_structure,
     hom_from_table,
-    invariant_factors,
     is_exact_at,
 )
-from .topology import TopAbGroup, TopHom, discrete, is_continuous, is_strict, separation
+from .topology import TopAbGroup, TopHom, discrete, is_continuous, is_strict
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ def all_characters(G: FinAbGroup) -> tuple[Character, ...]:
 class DualGroup:
     """All continuous characters of a topologized group, carried discretely."""
 
-    base: TopAbGroup
     characters: tuple[Character, ...]
     structure: FinAbGroup
     _elem_to_char: tuple[tuple[Element, Character], ...]
@@ -115,7 +113,7 @@ def dual_group(T: TopAbGroup) -> DualGroup:
 
     structure, keys = group_structure(key, add, (0,) * T.group.rank)
     pairs = tuple(zip(structure.elements, map(key.__getitem__, keys)))
-    return DualGroup(T, continuous, structure, pairs)
+    return DualGroup(continuous, structure, pairs)
 
 
 def _rescale(value: int, from_den: int, to_den: int) -> int:
@@ -148,22 +146,6 @@ def dual_hom(f: TopHom) -> Homomorphism:
     return hom_from_table(d_tgt.structure, d_src.structure, table)
 
 
-def evaluation(T: TopAbGroup) -> TopHom:
-    """g -> (chi -> chi(g)), from T into its double dual."""
-    d = dual_group(T)
-    dd = dual_group(d.as_top)
-    e_d = d.structure.exponent
-    e_g = T.group.exponent
-    table = {}
-    for g in T.group.elements:
-        vals = tuple(
-            _rescale(d.elem_to_char[x](g), e_g, e_d)
-            for x in d.structure.generators()
-        )
-        table[g] = dd.char_to_elem[Character(d.structure, vals)]
-    return TopHom(hom_from_table(T.group, dd.structure, table), T, dd.as_top)
-
-
 @dataclass(frozen=True)
 class DualSequence:
     """0 -> B* -> G* -> A* -> 0 with its exactness and strictness report."""
@@ -171,8 +153,6 @@ class DualSequence:
     b_dual: DualGroup
     g_dual: DualGroup
     a_dual: DualGroup
-    pi_dual: Homomorphism
-    iota_dual: Homomorphism
     checks: tuple[tuple[str, bool], ...]
 
     @property
@@ -199,17 +179,4 @@ def dual_extension(E: Extension) -> DualSequence:
         ("iota_dual_continuous", is_continuous(iota_dual_top)),
         ("iota_dual_strict", is_continuous(iota_dual_top) and is_strict(iota_dual_top)),
     )
-    return DualSequence(b_dual, g_dual, a_dual, pi_dual, iota_dual, checks)
-
-
-def duals_isomorphic(T1: TopAbGroup, T2: TopAbGroup) -> bool:
-    """Discrete duals are isomorphic iff their invariant factors agree."""
-    m1 = invariant_factors(dual_group(T1).structure.moduli)
-    m2 = invariant_factors(dual_group(T2).structure.moduli)
-    return m1 == m2
-
-
-def separation_dual_iso(T: TopAbGroup) -> Homomorphism:
-    """(G_Haus)* -> G*, the dual of the separation projection; an isomorphism."""
-    haus, q = separation(T)
-    return dual_hom(q)
+    return DualSequence(b_dual, g_dual, a_dual, checks)

@@ -11,7 +11,7 @@ sequence a topological extension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterator
 
@@ -58,6 +58,8 @@ class FactorSet:
             table[(self.B.check_element(b), self.B.check_element(bp))] = (
                 self.A.check_element(a)
             )
+        if len(table) < len(self.entries):
+            raise InvalidCocycle("factor set table lists a pair of B x B twice")
         if len(table) != self.B.order**2:
             raise InvalidCocycle("factor set table must cover all of B x B")
         canon = tuple(sorted((b, bp, a) for (b, bp), a in table.items()))
@@ -87,10 +89,6 @@ def factor_set(A: FinAbGroup, B: FinAbGroup, mapping: dict) -> FactorSet:
             a = mapping.get((b, bp), A.zero)
             entries.append((b, bp, A.reduce(a)))
     return FactorSet(A, B, tuple(entries))
-
-
-def zero_factor_set(A: FinAbGroup, B: FinAbGroup) -> FactorSet:
-    return factor_set(A, B, {})
 
 
 @cache
@@ -167,19 +165,6 @@ class TwistedGroup:
     def include(self, a: Element) -> Pair:
         return (a, self.B.zero)
 
-    def project(self, x: Pair) -> Element:
-        return x[1]
-
-    def check_group_laws(self) -> None:
-        els = self.elements
-        for x in els:
-            assert self.add(self.zero, x) == x
-            assert self.add(x, self.neg(x)) == self.zero
-            for y in els:
-                assert self.add(x, y) == self.add(y, x)
-                for z in els:
-                    assert self.add(self.add(x, y), z) == self.add(x, self.add(y, z))
-
 
 def twisted_group(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> TwistedGroup:
     if h.A != A or h.B != B:
@@ -199,6 +184,8 @@ class Section:
 
     def __post_init__(self):
         table = {self.B.check_element(b): self.G.check_element(g) for b, g in self.entries}
+        if len(table) < len(self.entries):
+            raise InvalidSection("section table lists an element of B twice")
         if len(table) != self.B.order:
             raise InvalidSection("section table must cover all of B")
         if table[self.B.zero] != self.G.zero:
@@ -257,6 +244,7 @@ class Extension:
     B: TopAbGroup
     iota: TopHom
     pi: TopHom
+    alg: AlgExtension = field(init=False, repr=False, compare=False)
 
     __hash__ = cached_hash(lambda s: (s.A, s.G, s.B))
 
@@ -266,24 +254,16 @@ class Extension:
         if self.pi.source != self.G or self.pi.target != self.B:
             raise NotAnExtension("pi endpoints are wrong")
         # algebraic exactness
-        AlgExtension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
+        alg = AlgExtension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
+        object.__setattr__(self, "alg", alg)
         for name, f in (("iota", self.iota), ("pi", self.pi)):
             if not is_continuous(f):
                 raise NotAnExtension(f"{name} is not continuous")
             if not is_strict(f):
                 raise NotAnExtension(f"{name} is not strict")
 
-    @cached_property
-    def alg(self) -> AlgExtension:
-        return AlgExtension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
 
-
-def _as_alg(ext) -> AlgExtension:
-    return ext.alg if isinstance(ext, Extension) else ext
-
-
-def section_for(ext, mapping: dict[Element, Element]) -> Section:
-    alg = _as_alg(ext)
+def section_for(alg: AlgExtension, mapping: dict[Element, Element]) -> Section:
     s = Section(alg.B.group, alg.G, tuple(mapping.items()))
     for b in alg.B.group.elements:
         if alg.pi(s(b)) != b:
@@ -291,26 +271,23 @@ def section_for(ext, mapping: dict[Element, Element]) -> Section:
     return s
 
 
-def enumerate_sections(ext) -> Iterator[Section]:
+def enumerate_sections(alg: AlgExtension) -> Iterator[Section]:
     """All sections with s(0) = 0; there are |A| ** (|B| - 1) of them."""
-    alg = _as_alg(ext)
     B, G, fibers = alg.B.group, alg.G, alg.pi.fibers()
     nonzero = B.elements[1:]
     for choice in itertools.product(*map(fibers.__getitem__, nonzero)):
         yield Section(B, G, ((B.zero, G.zero), *zip(nonzero, choice)))
 
 
-def canonical_section(ext) -> Section:
+def canonical_section(alg: AlgExtension) -> Section:
     """The section picking the lexicographically least preimage of each b."""
-    alg = _as_alg(ext)
     entries = tuple((b, gs[0]) for b, gs in alg.pi.fibers().items())
     return Section(alg.B.group, alg.G, entries)
 
 
 @cache
-def factor_set_from_section(ext, s: Section) -> FactorSet:
+def factor_set_from_section(alg: AlgExtension, s: Section) -> FactorSet:
     """h_s(b, b') = s(b) + s(b') - s(b + b'), pulled back through iota."""
-    alg = _as_alg(ext)
     if s.B != alg.B.group or s.G != alg.G:
         raise InvalidSection("section does not belong to this extension")
     G, B = alg.G, alg.B.group
@@ -340,8 +317,7 @@ class ThetaIso:
 
 
 @cache
-def theta(ext, s: Section, check: bool = True) -> ThetaIso:
-    alg = _as_alg(ext)
+def theta(alg: AlgExtension, s: Section) -> ThetaIso:
     h = factor_set_from_section(alg, s)
     tw = TwistedGroup(h)
     G = alg.G
@@ -351,10 +327,6 @@ def theta(ext, s: Section, check: bool = True) -> ThetaIso:
         for b in alg.B.group.elements
     }
     assert len(set(mapping.values())) == G.order, "theta must be bijective"
-    if check:
-        for x in tw.elements:
-            for y in tw.elements:
-                assert mapping[tw.add(x, y)] == G.add(mapping[x], mapping[y])
     return ThetaIso(tw, mapping)
 
 
@@ -376,13 +348,6 @@ def realize_cocycle(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> Realization:
     iota = hom_from_table(A, G, {a: from_pair[(a, B.zero)] for a in A.elements})
     pi = hom_from_table(G, B, {y: b for y, (_, b) in zip(G.elements, pairs)})
     return Realization(G, from_pair, iota, pi)
-
-
-def alg_extension_from_cocycle(
-    A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet
-) -> AlgExtension:
-    real = realize_cocycle(A_top.group, B_top.group, h)
-    return AlgExtension(A_top, real.G, B_top, real.iota, real.pi)
 
 
 def is_topologizing(A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet) -> bool:
@@ -455,18 +420,6 @@ def nagao_topology(alg: AlgExtension, s: Section) -> Extension:
     )
 
 
-def topologizing_section(E: Extension) -> Section:
-    """A section realizing E's topology: s(N_B) inside N_G, least preimages."""
-    alg, core = E.alg, E.G.core_set
-    # the least preimage in N_G if the fiber meets N_G, else the least one
-    entries = tuple(
-        (b, min(gs, key=lambda g: g not in core)) for b, gs in alg.pi.fibers().items()
-    )
-    s = Section(alg.B.group, alg.G, entries)
-    assert nagao_core(alg, s).element_set == E.G.core_set
-    return s
-
-
 def comparison_map(alg: AlgExtension, s1: Section, s2: Section) -> dict[Element, Element]:
     """b -> iota^{-1}(s1(b) - s2(b)), the section-comparison map into A."""
     G = alg.G
@@ -479,23 +432,6 @@ def comparison_key(alg: AlgExtension, s: Section, base: Section) -> tuple[Elemen
     """Over b in N_B, the least element of iota^{-1}(s(b) - base(b)) + N_A."""
     gs = [alg.pull_back(alg.G.sub(s(b), base(b))) for b in alg.B.open_core]
     return tuple(min(alg.A.group.add(g, n) for n in alg.A.open_core) for g in gs)
-
-
-def same_topology(alg: AlgExtension, s1: Section, s2: Section) -> bool:
-    """Do two topologizing sections induce the same topology on G?
-
-    Computed two ways (core equality, and continuity at 0 of the comparison
-    map); the two criteria provably agree here and that agreement is asserted.
-    """
-    for s in (s1, s2):
-        if not is_topologizing(alg.A, alg.B, factor_set_from_section(alg, s)):
-            raise NotTopologizing("both sections must be topologizing")
-    by_cores = nagao_core(alg, s1).element_set == nagao_core(alg, s2).element_set
-    f = comparison_map(alg, s1, s2)
-    core_a = alg.A.core_set
-    by_comparison = all(f[b] in core_a for b in alg.B.open_core)
-    assert by_cores == by_comparison, "comparison criteria disagree"
-    return by_cores
 
 
 @dataclass(frozen=True)
@@ -569,8 +505,8 @@ def psi_maps(square: ExtensionSquare, s1: Section, s2: Section):
     psi2(a,b) = (sigma(b), beta(b)).  The pointwise decomposition identity is
     asserted (it follows from commutativity alone).
     """
-    th1 = theta(square.row1, s1, check=False)
-    th2 = theta(square.row2, s2, check=False)
+    th1 = theta(square.row1.alg, s1)
+    th2 = theta(square.row2.alg, s2)
     sg = sigma(square, s1, s2)
     tw2 = th2.twisted
     psi, psi1, psi2 = {}, {}, {}
@@ -581,40 +517,6 @@ def psi_maps(square: ExtensionSquare, s1: Section, s2: Section):
         psi2[p] = (sg[b], square.beta(b))
         assert psi[p] == tw2.add(psi1[p], psi2[p]), "psi decomposition fails"
     return psi, psi1, psi2
-
-
-def compatible_section_via_eta(
-    square: ExtensionSquare, s1: Section, eta: Section | None = None
-) -> Section:
-    """The candidate section s2 = gamma o s1 o eta for surjective beta.
-
-    eta is a set-theoretic section of beta with eta(0) = 0 (least preimages
-    when omitted).  The result is always a section of pi2; whether it is
-    compatible with s1 must be checked by the caller.
-    """
-    a1, a2 = square.row1.alg, square.row2.alg
-    beta = square.beta
-    if not beta.is_surjective():
-        raise InvalidSection("the construction needs beta surjective")
-    if eta is None:
-        entries = tuple((b2, b1s[0]) for b2, b1s in beta.fibers().items())
-        eta = Section(a2.B.group, a1.B.group, entries)
-    else:
-        if eta.B != a2.B.group or eta.G != a1.B.group:
-            raise InvalidSection("eta must be a section table B2 -> B1")
-        for b2 in a2.B.group.elements:
-            if beta(eta(b2)) != b2:
-                raise InvalidSection("eta is not a section of beta")
-    mapping2 = {b2: square.gamma(s1(eta(b2))) for b2 in a2.B.group.elements}
-    return section_for(a2, mapping2)
-
-
-def split_extension(A_top: TopAbGroup, B_top: TopAbGroup) -> Extension:
-    """The direct product with the product topology, as an extension."""
-    alg = alg_extension_from_cocycle(
-        A_top, B_top, zero_factor_set(A_top.group, B_top.group)
-    )
-    return nagao_topology(alg, canonical_section(alg))
 
 
 @dataclass(frozen=True)

@@ -235,11 +235,6 @@ class FinAbGroup:
         return " x ".join(f"Z/{m}" for m in self.moduli)
 
 
-def make_group(moduli: Iterable[int]) -> FinAbGroup:
-    """Build the direct sum of cyclic groups of the given orders."""
-    return FinAbGroup(tuple(moduli))
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup stored as a canonically sorted element set."""
@@ -389,15 +384,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return self.source.order == self.target.order and self.is_injective()
 
-    def is_zero(self) -> bool:
-        return all(y == self.target.zero for y in self.table.values())
-
-
-def make_hom(
-    source: FinAbGroup, target: FinAbGroup, gen_images: Iterable[Sequence[int]]
-) -> Homomorphism:
-    return Homomorphism(source, target, tuple(target.reduce(g) for g in gen_images))
-
 
 def hom_from_table(
     source: FinAbGroup, target: FinAbGroup, table: dict[Element, Element]
@@ -462,29 +448,6 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def _from_partitions(parts: dict[int, list[int]]) -> tuple[int, ...]:
-    """Invariant factors (ascending) of the group whose p-part is
-    Z/p^e1 + Z/p^e2 + ..., for p -> [e1 >= e2 >= ...]."""
-    r = max(map(len, parts.values()), default=0)
-    return tuple(
-        prod(p ** lam[t] for p, lam in parts.items() if t < len(lam))
-        for t in reversed(range(r))
-    )
-
-
-def invariant_factors(moduli: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... | dr (ascending) of a cyclic decomposition."""
-    per_prime: dict[int, list[int]] = {}
-    for m in moduli:
-        for p, e in _prime_factors(m).items():
-            per_prime.setdefault(p, []).append(e)
-    return _from_partitions({p: sorted(es, reverse=True) for p, es in per_prime.items()})
-
-
-def canonical_form(G: FinAbGroup) -> FinAbGroup:
-    return FinAbGroup(invariant_factors(G.moduli))
-
-
 def group_structure(elems: Iterable, add: Callable, zero) -> tuple[FinAbGroup, tuple]:
     """The canonical form H of a concrete finite abelian group, and the
     concrete element of each element of H, in `H.elements` order.
@@ -526,7 +489,12 @@ def group_structure(elems: Iterable, add: Callable, zero) -> tuple[FinAbGroup, t
             conj.append(t)
         lam = [sum(1 for v in conj if v >= i) for i in range(1, conj[0] + 1)]
         parts[p] = lam
-    factors = _from_partitions(parts)
+    # the t-th largest invariant factor is the product of the p^lam[t]
+    r = max(map(len, parts.values()), default=0)
+    factors = tuple(
+        prod(p ** lam[t] for p, lam in parts.items() if t < len(lam))
+        for t in reversed(range(r))
+    )
     assert prod(factors) == n
     desc = factors[::-1]
 
@@ -613,19 +581,6 @@ def subgroup_as_group(S: Subgroup) -> GroupEmbedding:
     H, values = group_structure(S.elements, G.add, G.zero)
     include = hom_from_table(H, G, dict(zip(H.elements, values)))
     return GroupEmbedding(H, include, dict(zip(values, H.elements)))
-
-
-def direct_product(
-    G: FinAbGroup, H: FinAbGroup
-) -> tuple[FinAbGroup, Homomorphism, Homomorphism, Homomorphism, Homomorphism]:
-    """G x H with the two inclusions and the two projections."""
-    P = FinAbGroup(G.moduli + H.moduli)
-    zg, zh = G.zero, H.zero
-    inc_g = Homomorphism(G, P, tuple(g + zh for g in G.generators()))
-    inc_h = Homomorphism(H, P, tuple(zg + h for h in H.generators()))
-    proj_g = Homomorphism(P, G, tuple(G.generators()) + tuple(zg for _ in H.moduli))
-    proj_h = Homomorphism(P, H, tuple(zh for _ in G.moduli) + tuple(H.generators()))
-    return P, inc_g, inc_h, proj_g, proj_h
 
 
 def all_subgroups(G: FinAbGroup) -> tuple[Subgroup, ...]:

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import DiagramError
-from .extensions import AlgExtension, Extension, FactorSet, Section
+from .extensions import AlgExtension, FactorSet, Section
 from .duality import Character, DualGroup
 from .groups import Element, FinAbGroup, Homomorphism, Subgroup, subgroup
-from .topology import TopAbGroup, TopHom
+from .topology import TopAbGroup
 
 
 def dumps(obj) -> str:
@@ -47,14 +46,6 @@ def subgroup_to_json(S: Subgroup) -> dict:
 
 def subgroup_from_json(parent: FinAbGroup, data) -> Subgroup:
     return subgroup(parent, [element_from_json(parent, x) for x in data["elements"]])
-
-
-def hom_to_json(f: Homomorphism) -> dict:
-    return {
-        "source": group_to_json(f.source),
-        "target": group_to_json(f.target),
-        "gen_images": [element_to_json(x) for x in f.gen_images],
-    }
 
 
 def hom_from_json(data) -> Homomorphism:
@@ -112,14 +103,6 @@ def section_to_json(s: Section) -> dict:
     }
 
 
-def section_from_json(B: FinAbGroup, G: FinAbGroup, data) -> Section:
-    entries = tuple(
-        (element_from_json(B, b), element_from_json(G, g))
-        for b, g in data["table"]
-    )
-    return Section(B, G, entries)
-
-
 def character_to_json(chi: Character) -> dict:
     return {
         "values": [
@@ -129,33 +112,10 @@ def character_to_json(chi: Character) -> dict:
     }
 
 
-def character_from_json(G: FinAbGroup, data) -> Character:
-    if _ints([data["denominator"]])[0] != G.exponent:
-        raise DiagramError("character denominator must be the group exponent")
-    values = {
-        element_from_json(G, x): _ints([v])[0] % G.exponent for x, v in data["values"]
-    }
-    gen_values = tuple(values[g] for g in G.generators())
-    chi = Character(G, gen_values)
-    if chi.values != values:
-        raise DiagramError("character table is not additive")
-    return chi
-
-
 def dual_to_json(d: DualGroup) -> dict:
     return {
         "structure": group_to_json(d.structure),
         "characters": [character_to_json(c) for c in d.characters],
-    }
-
-
-def alg_extension_to_json(alg: AlgExtension) -> dict:
-    return {
-        "A": topgroup_to_json(alg.A),
-        "G": group_to_json(alg.G),
-        "B": topgroup_to_json(alg.B),
-        "iota": hom_to_json(alg.iota),
-        "pi": hom_to_json(alg.pi),
     }
 
 
@@ -167,18 +127,3 @@ def alg_extension_from_json(data) -> AlgExtension:
         hom_from_json(data["iota"]),
         hom_from_json(data["pi"]),
     )
-
-
-def extension_to_json(E: Extension) -> dict:
-    out = alg_extension_to_json(E.alg)
-    out["G"] = topgroup_to_json(E.G)
-    return out
-
-
-def extension_from_json(data) -> Extension:
-    A = topgroup_from_json(data["A"])
-    G = topgroup_from_json(data["G"])
-    B = topgroup_from_json(data["B"])
-    iota, pi = hom_from_json(data["iota"]), hom_from_json(data["pi"])
-    return Extension(A, G, B, TopHom(iota, A, G), TopHom(pi, G, B))
-

@@ -49,11 +49,11 @@ from .extensions import (
     ExtensionSquare,
     FactorSet,
     Section,
-    alg_extension_from_cocycle,
     factor_set,
     factor_set_from_section,
     nagao_core,
     nagao_topology,
+    realize_cocycle,
     topologizing_sections,
     validate_cocycle,
 )
@@ -280,7 +280,8 @@ class RowData:
 
 @cache
 def _cached_alg(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
-    return alg_extension_from_cocycle(A, B, h)
+    real = realize_cocycle(A.group, B.group, h)
+    return AlgExtension(A, real.G, B, real.iota, real.pi)
 
 
 @cache

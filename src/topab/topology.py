@@ -19,10 +19,7 @@ from .groups import (
     GroupEmbedding,
     Homomorphism,
     Subgroup,
-    all_subgroups,
     cached_hash,
-    compose,
-    coset_reps,
     hom_from_table,
     quotient,
     subgroup,
@@ -56,14 +53,6 @@ def discrete(G: FinAbGroup) -> TopAbGroup:
     return TopAbGroup(G, trivial_subgroup(G))
 
 
-def indiscrete(G: FinAbGroup) -> TopAbGroup:
-    return TopAbGroup(G, Subgroup(G, G.elements))
-
-
-def topologize(G: FinAbGroup, core_elements) -> TopAbGroup:
-    return TopAbGroup(G, subgroup(G, core_elements))
-
-
 @dataclass(frozen=True)
 class TopHom:
     """A homomorphism between topologized groups; continuity is not assumed."""
@@ -82,41 +71,6 @@ class TopHom:
         return self.map(x)
 
 
-def compose_top(outer: TopHom, inner: TopHom) -> TopHom:
-    return TopHom(compose(outer.map, inner.map), inner.source, outer.target)
-
-
-def cosets_of_core(T: TopAbGroup) -> tuple[frozenset[Element], ...]:
-    """The cosets of the open core, in the order of their least elements."""
-    G, N = T.group, T.open_core
-    reps = sorted(set(coset_reps(G, N).values()))
-    return tuple(frozenset(G.add(x, n) for n in N) for x in reps)
-
-
-def open_sets(T: TopAbGroup) -> tuple[frozenset[Element], ...]:
-    """The whole topology: all unions of cosets of the open core.
-
-    Exponential in the coset count; meant for oracle work at small scale.
-    """
-    cosets = cosets_of_core(T)
-    k = len(cosets)
-    if k > 20:
-        raise ValueError(f"refusing to enumerate 2^{k} open sets")
-    out = []
-    for mask in range(1 << k):
-        u: frozenset[Element] = frozenset()
-        for i in range(k):
-            if mask >> i & 1:
-                u |= cosets[i]
-        out.append(u)
-    return tuple(out)
-
-
-@cache
-def _open_family(T: TopAbGroup) -> frozenset[frozenset[Element]]:
-    return frozenset(open_sets(T))
-
-
 def is_continuous(f: TopHom) -> bool:
     """f is continuous iff it maps the source core into the target core."""
     return f.target.core_set.issuperset(map(f.map.table.__getitem__, f.source.open_core))
@@ -128,30 +82,6 @@ def is_strict(f: TopHom) -> bool:
         raise NotContinuous("strictness is a property of continuous homomorphisms")
     core_image = frozenset(map(f.map.table.__getitem__, f.source.open_core))
     return core_image == f.map.image().element_set & f.target.core_set
-
-
-def is_continuous_oracle(f: TopHom) -> bool:
-    """Literal check: the preimage of every open set is open."""
-    opens_src = _open_family(f.source)
-    table = f.map.table
-    for u in _open_family(f.target):
-        pre = frozenset(x for x in f.source.group.elements if table[x] in u)
-        if pre not in opens_src:
-            return False
-    return True
-
-
-def is_strict_oracle(f: TopHom) -> bool:
-    """Literal check: the image of every open set is open in the image."""
-    if not is_continuous_oracle(f):
-        raise NotContinuous("strictness is a property of continuous homomorphisms")
-    img = f.map.image().element_set
-    relative_opens = frozenset(u & img for u in _open_family(f.target))
-    table = f.map.table
-    for u in _open_family(f.source):
-        if frozenset(table[x] for x in u) not in relative_opens:
-            return False
-    return True
 
 
 @cache
@@ -179,13 +109,6 @@ def separation_hom(f: TopHom) -> TopHom:
     return TopHom(induced, src_haus, tgt_haus)
 
 
-def product_top(T: TopAbGroup, U: TopAbGroup) -> TopAbGroup:
-    """Product group with core N_T x N_U."""
-    P = FinAbGroup(T.group.moduli + U.group.moduli)
-    core = tuple(a + b for a in T.open_core for b in U.open_core)
-    return TopAbGroup(P, subgroup(P, core))
-
-
 def subspace_top(T: TopAbGroup, S: Subgroup) -> tuple[TopAbGroup, TopHom]:
     """S as a group in its own right with the subspace topology, plus inclusion."""
     if S.parent != T.group:
@@ -206,16 +129,6 @@ def quotient_top(T: TopAbGroup, K: Subgroup) -> tuple[TopAbGroup, TopHom]:
     return qt, TopHom(proj, T, qt)
 
 
-def closure_of_zero(T: TopAbGroup) -> Subgroup:
-    """Computed from the closed sets; must equal the open core."""
-    closed = [frozenset(T.group.elements) - u for u in open_sets(T)]
-    out = frozenset(T.group.elements)
-    for c in closed:
-        if T.group.zero in c:
-            out &= c
-    return subgroup(T.group, out)
-
-
 def is_hausdorff(T: TopAbGroup) -> bool:
     return T.open_core.order == 1
 
@@ -226,12 +139,6 @@ def is_discrete(T: TopAbGroup) -> bool:
 
 def is_indiscrete(T: TopAbGroup) -> bool:
     return T.open_core.order == T.group.order
-
-
-def has_property_p(T: TopAbGroup) -> bool:
-    """All (finite-index, i.e. all) subgroups are open: N lies in each of them."""
-    core = T.core_set
-    return all(core <= S.element_set for S in all_subgroups(T.group))
 
 
 def is_topological_isomorphism(f: TopHom) -> bool:

@@ -1,0 +1,50 @@
+"""Constructors and encoders that only tests need.
+
+The program reads groups, cores and extensions from JSON or enumerates them;
+tests build them by hand with these.
+"""
+
+from topab.extensions import AlgExtension, Extension, canonical_section, factor_set, nagao_topology
+from topab.groups import FinAbGroup, Homomorphism, Subgroup, subgroup
+from topab.jsonio import element_to_json, group_to_json, topgroup_to_json
+from topab.search import _cached_alg
+from topab.topology import TopAbGroup
+
+
+def make_hom(source: FinAbGroup, target: FinAbGroup, gen_images) -> Homomorphism:
+    """The homomorphism sending the standard generators to the given
+    coordinate tuples, reduced into the target."""
+    return Homomorphism(source, target, tuple(target.reduce(g) for g in gen_images))
+
+
+def indiscrete(G: FinAbGroup) -> TopAbGroup:
+    return TopAbGroup(G, Subgroup(G, G.elements))
+
+
+def topologize(G: FinAbGroup, core_elements) -> TopAbGroup:
+    return TopAbGroup(G, subgroup(G, core_elements))
+
+
+def split_extension(A_top: TopAbGroup, B_top: TopAbGroup) -> Extension:
+    """The direct product with the product topology, as an extension."""
+    alg = _cached_alg(A_top, B_top, factor_set(A_top.group, B_top.group, {}))
+    return nagao_topology(alg, canonical_section(alg))
+
+
+def hom_to_json(f: Homomorphism) -> dict:
+    return {
+        "source": group_to_json(f.source),
+        "target": group_to_json(f.target),
+        "gen_images": [element_to_json(x) for x in f.gen_images],
+    }
+
+
+def alg_extension_to_json(alg: AlgExtension) -> dict:
+    """The input of `topab sections`."""
+    return {
+        "A": topgroup_to_json(alg.A),
+        "G": group_to_json(alg.G),
+        "B": topgroup_to_json(alg.B),
+        "iota": hom_to_json(alg.iota),
+        "pi": hom_to_json(alg.pi),
+    }

@@ -7,24 +7,26 @@ default family contains the order-2 ones and that each fails there.
 
 import pytest
 
-from topab.extensions import topologizing_sections, zero_factor_set
-from topab.groups import identity_hom, make_group, zero_hom
+from topab.extensions import factor_set, topologizing_sections
+from topab.groups import FinAbGroup, identity_hom, zero_hom
 from topab.search import (
     FiveLemmaInstance,
     P3Instance,
     RowData,
     _cached_alg,
 )
-from topab.topology import discrete, indiscrete
+from topab.topology import discrete
 
-Z2 = make_group([2])
-K4 = make_group([2, 2])
+from builders import indiscrete
+
+Z2 = FinAbGroup([2])
+K4 = FinAbGroup([2, 2])
 
 
 def _split_row(a_top, b_top) -> RowData:
     """The split extension of b_top by a_top with its first topologizing
     section."""
-    h = zero_factor_set(a_top.group, b_top.group)
+    h = factor_set(a_top.group, b_top.group, {})
     secs = topologizing_sections(_cached_alg(a_top, b_top, h))
     return RowData(a_top, b_top, h, secs[0].entries)
 

@@ -1,0 +1,225 @@
+"""Reference implementations that tests compare topab's results against.
+
+Each oracle computes from a literal definition, not from the formula the
+program uses: a topology is its set of open sets, continuity is "preimages
+of open sets are open", the double dual is built character by character.
+They are exponential or cubic and meant for small instances only.
+"""
+
+from functools import cache
+from math import prod
+
+from topab.duality import Character, _rescale, dual_group, dual_hom
+from topab.errors import InvalidSection, NotContinuous, NotTopologizing
+from topab.extensions import (
+    AlgExtension,
+    ExtensionSquare,
+    Section,
+    ThetaIso,
+    TwistedGroup,
+    comparison_map,
+    factor_set_from_section,
+    is_topologizing,
+    nagao_core,
+    section_for,
+    theta,
+)
+from topab.groups import Element, Homomorphism, all_subgroups, coset_reps, hom_from_table, subgroup
+from topab.topology import TopAbGroup, TopHom, separation
+
+# ---------------------------------------------------------------------------
+# groups
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    out, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
+def invariant_factors(moduli) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... | dr (ascending) of a cyclic decomposition."""
+    per_prime: dict[int, list[int]] = {}
+    for m in moduli:
+        for p, e in _prime_factors(m).items():
+            per_prime.setdefault(p, []).append(p**e)
+    # the t-th largest factor is the product of the t-th largest p-powers
+    powers = [sorted(qs, reverse=True) for qs in per_prime.values()]
+    r = max(map(len, powers), default=0)
+    return tuple(prod(qs[t] for qs in powers if t < len(qs)) for t in reversed(range(r)))
+
+
+# ---------------------------------------------------------------------------
+# topology
+
+
+def cosets_of_core(T: TopAbGroup) -> tuple[frozenset[Element], ...]:
+    """The cosets of the open core, in the order of their least elements."""
+    G, N = T.group, T.open_core
+    reps = sorted(set(coset_reps(G, N).values()))
+    return tuple(frozenset(G.add(x, n) for n in N) for x in reps)
+
+
+def open_sets(T: TopAbGroup) -> tuple[frozenset[Element], ...]:
+    """The whole topology: all unions of cosets of the open core.
+
+    Exponential in the coset count; meant for oracle work at small scale.
+    """
+    cosets = cosets_of_core(T)
+    k = len(cosets)
+    if k > 20:
+        raise ValueError(f"refusing to enumerate 2^{k} open sets")
+    out = []
+    for mask in range(1 << k):
+        u: frozenset[Element] = frozenset()
+        for i in range(k):
+            if mask >> i & 1:
+                u |= cosets[i]
+        out.append(u)
+    return tuple(out)
+
+
+@cache
+def _open_family(T: TopAbGroup) -> frozenset[frozenset[Element]]:
+    return frozenset(open_sets(T))
+
+
+def is_continuous_oracle(f: TopHom) -> bool:
+    """Literal check: the preimage of every open set is open."""
+    opens_src = _open_family(f.source)
+    table = f.map.table
+    for u in _open_family(f.target):
+        pre = frozenset(x for x in f.source.group.elements if table[x] in u)
+        if pre not in opens_src:
+            return False
+    return True
+
+
+def is_strict_oracle(f: TopHom) -> bool:
+    """Literal check: the image of every open set is open in the image."""
+    if not is_continuous_oracle(f):
+        raise NotContinuous("strictness is a property of continuous homomorphisms")
+    img = f.map.image().element_set
+    relative_opens = frozenset(u & img for u in _open_family(f.target))
+    table = f.map.table
+    for u in _open_family(f.source):
+        if frozenset(table[x] for x in u) not in relative_opens:
+            return False
+    return True
+
+
+def closure_of_zero(T: TopAbGroup):
+    """Computed from the closed sets; must equal the open core."""
+    closed = [frozenset(T.group.elements) - u for u in open_sets(T)]
+    out = frozenset(T.group.elements)
+    for c in closed:
+        if T.group.zero in c:
+            out &= c
+    return subgroup(T.group, out)
+
+
+def has_property_p(T: TopAbGroup) -> bool:
+    """All (finite-index, i.e. all) subgroups are open: N lies in each of them."""
+    core = T.core_set
+    return all(core <= S.element_set for S in all_subgroups(T.group))
+
+
+# ---------------------------------------------------------------------------
+# extensions
+
+
+def check_group_laws(tw: TwistedGroup) -> None:
+    """Identity, inverses, commutativity and associativity of a twisted sum."""
+    els = tw.elements
+    for x in els:
+        assert tw.add(tw.zero, x) == x
+        assert tw.add(x, tw.neg(x)) == tw.zero
+        for y in els:
+            assert tw.add(x, y) == tw.add(y, x)
+            for z in els:
+                assert tw.add(tw.add(x, y), z) == tw.add(x, tw.add(y, z))
+
+
+@cache
+def checked_theta(alg: AlgExtension, s: Section) -> ThetaIso:
+    """theta(alg, s), asserted additive on every pair of (A x B, +_h_s);
+    cached like theta, so each extension and section is checked once."""
+    th = theta(alg, s)
+    tw, G, mapping = th.twisted, alg.G, th.mapping
+    for x in tw.elements:
+        for y in tw.elements:
+            assert mapping[tw.add(x, y)] == G.add(mapping[x], mapping[y])
+    return th
+
+
+def same_topology(alg: AlgExtension, s1: Section, s2: Section) -> bool:
+    """Do two topologizing sections induce the same topology on G?
+
+    Computed two ways (core equality, and continuity at 0 of the comparison
+    map); the two criteria provably agree here and that agreement is asserted.
+    """
+    for s in (s1, s2):
+        if not is_topologizing(alg.A, alg.B, factor_set_from_section(alg, s)):
+            raise NotTopologizing("both sections must be topologizing")
+    by_cores = nagao_core(alg, s1).element_set == nagao_core(alg, s2).element_set
+    f = comparison_map(alg, s1, s2)
+    core_a = alg.A.core_set
+    by_comparison = all(f[b] in core_a for b in alg.B.open_core)
+    assert by_cores == by_comparison, "comparison criteria disagree"
+    return by_cores
+
+
+def compatible_section_via_eta(
+    square: ExtensionSquare, s1: Section, eta: Section | None = None
+) -> Section:
+    """The candidate section s2 = gamma o s1 o eta for surjective beta.
+
+    eta is a set-theoretic section of beta with eta(0) = 0 (least preimages
+    when omitted).  The result is always a section of pi2; whether it is
+    compatible with s1 must be checked by the caller.
+    """
+    a1, a2 = square.row1.alg, square.row2.alg
+    beta = square.beta
+    if not beta.is_surjective():
+        raise InvalidSection("the construction needs beta surjective")
+    if eta is None:
+        entries = tuple((b2, b1s[0]) for b2, b1s in beta.fibers().items())
+        eta = Section(a2.B.group, a1.B.group, entries)
+    else:
+        if eta.B != a2.B.group or eta.G != a1.B.group:
+            raise InvalidSection("eta must be a section table B2 -> B1")
+        for b2 in a2.B.group.elements:
+            if beta(eta(b2)) != b2:
+                raise InvalidSection("eta is not a section of beta")
+    mapping2 = {b2: square.gamma(s1(eta(b2))) for b2 in a2.B.group.elements}
+    return section_for(a2, mapping2)
+
+
+# ---------------------------------------------------------------------------
+# duality
+
+
+def evaluation(T: TopAbGroup) -> TopHom:
+    """g -> (chi -> chi(g)), from T into its double dual."""
+    d = dual_group(T)
+    dd = dual_group(d.as_top)
+    e_d = d.structure.exponent
+    e_g = T.group.exponent
+    table = {}
+    for g in T.group.elements:
+        vals = tuple(
+            _rescale(d.elem_to_char[x](g), e_g, e_d)
+            for x in d.structure.generators()
+        )
+        table[g] = dd.char_to_elem[Character(d.structure, vals)]
+    return TopHom(hom_from_table(T.group, dd.structure, table), T, dd.as_top)
+
+
+def separation_dual_iso(T: TopAbGroup) -> Homomorphism:
+    """(G_Haus)* -> G*, the dual of the separation projection; an isomorphism."""
+    _, q = separation(T)
+    return dual_hom(q)

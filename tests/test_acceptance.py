@@ -14,16 +14,15 @@ criterion 1 checks up to order 8.
 
 from collections import Counter
 
-from topab.duality import dual_group, evaluation, separation_dual_iso
+from topab.duality import dual_group
 from topab.extensions import (
-    alg_extension_from_cocycle,
+    AlgExtension,
     enumerate_sections,
     factor_set_from_section,
     psi_maps,
     realize_cocycle,
-    theta,
 )
-from topab.groups import all_homs, all_subgroups, make_group
+from topab.groups import FinAbGroup, all_homs, all_subgroups
 from topab.search import (
     FamilySpec,
     P3Instance,
@@ -40,12 +39,18 @@ from topab.topology import (
     TopAbGroup,
     TopHom,
     is_continuous,
-    is_continuous_oracle,
     is_hausdorff,
     is_strict,
-    is_strict_oracle,
     separation,
     separation_hom,
+)
+
+from oracles import (
+    checked_theta,
+    evaluation,
+    is_continuous_oracle,
+    is_strict_oracle,
+    separation_dual_iso,
 )
 
 DEFAULT = FamilySpec(max_group_order=4, sample_count=400, seed=0)
@@ -93,15 +98,17 @@ def test_criterion_2_extension_round_trip():
         for B in groups:
             for h in all_cocycles(A, B):
                 real = realize_cocycle(A, B, h)
-                alg = alg_extension_from_cocycle(
+                alg = AlgExtension(
                     TopAbGroup(A, all_subgroups(A)[0]),
+                    real.G,
                     TopAbGroup(B, all_subgroups(B)[0]),
-                    h,
+                    real.iota,
+                    real.pi,
                 )
                 for s in enumerate_sections(alg):
                     hs = factor_set_from_section(alg, s)
-                    # theta with check=True asserts bijectivity and additivity
-                    th = theta(alg, s, check=True)
+                    # theta asserts bijectivity, the oracle additivity
+                    th = checked_theta(alg, s)
                     tw = th.twisted
                     for a, b in tw.elements:
                         for ap in A.elements:
@@ -113,7 +120,7 @@ def test_criterion_2_extension_round_trip():
 
 
 def test_criterion_3_cocycle_census():
-    z2 = make_group([2])
+    z2 = FinAbGroup([2])
     hs = all_cocycles(z2, z2)
     structures = sorted(realize_cocycle(z2, z2, h).G.moduli for h in hs)
     ok = len(hs) == 2 and structures == [(2, 2), (4,)]
@@ -233,7 +240,7 @@ def _check_refutations(label, tid, count, broken, never_broken, case, finding):
     not_replayed, disagreeing = [], []
     for i, r in enumerate(res.failures):
         replay = replay_witness(tid, r.witness)
-        if not replay.failed or replay.details != r.details:
+        if replay.conclusion_checked is not False or replay.details != r.details:
             not_replayed.append(i)
         reported = dict(r.details)
         clauses = oracle(instance_from_json(r.witness).build())
@@ -248,7 +255,7 @@ def _check_refutations(label, tid, count, broken, never_broken, case, finding):
         problems.append(f"the oracles disagree with witnesses {disagreeing[:5]}...")
     if finding not in THEOREMS[tid].build_family(DEFAULT):
         problems.append(f"the pinned counterexample is not in stratum {finding[0]}")
-    elif not THEOREMS[tid].evaluate(finding[1].build(), frozenset()).failed:
+    elif THEOREMS[tid].evaluate(finding[1].build(), frozenset()).conclusion_checked is not False:
         problems.append("the pinned counterexample does not fail")
     _report_criterion_7(label, res, not problems)
     assert not problems, problems

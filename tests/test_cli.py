@@ -8,9 +8,11 @@ import pytest
 
 from topab.cli import main
 from topab import jsonio
-from topab.groups import make_group
+from topab.groups import FinAbGroup
 from topab.search import THEOREMS, FamilySpec
-from topab.topology import discrete, indiscrete, topologize
+from topab.topology import discrete
+
+from builders import indiscrete, topologize
 
 
 def run_cli(capsys, *argv):
@@ -157,7 +159,7 @@ def test_strata_come_in_declaration_order():
 
 
 def test_extend_zero_cocycle(tmp_path, capsys):
-    z2 = make_group([2])
+    z2 = FinAbGroup([2])
     a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
     b = write(tmp_path, "b.json", jsonio.topgroup_to_json(discrete(z2)))
     h = write(
@@ -177,7 +179,7 @@ def test_extend_zero_cocycle(tmp_path, capsys):
 
 
 def test_extend_twisted_cocycle_gives_z4(tmp_path, capsys):
-    z2 = make_group([2])
+    z2 = FinAbGroup([2])
     a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
     b = write(tmp_path, "b.json", jsonio.topgroup_to_json(discrete(z2)))
     h = write(
@@ -197,7 +199,7 @@ def test_extend_twisted_cocycle_gives_z4(tmp_path, capsys):
 
 
 def test_extend_not_topologizing_exit_3(tmp_path, capsys):
-    z2 = make_group([2])
+    z2 = FinAbGroup([2])
     a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
     b = write(tmp_path, "b.json", jsonio.topgroup_to_json(indiscrete(z2)))
     h = write(
@@ -215,7 +217,7 @@ def test_extend_not_topologizing_exit_3(tmp_path, capsys):
 
 
 def test_extend_with_explicit_section(tmp_path, capsys):
-    z2 = make_group([2])
+    z2 = FinAbGroup([2])
     a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
     b = write(tmp_path, "b.json", jsonio.topgroup_to_json(discrete(z2)))
     h = write(
@@ -250,6 +252,27 @@ def test_extend_section_entries_decode_strictly(tmp_path, capsys, entry):
     assert_usage_error(*run_cli(capsys, "extend", top, top, h, "--section", s))
 
 
+@pytest.mark.parametrize(
+    "last_cocycle_entries, section",
+    [
+        ([[[1], [1], [1]], [[1], [1], [0]]], None),
+        ([[[1], [1], [0]]], [[[0], [0, 0]], [[1], [1, 1]], [[1], [0, 1]]]),
+    ],
+    ids=["cocycle_lists_a_pair_twice", "section_lists_an_element_twice"],
+)
+def test_extend_rejects_repeated_table_keys(tmp_path, capsys, last_cocycle_entries, section):
+    """A table that gives one key two values is malformed, whichever value
+    comes last."""
+    z2 = {"moduli": [2]}
+    top = write(tmp_path, "t.json", {"group": z2, "open_core": {"elements": [[0]]}})
+    table = [[[0], [0], [0]], [[0], [1], [0]], [[1], [0], [0]], *last_cocycle_entries]
+    h = write(tmp_path, "h.json", {"A": z2, "B": z2, "table": table})
+    argv = ["extend", top, top, h]
+    if section is not None:
+        argv += ["--section", write(tmp_path, "s.json", {"table": section})]
+    assert_usage_error(*run_cli(capsys, *argv), "twice")
+
+
 def test_extend_kernel_of_modulus_one(tmp_path, capsys):
     """Z/1 + Z/2 is Z/2: the generator of a Z/1 factor is 0, an element."""
     z1, z2 = {"moduli": [1]}, {"moduli": [2]}
@@ -269,7 +292,7 @@ def test_extend_malformed_exit_2(tmp_path, capsys):
 
 
 def test_dual_command(tmp_path, capsys):
-    z4 = make_group([4])
+    z4 = FinAbGroup([4])
     g = write(tmp_path, "g.json", jsonio.topgroup_to_json(topologize(z4, [(0,), (2,)])))
     code, out, _ = run_cli(capsys, "dual", g)
     assert code == 0
@@ -282,7 +305,7 @@ def test_dual_trivial(tmp_path, capsys):
     g = write(
         tmp_path,
         "g.json",
-        jsonio.topgroup_to_json(discrete(make_group([]))),
+        jsonio.topgroup_to_json(discrete(FinAbGroup([]))),
     )
     code, out, _ = run_cli(capsys, "dual", g)
     assert code == 0
@@ -291,7 +314,7 @@ def test_dual_trivial(tmp_path, capsys):
 
 def test_sections_command(tmp_path, capsys):
     # the Z/4 extension over Z/2 by Z/2, everything discrete
-    z2, z4 = make_group([2]), make_group([4])
+    z2, z4 = FinAbGroup([2]), FinAbGroup([4])
     e = write(
         tmp_path,
         "e.json",
@@ -340,14 +363,16 @@ def test_report_roundtrip(tmp_path, capsys):
 
 
 def test_outputs_reparse_roundtrip(tmp_path, capsys):
-    z4 = make_group([4])
+    z4 = FinAbGroup([4])
     g = write(tmp_path, "g.json", jsonio.topgroup_to_json(topologize(z4, [(0,), (2,)])))
     code, out, _ = run_cli(capsys, "dual", g)
     data = json.loads(out)
     # characters are characters of the base group
     for cj in data["characters"]:
-        chi = jsonio.character_from_json(z4, cj)
-        assert chi((2,)) == 0  # they all kill the open core
+        assert cj["denominator"] == z4.exponent
+        values = {tuple(x): v for x, v in cj["values"]}
+        assert sorted(values) == list(z4.elements)
+        assert values[(2,)] == 0  # they all kill the open core
 
 
 def assert_usage_error(code, out, err, *needles):

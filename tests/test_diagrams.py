@@ -8,22 +8,24 @@ from topab.diagrams import (
     verify_p3_generalized,
     verify_topological_five_lemma,
 )
-from topab.extensions import split_extension, topologizing_sections, zero_factor_set
-from topab.groups import identity_hom, make_group, zero_hom
+from topab.extensions import factor_set, topologizing_sections
+from topab.groups import FinAbGroup, identity_hom, zero_hom
 from topab.search import (
     FiveLemmaInstance,
     P3Instance,
     RowData,
     _cached_alg,
 )
-from topab.topology import TopHom, discrete, indiscrete, topologize
+from topab.topology import TopHom, discrete
 
-Z2 = make_group([2])
-Z4 = make_group([4])
+from builders import indiscrete, split_extension, topologize
+
+Z2 = FinAbGroup([2])
+Z4 = FinAbGroup([4])
 
 
 def make_row(a_top, b_top, h=None, s_index=0):
-    h = h if h is not None else zero_factor_set(a_top.group, b_top.group)
+    h = h if h is not None else factor_set(a_top.group, b_top.group, {})
     secs = topologizing_sections(_cached_alg(a_top, b_top, h))
     return RowData(a_top, b_top, h, secs[s_index].entries)
 
@@ -88,11 +90,11 @@ def test_p3_generalized_identity_and_pfunc_case():
 def test_p3_generalized_incompatible_gate():
     # gamma o s1 differs from s2 o beta into a Hausdorff kernel with
     # indiscrete B1: sigma lands outside N_A2, so p3 does not apply
-    a1 = discrete(make_group([]))
+    a1 = discrete(FinAbGroup([]))
     b1 = indiscrete(Z2)
     row1 = make_row(a1, b1)
     a2 = discrete(Z2)
-    b2 = discrete(make_group([]))
+    b2 = discrete(FinAbGroup([]))
     row2 = make_row(a2, b2)
     alg1 = _cached_alg(row1.A, row1.B, row1.h)
     alg2 = _cached_alg(row2.A, row2.B, row2.h)

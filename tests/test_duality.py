@@ -7,31 +7,29 @@ from topab.duality import (
     dual_extension,
     dual_group,
     dual_hom,
-    duals_isomorphic,
-    evaluation,
     pull_back,
-    separation_dual_iso,
 )
-from topab.extensions import split_extension, alg_extension_from_cocycle, canonical_section, factor_set, nagao_topology
-from topab.groups import all_subgroups, identity_hom, make_group, make_hom, zero_hom
-from topab.search import all_groups_up_to_order
+from topab.extensions import canonical_section, factor_set, nagao_topology
+from topab.groups import FinAbGroup, all_subgroups, compose, identity_hom, zero_hom
+from topab.search import _cached_alg, all_groups_up_to_order
 from topab.topology import (
     TopAbGroup,
     TopHom,
     discrete,
-    indiscrete,
     is_continuous,
     separation,
-    topologize,
 )
 
-Z2 = make_group([2])
-Z4 = make_group([4])
+from builders import indiscrete, make_hom, split_extension, topologize
+from oracles import evaluation, separation_dual_iso
+
+Z2 = FinAbGroup([2])
+Z4 = FinAbGroup([4])
 
 
 def test_all_characters_count_and_additivity():
     for mods in [(), (2,), (4,), (2, 2), (2, 4), (6,)]:
-        G = make_group(mods)
+        G = FinAbGroup(mods)
         chars = all_characters(G)
         assert len(chars) == G.order
         for chi in chars:
@@ -62,7 +60,7 @@ def test_dual_is_discrete_and_sized_like_separation():
 
 
 def test_elem_char_tables_are_isomorphisms():
-    t = topologize(make_group([2, 4]), [(0, 0), (0, 2)])
+    t = topologize(FinAbGroup([2, 4]), [(0, 0), (0, 2)])
     d = dual_group(t)
     st = d.structure
     e = t.group.exponent
@@ -84,10 +82,7 @@ def test_dual_hom_contravariant():
     assert df.is_injective()
     assert dg.is_surjective()
     # contravariance: (g o f)* = f* o g* -- compose f after g: f o g = 0 here
-    from topab.groups import compose
-    from topab.topology import compose_top
-
-    fg = compose_top(f, g)
+    fg = TopHom(compose(f.map, g.map), g.source, f.target)
     assert dual_hom(fg).table == compose(dg, df).table
 
 
@@ -103,11 +98,11 @@ def test_dual_of_identity_and_zero():
     did = dual_hom(TopHom(identity_hom(Z4), t, t))
     assert did.table == identity_hom(dual_group(t).structure).table
     z = dual_hom(TopHom(zero_hom(Z4, Z2), t, discrete(Z2)))
-    assert z.is_zero()
+    assert set(z.table.values()) == {z.target.zero}
 
 
 def test_evaluation_kernel_is_core():
-    for G in [Z2, Z4, make_group([2, 2]), make_group([2, 4])]:
+    for G in [Z2, Z4, FinAbGroup([2, 2]), FinAbGroup([2, 4])]:
         for s in all_subgroups(G):
             t = TopAbGroup(G, s)
             ev = evaluation(t)
@@ -132,7 +127,7 @@ def test_pullback_rescaling():
 
 
 def test_dual_extension_discrete_z4():
-    alg = alg_extension_from_cocycle(
+    alg = _cached_alg(
         discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {((1,), (1,)): (1,)})
     )
     e = nagao_topology(alg, canonical_section(alg))
@@ -150,17 +145,21 @@ def test_dual_extension_degenerate():
 
 
 def test_duals_isomorphic():
-    assert duals_isomorphic(discrete(Z4), discrete(Z4))
-    assert not duals_isomorphic(discrete(Z4), discrete(make_group([2, 2])))
-    assert not duals_isomorphic(discrete(make_group([])), discrete(Z2))
+    # dual structures are in canonical form, so isomorphic duals are equal
+    def structure(t):
+        return dual_group(t).structure
+
+    assert structure(discrete(Z4)) == structure(discrete(Z4))
+    assert structure(discrete(Z4)) != structure(discrete(FinAbGroup([2, 2])))
+    assert structure(discrete(FinAbGroup([]))) != structure(discrete(Z2))
     # a group and its separation have isomorphic duals
     t = topologize(Z4, [(0,), (2,)])
     haus, _ = separation(t)
-    assert duals_isomorphic(t, haus)
+    assert structure(t) == structure(haus)
 
 
 def test_separation_dual_iso():
-    for G in [Z4, make_group([2, 2]), make_group([2, 4])]:
+    for G in [Z4, FinAbGroup([2, 2]), FinAbGroup([2, 4])]:
         for s in all_subgroups(G):
             t = TopAbGroup(G, s)
             f = separation_dual_iso(t)

@@ -13,10 +13,8 @@ from topab.extensions import (
     FactorSet,
     Section,
     TwistedGroup,
-    alg_extension_from_cocycle,
     canonical_section,
     cocycle_violations,
-    compatible_section_via_eta,
     comparison_map,
     enumerate_sections,
     factor_set,
@@ -24,34 +22,35 @@ from topab.extensions import (
     has_open_fibers,
     is_compatible,
     is_topologizing,
-    nagao_core,
     nagao_topology,
     psi_maps,
-    same_topology,
     section_for,
     sigma,
     snake_haus_sequence,
-    split_extension,
-    theta,
-    topologizing_section,
     twisted_group,
     validate_cocycle,
-    zero_factor_set,
 )
-from topab.groups import identity_hom, make_group, make_hom
+from topab.groups import FinAbGroup, identity_hom
+from topab.search import _cached_alg
 from topab.topology import (
     TopAbGroup,
     TopHom,
     discrete,
-    indiscrete,
     is_continuous,
     is_strict,
-    topologize,
 )
 
-Z2 = make_group([2])
-Z4 = make_group([4])
-K4 = make_group([2, 2])
+from builders import indiscrete, make_hom, split_extension, topologize
+from oracles import (
+    check_group_laws,
+    checked_theta,
+    compatible_section_via_eta,
+    same_topology,
+)
+
+Z2 = FinAbGroup([2])
+Z4 = FinAbGroup([4])
+K4 = FinAbGroup([2, 2])
 
 
 def z4_extension(a_core="discrete", b_core="discrete", g_core=None):
@@ -63,7 +62,7 @@ def z4_extension(a_core="discrete", b_core="discrete", g_core=None):
 
 
 def test_cocycle_validation():
-    h0 = zero_factor_set(Z2, Z2)
+    h0 = factor_set(Z2, Z2, {})
     assert validate_cocycle(h0)
     h1 = factor_set(Z2, Z2, {((1,), (1,)): (1,)})
     assert validate_cocycle(h1)
@@ -83,7 +82,7 @@ def test_cocycle_validation():
 def test_twisted_group_z4():
     h = factor_set(Z2, Z2, {((1,), (1,)): (1,)})
     t = twisted_group(Z2, Z2, h)
-    t.check_group_laws()
+    check_group_laws(t)
     x = ((0,), (1,))
     assert t.add(x, x) == ((1,), (0,))
     # order of (0, 1) is 4
@@ -113,7 +112,7 @@ def test_twisted_group_rejects_bad_cocycle():
 def test_cord_zero_identity():
     """(a, b) + (a', 0) = (a + a', b) in every twisted group."""
     for h in [
-        zero_factor_set(Z2, Z2),
+        factor_set(Z2, Z2, {}),
         factor_set(Z2, Z2, {((1,), (1,)): (1,)}),
         factor_set(Z4, Z2, {((1,), (1,)): (2,)}),
     ]:
@@ -128,10 +127,10 @@ def test_enumerate_sections_counts():
     secs = list(enumerate_sections(alg))
     assert len(secs) == 2
     assert sorted(s((1,)) for s in secs) == [(1,), (3,)]
-    split = alg_extension_from_cocycle(discrete(Z2), discrete(Z2), zero_factor_set(Z2, Z2))
+    split = _cached_alg(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {}))
     assert len(list(enumerate_sections(split))) == 2
-    b_trivial = alg_extension_from_cocycle(
-        discrete(Z4), discrete(make_group([])), zero_factor_set(Z4, make_group([]))
+    b_trivial = _cached_alg(
+        discrete(Z4), discrete(FinAbGroup([])), factor_set(Z4, FinAbGroup([]), {})
     )
     assert len(list(enumerate_sections(b_trivial))) == 1
 
@@ -145,7 +144,7 @@ def test_factor_set_from_section_z4():
     h3 = factor_set_from_section(alg, s3)
     assert h3((1,), (1,)) == (1,)
     # split extension with a homomorphic section gives the zero cocycle
-    split = alg_extension_from_cocycle(discrete(Z2), discrete(Z2), zero_factor_set(Z2, Z2))
+    split = _cached_alg(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {}))
     s = canonical_section(split)
     h = factor_set_from_section(split, s)
     assert all(h(b, bp) == Z2.zero for b in Z2.elements for bp in Z2.elements)
@@ -157,18 +156,20 @@ def test_section_validation():
         section_for(alg, {(0,): (0,), (1,): (2,)})  # lands in the kernel
     with pytest.raises(InvalidSection):
         Section(Z2, Z4, (((0,), (2,)), ((1,), (1,))))  # s(0) != 0
+    with pytest.raises(InvalidSection):
+        Section(Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (3,))))  # s(1) twice
 
 
 def test_theta_roundtrip_exhaustive_small():
     """Criterion-2 shaped check at tiny scale (full sweep in acceptance)."""
     for mods_a, mods_b in [((2,), (2,)), ((2,), (2, 2))]:
-        A, B = make_group(mods_a), make_group(mods_b)
+        A, B = FinAbGroup(mods_a), FinAbGroup(mods_b)
         from topab.search import all_cocycles
 
         for h in all_cocycles(A, B):
-            alg = alg_extension_from_cocycle(discrete(A), discrete(B), h)
+            alg = _cached_alg(discrete(A), discrete(B), h)
             for s in enumerate_sections(alg):
-                th = theta(alg, s)
+                th = checked_theta(alg, s)
                 assert len(set(th.mapping.values())) == alg.G.order
                 assert th((A.zero, B.zero)) == alg.G.zero
                 for b in B.elements:
@@ -180,7 +181,7 @@ def test_is_topologizing():
     assert is_topologizing(discrete(Z2), discrete(Z2), h)
     assert not is_topologizing(discrete(Z2), indiscrete(Z2), h)
     assert is_topologizing(indiscrete(Z2), indiscrete(Z2), h)
-    assert is_topologizing(discrete(Z2), indiscrete(Z2), zero_factor_set(Z2, Z2))
+    assert is_topologizing(discrete(Z2), indiscrete(Z2), factor_set(Z2, Z2, {}))
 
 
 def test_nagao_topology_cores():
@@ -210,12 +211,12 @@ def test_nagao_is_topological_extension():
     from topab.groups import all_subgroups
 
     for mods_a, mods_b in [((2,), (2,)), ((4,), (2,))]:
-        A, B = make_group(mods_a), make_group(mods_b)
+        A, B = FinAbGroup(mods_a), FinAbGroup(mods_b)
         for na in all_subgroups(A):
             for nb in all_subgroups(B):
                 at, bt = TopAbGroup(A, na), TopAbGroup(B, nb)
                 for h in all_cocycles(A, B):
-                    alg = alg_extension_from_cocycle(at, bt, h)
+                    alg = _cached_alg(at, bt, h)
                     for s in enumerate_sections(alg):
                         hs = factor_set_from_section(alg, s)
                         if not is_topologizing(at, bt, hs):
@@ -223,13 +224,6 @@ def test_nagao_is_topological_extension():
                         ext = nagao_topology(alg, s)
                         assert is_continuous(ext.iota) and is_strict(ext.iota)
                         assert is_continuous(ext.pi) and is_strict(ext.pi)
-
-
-def test_topologizing_section_recovers_topology():
-    alg = z4_extension(a_core="indiscrete", b_core="discrete")
-    ext = nagao_topology(alg, canonical_section(alg))
-    s = topologizing_section(ext)
-    assert nagao_core(ext.alg, s).element_set == ext.G.core_set
 
 
 def test_same_topology():
@@ -357,3 +351,18 @@ def test_extension_rejects_non_strict():
             TopHom(make_hom(Z2, Z4, [(2,)]), a, g),
             TopHom(make_hom(Z4, Z2, [(1,)]), g, b),
         )
+
+
+def test_one_alg_extension_per_extension(monkeypatch):
+    """nagao_topology checks exactness once: the Extension keeps the
+    AlgExtension it checked as `alg`."""
+    calls = []
+    post_init = AlgExtension.__post_init__
+    monkeypatch.setattr(
+        AlgExtension, "__post_init__", lambda self: calls.append(1) or post_init(self)
+    )
+    alg = z4_extension(a_core="indiscrete", b_core="discrete")
+    calls.clear()
+    ext = nagao_topology(alg, canonical_section(alg))
+    assert ext.alg == alg
+    assert len(calls) == 1

@@ -15,18 +15,19 @@ from topab.diagrams import (
 from topab.extensions import (
     ExtensionSquare,
     canonical_section,
-    compatible_section_via_eta,
     enumerate_sections,
     is_compatible,
     is_topologizing,
     factor_set_from_section,
-    split_extension,
 )
-from topab.groups import make_group, make_hom, zero_hom
+from topab.groups import FinAbGroup, zero_hom
 from topab.search import run_search, FamilySpec, SearchTask
-from topab.topology import discrete, indiscrete, is_continuous, is_strict, open_sets
+from topab.topology import discrete, is_continuous, is_strict
 
-Z2 = make_group([2])
+from builders import indiscrete, make_hom, split_extension
+from oracles import compatible_section_via_eta, open_sets
+
+Z2 = FinAbGroup([2])
 
 # The instances tested here are built by the fixtures in conftest.py, which
 # the acceptance suite uses too.
@@ -37,7 +38,7 @@ def test_five_lemma_nagao_case_b_fails(shear_square):
     beta are continuous, yet gamma does not descend to the separations."""
     sws = shear_square.build()
     rep = verify_five_lemma_nagao(sws)
-    assert rep.hypotheses_ok, rep.hypotheses_checked
+    assert all(ok for _, ok in rep.hypotheses_checked), rep.hypotheses_checked
     assert any("b_i=True" in n for n in rep.model_collapse)
     assert rep.conclusion_checked is False
     assert dict(rep.details)["gamma_haus_well_defined"] is False
@@ -46,7 +47,7 @@ def test_five_lemma_nagao_case_b_fails(shear_square):
 def test_five_lemma_topological_case_b_fails(shear_five_term):
     """The same shear, zero-padded: the five-term case (b) clause fails."""
     rep = verify_topological_five_lemma(shear_five_term.build())
-    assert rep.hypotheses_ok
+    assert all(ok for _, ok in rep.hypotheses_checked)
     assert rep.conclusion_checked is False
     assert dict(rep.details)["gamma_haus_well_defined"] is False
 
@@ -56,7 +57,7 @@ def test_open_fibers_strict_clause_fails_forward(forward_open_fibers_square):
     not strict: sigma takes a value outside the image of alpha."""
     sws = forward_open_fibers_square.build()
     rep = verify_open_fibers(sws)
-    assert rep.hypotheses_ok
+    assert all(ok for _, ok in rep.hypotheses_checked)
     assert dict(rep.details)["continuity_iff"] is True
     assert dict(rep.details)["strictness_iff"] is False
     # the same square breaks the strict clause of the discrete corollary
@@ -70,7 +71,7 @@ def test_open_fibers_strict_clause_fails_converse(converse_open_fibers_square):
     indiscrete B2); fibers are open since B1 is discrete."""
     sws = converse_open_fibers_square.build()
     rep = verify_open_fibers(sws)
-    assert rep.hypotheses_ok
+    assert all(ok for _, ok in rep.hypotheses_checked)
     assert dict(rep.details)["strictness_iff"] is False
     assert is_continuous(sws.gamma_top) and is_strict(sws.gamma_top)
     assert is_continuous(sws.beta_top) and not is_strict(sws.beta_top)
@@ -79,7 +80,7 @@ def test_open_fibers_strict_clause_fails_converse(converse_open_fibers_square):
 def test_non_topologizable_algebraic_extension_exists():
     """Z/4 over indiscrete Z/2 by discrete Z/2 admits no topologizing section
     (indeed no compatible topology at all)."""
-    Z4 = make_group([4])
+    Z4 = FinAbGroup([4])
     a_top = discrete(Z2)
     b_top = indiscrete(Z2)
     from topab.extensions import AlgExtension
@@ -93,7 +94,7 @@ def test_non_topologizable_algebraic_extension_exists():
 def test_surjective_beta_need_not_admit_compatible_section():
     """The gamma o s1 o eta construction yields a section, but compatibility
     can fail for every section of pi2."""
-    triv = make_group([])
+    triv = FinAbGroup([])
     row1 = split_extension(discrete(triv), indiscrete(Z2))
     row2 = split_extension(discrete(Z2), discrete(triv))
     g1, g2 = row1.G.group, row2.G.group

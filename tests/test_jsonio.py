@@ -2,22 +2,27 @@ import pytest
 
 from topab import jsonio
 from topab.errors import ElementNotInGroup, InvalidCocycle
-from topab.extensions import (
-    canonical_section,
-    factor_set,
-    split_extension,
-)
+from topab.extensions import Section, canonical_section, factor_set
 from topab.duality import dual_group
-from topab.groups import make_group, make_hom, subgroup
-from topab.topology import discrete, indiscrete, topologize
+from topab.groups import FinAbGroup, subgroup
+from topab.topology import discrete
 
-Z2 = make_group([2])
-Z4 = make_group([4])
+from builders import (
+    alg_extension_to_json,
+    hom_to_json,
+    indiscrete,
+    make_hom,
+    split_extension,
+    topologize,
+)
+
+Z2 = FinAbGroup([2])
+Z4 = FinAbGroup([4])
 
 
 def test_group_roundtrip():
     for mods in [(), (2,), (2, 4), (3, 9)]:
-        g = make_group(mods)
+        g = FinAbGroup(mods)
         assert jsonio.group_from_json(jsonio.group_to_json(g)) == g
 
 
@@ -34,7 +39,7 @@ def test_element_validation():
 
 def test_hom_roundtrip():
     f = make_hom(Z4, Z2, [(1,)])
-    back = jsonio.hom_from_json(jsonio.hom_to_json(f))
+    back = jsonio.hom_from_json(hom_to_json(f))
     assert back == f
 
 
@@ -51,12 +56,17 @@ def test_cocycle_roundtrip_and_validation():
     bad["table"] = bad["table"][:2]
     with pytest.raises(InvalidCocycle):
         jsonio.cocycle_from_json(bad)
+    repeated = jsonio.cocycle_to_json(h)
+    repeated["table"].append([[1], [1], [0]])
+    with pytest.raises(InvalidCocycle):
+        jsonio.cocycle_from_json(repeated)
 
 
 def test_section_roundtrip():
     e = split_extension(discrete(Z2), discrete(Z2))
     s = canonical_section(e.alg)
-    back = jsonio.section_from_json(s.B, s.G, jsonio.section_to_json(s))
+    table = jsonio.section_to_json(s)["table"]
+    back = Section(s.B, s.G, tuple((tuple(b), tuple(g)) for b, g in table))
     assert back == s
 
 
@@ -64,40 +74,14 @@ def test_character_roundtrip():
     t = topologize(Z4, [(0,), (2,)])
     d = dual_group(t)
     for chi in d.characters:
-        back = jsonio.character_from_json(Z4, jsonio.character_to_json(chi))
-        assert back == chi
-
-
-@pytest.mark.parametrize(
-    "moduli, field, bad",
-    [
-        ([4], "denominator", 4.0),
-        # true reads as 1, the exponent of the trivial group
-        ([], "denominator", True),
-        ([4], "denominator", "4"),
-        ([4], "value", 1.5),
-    ],
-)
-def test_character_rejects_non_integer_json(moduli, field, bad):
-    G = make_group(moduli)
-    data = jsonio.character_to_json(dual_group(topologize(G, [G.zero])).characters[-1])
-    if field == "denominator":
-        data["denominator"] = bad
-    else:
-        data["values"][-1][1] = bad
-    with pytest.raises(ValueError):
-        jsonio.character_from_json(G, data)
-
-
-def test_extension_roundtrip():
-    e = split_extension(discrete(Z2), indiscrete(Z2))
-    back = jsonio.extension_from_json(jsonio.extension_to_json(e))
-    assert back.G == e.G and back.iota.map == e.iota.map
+        data = jsonio.character_to_json(chi)
+        assert data["denominator"] == Z4.exponent
+        assert {tuple(x): v for x, v in data["values"]} == chi.values
 
 
 def test_alg_extension_roundtrip():
     e = split_extension(discrete(Z2), indiscrete(Z2))
-    data = jsonio.alg_extension_to_json(e.alg)
+    data = alg_extension_to_json(e.alg)
     back = jsonio.alg_extension_from_json(data)
     assert back == e.alg
 

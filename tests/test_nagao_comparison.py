@@ -16,13 +16,14 @@ from topab.extensions import (
     comparison_key,
     comparison_map,
     nagao_core,
-    same_topology,
     topologizing_sections,
 )
 from topab.search import (
     FamilySpec,
     cocycle_family,
 )
+
+from oracles import same_topology
 
 DROP = frozenset({"has_topologizing_sections"})
 

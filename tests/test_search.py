@@ -7,7 +7,7 @@ import pytest
 from topab import jsonio
 from topab.errors import BudgetExceeded, UnknownHypothesis, UnknownTheorem
 from topab.extensions import factor_set
-from topab.groups import all_homs, make_group
+from topab.groups import FinAbGroup, all_homs
 from topab.search import (
     THEOREMS,
     FamilySpec,
@@ -21,8 +21,8 @@ from topab.search import (
     topologized_groups,
 )
 
-Z2 = make_group([2])
-Z4 = make_group([4])
+Z2 = FinAbGroup([2])
+Z4 = FinAbGroup([4])
 SMALL = FamilySpec(max_group_order=2, generators=("squares_small",))
 
 
@@ -47,13 +47,13 @@ def test_all_cocycles_census():
 
     structures = sorted(realize_cocycle(Z2, Z2, h).G.moduli for h in hs)
     assert structures == [(2, 2), (4,)]
-    triv = make_group([])
+    triv = FinAbGroup([])
     assert len(all_cocycles(Z2, triv)) == 1
     assert len(all_cocycles(triv, Z2)) == 1
 
 
 def test_all_cocycles_budget():
-    z16 = make_group([2, 2, 2, 2])
+    z16 = FinAbGroup([2, 2, 2, 2])
     with pytest.raises(BudgetExceeded):
         all_cocycles(z16, z16)
 
@@ -135,7 +135,7 @@ def test_cocycle_counts_follow_ext(A, B):
 
 
 def test_order_5_cocycles_fit_the_budget():
-    z5 = make_group([5])
+    z5 = FinAbGroup([5])
     assert len(all_cocycles(Z4, z5)) == 256
     assert len(cocycle_class_representatives(Z4, z5)) == 1
 

@@ -2,41 +2,41 @@ import pytest
 
 from topab.errors import NotContinuous, NotWellDefined
 from topab.groups import (
+    FinAbGroup,
     all_homs,
     all_subgroups,
+    compose,
     identity_hom,
-    make_group,
-    make_hom,
     subgroup,
     zero_hom,
 )
 from topab.topology import (
     TopAbGroup,
     TopHom,
-    closure_of_zero,
-    compose_top,
     discrete,
-    has_property_p,
-    indiscrete,
     is_continuous,
-    is_continuous_oracle,
     is_discrete,
     is_hausdorff,
     is_indiscrete,
     is_strict,
-    is_strict_oracle,
     is_topological_isomorphism,
-    open_sets,
-    product_top,
     quotient_top,
     separation,
     separation_hom,
     subspace_top,
-    topologize,
 )
 
-Z2 = make_group([2])
-Z4 = make_group([4])
+from builders import indiscrete, make_hom, split_extension, topologize
+from oracles import (
+    closure_of_zero,
+    has_property_p,
+    is_continuous_oracle,
+    is_strict_oracle,
+    open_sets,
+)
+
+Z2 = FinAbGroup([2])
+Z4 = FinAbGroup([4])
 
 
 def all_topologies(G):
@@ -61,7 +61,7 @@ def test_open_sets_z4_half():
 
 
 def test_closure_of_zero_equals_core():
-    for G in [Z2, Z4, make_group([2, 2]), make_group([6])]:
+    for G in [Z2, Z4, FinAbGroup([2, 2]), FinAbGroup([6])]:
         for t in all_topologies(G):
             assert closure_of_zero(t).elements == t.open_core.elements
 
@@ -97,7 +97,7 @@ def test_strict_examples():
 
 def test_oracle_agreement_order_up_to_6():
     """Mini version of acceptance criterion 1 (full version in acceptance suite)."""
-    groups = [make_group(m) for m in [(), (2,), (3,), (4,), (2, 2)]]
+    groups = [FinAbGroup(m) for m in [(), (2,), (3,), (4,), (2, 2)]]
     tops = [t for g in groups for t in all_topologies(g)]
     for s in tops:
         for t in tops:
@@ -126,7 +126,7 @@ def test_separation():
 
 
 def test_separation_hom_functorial():
-    tops = all_topologies(Z4) + all_topologies(make_group([2, 2]))
+    tops = all_topologies(Z4) + all_topologies(FinAbGroup([2, 2]))
     for s in tops:
         for t in tops:
             for f in all_homs(s.group, t.group):
@@ -145,8 +145,8 @@ def test_separation_hom_functorial():
                         gh = TopHom(g, t, u)
                         if not is_continuous(gh):
                             continue
-                        lhs = separation_hom(compose_top(gh, th)).map
-                        rhs = compose_top(separation_hom(gh), fh).map
+                        lhs = separation_hom(TopHom(compose(g, f), s, u)).map
+                        rhs = compose(separation_hom(gh).map, fh.map)
                         assert lhs == rhs
 
 
@@ -166,11 +166,13 @@ def test_separation_hom_preserves_strict_surjective():
 
 
 def test_product_subspace_quotient_cores():
+    # the product topology is the Nagao topology of the split extension,
+    # whose core is iota(N_T) + s(N_U) = N_T x 0
     t = topologize(Z4, [(0,), (2,)])
     d2 = discrete(Z2)
-    p = product_top(t, d2)
-    assert p.group.moduli == (4, 2)
-    assert p.open_core.elements == ((0, 0), (2, 0))
+    p = split_extension(t, d2)
+    assert p.G.group.order == 8
+    assert p.G.core_set == {p.iota(n) for n in t.open_core}
 
     sub, incl = subspace_top(t, subgroup(Z4, [(0,), (2,)]))
     assert sub.group.order == 2
@@ -183,8 +185,8 @@ def test_product_subspace_quotient_cores():
 
 
 def test_product_of_discrete_is_discrete():
-    assert is_discrete(product_top(discrete(Z2), discrete(Z4)))
-    assert is_indiscrete(product_top(indiscrete(Z2), indiscrete(Z4)))
+    assert is_discrete(split_extension(discrete(Z2), discrete(Z4)).G)
+    assert is_indiscrete(split_extension(indiscrete(Z2), indiscrete(Z4)).G)
 
 
 def test_predicates():
@@ -192,19 +194,19 @@ def test_predicates():
     assert not is_hausdorff(t) and not is_discrete(t) and not is_indiscrete(t)
     assert is_hausdorff(discrete(Z4)) and is_discrete(discrete(Z4))
     assert is_indiscrete(indiscrete(Z4))
-    triv = make_group([])
+    triv = FinAbGroup([])
     assert is_discrete(discrete(triv)) and is_indiscrete(discrete(triv))
 
 
 def test_property_p_collapses_to_discreteness():
     # The trivial subgroup always has finite index, so "all finite-index
     # subgroups open" forces the core into {0}; checked by enumeration.
-    for G in [Z2, Z4, make_group([2, 2]), make_group([6])]:
+    for G in [Z2, Z4, FinAbGroup([2, 2]), FinAbGroup([6])]:
         for t in all_topologies(G):
             assert has_property_p(t) == is_discrete(t)
     # the explicit spec-style instances
     assert not has_property_p(topologize(Z4, [(0,), (2,)]))
-    k = make_group([2, 2])
+    k = FinAbGroup([2, 2])
     assert not has_property_p(topologize(k, [(0, 0), (1, 0)]))
     assert has_property_p(discrete(k))
 
