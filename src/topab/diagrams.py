@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import DiagramError, NotAnExtension
-from .groups import Homomorphism, compose, hom_from_table, is_exact_at
+from .groups import Homomorphism, commutes, hom_from_table, is_exact_at
 from .extensions import (
     AlgExtension,
     Extension,
@@ -143,9 +143,7 @@ class InjectiveSquare:
             or self.beta.target != self.g.target
         ):
             raise DiagramError("square endpoints do not line up")
-        lhs = compose(self.g.map, self.alpha.map)
-        rhs = compose(self.beta.map, self.f.map)
-        if lhs.table != rhs.table:
+        if not commutes(self.f.map, self.g.map, self.alpha.map, self.beta.map):
             raise DiagramError("square does not commute")
 
 
@@ -419,9 +417,8 @@ class FiveTermSquare:
             ):
                 raise DiagramError(f"vertical {i} does not match the rows")
         for i in range(4):
-            lhs = compose(self.verticals[i + 1], self.row1.maps[i])
-            rhs = compose(self.row2.maps[i], self.verticals[i])
-            if lhs.table != rhs.table:
+            v0, v1 = self.verticals[i], self.verticals[i + 1]
+            if not commutes(self.row1.maps[i], self.row2.maps[i], v0, v1):
                 raise DiagramError(f"square {i} does not commute")
 
     def vertical_top(self, i: int) -> TopHom:

@@ -10,8 +10,10 @@ each element.  Every entry is the tuple object of `elements`, and the hot
 loops below read the rows directly.  `elements`, `index` and
 `check_element` build no table.  Everything is immutable after
 construction; homomorphisms are defined on the standard generators and
-totalized eagerly so applying them inside enumeration loops is a dict
-lookup.
+totalized on first use, so applying them inside enumeration loops is a dict
+lookup.  `hom_set`, `identity_hom` and `zero_hom` return shared cached
+objects: every caller reuses one homomorphism, whose table, image and kernel
+are built once.  `commutes` checks a square on those tables.
 
 The other modules call three constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
@@ -398,10 +400,12 @@ def hom_from_table(
     return f
 
 
+@cache
 def identity_hom(G: FinAbGroup) -> Homomorphism:
     return Homomorphism(G, G, G.generators())
 
 
+@cache
 def zero_hom(source: FinAbGroup, target: FinAbGroup) -> Homomorphism:
     return Homomorphism(source, target, tuple(target.zero for _ in source.moduli))
 
@@ -416,8 +420,19 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     )
 
 
+def commutes(
+    f: Homomorphism, g: Homomorphism, alpha: Homomorphism, beta: Homomorphism
+) -> bool:
+    """beta o f == g o alpha for the square f: A -> B over g: A' -> B' with
+    verticals alpha: A -> A', beta: B -> B', compared on every element of A
+    by table lookups.  The caller has checked that the endpoints line up."""
+    ft, gt, at, bt = f.table, g.table, alpha.table, beta.table
+    return all(bt[ft[x]] == gt[at[x]] for x in ft)
+
+
 def all_homs(source: FinAbGroup, target: FinAbGroup) -> Iterator[Homomorphism]:
-    """All homomorphisms source -> target, in deterministic order."""
+    """All homomorphisms source -> target, in deterministic order, each built
+    anew; `hom_set` keeps them."""
     choices = []
     for m in source.moduli:
         # images of a generator of order m are the elements killed by m
@@ -426,6 +441,12 @@ def all_homs(source: FinAbGroup, target: FinAbGroup) -> Iterator[Homomorphism]:
         )
     for imgs in itertools.product(*choices):
         yield Homomorphism(source, target, imgs)
+
+
+@cache
+def hom_set(source: FinAbGroup, target: FinAbGroup) -> tuple[Homomorphism, ...]:
+    """The homomorphisms of `all_homs`, in its order, as one shared tuple."""
+    return tuple(all_homs(source, target))
 
 
 def is_exact_at(f: Homomorphism, g: Homomorphism) -> bool:

@@ -32,12 +32,13 @@ from .groups import (
     Element,
     FinAbGroup,
     Homomorphism,
-    all_homs,
     all_subgroups,
     cached_hash,
+    commutes,
     compose,
     coset_reps,
     hom_from_table,
+    hom_set,
     identity_hom,
     isomorphism_class_moduli,
     zero_hom,
@@ -651,8 +652,8 @@ def _small_squares(spec: FamilySpec):
             alg1 = _cached_alg(r1.A, r1.B, r1.h)
             alg2 = _cached_alg(r2.A, r2.B, r2.h)
             s1 = Section(r1.B.group, alg1.G, r1.s_entries)
-            for alpha in all_homs(r1.A.group, r2.A.group):
-                for beta in all_homs(r1.B.group, r2.B.group):
+            for alpha in hom_set(r1.A.group, r2.A.group):
+                for beta in hom_set(r1.B.group, r2.B.group):
                     for lift in gamma_lifts(alg1, s1, alg2, alpha, beta):
                         yield r1, r2, alpha, beta, lift
 
@@ -673,8 +674,8 @@ def _sampled_squares(spec: FamilySpec):
         if not s1s or not s2s:
             continue
         s1, s2 = rng.choice(s1s), rng.choice(s2s)
-        alpha = rng.choice(list(all_homs(a1.group, a2.group)))
-        beta = rng.choice(list(all_homs(b1.group, b2.group)))
+        alpha = rng.choice(hom_set(a1.group, a2.group))
+        beta = rng.choice(hom_set(b1.group, b2.group))
         lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)
         if not lifts:
             continue
@@ -731,18 +732,13 @@ def _commuting_squares(spec: FamilySpec):
     tops = topologized_groups(min(2, spec.max_group_order))
     for A in tops:
         for B in tops:
-            for f in all_homs(A.group, B.group):
+            for f in hom_set(A.group, B.group):
                 for Ap in tops:
-                    alphas = list(all_homs(A.group, Ap.group))
                     for Bp in tops:
-                        for g in all_homs(Ap.group, Bp.group):
-                            for alpha in alphas:
-                                for beta in all_homs(B.group, Bp.group):
-                                    ok = all(
-                                        beta(f(x)) == g(alpha(x))
-                                        for x in A.group.elements
-                                    )
-                                    if ok:
+                        for g in hom_set(Ap.group, Bp.group):
+                            for alpha in hom_set(A.group, Ap.group):
+                                for beta in hom_set(B.group, Bp.group):
+                                    if commutes(f, g, alpha, beta):
                                         yield InjSquareInstance(
                                             A, B, Ap, Bp, f, g, alpha, beta
                                         )
@@ -755,14 +751,10 @@ def _sampled_commuting_squares(spec: FamilySpec):
     while made < spec.sample_count and attempts < 40 * spec.sample_count:
         attempts += 1
         A, B, Ap, Bp = (rng.choice(tops) for _ in range(4))
-        f = rng.choice(list(all_homs(A.group, B.group)))
-        g = rng.choice(list(all_homs(Ap.group, Bp.group)))
-        alpha = rng.choice(list(all_homs(A.group, Ap.group)))
-        betas = [
-            b
-            for b in all_homs(B.group, Bp.group)
-            if all(b(f(x)) == g(alpha(x)) for x in A.group.elements)
-        ]
+        f = rng.choice(hom_set(A.group, B.group))
+        g = rng.choice(hom_set(Ap.group, Bp.group))
+        alpha = rng.choice(hom_set(A.group, Ap.group))
+        betas = [b for b in hom_set(B.group, Bp.group) if commutes(f, g, alpha, b)]
         if not betas:
             continue
         beta = rng.choice(betas)
@@ -870,7 +862,7 @@ _register(verify_five_lemma_nagao, p3_family, expect_zero=False)
 _register(verify_lemma_strictness_injectivity, inj_family)
 _register(verify_haus_exactness, extension_family)
 _register(verify_topological_five_lemma, five_lemma_family, expect_zero=False)
-_register(verify_topological_five_lemma_relaxed, five_lemma_family)
+_register(verify_topological_five_lemma_relaxed, five_lemma_family, expect_zero=False)
 _register(verify_nagao_comparison, cocycle_family)
 _register(verify_choice_discrete, cocycle_family)
 _register(verify_topologizable, cocycle_family, expect_zero=False)

@@ -6,6 +6,7 @@ of open sets are open", the double dual is built character by character.
 They are exponential or cubic and meant for small instances only.
 """
 
+import itertools
 from functools import cache
 from math import prod
 
@@ -24,7 +25,16 @@ from topab.extensions import (
     section_for,
     theta,
 )
-from topab.groups import Element, Homomorphism, all_subgroups, coset_reps, hom_from_table, subgroup
+from topab.groups import (
+    Element,
+    FinAbGroup,
+    Homomorphism,
+    all_subgroups,
+    compose,
+    coset_reps,
+    hom_from_table,
+    subgroup,
+)
 from topab.topology import TopAbGroup, TopHom, separation
 
 # ---------------------------------------------------------------------------
@@ -51,6 +61,35 @@ def invariant_factors(moduli) -> tuple[int, ...]:
     powers = [sorted(qs, reverse=True) for qs in per_prime.values()]
     r = max(map(len, powers), default=0)
     return tuple(prod(qs[t] for qs in powers if t < len(qs)) for t in reversed(range(r)))
+
+
+def homs_by_brute_force(source: FinAbGroup, target: FinAbGroup) -> list[Homomorphism]:
+    """Every homomorphism source -> target, in the product order of the
+    generator images y: each y with m_i * y_i = 0 for the moduli m_i of
+    source, built by hom_from_table from the table x -> sum_i x_i * y_i
+    computed in coordinates."""
+    out = []
+    for ys in itertools.product(target.elements, repeat=source.rank):
+        killed = all(
+            m * c % n == 0 for m, y in zip(source.moduli, ys) for c, n in zip(y, target.moduli)
+        )
+        if killed:
+            table = {
+                x: target.reduce(
+                    [sum(a * y[j] for a, y in zip(x, ys)) for j in range(target.rank)]
+                )
+                for x in source.elements
+            }
+            out.append(hom_from_table(source, target, table))
+    return out
+
+
+def commutes_by_compose(
+    f: Homomorphism, g: Homomorphism, alpha: Homomorphism, beta: Homomorphism
+) -> bool:
+    """beta o f == g o alpha, as the tables of the two composite
+    homomorphisms; compose checks that the endpoints line up."""
+    return compose(beta, f).table == compose(g, alpha).table
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import itertools
+
 from topab.diagrams import (
+    FiveTermSquare,
     InjectiveSquare,
     verify_five_lemma_nagao,
     verify_haus_exactness,
@@ -8,17 +11,23 @@ from topab.diagrams import (
     verify_p3_generalized,
     verify_topological_five_lemma,
 )
+from topab.errors import DiagramError
 from topab.extensions import factor_set, topologizing_sections
-from topab.groups import FinAbGroup, identity_hom, zero_hom
+from topab.groups import FinAbGroup, hom_set, identity_hom, zero_hom
 from topab.search import (
+    FamilySpec,
     FiveLemmaInstance,
     P3Instance,
     RowData,
     _cached_alg,
+    _commuting_squares,
+    five_lemma_family,
+    topologized_groups,
 )
 from topab.topology import TopHom, discrete
 
 from builders import indiscrete, split_extension, topologize
+from oracles import commutes_by_compose
 
 Z2 = FinAbGroup([2])
 Z4 = FinAbGroup([4])
@@ -175,3 +184,59 @@ def test_five_lemma_glued_shape():
     fts = inst.build()
     rep = verify_topological_five_lemma(fts)
     assert rep.conclusion_checked is True
+
+
+def builds(make) -> bool:
+    """True if make() returns, False if it raises DiagramError."""
+    try:
+        make()
+    except DiagramError:
+        return False
+    return True
+
+
+def test_five_term_square_commutes_as_composites_do():
+    """Every square of five_lemma_family at max order 2, and each with one
+    vertical replaced by every homomorphism between the same groups: the
+    square builds exactly when the composites agree in all four cells."""
+    squares = {inst.build() for _, inst in five_lemma_family(FamilySpec(max_group_order=2))}
+    outcomes = {True: 0, False: 0}
+    for sq in squares:
+        m1, m2 = sq.row1.maps, sq.row2.maps
+        for i, v in enumerate(sq.verticals):
+            for w in hom_set(v.source, v.target):
+                vs = sq.verticals[:i] + (w,) + sq.verticals[i + 1 :]
+                expected = all(
+                    commutes_by_compose(m1[j], m2[j], vs[j], vs[j + 1]) for j in range(4)
+                )
+                assert builds(lambda: FiveTermSquare(sq.row1, sq.row2, vs)) == expected
+                outcomes[expected] += 1
+    assert len(squares) > 100 and min(outcomes.values()) > 1000, outcomes
+
+
+def test_injective_square_commutes_as_composites_do():
+    """Over every input that _commuting_squares tries, InjectiveSquare builds
+    exactly when the composites agree, and the stratum keeps exactly those."""
+    tops = topologized_groups(2)
+    commuting, tried = set(), 0
+    for A, B, Ap, Bp in itertools.product(tops, repeat=4):
+        for f, g, alpha, beta in itertools.product(
+            hom_set(A.group, B.group),
+            hom_set(Ap.group, Bp.group),
+            hom_set(A.group, Ap.group),
+            hom_set(B.group, Bp.group),
+        ):
+            tried += 1
+            expected = commutes_by_compose(f, g, alpha, beta)
+            maps = (
+                TopHom(f, A, B), TopHom(g, Ap, Bp), TopHom(alpha, A, Ap), TopHom(beta, B, Bp)
+            )
+            assert builds(lambda: InjectiveSquare(*maps)) == expected
+            if expected:
+                commuting.add((A, B, Ap, Bp, f, g, alpha, beta))
+    stratum = [
+        (s.A, s.B, s.Ap, s.Bp, s.f, s.g, s.alpha, s.beta)
+        for s in _commuting_squares(FamilySpec(max_group_order=2))
+    ]
+    assert len(stratum) == len(commuting) and set(stratum) == commuting
+    assert 0 < len(commuting) < tried

@@ -14,6 +14,7 @@ to the family order, a verdict, a detail or a shrunk witness shows here.
 Regenerate a file only for an intended change of the reports, and say why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,13 @@ def test_report_matches_golden(theorem):
     for suffix, got in ((".jsonl", result.to_jsonl()), (".md", result.to_markdown())):
         expected = (GOLDEN / f"{theorem}{suffix}").read_text(encoding="utf-8")
         assert got == expected, f"{theorem}{suffix}"
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_expect_zero_failures_matches_golden_verdict(theorem):
+    """The registry declares a law with expect_zero_failures exactly when its
+    golden report, read from the summary line, has no failure."""
+    lines = (GOLDEN / f"{theorem}.jsonl").read_text(encoding="utf-8").splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["type"] == "summary"
+    assert THEOREMS[theorem].expect_zero_failures == (summary["failures"] == 0)

@@ -24,6 +24,7 @@ from topab.groups import (
     coset_reps,
     group_structure,
     hom_from_table,
+    hom_set,
     identity_hom,
     is_exact_at,
     isomorphism_class_moduli,
@@ -36,7 +37,7 @@ from topab.groups import (
 )
 
 from builders import make_hom
-from oracles import invariant_factors
+from oracles import homs_by_brute_force, invariant_factors
 
 
 def test_make_group_basics():
@@ -403,6 +404,27 @@ def test_isomorphism_classes_small():
     assert isomorphism_class_moduli(4) == ((2, 2), (4,))
     assert isomorphism_class_moduli(8) == ((2, 2, 2), (2, 4), (8,))
     assert isomorphism_class_moduli(12) == ((2, 2, 3), (3, 4))
+
+
+def test_hom_set_is_shared_complete_and_ordered():
+    """On every pair of groups up to order 8, hom_set returns one shared
+    tuple per pair, holding every homomorphism of the brute-force reference
+    in its order, which is the product order of the generator images."""
+    groups = [FinAbGroup(m) for n in range(1, 9) for m in isomorphism_class_moduli(n)]
+    for a in groups:
+        for b in groups:
+            homs = hom_set(a, b)
+            assert hom_set(FinAbGroup(a.moduli), FinAbGroup(b.moduli)) is homs
+            reference = homs_by_brute_force(a, b)
+            assert set(homs) == set(reference)
+            assert [f.gen_images for f in homs] == [f.gen_images for f in reference]
+
+
+def test_identity_and_zero_homs_are_shared():
+    a, b = FinAbGroup([2, 4]), FinAbGroup([3])
+    assert identity_hom(FinAbGroup([2, 4])) is identity_hom(a)
+    assert zero_hom(FinAbGroup([2, 4]), FinAbGroup([3])) is zero_hom(a, b)
+    assert zero_hom(a, b).table == {x: b.zero for x in a.elements}
 
 
 def test_all_homs_count():
