@@ -15,11 +15,12 @@ model-collapse notes listing hypotheses that are vacuous at finite scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable
 
 from .errors import DiagramError, NotAnExtension
-from .groups import Homomorphism, commutes, hom_from_table, is_exact_at
+from .groups import Homomorphism, cached_hash, commutes, hom_from_table, is_exact_at
 from .extensions import (
     AlgExtension,
     Extension,
@@ -228,15 +229,15 @@ class SquareWithSections:
         if nagao_core(r2.alg, self.s2).element_set != r2.G.core_set:
             raise DiagramError("row 2 topology is not the one induced by s2")
 
-    @property
+    @cached_property
     def alpha_top(self) -> TopHom:
         return TopHom(self.square.alpha, self.square.row1.A, self.square.row2.A)
 
-    @property
+    @cached_property
     def beta_top(self) -> TopHom:
         return TopHom(self.square.beta, self.square.row1.B, self.square.row2.B)
 
-    @property
+    @cached_property
     def gamma_top(self) -> TopHom:
         return TopHom(self.square.gamma, self.square.row1.G, self.square.row2.G)
 
@@ -379,6 +380,8 @@ class FiveTermRow:
     groups: tuple[TopAbGroup, TopAbGroup, TopAbGroup, TopAbGroup, TopAbGroup]
     maps: tuple[Homomorphism, Homomorphism, Homomorphism, Homomorphism]
 
+    __hash__ = cached_hash(lambda s: (s.groups, s.maps))
+
     def __post_init__(self):
         for i, f in enumerate(self.maps):
             if (
@@ -390,7 +393,10 @@ class FiveTermRow:
     def top_map(self, i: int) -> TopHom:
         return TopHom(self.maps[i], self.groups[i], self.groups[i + 1])
 
+    @cache
     def is_strict_exact(self) -> bool:
+        """Exact at B, C and D, with all four maps continuous and strict;
+        computed once per distinct row."""
         for f, g in zip(self.maps, self.maps[1:]):
             if not is_exact_at(f, g):
                 return False

@@ -6,6 +6,10 @@ projection recovers such a cocycle, the cocycle twists A x B into a group
 isomorphic to G, and when the cocycle maps N_B x N_B into N_A the section
 induces a group topology on G (open core = theta_s(N_A x N_B)) making the
 sequence a topological extension.
+
+The factor set of a section is algebra alone: `factor_set_from_section` is
+keyed by iota, pi and the section, so every choice of open cores on A and B
+over one realization shares it.
 """
 
 from __future__ import annotations
@@ -224,15 +228,16 @@ class AlgExtension:
         if not is_exact_at(self.iota, self.pi):
             raise NotAnExtension("image of iota differs from kernel of pi")
 
-    @cached_property
-    def iota_inverse(self) -> dict[Element, Element]:
-        return {self.iota(a): a for a in self.A.group.elements}
-
     def pull_back(self, g: Element) -> Element:
-        try:
-            return self.iota_inverse[g]
-        except KeyError:
-            raise ValueOutsideIotaImage(f"{g} is not in the image of iota") from None
+        return _pull_back(self.iota, g)
+
+
+def _pull_back(iota: Homomorphism, g: Element) -> Element:
+    """iota^{-1}(g) for the injective iota."""
+    try:
+        return iota.fibers()[g][0]
+    except KeyError:
+        raise ValueOutsideIotaImage(f"{g} is not in the image of iota") from None
 
 
 @dataclass(frozen=True)
@@ -286,19 +291,24 @@ def canonical_section(alg: AlgExtension) -> Section:
 
 
 @cache
-def factor_set_from_section(alg: AlgExtension, s: Section) -> FactorSet:
-    """h_s(b, b') = s(b) + s(b') - s(b + b'), pulled back through iota."""
-    if s.B != alg.B.group or s.G != alg.G:
+def factor_set_from_section(iota: Homomorphism, pi: Homomorphism, s: Section) -> FactorSet:
+    """h_s(b, b') = s(b) + s(b') - s(b + b'), pulled back through iota.
+
+    It depends on the algebra alone, so it is keyed by the extension's iota
+    and pi, not by the topologies on A and B, and every topology on the ends
+    of one realization shares it.
+    """
+    G, B = pi.source, pi.target
+    if s.B != B or s.G != G:
         raise InvalidSection("section does not belong to this extension")
-    G, B = alg.G, alg.B.group
     sums_g, neg_g, sums_b, t = G.sums, G.negation, B.sums, s.table
     entries = []
     for b in B.elements:
         row = sums_g[t[b]]
         for bp in B.elements:
             g = sums_g[row[t[bp]]][neg_g[t[sums_b[b][bp]]]]
-            entries.append((b, bp, alg.pull_back(g)))
-    return FactorSet(alg.A.group, B, tuple(entries))
+            entries.append((b, bp, _pull_back(iota, g)))
+    return FactorSet(iota.source, B, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -318,7 +328,7 @@ class ThetaIso:
 
 @cache
 def theta(alg: AlgExtension, s: Section) -> ThetaIso:
-    h = factor_set_from_section(alg, s)
+    h = factor_set_from_section(alg.iota, alg.pi, s)
     tw = TwistedGroup(h)
     G = alg.G
     mapping = {
@@ -399,7 +409,7 @@ def _core_on(alg: AlgExtension, images: tuple[Element, ...]) -> Subgroup:
 
 def nagao_topology(alg: AlgExtension, s: Section) -> Extension:
     """Topologize G with open core theta_s(N_A x N_B)."""
-    h = factor_set_from_section(alg, s)
+    h = factor_set_from_section(alg.iota, alg.pi, s)
     if not is_topologizing(alg.A, alg.B, h):
         witness = next(
             (b, bp)

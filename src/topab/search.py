@@ -9,6 +9,14 @@ to_json()/from_json() make it a replayable witness.
 run_search builds each instance of the family, skips those failing surviving
 hypotheses, evaluates the conclusion on the rest, and reports failures as
 witnesses after a core-shrinking pass.
+
+The algebra of an instance does not depend on its topologies, so it is
+built once per algebraic input and shared: `_realization` realizes each
+cocycle h once, `_gamma_from_lift` builds each middle map once per (h1, s1,
+h2, alpha, lift), and `_zero_padded_row` and `_glued_row` build each
+five-term row once per extension or pair of extensions.  Only the open
+cores vary between instances over the same algebra, and between the trials
+of a shrink.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .extensions import (
     Extension,
     ExtensionSquare,
     FactorSet,
+    Realization,
     Section,
     factor_set,
     factor_set_from_section,
@@ -259,7 +268,7 @@ class RowData:
 
     __hash__ = cached_hash(lambda s: (s.A, s.B, s.h, s.s_entries))
 
-    def realize(self) -> tuple[AlgExtension, Section, Extension]:
+    def realize(self) -> tuple[Section, Extension]:
         return _realize_row(self)
 
     def to_json(self) -> dict:
@@ -280,16 +289,22 @@ class RowData:
 
 
 @cache
+def _realization(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> Realization:
+    """The one realization of h, whatever the topologies on A and B."""
+    return realize_cocycle(A, B, h)
+
+
+@cache
 def _cached_alg(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
-    real = realize_cocycle(A.group, B.group, h)
+    real = _realization(A.group, B.group, h)
     return AlgExtension(A, real.G, B, real.iota, real.pi)
 
 
 @cache
-def _realize_row(row: RowData) -> tuple[AlgExtension, Section, Extension]:
+def _realize_row(row: RowData) -> tuple[Section, Extension]:
     alg = _cached_alg(row.A, row.B, row.h)
     s = Section(row.B.group, alg.G, row.s_entries)
-    return alg, s, nagao_topology(alg, s)
+    return s, nagao_topology(alg, s)
 
 
 def _hom_json(f: Homomorphism) -> list:
@@ -310,7 +325,7 @@ def gamma_lifts(
     beta: Homomorphism,
 ) -> tuple[tuple[tuple[Element, Element], ...], ...]:
     """All middle maps commuting over (alpha, beta), as tables t = gamma o s1."""
-    h1 = factor_set_from_section(alg1, s1)
+    h1 = factor_set_from_section(alg1.iota, alg1.pi, s1)
     B1, G2 = alg1.B.group, alg2.G
     fibers = alg2.pi.fibers()
     nonzero = [b for b in B1.elements if b != B1.zero]
@@ -331,23 +346,27 @@ def gamma_lifts(
     return tuple(out)
 
 
+@cache
 def _gamma_from_lift(
-    alg1: AlgExtension,
+    h1: FactorSet,
     s1: Section,
-    alg2: AlgExtension,
+    h2: FactorSet,
     alpha: Homomorphism,
     lift: tuple[tuple[Element, Element], ...],
 ) -> Homomorphism:
-    """The middle map iota1(a) + s1(b) -> iota2(alpha(a)) + lift(b)."""
+    """The middle map iota1(a) + s1(b) -> iota2(alpha(a)) + lift(b), over the
+    realizations of h1 and h2.  It depends on no topology, so every instance
+    and shrink trial over the same algebra shares it."""
+    real1, real2 = _realization(h1.A, h1.B, h1), _realization(h2.A, h2.B, h2)
     t = dict(lift)
-    B1 = alg1.B.group.elements
+    B1 = h1.B.elements
     s1_values, t_values = [s1(b) for b in B1], [t[b] for b in B1]
-    sums1, sums2 = alg1.G.sums, alg2.G.sums
+    sums1, sums2 = real1.G.sums, real2.G.sums
     table = {}
-    for a in alg1.A.group.elements:
-        row1, row2 = sums1[alg1.iota(a)], sums2[alg2.iota(alpha(a))]
+    for a in h1.A.elements:
+        row1, row2 = sums1[real1.iota(a)], sums2[real2.iota(alpha(a))]
         table.update(zip(map(row1.__getitem__, s1_values), map(row2.__getitem__, t_values)))
-    return hom_from_table(alg1.G, alg2.G, table)
+    return hom_from_table(real1.G, real2.G, table)
 
 
 @dataclass(frozen=True)
@@ -363,9 +382,9 @@ class P3Instance:
     __hash__ = cached_hash(lambda s: (s.row1, s.row2, s.alpha, s.beta, s.lift))
 
     def build(self) -> SquareWithSections:
-        alg1, s1, e1 = self.row1.realize()
-        alg2, s2, e2 = self.row2.realize()
-        gamma = _gamma_from_lift(alg1, s1, alg2, self.alpha, self.lift)
+        s1, e1 = self.row1.realize()
+        s2, e2 = self.row2.realize()
+        gamma = _gamma_from_lift(self.row1.h, s1, self.row2.h, self.alpha, self.lift)
         square = ExtensionSquare(e1, e2, self.alpha, gamma, self.beta)
         return SquareWithSections(square, s1, s2)
 
@@ -386,7 +405,8 @@ class P3Instance:
         alg2 = _cached_alg(row2.A, row2.B, row2.h)
         alpha = _hom_from(row1.A.group, row2.A.group, data["alpha"])
         beta = _hom_from(row1.B.group, row2.B.group, data["beta"])
-        lift = _pairs_from(row1.B.group, alg2.G, data["lift"])
+        B1 = row1.B.group
+        lift = Section(B1, alg2.G, _pairs_from(B1, alg2.G, data["lift"])).entries
         return P3Instance(row1, row2, alpha, beta, lift)
 
 
@@ -453,7 +473,7 @@ class ExtensionInstance:
     __hash__ = cached_hash(lambda s: s.row)
 
     def build(self) -> Extension:
-        return self.row.realize()[2]
+        return self.row.realize()[1]
 
     def to_json(self) -> dict:
         return {"kind": "extension", "row": self.row.to_json()}
@@ -500,12 +520,25 @@ def _trivial_top() -> TopAbGroup:
     return discrete(FinAbGroup(()))
 
 
-def _zero_padded_row(alg: AlgExtension, e: Extension) -> FiveTermRow:
-    """0 -> A -> G -> B -> 0 as a five-term row."""
-    z = _trivial_top().group
+@cache
+def _zero_padded_row(e: Extension) -> FiveTermRow:
+    """0 -> A -> G -> B -> 0 as a five-term row, one per extension."""
+    z = _trivial_top()
     return FiveTermRow(
-        (_trivial_top(), e.A, e.G, e.B, _trivial_top()),
-        (zero_hom(z, alg.A.group), alg.iota, alg.pi, zero_hom(alg.B.group, z)),
+        (z, e.A, e.G, e.B, z),
+        (zero_hom(z.group, e.A.group), e.iota.map, e.pi.map, zero_hom(e.B.group, z.group)),
+    )
+
+
+@cache
+def _glued_row(e: Extension, ec: Extension) -> FiveTermRow:
+    """A -> G -> Gc -> C -> 0 for an extension ec of e's quotient, one per pair."""
+    if ec.A != e.B:
+        raise DiagramError("chain must extend the base row's quotient")
+    z = _trivial_top()
+    return FiveTermRow(
+        (e.A, e.G, ec.G, ec.B, z),
+        (e.iota.map, compose(ec.iota.map, e.pi.map), ec.pi.map, zero_hom(ec.B.group, z.group)),
     )
 
 
@@ -528,31 +561,25 @@ class FiveLemmaInstance:
     def build(self) -> FiveTermSquare:
         z = _trivial_top().group
         if self.shape == "zero_pad":
-            alg1, s1, e1 = self.row1.realize()
-            alg2, _, e2 = self.row2.realize()
-            gamma = _gamma_from_lift(alg1, s1, alg2, self.v_a, self.lift)
+            s1, e1 = self.row1.realize()
+            _, e2 = self.row2.realize()
+            gamma = _gamma_from_lift(self.row1.h, s1, self.row2.h, self.v_a, self.lift)
             verts = (identity_hom(z), self.v_a, gamma, self.v_b, identity_hom(z))
-            return FiveTermSquare(
-                _zero_padded_row(alg1, e1), _zero_padded_row(alg2, e2), verts
-            )
+            return FiveTermSquare(_zero_padded_row(e1), _zero_padded_row(e2), verts)
         if self.shape != "glued":
             raise ValueError(f"unknown shape {self.shape}")
         # glued: both 5-term rows come from the same chain E, E'; the middle
         # vertical is a lift over E' with identity outer maps.
-        alg, _, e = self.row1.realize()
-        algc, sc, ec = self.chain1.realize()
-        if algc.A != e.B:
-            raise DiagramError("chain must extend the base row's quotient")
-        gamma_p = _gamma_from_lift(algc, sc, algc, identity_hom(algc.A.group), self.lift)
-        row = FiveTermRow(
-            (e.A, e.G, ec.G, ec.B, _trivial_top()),
-            (alg.iota, compose(algc.iota, alg.pi), algc.pi, zero_hom(algc.B.group, z)),
-        )
+        _, e = self.row1.realize()
+        sc, ec = self.chain1.realize()
+        row = _glued_row(e, ec)
+        hc = self.chain1.h
+        gamma_p = _gamma_from_lift(hc, sc, hc, identity_hom(hc.A), self.lift)
         verts = (
-            identity_hom(alg.A.group),
-            identity_hom(alg.G),
+            identity_hom(e.A.group),
+            identity_hom(e.G.group),
             gamma_p,
-            identity_hom(algc.B.group),
+            identity_hom(ec.B.group),
             identity_hom(z),
         )
         return FiveTermSquare(row, row, verts)
@@ -580,7 +607,8 @@ class FiveLemmaInstance:
         # middle group of row2 (glued: of chain1)
         lifted = chain1 or row2
         target = _cached_alg(lifted.A, lifted.B, lifted.h).G
-        lift = _pairs_from((chain1 or row1).B.group, target, data["lift"])
+        source = (chain1 or row1).B.group
+        lift = Section(source, target, _pairs_from(source, target, data["lift"])).entries
         return FiveLemmaInstance(data["shape"], row1, row2, chain1, v_a, v_b, lift)
 
 
@@ -662,6 +690,8 @@ def _sampled_squares(spec: FamilySpec):
     """A seeded sample of squares of extension rows up to the order bound."""
     rng = random.Random(spec.seed)
     tops = topologized_groups(spec.max_group_order)
+    # a sample repeats rows and lifts; equal ones share one object
+    shared = {}
     made, attempts = 0, 0
     while made < spec.sample_count and attempts < 40 * spec.sample_count:
         attempts += 1
@@ -682,6 +712,7 @@ def _sampled_squares(spec: FamilySpec):
         lift = lifts[rng.randrange(len(lifts))]
         r1 = RowData(a1, b1, h1, s1.entries)
         r2 = RowData(a2, b2, h2, s2.entries)
+        r1, r2, lift = (shared.setdefault(x, x) for x in (r1, r2, lift))
         yield r1, r2, alpha, beta, lift
         made += 1
 

@@ -167,6 +167,22 @@ def has_property_p(T: TopAbGroup) -> bool:
     return all(core <= S.element_set for S in all_subgroups(T.group))
 
 
+def is_strict_exact_oracle(groups, maps) -> bool:
+    """A five-term row groups[0] -> ... -> groups[4] along maps[0..3] is
+    strict exact: im maps[i] = ker maps[i + 1] as element sets read off the
+    tables, and each map continuous and strict by the open-set checks."""
+    for f, g in zip(maps, maps[1:]):
+        image = {f.table[x] for x in f.source.elements}
+        kernel = {x for x in g.source.elements if g.table[x] == g.target.zero}
+        if image != kernel:
+            return False
+    for i, f in enumerate(maps):
+        th = TopHom(f, groups[i], groups[i + 1])
+        if not is_continuous_oracle(th) or not is_strict_oracle(th):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # extensions
 
@@ -195,6 +211,27 @@ def checked_theta(alg: AlgExtension, s: Section) -> ThetaIso:
     return th
 
 
+def gamma_by_definition(
+    alg1: AlgExtension,
+    s1: dict[Element, Element],
+    alg2: AlgExtension,
+    alpha: Homomorphism,
+    lift: dict[Element, Element],
+) -> dict[Element, Element]:
+    """The middle map of a square as a table: iota1(a) + s1(b) goes to
+    iota2(alpha(a)) + lift(b), for every a in A1 and b in B1; asserted to be
+    defined on all of G1 and single-valued."""
+    G1, G2 = alg1.G, alg2.G
+    table = {}
+    for a in alg1.A.group.elements:
+        for b in alg1.B.group.elements:
+            g = G1.add(alg1.iota(a), s1[b])
+            assert g not in table, "iota1(a) + s1(b) must be injective"
+            table[g] = G2.add(alg2.iota(alpha(a)), lift[b])
+    assert len(table) == G1.order
+    return table
+
+
 def same_topology(alg: AlgExtension, s1: Section, s2: Section) -> bool:
     """Do two topologizing sections induce the same topology on G?
 
@@ -202,7 +239,8 @@ def same_topology(alg: AlgExtension, s1: Section, s2: Section) -> bool:
     map); the two criteria provably agree here and that agreement is asserted.
     """
     for s in (s1, s2):
-        if not is_topologizing(alg.A, alg.B, factor_set_from_section(alg, s)):
+        h = factor_set_from_section(alg.iota, alg.pi, s)
+        if not is_topologizing(alg.A, alg.B, h):
             raise NotTopologizing("both sections must be topologizing")
     by_cores = nagao_core(alg, s1).element_set == nagao_core(alg, s2).element_set
     f = comparison_map(alg, s1, s2)

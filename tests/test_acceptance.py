@@ -106,7 +106,7 @@ def test_criterion_2_extension_round_trip():
                     real.pi,
                 )
                 for s in enumerate_sections(alg):
-                    hs = factor_set_from_section(alg, s)
+                    hs = factor_set_from_section(alg.iota, alg.pi, s)
                     # theta asserts bijectivity, the oracle additivity
                     th = checked_theta(alg, s)
                     tw = th.twisted

@@ -1,0 +1,196 @@
+"""The algebra that every topology over it shares, checked against its
+definitions and counted.
+
+A cocycle's realization, a section's factor set, a square's middle map gamma
+and a five-term row are built once per algebraic input and then shared by
+every choice of open cores and every instance over that input.  The first
+tests compare each shared piece with a reference built from scratch on every
+instance of the square families; the last ones count the constructions on a
+small spec.
+"""
+
+import pytest
+
+from topab import extensions, search
+from topab.diagrams import FiveTermRow
+from topab.extensions import AlgExtension, factor_set_from_section, realize_cocycle
+from topab.groups import identity_hom
+from topab.search import (
+    FamilySpec,
+    P3Instance,
+    SearchTask,
+    _cached_alg,
+    five_lemma_family,
+    p3_family,
+    run_search,
+)
+
+from oracles import gamma_by_definition, is_strict_exact_oracle
+
+SPECS = {
+    "order2": FamilySpec(max_group_order=2),
+    "order3_sample": FamilySpec(max_group_order=3, seed=5, sample_count=30, generators=("sampled",)),
+}
+
+
+def fresh_alg(row) -> AlgExtension:
+    """The row's extension from a realization built anew, not from a cache."""
+    h = row.h
+    real = realize_cocycle(h.A, h.B, h)
+    return AlgExtension(row.A, real.G, row.B, real.iota, real.pi)
+
+
+def check_row_algebra(row, s):
+    """The shared realization and factor set of a row equal fresh ones."""
+    alg, fresh = _cached_alg(row.A, row.B, row.h), fresh_alg(row)
+    assert (alg.G, alg.iota, alg.pi) == (fresh.G, fresh.iota, fresh.pi)
+    uncached = factor_set_from_section.__wrapped__(fresh.iota, fresh.pi, s)
+    assert factor_set_from_section(alg.iota, alg.pi, s) == uncached
+    return fresh
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+def test_p3_pieces_equal_their_definitions(spec):
+    family = p3_family(spec)
+    assert family
+    for _, inst in family:
+        sws = inst.build()
+        fresh1 = check_row_algebra(inst.row1, sws.s1)
+        fresh2 = check_row_algebra(inst.row2, sws.s2)
+        expected = gamma_by_definition(
+            fresh1, dict(inst.row1.s_entries), fresh2, inst.alpha, dict(inst.lift)
+        )
+        assert sws.square.gamma.table == expected
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+def test_five_lemma_pieces_equal_their_definitions(spec):
+    family = five_lemma_family(spec)
+    shapes = set()
+    for _, inst in family:
+        fts = inst.build()
+        shapes.add(inst.shape)
+        for row in (fts.row1, fts.row2):
+            assert row.is_strict_exact() == is_strict_exact_oracle(row.groups, row.maps)
+        if inst.shape == "zero_pad":
+            fresh1 = check_row_algebra(inst.row1, inst.row1.realize()[0])
+            fresh2 = check_row_algebra(inst.row2, inst.row2.realize()[0])
+            s1, alpha = dict(inst.row1.s_entries), inst.v_a
+        else:
+            fresh1 = fresh2 = check_row_algebra(inst.chain1, inst.chain1.realize()[0])
+            s1, alpha = dict(inst.chain1.s_entries), identity_hom(inst.chain1.h.A)
+        expected = gamma_by_definition(fresh1, s1, fresh2, alpha, dict(inst.lift))
+        assert fts.verticals[2].table == expected
+    assert shapes == ({"zero_pad", "glued"} if spec is SPECS["order2"] else {"zero_pad"})
+
+
+# ---------------------------------------------------------------------------
+# construction counts
+
+TINY = FamilySpec(max_group_order=2, seed=3, sample_count=20)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every cache that holds an algebraic piece or a family."""
+    for fn in (
+        search._realization,
+        search._cached_alg,
+        search._realize_row,
+        search._gamma_from_lift,
+        search._zero_padded_row,
+        search._glued_row,
+        search.p3_family,
+        search.five_lemma_family,
+        extensions.factor_set_from_section,
+        extensions.theta,
+        FiveTermRow.is_strict_exact,
+    ):
+        fn.cache_clear()
+
+
+def test_each_cocycle_is_realized_once(cold_caches, monkeypatch):
+    realized = []
+
+    def realize(A, B, h):
+        realized.append(h)
+        return realize_cocycle(A, B, h)
+
+    monkeypatch.setattr(search, "realize_cocycle", realize)
+    for theorem in ("open_fibers", "five_lemma_topological"):
+        run_search(SearchTask(theorem, family=TINY))
+    assert len(realized) == len(set(realized)) > 0
+    rows = {r for _, inst in p3_family(TINY) for r in (inst.row1, inst.row2)}
+    assert {r.h for r in rows} <= set(realized)
+    # the same h over several pairs of open cores still has one realization
+    assert _cached_alg.cache_info().misses > len(realized)
+
+
+def test_each_factor_set_is_built_once_per_realization_and_section(
+    cold_caches, monkeypatch
+):
+    cached = extensions.factor_set_from_section
+    keys = []
+
+    def recording(iota, pi, s):
+        keys.append((iota, pi, s))
+        return cached(iota, pi, s)
+
+    for module in (search, extensions):
+        monkeypatch.setattr(module, "factor_set_from_section", recording)
+    run_search(SearchTask("open_fibers", family=TINY))
+    info = cached.cache_info()
+    assert info.misses == len(set(keys)) > 0
+    assert info.hits == len(keys) - len(set(keys)) > 0
+
+
+def test_each_middle_map_is_built_once_per_algebraic_input(cold_caches):
+    for theorem in ("open_fibers", "five_lemma_topological"):
+        run_search(SearchTask(theorem, family=TINY))
+    keys = set()
+    for _, inst in p3_family(TINY):
+        keys.add((inst.row1.h, inst.row1.s_entries, inst.row2.h, inst.alpha, inst.lift))
+    for _, inst in five_lemma_family(TINY):
+        if inst.shape == "glued":
+            c = inst.chain1
+            keys.add((c.h, c.s_entries, c.h, identity_hom(c.h.A), inst.lift))
+        else:
+            keys.add((inst.row1.h, inst.row1.s_entries, inst.row2.h, inst.v_a, inst.lift))
+    info = search._gamma_from_lift.cache_info()
+    # shrink trials change only open cores, so they add no key
+    assert info.misses == len(keys)
+    assert info.hits > 0
+
+
+def test_each_five_term_row_is_built_and_checked_once(cold_caches):
+    family = [inst for _, inst in five_lemma_family(TINY)]
+    squares = [inst.build() for inst in family]
+    rows = [row for fts in squares for row in (fts.row1, fts.row2)]
+    # one zero-padded row per extension, one glued row per pair of them
+    extensions_used = set()
+    for inst in family:
+        if inst.shape == "glued":
+            extensions_used.add((inst.row1.realize()[1], inst.chain1.realize()[1]))
+        else:
+            extensions_used.update(r.realize()[1] for r in (inst.row1, inst.row2))
+    assert len({id(row) for row in rows}) == len(extensions_used) < len(rows)
+    law = search.THEOREMS["five_lemma_topological"].evaluate
+    for fts in squares * 2:
+        law(fts)
+    checked = set()
+    for fts in squares:
+        checked.add(fts.row1)
+        if fts.row1.is_strict_exact():
+            checked.add(fts.row2)
+    info = FiveTermRow.is_strict_exact.cache_info()
+    assert info.misses == len(checked) > 0
+
+
+def test_square_maps_are_one_top_hom_each():
+    spec = FamilySpec(max_group_order=2, generators=("squares_small",))
+    _, inst = p3_family(spec)[0]
+    assert isinstance(inst, P3Instance)
+    sws = inst.build()
+    assert sws.alpha_top is sws.alpha_top
+    assert sws.beta_top is sws.beta_top
+    assert sws.gamma_top is sws.gamma_top

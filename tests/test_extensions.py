@@ -138,15 +138,15 @@ def test_enumerate_sections_counts():
 def test_factor_set_from_section_z4():
     alg = z4_extension()
     s1 = section_for(alg, {(0,): (0,), (1,): (1,)})
-    h1 = factor_set_from_section(alg, s1)
+    h1 = factor_set_from_section(alg.iota, alg.pi, s1)
     assert h1((1,), (1,)) == (1,)
     s3 = section_for(alg, {(0,): (0,), (1,): (3,)})
-    h3 = factor_set_from_section(alg, s3)
+    h3 = factor_set_from_section(alg.iota, alg.pi, s3)
     assert h3((1,), (1,)) == (1,)
     # split extension with a homomorphic section gives the zero cocycle
     split = _cached_alg(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {}))
     s = canonical_section(split)
-    h = factor_set_from_section(split, s)
+    h = factor_set_from_section(split.iota, split.pi, s)
     assert all(h(b, bp) == Z2.zero for b in Z2.elements for bp in Z2.elements)
 
 
@@ -218,7 +218,7 @@ def test_nagao_is_topological_extension():
                 for h in all_cocycles(A, B):
                     alg = _cached_alg(at, bt, h)
                     for s in enumerate_sections(alg):
-                        hs = factor_set_from_section(alg, s)
+                        hs = factor_set_from_section(alg.iota, alg.pi, s)
                         if not is_topologizing(at, bt, hs):
                             continue
                         ext = nagao_topology(alg, s)

@@ -87,7 +87,7 @@ def test_non_topologizable_algebraic_extension_exists():
 
     alg = AlgExtension(a_top, Z4, b_top, make_hom(Z2, Z4, [(2,)]), make_hom(Z4, Z2, [(1,)]))
     for s in enumerate_sections(alg):
-        hs = factor_set_from_section(alg, s)
+        hs = factor_set_from_section(alg.iota, alg.pi, s)
         assert not is_topologizing(a_top, b_top, hs)
 
 

@@ -25,7 +25,7 @@ def extensions_up_to(max_order):
                 alg = _cached_alg(a_top, b_top, h)
                 seen = set()
                 for s in enumerate_sections(alg):
-                    hs = factor_set_from_section(alg, s)
+                    hs = factor_set_from_section(alg.iota, alg.pi, s)
                     if not is_topologizing(a_top, b_top, hs):
                         continue
                     core = nagao_core(alg, s).elements

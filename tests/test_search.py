@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from topab import jsonio
-from topab.errors import BudgetExceeded, UnknownHypothesis, UnknownTheorem
+from topab.errors import BudgetExceeded, InvalidSection, UnknownHypothesis, UnknownTheorem
 from topab.extensions import factor_set
 from topab.groups import FinAbGroup, all_homs
 from topab.search import (
@@ -267,6 +267,39 @@ def test_witness_elements_decode_strictly(key):
     entries[-1] = [float(c) for c in entries[-1]]
     with pytest.raises(ValueError, match="expected an array of integers"):
         instance_from_json(data)
+
+
+def _edit_lift(case, lift):
+    """The lift table of a witness, edited as `case` says; the first entry is
+    b = 0 and the last one a nonzero b."""
+    b, g = lift[-1]
+    other = next(x for _, x in lift if x != g)
+    return {
+        "duplicate": lift + [[b, g]],
+        "conflicting_duplicate": lift + [[b, other]],
+        "missing": lift[:-1],
+        "reordered": lift[::-1],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["duplicate", "conflicting_duplicate", "missing", "reordered"])
+@pytest.mark.parametrize("theorem", ["open_fibers", "five_lemma_topological"])
+def test_witness_lifts_list_each_element_once(theorem, case):
+    """A lift table from JSON names each element of B1 once: listing one twice
+    or missing one is a typed error, and the order of the entries does not
+    matter, as the lift is sorted before it keys the middle-map cache."""
+    res = run_search(SearchTask(theorem, family=FamilySpec(max_group_order=2)))
+    data = next(
+        r.witness for r in res.failures if len({tuple(g) for _, g in r.witness["lift"]}) > 1
+    )
+    data["lift"] = _edit_lift(case, data["lift"])
+    if case == "reordered":
+        inst = instance_from_json(data)
+        assert list(inst.lift) == sorted(inst.lift)
+        assert replay_witness(theorem, data).conclusion_checked is False
+        return
+    with pytest.raises(InvalidSection):
+        replay_witness(theorem, data)
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))

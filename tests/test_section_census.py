@@ -41,7 +41,7 @@ def reference_census(alg):
     return tuple(
         s
         for s in enumerate_sections(alg)
-        if is_topologizing(alg.A, alg.B, build(alg, s))
+        if is_topologizing(alg.A, alg.B, build(alg.iota, alg.pi, s))
     )
 
 
