@@ -20,17 +20,24 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import DiagramError, NotAnExtension
-from .groups import Homomorphism, cached_hash, commutes, hom_from_table, is_exact_at
+from .groups import (
+    Homomorphism,
+    cached_hash,
+    commutes,
+    coset_reps,
+    hom_from_table,
+    is_exact_at,
+)
 from .extensions import (
     AlgExtension,
     Extension,
     ExtensionSquare,
     Section,
-    comparison_key,
     has_open_fibers,
     is_compatible,
     nagao_core,
     psi_maps,
+    section_census,
     sigma,
     snake_haus_sequence,
     topologizing_sections,
@@ -428,7 +435,12 @@ class FiveTermSquare:
                 raise DiagramError(f"square {i} does not commute")
 
     def vertical_top(self, i: int) -> TopHom:
-        return TopHom(self.verticals[i], self.row1.groups[i], self.row2.groups[i])
+        """The i-th vertical between the topologized groups, built on its
+        first request and kept, so each square builds it once."""
+        tops = self.__dict__.setdefault("_vertical_tops", {})
+        if i not in tops:
+            tops[i] = TopHom(self.verticals[i], self.row1.groups[i], self.row2.groups[i])
+        return tops[i]
 
 
 def _reduced_row(row: FiveTermRow):
@@ -550,26 +562,47 @@ def first_disagreeing_pair(xs: list, ys: list) -> tuple[int, int] | None:
 
 def _criteria_agree(alg: AlgExtension):
     """Core equality vs continuity of the comparison map f_ij on all pairs of
-    sections, as partitions by Nagao core and by `comparison_key` against s_0.
-    Exact: iota is injective, so f_ij = g_i - g_j with g = iota^{-1}(s - s_0)."""
-    secs = topologizing_sections(alg)
-    cores = [nagao_core(alg, s).element_set for s in secs]
-    keys = [comparison_key(alg, s, secs[0]) for s in secs]
+    sections, as partitions by Nagao core and by comparison class.  f_ij(b)
+    = iota^{-1}(s_i(b) - s_j(b)) maps N_B into N_A exactly when s_i and s_j
+    meet the same cosets of iota(N_A) on N_B, so a section's class is the
+    least element of each such coset.  Core and class depend only on the
+    restriction to N_B: the partitions are compared over the census, and
+    only a disagreement is traced back to the first pair of section indices.
+    """
+    census = section_census(alg)
+    rs = census.restrictions
+    least = coset_reps(alg.G, {alg.iota(a) for a in alg.A.open_core})
+    cores = [census.core(r).elements for r in rs]
+    keys = [tuple(map(least.__getitem__, r)) for r in rs]
     pair = first_disagreeing_pair(cores, keys)
+    if pair is not None:
+        index = {r: i for i, r in enumerate(rs)}
+        core_b = alg.B.open_core
+        of_section = [
+            index[tuple(map(s, core_b))] for s in topologizing_sections(alg)
+        ]
+        pair = first_disagreeing_pair(
+            [cores[i] for i in of_section], [keys[i] for i in of_section]
+        )
     bad = () if pair is None else (("disagreeing_pair_%d_%d" % pair, False),)
     return (("criteria_agree_on_all_pairs", pair is None),) + bad
 
 
+def _topologizable(alg: AlgExtension) -> bool:
+    return bool(section_census(alg).restrictions)
+
+
 verify_nagao_comparison = Law(
     "nagao_comparison",
-    (("has_topologizing_sections", lambda alg: bool(topologizing_sections(alg))),),
+    (("has_topologizing_sections", _topologizable),),
     _criteria_agree,
 )
 
 
 def _unique_core(alg: AlgExtension):
     """Over a discrete quotient every topologizing section gives one core."""
-    cores = {nagao_core(alg, s).elements for s in topologizing_sections(alg)}
+    census = section_census(alg)
+    cores = {census.core(r).elements for r in census.restrictions}
     return (("unique_core_across_sections", len(cores) <= 1),)
 
 
@@ -581,5 +614,5 @@ verify_choice_discrete = Law(
 verify_topologizable = Law(
     "topologizable",
     (),
-    lambda alg: (("topologizing_section_exists", bool(topologizing_sections(alg))),),
+    lambda alg: (("topologizing_section_exists", _topologizable(alg)),),
 )

@@ -9,7 +9,10 @@ sequence a topological extension.
 
 The factor set of a section is algebra alone: `factor_set_from_section` is
 keyed by iota, pi and the section, so every choice of open cores on A and B
-over one realization shares it.
+over one realization shares it.  Whether a section topologizes, and the
+topology it induces, depend only on its restriction to N_B, so
+`section_census` lists the topologizing sections of an extension by that
+restriction, and `alg_extension` checks each algebraic extension once.
 """
 
 from __future__ import annotations
@@ -83,16 +86,6 @@ class FactorSet:
 
     def __call__(self, b: Element, bp: Element) -> Element:
         return self.table[(b, bp)]
-
-
-def factor_set(A: FinAbGroup, B: FinAbGroup, mapping: dict) -> FactorSet:
-    """Build a factor set from a partial mapping; unspecified pairs are zero."""
-    entries = []
-    for b in B.elements:
-        for bp in B.elements:
-            a = mapping.get((b, bp), A.zero)
-            entries.append((b, bp, A.reduce(a)))
-    return FactorSet(A, B, tuple(entries))
 
 
 @cache
@@ -232,6 +225,15 @@ class AlgExtension:
         return _pull_back(self.iota, g)
 
 
+@cache
+def alg_extension(
+    A: TopAbGroup, G: FinAbGroup, B: TopAbGroup, iota: Homomorphism, pi: Homomorphism
+) -> AlgExtension:
+    """The one checked AlgExtension of (A, G, B, iota, pi); a failed check
+    raises NotAnExtension on every call, since only results are cached."""
+    return AlgExtension(A, G, B, iota, pi)
+
+
 def _pull_back(iota: Homomorphism, g: Element) -> Element:
     """iota^{-1}(g) for the injective iota."""
     try:
@@ -258,8 +260,8 @@ class Extension:
             raise NotAnExtension("iota endpoints are wrong")
         if self.pi.source != self.G or self.pi.target != self.B:
             raise NotAnExtension("pi endpoints are wrong")
-        # algebraic exactness
-        alg = AlgExtension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
+        # algebraic exactness, checked once per algebraic extension
+        alg = alg_extension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
         object.__setattr__(self, "alg", alg)
         for name, f in (("iota", self.iota), ("pi", self.pi)):
             if not is_continuous(f):
@@ -371,24 +373,60 @@ def is_topologizing(A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class SectionCensus:
+    """The topologizing sections of one extension, by their restriction to N_B.
+
+    Whether a section s topologizes, its Nagao core and its comparison class
+    all depend only on r = s|N_B, listed as the images of `alg.B.open_core`.
+    `restrictions` holds every r of a topologizing section, in product
+    order, which is the order in which `enumerate_sections` first meets
+    them; each stands for the |A|^(|B| - |N_B|) sections that agree with it
+    on N_B.
+    """
+
+    alg: AlgExtension
+    restrictions: tuple[tuple[Element, ...], ...]
+
+    def core(self, r: tuple[Element, ...]) -> Subgroup:
+        """The Nagao core of every section restricting to r, built on first use."""
+        return _core_on(self.alg, r)
+
+    def first_section(self, r: tuple[Element, ...]) -> Section:
+        """The first section in enumeration order that restricts to r: off
+        N_B it takes the least element of each fiber."""
+        alg = self.alg
+        t = dict(zip(alg.B.open_core, r))
+        entries = tuple((b, t.get(b, gs[0])) for b, gs in alg.pi.fibers().items())
+        return Section(alg.B.group, alg.G, entries)
+
+
+@cache
+def section_census(alg: AlgExtension) -> SectionCensus:
+    """Each restriction r to N_B is tested once, on N_B x N_B:
+    r(b) + r(b') - r(b + b') must lie in iota(N_A)."""
+    G, B, core_b = alg.G, alg.B.group, alg.B.open_core
+    fibers = alg.pi.fibers()
+    iota_core = {alg.iota(a) for a in alg.A.open_core}
+    sums_g, neg_g, sums_b = G.sums, G.negation, B.sums
+    pairs = [(b, c, sums_b[b][c]) for b, c in itertools.product(core_b, repeat=2)]
+    passing = []
+    for r in itertools.product(*(fibers[b] for b in core_b.elements[1:])):
+        t = dict(zip(core_b, (G.zero, *r)))
+        if all(sums_g[sums_g[t[b]][t[c]]][neg_g[t[bc]]] in iota_core for b, c, bc in pairs):
+            passing.append((G.zero, *r))
+    return SectionCensus(alg, tuple(passing))
+
+
 @cache
 def topologizing_sections(alg: AlgExtension) -> tuple[Section, ...]:
-    """The topologizing sections of alg, in enumerate_sections order.
-
-    Whether s is topologizing depends only on its restriction r to N_B, so
-    each r is tested once: r(b) + r(b') - r(b + b') in iota(N_A) on N_B x N_B.
-    """
+    """The topologizing sections of alg, in enumerate_sections order: every
+    section whose restriction to N_B is in the census."""
     G, B, core_b = alg.G, alg.B.group, alg.B.open_core
     nonzero = B.elements[1:]
     fibers = list(map(alg.pi.fibers().__getitem__, nonzero))
     on_core = [i for i, b in enumerate(nonzero) if b in core_b.element_set]
-    iota_core = {alg.iota(a) for a in alg.A.open_core}
-    passing = set()
-    for r in itertools.product(*(fibers[i] for i in on_core)):
-        t = {B.zero: G.zero, **{nonzero[i]: g for i, g in zip(on_core, r)}}
-        pairs = itertools.product(core_b, repeat=2)
-        if all(G.sub(G.add(t[b], t[c]), t[B.add(b, c)]) in iota_core for b, c in pairs):
-            passing.add(r)
+    passing = {r[1:] for r in section_census(alg).restrictions}
     return tuple(
         Section(B, G, ((B.zero, G.zero), *zip(nonzero, choice)))
         for choice in itertools.product(*fibers)
@@ -436,12 +474,6 @@ def comparison_map(alg: AlgExtension, s1: Section, s2: Section) -> dict[Element,
     return {
         b: alg.pull_back(G.sub(s1(b), s2(b))) for b in alg.B.group.elements
     }
-
-
-def comparison_key(alg: AlgExtension, s: Section, base: Section) -> tuple[Element, ...]:
-    """Over b in N_B, the least element of iota^{-1}(s(b) - base(b)) + N_A."""
-    gs = [alg.pull_back(alg.G.sub(s(b), base(b))) for b in alg.B.open_core]
-    return tuple(min(alg.A.group.add(g, n) for n in alg.A.open_core) for g in gs)
 
 
 @dataclass(frozen=True)

@@ -604,8 +604,10 @@ def subgroup_as_group(S: Subgroup) -> GroupEmbedding:
     return GroupEmbedding(H, include, dict(zip(values, H.elements)))
 
 
+@cache
 def all_subgroups(G: FinAbGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup of G exactly once, sorted by (order, element list)."""
+    """Every subgroup of G exactly once, sorted by (order, element list);
+    built once per group, as shrinking asks for the same few groups often."""
     triv = trivial_subgroup(G)
     seen = {triv.elements: triv}
     frontier = [triv]

@@ -59,11 +59,11 @@ from .extensions import (
     FactorSet,
     Realization,
     Section,
-    factor_set,
+    alg_extension,
     factor_set_from_section,
-    nagao_core,
     nagao_topology,
     realize_cocycle,
+    section_census,
     topologizing_sections,
     validate_cocycle,
 )
@@ -103,24 +103,6 @@ def all_groups_up_to_order(n: int) -> tuple[FinAbGroup, ...]:
     return tuple(out)
 
 
-def _structured_cocycle(A: FinAbGroup, B: FinAbGroup, coeffs, t) -> FactorSet:
-    """Carry cocycles along each cyclic factor of B, shifted by a coboundary.
-
-    h(x, y) = sum_j coeffs[j] * [x_j + y_j >= n_j] + t(x) + t(y) - t(x + y);
-    every normalized symmetric cocycle is of this shape.
-    """
-    mapping = {}
-    for x in B.elements:
-        for y in B.elements:
-            acc = A.zero
-            for j, n in enumerate(B.moduli):
-                if x[j] + y[j] >= n:
-                    acc = A.add(acc, coeffs[j])
-            acc = A.add(acc, A.sub(A.add(t[x], t[y]), t[B.add(x, y)]))
-            mapping[(x, y)] = acc
-    return factor_set(A, B, mapping)
-
-
 _COCYCLE_BUDGET = 10**6
 
 
@@ -131,33 +113,58 @@ def _cocycles_by_class(
     """The normalized symmetric cocycles B x B -> A, one tuple per class.
 
     Ext(Z/n_1 + ... + Z/n_k, A) = A/n_1A + ... + A/n_kA, so the class with
-    residues (c_j mod n_jA) is the carry cocycle of the c_j plus every
-    coboundary dt over every t: B -> A with t(0) = 0.  Each constructed table
-    is checked against the cocycle identity.
+    residues (c_j mod n_jA) is the carry cocycle of the c_j,
+    sum_j c_j * [x_j + y_j >= n_j], plus every coboundary
+    dt(x, y) = t(x) + t(y) - t(x + y) over t: B -> A with t(0) = 0.  dt
+    depends on t only modulo Hom(B, A), and a homomorphism sends each
+    generator e_j anywhere in A[n_j] = {a : n_j * a = 0}, so t walks a
+    transversal: t(e_j) runs over the least element of each coset of A[n_j]
+    (a generator that is 0 is skipped) and every other t(b) over all of A.
+    Each class then holds |A|^(|B|-1) / |Hom(B, A)| tables, each built once
+    from the class's carry table and checked once against the cocycle
+    identity.
     """
     # the least element of each coset of n_jA in A, in increasing order
     cosets = [
         sorted(set(coset_reps(A, {A.scale(n, a) for a in A.elements}).values()))
         for n in B.moduli
     ]
-    nonzero = [b for b in B.elements if b != B.zero]
+    nonzero = B.elements[1:]
     classes = prod(len(c) for c in cosets)
     if classes * A.order ** len(nonzero) > budget:
         raise BudgetExceeded(
             f"{classes} x {A.order}^{len(nonzero)} cocycle tables for A = {A}, "
             f"B = {B} exceed the budget; lower --max-order"
         )
+    choices = {b: A.elements for b in nonzero}
+    for e, n in zip(B.generators(), B.moduli):
+        if e != B.zero:
+            torsion = [a for a in A.elements if A.scale(n, a) == A.zero]
+            choices[e] = sorted(set(coset_reps(A, torsion).values()))
+    sums_a, neg_a, sums_b = A.sums, A.negation, B.sums
+    pairs = [(x, y, sums_b[x][y]) for x in B.elements for y in B.elements]
     out = []
     for coeffs in itertools.product(*cosets):
-        tables = {}
-        for imgs in itertools.product(A.elements, repeat=len(nonzero)):
-            t = {B.zero: A.zero}
-            t.update(zip(nonzero, imgs))
-            h = _structured_cocycle(A, B, coeffs, t)
-            if h.entries not in tables:
-                assert validate_cocycle(h)
-                tables[h.entries] = h
-        out.append(tuple(tables.values()))
+        carry = []
+        for x, y, _ in pairs:
+            acc = A.zero
+            for j, n in enumerate(B.moduli):
+                if x[j] + y[j] >= n:
+                    acc = sums_a[acc][coeffs[j]]
+            carry.append(acc)
+        hs = []
+        for imgs in itertools.product(*map(choices.__getitem__, nonzero)):
+            t = dict(zip(nonzero, imgs))
+            t[B.zero] = A.zero
+            entries = tuple(
+                (x, y, sums_a[c][sums_a[sums_a[t[x]][t[y]]][neg_a[t[xy]]]])
+                for (x, y, xy), c in zip(pairs, carry)
+            )
+            h = FactorSet(A, B, entries)
+            assert validate_cocycle(h)
+            hs.append(h)
+        assert len({h.entries for h in hs}) == len(hs), "a transversal gives distinct tables"
+        out.append(tuple(hs))
     return tuple(out)
 
 
@@ -297,7 +304,7 @@ def _realization(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> Realization:
 @cache
 def _cached_alg(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
     real = _realization(A.group, B.group, h)
-    return AlgExtension(A, real.G, B, real.iota, real.pi)
+    return alg_extension(A, real.G, B, real.iota, real.pi)
 
 
 @cache
@@ -801,13 +808,19 @@ def inj_family(spec: FamilySpec) -> list[tuple[str, object]]:
 
 
 def _extensions(spec: FamilySpec):
+    """For each cocycle, the first topologizing section with each Nagao core.
+
+    The census lists the restrictions to N_B in the order in which the
+    sections first meet them, so the first section with a new core is the
+    first section of the first restriction that has it."""
     for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False):
-        alg = _cached_alg(A_top, B_top, h)
+        census = section_census(_cached_alg(A_top, B_top, h))
         seen_cores = set()
-        for s in topologizing_sections(alg):
-            core = nagao_core(alg, s).elements
+        for r in census.restrictions:
+            core = census.core(r).elements
             if core not in seen_cores:
                 seen_cores.add(core)
+                s = census.first_section(r)
                 yield ExtensionInstance(RowData(A_top, B_top, h, s.entries))
 
 

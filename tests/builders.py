@@ -4,7 +4,7 @@ The program reads groups, cores and extensions from JSON or enumerates them;
 tests build them by hand with these.
 """
 
-from topab.extensions import AlgExtension, Extension, canonical_section, factor_set, nagao_topology
+from topab.extensions import AlgExtension, Extension, FactorSet, canonical_section, nagao_topology
 from topab.groups import FinAbGroup, Homomorphism, Subgroup, subgroup
 from topab.jsonio import element_to_json, group_to_json, topgroup_to_json
 from topab.search import _cached_alg
@@ -23,6 +23,16 @@ def indiscrete(G: FinAbGroup) -> TopAbGroup:
 
 def topologize(G: FinAbGroup, core_elements) -> TopAbGroup:
     return TopAbGroup(G, subgroup(G, core_elements))
+
+
+def factor_set(A: FinAbGroup, B: FinAbGroup, mapping: dict) -> FactorSet:
+    """Build a factor set from a partial mapping; unspecified pairs are zero."""
+    entries = []
+    for b in B.elements:
+        for bp in B.elements:
+            a = mapping.get((b, bp), A.zero)
+            entries.append((b, bp, A.reduce(a)))
+    return FactorSet(A, B, tuple(entries))
 
 
 def split_extension(A_top: TopAbGroup, B_top: TopAbGroup) -> Extension:

@@ -7,7 +7,7 @@ default family contains the order-2 ones and that each fails there.
 
 import pytest
 
-from topab.extensions import factor_set, topologizing_sections
+from topab.extensions import topologizing_sections
 from topab.groups import FinAbGroup, identity_hom, zero_hom
 from topab.search import (
     FiveLemmaInstance,
@@ -17,7 +17,7 @@ from topab.search import (
 )
 from topab.topology import discrete
 
-from builders import indiscrete
+from builders import factor_set, indiscrete
 
 Z2 = FinAbGroup([2])
 K4 = FinAbGroup([2, 2])

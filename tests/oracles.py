@@ -10,6 +10,7 @@ import itertools
 from functools import cache
 from math import prod
 
+from topab.diagrams import _finish, first_disagreeing_pair
 from topab.duality import Character, _rescale, dual_group, dual_hom
 from topab.errors import InvalidSection, NotContinuous, NotTopologizing
 from topab.extensions import (
@@ -19,6 +20,7 @@ from topab.extensions import (
     ThetaIso,
     TwistedGroup,
     comparison_map,
+    enumerate_sections,
     factor_set_from_section,
     is_topologizing,
     nagao_core,
@@ -248,6 +250,77 @@ def same_topology(alg: AlgExtension, s1: Section, s2: Section) -> bool:
     by_comparison = all(f[b] in core_a for b in alg.B.open_core)
     assert by_cores == by_comparison, "comparison criteria disagree"
     return by_cores
+
+
+# ---------------------------------------------------------------------------
+# the section census and the cocycle laws, section by section
+
+
+def topologizing_sections_by_filter(alg: AlgExtension) -> tuple[Section, ...]:
+    """Every section whose full factor set passes `is_topologizing`, in
+    enumeration order."""
+    # the uncached factor set keeps the reference from filling the cache
+    build = factor_set_from_section.__wrapped__
+    return tuple(
+        s
+        for s in enumerate_sections(alg)
+        if is_topologizing(alg.A, alg.B, build(alg.iota, alg.pi, s))
+    )
+
+
+def core_by_definition(alg: AlgExtension, s: Section) -> frozenset[Element]:
+    """{iota(a) + s(b) : a in N_A, b in N_B}, built for the one section."""
+    G = alg.G
+    return frozenset(
+        G.add(alg.iota(a), s(b)) for a in alg.A.open_core for b in alg.B.open_core
+    )
+
+
+def comparison_key(alg: AlgExtension, s: Section, base: Section) -> tuple[Element, ...]:
+    """Over b in N_B, the least element of iota^{-1}(s(b) - base(b)) + N_A."""
+    gs = [alg.pull_back(alg.G.sub(s(b), base(b))) for b in alg.B.open_core]
+    return tuple(min(alg.A.group.add(g, n) for n in alg.A.open_core) for g in gs)
+
+
+def cocycle_law_by_section(theorem_id: str, alg: AlgExtension, secs, dropped):
+    """The report of `nagao_comparison`, `choice_discrete` or `topologizable`
+    on alg, from secs, its topologizing sections, one section at a time: a
+    core and a comparison key against secs[0] for every section."""
+    cores = [core_by_definition(alg, s) for s in secs]
+    if theorem_id == "nagao_comparison":
+        hyps = (("has_topologizing_sections", bool(secs)),)
+
+        def conclude():
+            keys = [comparison_key(alg, s, secs[0]) for s in secs]
+            pair = first_disagreeing_pair(cores, keys)
+            bad = () if pair is None else (("disagreeing_pair_%d_%d" % pair, False),)
+            return (("criteria_agree_on_all_pairs", pair is None),) + bad
+
+    elif theorem_id == "choice_discrete":
+        hyps = (("b_discrete", alg.B.open_core.order == 1),)
+
+        def conclude():
+            return (("unique_core_across_sections", len(set(cores)) <= 1),)
+
+    else:
+        assert theorem_id == "topologizable"
+        hyps = ()
+
+        def conclude():
+            return (("topologizing_section_exists", bool(secs)),)
+
+    return _finish(theorem_id, hyps, conclude, dropped)
+
+
+def first_section_per_core(alg: AlgExtension, secs) -> list[Section]:
+    """In the order of secs, the first section with each Nagao core."""
+    seen, out = set(), []
+    for s in secs:
+        core = core_by_definition(alg, s)
+        if core not in seen:
+            seen.add(core)
+            out.append(s)
+    return out
 
 
 def compatible_section_via_eta(

@@ -13,8 +13,15 @@ import pytest
 
 from topab import extensions, search
 from topab.diagrams import FiveTermRow
-from topab.extensions import AlgExtension, factor_set_from_section, realize_cocycle
-from topab.groups import identity_hom
+from topab.errors import NotAnExtension
+from topab.extensions import (
+    AlgExtension,
+    Extension,
+    factor_set_from_section,
+    realize_cocycle,
+)
+from topab.groups import identity_hom, zero_hom
+from topab.topology import TopHom
 from topab.search import (
     FamilySpec,
     P3Instance,
@@ -104,6 +111,7 @@ def cold_caches():
         search.five_lemma_family,
         extensions.factor_set_from_section,
         extensions.theta,
+        extensions.alg_extension,
         FiveTermRow.is_strict_exact,
     ):
         fn.cache_clear()
@@ -194,3 +202,38 @@ def test_square_maps_are_one_top_hom_each():
     assert sws.alpha_top is sws.alpha_top
     assert sws.beta_top is sws.beta_top
     assert sws.gamma_top is sws.gamma_top
+
+
+def test_each_algebraic_extension_is_checked_once(cold_caches, monkeypatch):
+    """Every Extension over the same (A, G, B, iota, pi), whatever its
+    section or the open core of G, shares one checked AlgExtension."""
+    checked = []
+    post_init = AlgExtension.__post_init__
+    monkeypatch.setattr(
+        AlgExtension, "__post_init__", lambda self: checked.append(self) or post_init(self)
+    )
+    for theorem in ("open_fibers", "five_lemma_topological"):
+        run_search(SearchTask(theorem, family=TINY))
+    info = extensions.alg_extension.cache_info()
+    assert len(checked) == len(set(checked)) == info.misses == info.currsize > 0
+    assert info.hits > info.misses
+
+
+def test_a_non_exact_extension_is_refused_on_every_call():
+    """Only checked extensions are cached, so a sequence that is not exact
+    raises NotAnExtension however often it is built."""
+    family = p3_family(FamilySpec(max_group_order=2, generators=("squares_small",)))
+    e = next(e for _, inst in family if (e := inst.row1.realize()[1]).A.group.order > 1)
+    zero = TopHom(zero_hom(e.A.group, e.G.group), e.A, e.G)
+    for _ in range(2):
+        with pytest.raises(NotAnExtension, match="iota is not injective"):
+            Extension(e.A, e.G, e.B, zero, e.pi)
+
+
+def test_five_term_verticals_are_one_top_hom_each():
+    for _, inst in five_lemma_family(TINY)[:50]:
+        fts = inst.build()
+        for i, v in enumerate(fts.verticals):
+            top = fts.vertical_top(i)
+            assert top is fts.vertical_top(i)
+            assert top == TopHom(v, fts.row1.groups[i], fts.row2.groups[i])

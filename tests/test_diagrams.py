@@ -12,7 +12,7 @@ from topab.diagrams import (
     verify_topological_five_lemma,
 )
 from topab.errors import DiagramError
-from topab.extensions import factor_set, topologizing_sections
+from topab.extensions import topologizing_sections
 from topab.groups import FinAbGroup, hom_set, identity_hom, zero_hom
 from topab.search import (
     FamilySpec,
@@ -26,7 +26,7 @@ from topab.search import (
 )
 from topab.topology import TopHom, discrete
 
-from builders import indiscrete, split_extension, topologize
+from builders import factor_set, indiscrete, split_extension, topologize
 from oracles import commutes_by_compose
 
 Z2 = FinAbGroup([2])

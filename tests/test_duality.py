@@ -9,7 +9,7 @@ from topab.duality import (
     dual_hom,
     pull_back,
 )
-from topab.extensions import canonical_section, factor_set, nagao_topology
+from topab.extensions import canonical_section, nagao_topology
 from topab.groups import FinAbGroup, all_subgroups, compose, identity_hom, zero_hom
 from topab.search import _cached_alg, all_groups_up_to_order
 from topab.topology import (
@@ -20,7 +20,7 @@ from topab.topology import (
     separation,
 )
 
-from builders import indiscrete, make_hom, split_extension, topologize
+from builders import factor_set, indiscrete, make_hom, split_extension, topologize
 from oracles import evaluation, separation_dual_iso
 
 Z2 = FinAbGroup([2])

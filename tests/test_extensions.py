@@ -13,11 +13,11 @@ from topab.extensions import (
     FactorSet,
     Section,
     TwistedGroup,
+    alg_extension,
     canonical_section,
     cocycle_violations,
     comparison_map,
     enumerate_sections,
-    factor_set,
     factor_set_from_section,
     has_open_fibers,
     is_compatible,
@@ -40,7 +40,7 @@ from topab.topology import (
     is_strict,
 )
 
-from builders import indiscrete, make_hom, split_extension, topologize
+from builders import factor_set, indiscrete, make_hom, split_extension, topologize
 from oracles import (
     check_group_laws,
     checked_theta,
@@ -355,14 +355,19 @@ def test_extension_rejects_non_strict():
 
 def test_one_alg_extension_per_extension(monkeypatch):
     """nagao_topology checks exactness once: the Extension keeps the
-    AlgExtension it checked as `alg`."""
+    AlgExtension it checked as `alg`, and every later extension over the same
+    algebra reuses it, whatever its section."""
     calls = []
     post_init = AlgExtension.__post_init__
     monkeypatch.setattr(
         AlgExtension, "__post_init__", lambda self: calls.append(1) or post_init(self)
     )
+    alg_extension.cache_clear()
     alg = z4_extension(a_core="indiscrete", b_core="discrete")
     calls.clear()
     ext = nagao_topology(alg, canonical_section(alg))
     assert ext.alg == alg
+    assert len(calls) == 1
+    for s in enumerate_sections(alg):
+        assert nagao_topology(alg, s).alg is ext.alg
     assert len(calls) == 1

@@ -2,13 +2,14 @@ import pytest
 
 from topab import jsonio
 from topab.errors import ElementNotInGroup, InvalidCocycle
-from topab.extensions import Section, canonical_section, factor_set
+from topab.extensions import Section, canonical_section
 from topab.duality import dual_group
 from topab.groups import FinAbGroup, subgroup
 from topab.topology import discrete
 
 from builders import (
     alg_extension_to_json,
+    factor_set,
     hom_to_json,
     indiscrete,
     make_hom,

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from topab.diagrams import _finish, first_disagreeing_pair, verify_nagao_comparison
 from topab.extensions import (
-    comparison_key,
     comparison_map,
     nagao_core,
     topologizing_sections,
@@ -23,7 +22,7 @@ from topab.search import (
     cocycle_family,
 )
 
-from oracles import same_topology
+from oracles import comparison_key, same_topology
 
 DROP = frozenset({"has_topologizing_sections"})
 

@@ -4,9 +4,9 @@ from math import prod
 
 import pytest
 
-from topab import jsonio
+from topab import jsonio, search
 from topab.errors import BudgetExceeded, InvalidSection, UnknownHypothesis, UnknownTheorem
-from topab.extensions import factor_set
+from topab.extensions import FactorSet
 from topab.groups import FinAbGroup, all_homs
 from topab.search import (
     THEOREMS,
@@ -20,6 +20,8 @@ from topab.search import (
     run_search,
     topologized_groups,
 )
+
+from builders import factor_set
 
 Z2 = FinAbGroup([2])
 Z4 = FinAbGroup([4])
@@ -132,6 +134,25 @@ def test_cocycle_counts_follow_ext(A, B):
     homs = sum(1 for _ in all_homs(B, A))
     assert len(all_cocycles(A, B)) * homs == classes * A.order ** (B.order - 1)
     assert len(cocycle_class_representatives(A, B)) == classes
+
+
+@pytest.mark.parametrize(
+    "A,B", itertools.product(all_groups_up_to_order(4), repeat=2), ids=str
+)
+def test_cocycle_transversal_builds_each_table_once(A, B, monkeypatch):
+    """t walks a transversal of Hom(B, A), so every candidate table is a new
+    cocycle, built and checked exactly once: classes * |A|^(|B|-1) /
+    |Hom(B, A)| tables and as many calls of validate_cocycle."""
+    calls, built = [], []
+    monkeypatch.setattr(search, "validate_cocycle", lambda h: calls.append(h) or True)
+    post_init = FactorSet.__post_init__
+    monkeypatch.setattr(FactorSet, "__post_init__", lambda h: built.append(h) or post_init(h))
+    classes = prod(_quotient_order(A, n) for n in B.moduli)
+    homs = sum(1 for _ in all_homs(B, A))
+    by_class = search._cocycles_by_class.__wrapped__(A, B, search._COCYCLE_BUDGET)
+    assert len(calls) * homs == classes * A.order ** (B.order - 1)
+    assert [h for hs in by_class for h in hs] == calls == built
+    assert len({h.entries for h in calls}) == len(calls)
 
 
 def test_order_5_cocycles_fit_the_budget():

@@ -1,26 +1,47 @@
 """The topologizing-section census and the Nagao cores, checked against the
 per-section definitions.
 
-`topologizing_sections` tests each restriction of a section to N_B once, and
-`nagao_core` builds each core once per restriction.  The references below are
-the per-section constructions they replaced: the full factor set of every
-section, filtered by `is_topologizing`, and the subgroup
-{iota(a) + s(b) : a in N_A, b in N_B} built for each section.
+`section_census` tests each restriction of a section to N_B once, and the
+census cores are built once per restriction.  The references in
+tests/oracles.py are the per-section constructions they replaced: the full
+factor set of every section, filtered by `is_topologizing`, the subgroup
+{iota(a) + s(b) : a in N_A, b in N_B} built for each section, and the cocycle
+laws and the extension stratum computed section by section.
 """
 
 import pytest
 
+from topab import diagrams
+from topab.diagrams import (
+    verify_choice_discrete,
+    verify_nagao_comparison,
+    verify_topologizable,
+)
 from topab.extensions import (
+    Section,
     _core_on,
-    enumerate_sections,
-    factor_set_from_section,
-    is_topologizing,
     nagao_core,
+    section_census,
     topologizing_sections,
 )
-from topab.search import FamilySpec, _cached_alg, _cocycle_triples
+from topab.search import (
+    ExtensionInstance,
+    FamilySpec,
+    RowData,
+    _cached_alg,
+    _cocycle_triples,
+    _extensions,
+)
+
+from oracles import (
+    cocycle_law_by_section,
+    core_by_definition,
+    first_section_per_core,
+    topologizing_sections_by_filter,
+)
 
 ORDERS = [1, 2, 3, 4]
+COCYCLE_LAWS = (verify_nagao_comparison, verify_choice_discrete, verify_topologizable)
 
 
 def _algs(max_order):
@@ -35,36 +56,69 @@ def _new_algs(max_order):
     return [alg for alg in _algs(max_order) if alg not in smaller]
 
 
-def reference_census(alg):
-    # the uncached factor set keeps the reference from filling the cache
-    build = factor_set_from_section.__wrapped__
-    return tuple(
-        s
-        for s in enumerate_sections(alg)
-        if is_topologizing(alg.A, alg.B, build(alg.iota, alg.pi, s))
-    )
-
-
-def reference_core(alg, s):
-    """The element set of the per-section core; closure under addition is
-    still checked once per restriction, when `nagao_core` builds its
-    `Subgroup`."""
-    G = alg.G
-    return frozenset(
-        G.add(alg.iota(a), s(b)) for a in alg.A.open_core for b in alg.B.open_core
-    )
-
-
 def _restriction(alg, s):
     return tuple(s(b) for b in alg.B.open_core)
 
 
 @pytest.mark.parametrize("max_order", ORDERS)
-def test_census_matches_per_section_reference(max_order):
+def test_census_matches_per_section_reference(max_order, monkeypatch):
+    """On every extension up to order 4, with the per-section reference
+    computed once per extension:
+    - the materialized census is the filtered list of sections;
+    - the census lists each restriction of a topologizing section once, in
+      the order the sections first meet it; each covers |A|^(|B| - |N_B|)
+      sections, and its core is their per-section core (which reads only
+      N_B, so the first of them stands for all);
+    - the three cocycle laws, with and without their hypotheses, report
+      what the per-section reference reports, and build no Section."""
     algs = _new_algs(max_order)
     assert algs
+    built = []
+    init = Section.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    empty = 0
     for alg in algs:
-        assert topologizing_sections(alg) == reference_census(alg)
+        secs = topologizing_sections_by_filter(alg)
+        empty += not secs
+        assert topologizing_sections(alg) == secs
+        census = section_census(alg)
+        by_restriction = {}
+        for s in secs:
+            by_restriction.setdefault(_restriction(alg, s), []).append(s)
+        assert census.restrictions == tuple(by_restriction)
+        free = alg.A.group.order ** (alg.B.group.order - alg.B.open_core.order)
+        for r, covered in by_restriction.items():
+            assert len(covered) == free
+            assert census.first_section(r) == covered[0]
+            assert census.core(r).element_set == core_by_definition(alg, covered[0])
+        for law in COCYCLE_LAWS:
+            for dropped in (frozenset(), frozenset(law.droppable)):
+                with monkeypatch.context() as m:
+                    m.setattr(Section, "__post_init__", counted)
+                    got = law(alg, dropped).to_json()
+                reference = cocycle_law_by_section(law.theorem_id, alg, secs, dropped)
+                assert got == reference.to_json()
+    assert built == []
+    # the dropped hypothesis meets empty censuses from order 2 on
+    assert empty or max_order == 1
+
+
+def test_extensions_stratum_matches_per_section_walk():
+    """`_extensions` yields, for every cocycle up to order 4, the first
+    section with each core, as the walk over every section did."""
+    spec = FamilySpec(max_group_order=4)
+    expected = [
+        ExtensionInstance(RowData(A_top, B_top, h, s.entries))
+        for A_top, B_top, h in _cocycle_triples(spec, 4, reps=False)
+        for s in first_section_per_core(
+            _cached_alg(A_top, B_top, h), topologizing_sections(_cached_alg(A_top, B_top, h))
+        )
+    ]
+    assert list(_extensions(spec)) == expected
 
 
 @pytest.mark.parametrize("max_order", ORDERS)
@@ -81,7 +135,7 @@ def test_census_count_is_restrictions_times_free_choices(max_order):
 def test_nagao_core_matches_per_section_reference(max_order):
     for alg in _new_algs(max_order):
         for s in topologizing_sections(alg):
-            assert nagao_core(alg, s).element_set == reference_core(alg, s)
+            assert nagao_core(alg, s).element_set == core_by_definition(alg, s)
 
 
 def test_nagao_core_is_built_once_per_restriction():
@@ -100,3 +154,24 @@ def test_nagao_core_is_built_once_per_restriction():
     info = _core_on.cache_info()
     assert info.misses == info.currsize == len(restrictions)
     assert info.hits == sections - len(restrictions) > 0
+
+
+def test_disagreement_is_traced_back_to_the_first_pair_of_sections(monkeypatch):
+    """The two criteria provably agree, so the expansion from restrictions
+    to section indices only runs on a broken key.  With every element its own
+    coset representative, the key of a section is its restriction, and the
+    reported pair must be the first disagreeing pair of sections."""
+    monkeypatch.setattr(diagrams, "coset_reps", lambda G, K: {x: x for x in G.elements})
+    disagreeing = 0
+    for alg in _algs(3):
+        secs = topologizing_sections_by_filter(alg)
+        cores = [core_by_definition(alg, s) for s in secs]
+        keys = [_restriction(alg, s) for s in secs]
+        pair = diagrams.first_disagreeing_pair(cores, keys)
+        details = verify_nagao_comparison(alg).details
+        if pair is None:
+            assert details[1:] == ()
+        else:
+            disagreeing += 1
+            assert details[1:] == (("disagreeing_pair_%d_%d" % pair, False),)
+    assert disagreeing
