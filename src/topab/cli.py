@@ -23,7 +23,7 @@ from .errors import (
     UnknownTheorem,
 )
 from .extensions import (
-    AlgExtension,
+    alg_extension,
     canonical_section,
     enumerate_sections,
     nagao_core,
@@ -34,7 +34,7 @@ from .extensions import (
 )
 from .duality import dual_group
 from . import jsonio
-from .search import FamilySpec, SearchTask, run_search
+from .search import FamilySpec, SearchTask, markdown_report, run_search
 
 
 def _read(path: str):
@@ -119,8 +119,8 @@ def cmd_extend(args) -> int:
         h = jsonio.cocycle_from_json(_read(args.cocycle))
         if h.A != a_top.group or h.B != b_top.group:
             raise TopabError("cocycle groups do not match the given groups")
-        real = realize_cocycle(a_top.group, b_top.group, h)
-        alg = AlgExtension(a_top, real.G, b_top, real.iota, real.pi)
+        real = realize_cocycle(h)
+        alg = alg_extension(a_top, real.G, b_top, real.iota, real.pi)
         if args.section:
             data = _read(args.section)
             A, B = a_top.group, b_top.group
@@ -194,27 +194,15 @@ def cmd_sections(args) -> int:
 
 
 def _render_report(text: str) -> str:
-    """Markdown for a JSONL report; ValueError, KeyError or TypeError if it is
-    malformed."""
+    """The Markdown that verify writes, rendered from a JSONL report;
+    ValueError, KeyError or TypeError if it is malformed."""
     records = [json.loads(line) for line in text.splitlines() if line.strip()]
     if not all(isinstance(r, dict) for r in records):
         raise ValueError("every line must be a JSON object")
     summary = next((r for r in records if r.get("type") == "summary"), None)
     if summary is None:
         raise ValueError("no summary record found")
-    task = summary["task"]
-    lines = [
-        f"# {task['theorem']}",
-        "",
-        f"- dropped hypotheses: {', '.join(task['dropped_hypotheses']) or 'none'}",
-        f"- evaluated: {summary['evaluated']} (filtered: {summary['filtered']})",
-        f"- failures: {summary['failures']}",
-    ]
-    failures = [r for r in records if r.get("type") == "failure"]
-    for i, r in enumerate(failures):
-        bad = [d["name"] for d in r["details"] if not d["ok"]]
-        lines.append(f"- failure {i}: {', '.join(bad)}")
-    return "\n".join(lines) + "\n"
+    return markdown_report(summary, [r for r in records if r.get("type") == "failure"])
 
 
 def cmd_report(args) -> int:

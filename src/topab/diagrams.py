@@ -14,7 +14,7 @@ model-collapse notes listing hypotheses that are vacuous at finite scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable
@@ -35,7 +35,7 @@ from .extensions import (
     Section,
     has_open_fibers,
     is_compatible,
-    nagao_core,
+    nagao_topology,
     psi_maps,
     section_census,
     sigma,
@@ -223,18 +223,23 @@ verify_haus_exactness = Law(
 
 @dataclass(frozen=True)
 class SquareWithSections:
-    """An extension square whose rows carry the topologies induced by s1, s2."""
+    """An extension square over the rows (alg1, s1) and (alg2, s2): row i is
+    alg_i with the topology induced by s_i, nagao_topology(alg_i, s_i), so
+    it carries that topology by construction."""
 
-    square: ExtensionSquare
+    alg1: AlgExtension
     s1: Section
+    alg2: AlgExtension
     s2: Section
+    alpha: Homomorphism
+    gamma: Homomorphism
+    beta: Homomorphism
+    square: ExtensionSquare = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r1, r2 = self.square.row1, self.square.row2
-        if nagao_core(r1.alg, self.s1).element_set != r1.G.core_set:
-            raise DiagramError("row 1 topology is not the one induced by s1")
-        if nagao_core(r2.alg, self.s2).element_set != r2.G.core_set:
-            raise DiagramError("row 2 topology is not the one induced by s2")
+        row1, row2 = nagao_topology(self.alg1, self.s1), nagao_topology(self.alg2, self.s2)
+        square = ExtensionSquare(row1, row2, self.alpha, self.gamma, self.beta)
+        object.__setattr__(self, "square", square)
 
     @cached_property
     def alpha_top(self) -> TopHom:

@@ -13,6 +13,9 @@ over one realization shares it.  Whether a section topologizes, and the
 topology it induces, depend only on its restriction to N_B, so
 `section_census` lists the topologizing sections of an extension by that
 restriction, and `alg_extension` checks each algebraic extension once.
+A row of a square is its algebra and its section: `realize_cocycle` realizes
+each cocycle once, and `nagao_topology` topologizes each (extension, section)
+pair once, so every square over the row shares one `Extension`.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     cached_hash,
+    commutes,
     group_structure,
     hom_from_table,
     is_exact_at,
@@ -153,20 +157,6 @@ class TwistedGroup:
         (a, b), (ap, bp) = x, y
         sums_a = self.A.sums
         return (sums_a[sums_a[a][ap]][self.h.rows[b][bp]], self.B.sums[b][bp])
-
-    def neg(self, x: Pair) -> Pair:
-        a, b = x
-        nb = self.B.neg(b)
-        return (self.A.neg(self.A.add(a, self.h(b, nb))), nb)
-
-    def include(self, a: Element) -> Pair:
-        return (a, self.B.zero)
-
-
-def twisted_group(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> TwistedGroup:
-    if h.A != A or h.B != B:
-        raise InvalidCocycle("factor set does not match the given groups")
-    return TwistedGroup(h)
 
 
 @dataclass(frozen=True)
@@ -352,9 +342,12 @@ class Realization:
     pi: Homomorphism
 
 
-def realize_cocycle(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> Realization:
-    """Canonicalize the twisted group and return the extension data around it."""
-    tw = twisted_group(A, B, h)
+@cache
+def realize_cocycle(h: FactorSet) -> Realization:
+    """Canonicalize the twisted group and return the extension data around it:
+    the one realization of h, whatever the topologies on h.A and h.B."""
+    tw = TwistedGroup(h)
+    A, B = h.A, h.B
     G, pairs = group_structure(tw.elements, tw.add, tw.zero)
     from_pair = dict(zip(pairs, G.elements))
     iota = hom_from_table(A, G, {a: from_pair[(a, B.zero)] for a in A.elements})
@@ -445,8 +438,11 @@ def _core_on(alg: AlgExtension, images: tuple[Element, ...]) -> Subgroup:
     return subgroup(G, {G.add(alg.iota(a), g) for a in alg.A.open_core for g in images})
 
 
+@cache
 def nagao_topology(alg: AlgExtension, s: Section) -> Extension:
-    """Topologize G with open core theta_s(N_A x N_B)."""
+    """Topologize G with open core theta_s(N_A x N_B): the one topologized
+    extension of (alg, s).  A non-topologizing s raises NotTopologizing on
+    every call, since only results are cached."""
     h = factor_set_from_section(alg.iota, alg.pi, s)
     if not is_topologizing(alg.A, alg.B, h):
         witness = next(
@@ -497,14 +493,10 @@ class ExtensionSquare:
             or self.beta.target != a2.B.group
         ):
             raise DiagramError("vertical maps do not match the rows")
-        gamma, alpha, beta = self.gamma.table, self.alpha.table, self.beta.table
-        iota1, iota2, pi1, pi2 = a1.iota.table, a2.iota.table, a1.pi.table, a2.pi.table
-        for a in a1.A.group.elements:
-            if gamma[iota1[a]] != iota2[alpha[a]]:
-                raise DiagramError(f"left square does not commute at {a}")
-        for g in a1.G.elements:
-            if pi2[gamma[g]] != beta[pi1[g]]:
-                raise DiagramError(f"right square does not commute at {g}")
+        if not commutes(a1.iota, a2.iota, self.alpha, self.gamma):
+            raise DiagramError("left square does not commute")
+        if not commutes(a1.pi, a2.pi, self.gamma, self.beta):
+            raise DiagramError("right square does not commute")
 
 
 def sigma(square: ExtensionSquare, s1: Section, s2: Section) -> dict[Element, Element]:

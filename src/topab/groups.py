@@ -3,7 +3,7 @@
 Groups are direct sums of cyclic groups Z/m1 x ... x Z/mk in additive
 notation.  Elements are coordinate tuples reduced into [0, mi), listed in
 `itertools.product` order.  Arithmetic is by lookup.  The first `add`,
-`sub`, `neg` or `scale` on a group builds its tables, which every group with
+`sub`, `negation` or `scale` on a group builds its tables, which every group with
 the same moduli shares: a row of sums for each element (each row built on
 its first use), the negation map, and the multiples k * x, k < exponent, of
 each element.  Every entry is the tuple object of `elements`, and the hot
@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd, lcm, prod
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import (
     CompositionMismatch,
@@ -171,13 +171,6 @@ class FinAbGroup:
             raise ElementNotInGroup(f"{x!r} is not an element of {self}")
         return x
 
-    def reduce(self, coords: Sequence[int]) -> Element:
-        if len(coords) != len(self.moduli):
-            raise ElementNotInGroup(
-                f"coordinate tuple {tuple(coords)!r} has wrong length for {self}"
-            )
-        return tuple(int(c) % m for c, m in zip(coords, self.moduli))
-
     @cached_property
     def sums(self) -> dict[Element, dict[Element, Element]]:
         """x -> the row {y: x + y}."""
@@ -197,12 +190,6 @@ class FinAbGroup:
             return self.sums[x][y]
         except KeyError:
             raise self._not_element(x, y) from None
-
-    def neg(self, x: Element) -> Element:
-        try:
-            return self.negation[x]
-        except KeyError:
-            raise self._not_element(x) from None
 
     def sub(self, x: Element, y: Element) -> Element:
         try:

@@ -11,12 +11,14 @@ hypotheses, evaluates the conclusion on the rest, and reports failures as
 witnesses after a core-shrinking pass.
 
 The algebra of an instance does not depend on its topologies, so it is
-built once per algebraic input and shared: `_realization` realizes each
+built once per algebraic input and shared: `realize_cocycle` realizes each
 cocycle h once, `_gamma_from_lift` builds each middle map once per (h1, s1,
 h2, alpha, lift), and `_zero_padded_row` and `_glued_row` build each
 five-term row once per extension or pair of extensions.  Only the open
 cores vary between instances over the same algebra, and between the trials
-of a shrink.
+of a shrink.  A row is its algebra and its `Section`, which the strata hand
+over as they enumerate them and `RowData.from_json` decodes at the witness
+boundary; `nagao_topology` topologizes each (algebra, section) pair once.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from math import prod
 
 from .errors import (
     BudgetExceeded,
     DiagramError,
+    InvalidCocycle,
     InvalidFamilySpec,
     InvalidSection,
     NotTopologizing,
@@ -55,9 +58,7 @@ from .topology import TopAbGroup, TopHom, discrete
 from .extensions import (
     AlgExtension,
     Extension,
-    ExtensionSquare,
     FactorSet,
-    Realization,
     Section,
     alg_extension,
     factor_set_from_section,
@@ -266,24 +267,29 @@ def _pairs_from(source: FinAbGroup, target: FinAbGroup, data) -> tuple:
 
 @dataclass(frozen=True)
 class RowData:
-    """An extension row: a cocycle over topologized ends plus a section."""
+    """An extension row: a cocycle over topologized ends plus a section of
+    its realization, which topologizes the middle group."""
 
     A: TopAbGroup
     B: TopAbGroup
     h: FactorSet
-    s_entries: tuple[tuple[Element, Element], ...]
+    s: Section
 
-    __hash__ = cached_hash(lambda s: (s.A, s.B, s.h, s.s_entries))
+    __hash__ = cached_hash(lambda r: (r.A, r.B, r.h, r.s))
 
-    def realize(self) -> tuple[Section, Extension]:
-        return _realize_row(self)
+    @cached_property
+    def alg(self) -> AlgExtension:
+        return _cached_alg(self.A, self.B, self.h)
+
+    def realize(self) -> Extension:
+        return nagao_topology(self.alg, self.s)
 
     def to_json(self) -> dict:
         return {
             "A": jsonio.topgroup_to_json(self.A),
             "B": jsonio.topgroup_to_json(self.B),
             "h": jsonio.cocycle_to_json(self.h),
-            "s": _pairs_json(self.s_entries),
+            "s": _pairs_json(self.s.entries),
         }
 
     @staticmethod
@@ -291,27 +297,16 @@ class RowData:
         A = jsonio.topgroup_from_json(data["A"])
         B = jsonio.topgroup_from_json(data["B"])
         h = jsonio.cocycle_from_json(data["h"])
-        alg = _cached_alg(A, B, h)
-        return RowData(A, B, h, _pairs_from(B.group, alg.G, data["s"]))
-
-
-@cache
-def _realization(A: FinAbGroup, B: FinAbGroup, h: FactorSet) -> Realization:
-    """The one realization of h, whatever the topologies on A and B."""
-    return realize_cocycle(A, B, h)
+        if h.A != A.group or h.B != B.group:
+            raise InvalidCocycle("cocycle groups do not match the row's groups")
+        G = realize_cocycle(h).G
+        return RowData(A, B, h, Section(B.group, G, _pairs_from(B.group, G, data["s"])))
 
 
 @cache
 def _cached_alg(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
-    real = _realization(A.group, B.group, h)
+    real = realize_cocycle(h)
     return alg_extension(A, real.G, B, real.iota, real.pi)
-
-
-@cache
-def _realize_row(row: RowData) -> tuple[Section, Extension]:
-    alg = _cached_alg(row.A, row.B, row.h)
-    s = Section(row.B.group, alg.G, row.s_entries)
-    return s, nagao_topology(alg, s)
 
 
 def _hom_json(f: Homomorphism) -> list:
@@ -364,7 +359,7 @@ def _gamma_from_lift(
     """The middle map iota1(a) + s1(b) -> iota2(alpha(a)) + lift(b), over the
     realizations of h1 and h2.  It depends on no topology, so every instance
     and shrink trial over the same algebra shares it."""
-    real1, real2 = _realization(h1.A, h1.B, h1), _realization(h2.A, h2.B, h2)
+    real1, real2 = realize_cocycle(h1), realize_cocycle(h2)
     t = dict(lift)
     B1 = h1.B.elements
     s1_values, t_values = [s1(b) for b in B1], [t[b] for b in B1]
@@ -389,11 +384,9 @@ class P3Instance:
     __hash__ = cached_hash(lambda s: (s.row1, s.row2, s.alpha, s.beta, s.lift))
 
     def build(self) -> SquareWithSections:
-        s1, e1 = self.row1.realize()
-        s2, e2 = self.row2.realize()
-        gamma = _gamma_from_lift(self.row1.h, s1, self.row2.h, self.alpha, self.lift)
-        square = ExtensionSquare(e1, e2, self.alpha, gamma, self.beta)
-        return SquareWithSections(square, s1, s2)
+        r1, r2 = self.row1, self.row2
+        gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.alpha, self.lift)
+        return SquareWithSections(r1.alg, r1.s, r2.alg, r2.s, self.alpha, gamma, self.beta)
 
     def to_json(self) -> dict:
         return {
@@ -409,11 +402,10 @@ class P3Instance:
     def from_json(data) -> "P3Instance":
         row1 = RowData.from_json(data["row1"])
         row2 = RowData.from_json(data["row2"])
-        alg2 = _cached_alg(row2.A, row2.B, row2.h)
         alpha = _hom_from(row1.A.group, row2.A.group, data["alpha"])
         beta = _hom_from(row1.B.group, row2.B.group, data["beta"])
-        B1 = row1.B.group
-        lift = Section(B1, alg2.G, _pairs_from(B1, alg2.G, data["lift"])).entries
+        B1, G2 = row1.B.group, row2.s.G
+        lift = Section(B1, G2, _pairs_from(B1, G2, data["lift"])).entries
         return P3Instance(row1, row2, alpha, beta, lift)
 
 
@@ -480,7 +472,7 @@ class ExtensionInstance:
     __hash__ = cached_hash(lambda s: s.row)
 
     def build(self) -> Extension:
-        return self.row.realize()[1]
+        return self.row.realize()
 
     def to_json(self) -> dict:
         return {"kind": "extension", "row": self.row.to_json()}
@@ -568,20 +560,19 @@ class FiveLemmaInstance:
     def build(self) -> FiveTermSquare:
         z = _trivial_top().group
         if self.shape == "zero_pad":
-            s1, e1 = self.row1.realize()
-            _, e2 = self.row2.realize()
-            gamma = _gamma_from_lift(self.row1.h, s1, self.row2.h, self.v_a, self.lift)
+            r1, r2 = self.row1, self.row2
+            gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.v_a, self.lift)
             verts = (identity_hom(z), self.v_a, gamma, self.v_b, identity_hom(z))
-            return FiveTermSquare(_zero_padded_row(e1), _zero_padded_row(e2), verts)
+            rows = _zero_padded_row(r1.realize()), _zero_padded_row(r2.realize())
+            return FiveTermSquare(*rows, verts)
         if self.shape != "glued":
             raise ValueError(f"unknown shape {self.shape}")
         # glued: both 5-term rows come from the same chain E, E'; the middle
         # vertical is a lift over E' with identity outer maps.
-        _, e = self.row1.realize()
-        sc, ec = self.chain1.realize()
+        e, c = self.row1.realize(), self.chain1
+        ec = c.realize()
         row = _glued_row(e, ec)
-        hc = self.chain1.h
-        gamma_p = _gamma_from_lift(hc, sc, hc, identity_hom(hc.A), self.lift)
+        gamma_p = _gamma_from_lift(c.h, c.s, c.h, identity_hom(c.h.A), self.lift)
         verts = (
             identity_hom(e.A.group),
             identity_hom(e.G.group),
@@ -612,8 +603,7 @@ class FiveLemmaInstance:
         v_b = _hom_from(row1.B.group, row2.B.group, data["v_b"])
         # the lift maps the quotient of row1 (glued: of chain1) into the
         # middle group of row2 (glued: of chain1)
-        lifted = chain1 or row2
-        target = _cached_alg(lifted.A, lifted.B, lifted.h).G
+        target = (chain1 or row2).s.G
         source = (chain1 or row1).B.group
         lift = Section(source, target, _pairs_from(source, target, data["lift"])).entries
         return FiveLemmaInstance(data["shape"], row1, row2, chain1, v_a, v_b, lift)
@@ -658,7 +648,7 @@ def _cocycle_triples(spec: FamilySpec, max_order: int, reps: bool):
 
 def _row_pool(spec: FamilySpec, max_order: int) -> list[RowData]:
     return [
-        RowData(A_top, B_top, h, s.entries)
+        RowData(A_top, B_top, h, s)
         for A_top, B_top, h in _cocycle_triples(spec, max_order, reps=False)
         for s in topologizing_sections(_cached_alg(A_top, B_top, h))
     ]
@@ -670,7 +660,7 @@ def _diagonal_rows(spec: FamilySpec):
     for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=True):
         secs = topologizing_sections(_cached_alg(A_top, B_top, h))
         if secs:
-            yield RowData(A_top, B_top, h, secs[0].entries), secs
+            yield RowData(A_top, B_top, h, secs[0]), secs
 
 
 # A square of extension rows is (row1, row2, alpha, beta, lift): verticals
@@ -684,12 +674,9 @@ def _small_squares(spec: FamilySpec):
     rows = _row_pool(spec, min(2, spec.max_group_order))
     for r1 in rows:
         for r2 in rows:
-            alg1 = _cached_alg(r1.A, r1.B, r1.h)
-            alg2 = _cached_alg(r2.A, r2.B, r2.h)
-            s1 = Section(r1.B.group, alg1.G, r1.s_entries)
             for alpha in hom_set(r1.A.group, r2.A.group):
                 for beta in hom_set(r1.B.group, r2.B.group):
-                    for lift in gamma_lifts(alg1, s1, alg2, alpha, beta):
+                    for lift in gamma_lifts(r1.alg, r1.s, r2.alg, alpha, beta):
                         yield r1, r2, alpha, beta, lift
 
 
@@ -717,8 +704,8 @@ def _sampled_squares(spec: FamilySpec):
         if not lifts:
             continue
         lift = lifts[rng.randrange(len(lifts))]
-        r1 = RowData(a1, b1, h1, s1.entries)
-        r2 = RowData(a2, b2, h2, s2.entries)
+        r1 = RowData(a1, b1, h1, s1)
+        r2 = RowData(a2, b2, h2, s2)
         r1, r2, lift = (shared.setdefault(x, x) for x in (r1, r2, lift))
         yield r1, r2, alpha, beta, lift
         made += 1
@@ -746,8 +733,8 @@ def _diagonal_squares(spec: FamilySpec):
     for r1, secs in _diagonal_rows(spec):
         ida, idb = identity_hom(r1.A.group), identity_hom(r1.B.group)
         for s2 in secs:
-            r2 = replace(r1, s_entries=s2.entries)
-            yield P3Instance(r1, r2, ida, idb, r1.s_entries)
+            r2 = replace(r1, s=s2)
+            yield P3Instance(r1, r2, ida, idb, r1.s.entries)
 
 
 @cache
@@ -820,8 +807,7 @@ def _extensions(spec: FamilySpec):
             core = census.core(r).elements
             if core not in seen_cores:
                 seen_cores.add(core)
-                s = census.first_section(r)
-                yield ExtensionInstance(RowData(A_top, B_top, h, s.entries))
+                yield ExtensionInstance(RowData(A_top, B_top, h, census.first_section(r)))
 
 
 @cache
@@ -840,10 +826,9 @@ def cocycle_family(spec: FamilySpec):
 
 
 def _zero_pad_diagonal(spec: FamilySpec):
-    for r, secs in _diagonal_rows(spec):
-        alg = _cached_alg(r.A, r.B, r.h)
+    for r, _ in _diagonal_rows(spec):
         ida, idb = identity_hom(r.A.group), identity_hom(r.B.group)
-        for lift in gamma_lifts(alg, secs[0], alg, ida, idb):
+        for lift in gamma_lifts(r.alg, r.s, r.alg, ida, idb):
             yield _zero_pad(r, r, ida, idb, lift)
 
 
@@ -858,7 +843,7 @@ def _glued_small(spec: FamilySpec):
             for hc in all_cocycles(e_b.group, C_top.group):
                 algc = _cached_alg(e_b, C_top, hc)
                 for sc in topologizing_sections(algc):
-                    chain = RowData(e_b, C_top, hc, sc.entries)
+                    chain = RowData(e_b, C_top, hc, sc)
                     for lift in gamma_lifts(algc, sc, algc, idb, idc):
                         yield FiveLemmaInstance("glued", base, base, chain, ida, idb, lift)
 
@@ -1003,29 +988,37 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
-        t = self.task
-        head = [
-            f"# {t.theorem_id}",
-            "",
-            f"- dropped hypotheses: {', '.join(t.dropped_hypotheses) or 'none'}",
-            f"- family: max order {t.family.max_group_order}, seed {t.family.seed}",
-            f"- instances evaluated: {self.evaluated}"
-            f" (hypothesis-filtered: {self.filtered})",
-            f"- conclusion failures: {self.failure_count}",
-            "",
-            "| stratum | generated |",
-            "|---|---|",
-        ]
-        for name in sorted(self.strata_counts):
-            head.append(f"| {name} | {self.strata_counts[name]} |")
-        if self.failures:
-            head += ["", "## failures", ""]
-            for i, r in enumerate(self.failures):
-                bad = [n for n, ok in r.details if not ok]
-                head.append(f"- failure {i}: broken conclusions: {', '.join(bad)}")
-            head += ["", "## model-collapse notes", ""]
-            head += [f"- {note}" for note in self.failures[0].model_collapse]
-        return "\n".join(head) + "\n"
+        return markdown_report(self.summary_json(), [r.to_json() for r in self.failures])
+
+
+def markdown_report(summary: dict, failures: list[dict]) -> str:
+    """The Markdown of a run, from its JSONL records: the summary and the
+    failure lines, in order.  KeyError or TypeError if a record lacks a field."""
+    task = summary["task"]
+    head = [
+        f"# {task['theorem']}",
+        "",
+        f"- dropped hypotheses: {', '.join(task['dropped_hypotheses']) or 'none'}",
+        f"- family: max order {task['family']['max_group_order']},"
+        f" seed {task['family']['seed']}",
+        f"- instances evaluated: {summary['evaluated']}"
+        f" (hypothesis-filtered: {summary['filtered']})",
+        f"- conclusion failures: {summary['failures']}",
+        "",
+        "| stratum | generated |",
+        "|---|---|",
+    ]
+    strata = summary["strata"]
+    for name in sorted(strata):
+        head.append(f"| {name} | {strata[name]} |")
+    if failures:
+        head += ["", "## failures", ""]
+        for i, r in enumerate(failures):
+            bad = [d["name"] for d in r["details"] if not d["ok"]]
+            head.append(f"- failure {i}: broken conclusions: {', '.join(bad)}")
+        head += ["", "## model-collapse notes", ""]
+        head += [f"- {note}" for note in failures[0]["model_collapse"]]
+    return "\n".join(head) + "\n"
 
 
 def _check_task(task: SearchTask) -> TheoremSpec:

@@ -5,16 +5,24 @@ tests build them by hand with these.
 """
 
 from topab.extensions import AlgExtension, Extension, FactorSet, canonical_section, nagao_topology
-from topab.groups import FinAbGroup, Homomorphism, Subgroup, subgroup
+from topab.errors import ElementNotInGroup
+from topab.groups import Element, FinAbGroup, Homomorphism, Subgroup, subgroup
 from topab.jsonio import element_to_json, group_to_json, topgroup_to_json
 from topab.search import _cached_alg
 from topab.topology import TopAbGroup
 
 
+def reduce_into(G: FinAbGroup, coords) -> Element:
+    """The element of G with the given coordinates taken mod each modulus."""
+    if len(coords) != len(G.moduli):
+        raise ElementNotInGroup(f"coordinate tuple {tuple(coords)!r} has wrong length for {G}")
+    return tuple(int(c) % m for c, m in zip(coords, G.moduli))
+
+
 def make_hom(source: FinAbGroup, target: FinAbGroup, gen_images) -> Homomorphism:
     """The homomorphism sending the standard generators to the given
     coordinate tuples, reduced into the target."""
-    return Homomorphism(source, target, tuple(target.reduce(g) for g in gen_images))
+    return Homomorphism(source, target, tuple(reduce_into(target, g) for g in gen_images))
 
 
 def indiscrete(G: FinAbGroup) -> TopAbGroup:
@@ -31,7 +39,7 @@ def factor_set(A: FinAbGroup, B: FinAbGroup, mapping: dict) -> FactorSet:
     for b in B.elements:
         for bp in B.elements:
             a = mapping.get((b, bp), A.zero)
-            entries.append((b, bp, A.reduce(a)))
+            entries.append((b, bp, reduce_into(A, a)))
     return FactorSet(A, B, tuple(entries))
 
 

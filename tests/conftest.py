@@ -28,16 +28,15 @@ def _split_row(a_top, b_top) -> RowData:
     section."""
     h = factor_set(a_top.group, b_top.group, {})
     secs = topologizing_sections(_cached_alg(a_top, b_top, h))
-    return RowData(a_top, b_top, h, secs[0].entries)
+    return RowData(a_top, b_top, h, secs[0])
 
 
 def _mixed_row():
     """The row (discrete Z2) x (indiscrete Z2) and the lift sending the
     generator b of its quotient to iota(1) + s(b)."""
     r = _split_row(discrete(Z2), indiscrete(Z2))
-    alg = _cached_alg(r.A, r.B, r.h)
-    s = dict(r.s_entries)
-    return r, (((0,), alg.G.zero), ((1,), alg.G.add(alg.iota((1,)), s[(1,)])))
+    alg = r.alg
+    return r, (((0,), alg.G.zero), ((1,), alg.G.add(alg.iota((1,)), r.s((1,)))))
 
 
 @pytest.fixture

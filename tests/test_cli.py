@@ -411,6 +411,20 @@ def test_report_malformed_jsonl_exit_2(tmp_path, capsys):
     assert_usage_error(code, out, err, "malformed report")
 
 
+@pytest.mark.parametrize("failure", [None, {"type": "failure", "details": 5}])
+def test_report_incomplete_records_exit_2(tmp_path, capsys, failure):
+    """A summary without its task, or a failure whose details are not a list
+    of clauses, is a malformed report too."""
+    golden = Path(__file__).parent / "golden" / "open_fibers.jsonl"
+    summary = json.loads(golden.read_text(encoding="utf-8").splitlines()[-1])
+    if failure is None:
+        del summary["task"]
+    records = [failure, summary] if failure else [summary]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert_usage_error(*run_cli(capsys, "report", str(bad)), "malformed report")
+
+
 def test_search_negative_max_cocycles_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "search", "p3_generalized", "--max-order", "2", "--max-cocycles", "-1"

@@ -3,8 +3,9 @@ definitions and counted.
 
 A cocycle's realization, a section's factor set, a square's middle map gamma
 and a five-term row are built once per algebraic input and then shared by
-every choice of open cores and every instance over that input.  The first
-tests compare each shared piece with a reference built from scratch on every
+every choice of open cores and every instance over that input, and each row
+(an algebraic extension and a section) is topologized once.  The first tests
+compare each shared piece with a reference built from scratch on every
 instance of the square families; the last ones count the constructions on a
 small spec.
 """
@@ -12,12 +13,13 @@ small spec.
 import pytest
 
 from topab import extensions, search
-from topab.diagrams import FiveTermRow
+from topab.diagrams import FiveTermRow, SquareWithSections
 from topab.errors import NotAnExtension
 from topab.extensions import (
     AlgExtension,
     Extension,
     factor_set_from_section,
+    nagao_topology,
     realize_cocycle,
 )
 from topab.groups import identity_hom, zero_hom
@@ -42,17 +44,16 @@ SPECS = {
 
 def fresh_alg(row) -> AlgExtension:
     """The row's extension from a realization built anew, not from a cache."""
-    h = row.h
-    real = realize_cocycle(h.A, h.B, h)
+    real = realize_cocycle.__wrapped__(row.h)
     return AlgExtension(row.A, real.G, row.B, real.iota, real.pi)
 
 
-def check_row_algebra(row, s):
+def check_row_algebra(row):
     """The shared realization and factor set of a row equal fresh ones."""
     alg, fresh = _cached_alg(row.A, row.B, row.h), fresh_alg(row)
     assert (alg.G, alg.iota, alg.pi) == (fresh.G, fresh.iota, fresh.pi)
-    uncached = factor_set_from_section.__wrapped__(fresh.iota, fresh.pi, s)
-    assert factor_set_from_section(alg.iota, alg.pi, s) == uncached
+    uncached = factor_set_from_section.__wrapped__(fresh.iota, fresh.pi, row.s)
+    assert factor_set_from_section(alg.iota, alg.pi, row.s) == uncached
     return fresh
 
 
@@ -62,10 +63,10 @@ def test_p3_pieces_equal_their_definitions(spec):
     assert family
     for _, inst in family:
         sws = inst.build()
-        fresh1 = check_row_algebra(inst.row1, sws.s1)
-        fresh2 = check_row_algebra(inst.row2, sws.s2)
+        fresh1 = check_row_algebra(inst.row1)
+        fresh2 = check_row_algebra(inst.row2)
         expected = gamma_by_definition(
-            fresh1, dict(inst.row1.s_entries), fresh2, inst.alpha, dict(inst.lift)
+            fresh1, inst.row1.s.table, fresh2, inst.alpha, dict(inst.lift)
         )
         assert sws.square.gamma.table == expected
 
@@ -80,12 +81,12 @@ def test_five_lemma_pieces_equal_their_definitions(spec):
         for row in (fts.row1, fts.row2):
             assert row.is_strict_exact() == is_strict_exact_oracle(row.groups, row.maps)
         if inst.shape == "zero_pad":
-            fresh1 = check_row_algebra(inst.row1, inst.row1.realize()[0])
-            fresh2 = check_row_algebra(inst.row2, inst.row2.realize()[0])
-            s1, alpha = dict(inst.row1.s_entries), inst.v_a
+            fresh1 = check_row_algebra(inst.row1)
+            fresh2 = check_row_algebra(inst.row2)
+            s1, alpha = inst.row1.s.table, inst.v_a
         else:
-            fresh1 = fresh2 = check_row_algebra(inst.chain1, inst.chain1.realize()[0])
-            s1, alpha = dict(inst.chain1.s_entries), identity_hom(inst.chain1.h.A)
+            fresh1 = fresh2 = check_row_algebra(inst.chain1)
+            s1, alpha = inst.chain1.s.table, identity_hom(inst.chain1.h.A)
         expected = gamma_by_definition(fresh1, s1, fresh2, alpha, dict(inst.lift))
         assert fts.verticals[2].table == expected
     assert shapes == ({"zero_pad", "glued"} if spec is SPECS["order2"] else {"zero_pad"})
@@ -101,9 +102,9 @@ TINY = FamilySpec(max_group_order=2, seed=3, sample_count=20)
 def cold_caches():
     """Empty every cache that holds an algebraic piece or a family."""
     for fn in (
-        search._realization,
+        extensions.realize_cocycle,
         search._cached_alg,
-        search._realize_row,
+        extensions.nagao_topology,
         search._gamma_from_lift,
         search._zero_padded_row,
         search._glued_row,
@@ -118,20 +119,21 @@ def cold_caches():
 
 
 def test_each_cocycle_is_realized_once(cold_caches, monkeypatch):
-    realized = []
+    looked_up = []
 
-    def realize(A, B, h):
-        realized.append(h)
-        return realize_cocycle(A, B, h)
+    def recording(h):
+        looked_up.append(h)
+        return realize_cocycle(h)
 
-    monkeypatch.setattr(search, "realize_cocycle", realize)
+    monkeypatch.setattr(search, "realize_cocycle", recording)
     for theorem in ("open_fibers", "five_lemma_topological"):
         run_search(SearchTask(theorem, family=TINY))
-    assert len(realized) == len(set(realized)) > 0
+    info = realize_cocycle.cache_info()
+    assert info.misses == len(set(looked_up)) > 0
     rows = {r for _, inst in p3_family(TINY) for r in (inst.row1, inst.row2)}
-    assert {r.h for r in rows} <= set(realized)
+    assert {r.h for r in rows} <= set(looked_up)
     # the same h over several pairs of open cores still has one realization
-    assert _cached_alg.cache_info().misses > len(realized)
+    assert _cached_alg.cache_info().misses > info.misses
 
 
 def test_each_factor_set_is_built_once_per_realization_and_section(
@@ -157,13 +159,13 @@ def test_each_middle_map_is_built_once_per_algebraic_input(cold_caches):
         run_search(SearchTask(theorem, family=TINY))
     keys = set()
     for _, inst in p3_family(TINY):
-        keys.add((inst.row1.h, inst.row1.s_entries, inst.row2.h, inst.alpha, inst.lift))
+        keys.add((inst.row1.h, inst.row1.s, inst.row2.h, inst.alpha, inst.lift))
     for _, inst in five_lemma_family(TINY):
         if inst.shape == "glued":
             c = inst.chain1
-            keys.add((c.h, c.s_entries, c.h, identity_hom(c.h.A), inst.lift))
+            keys.add((c.h, c.s, c.h, identity_hom(c.h.A), inst.lift))
         else:
-            keys.add((inst.row1.h, inst.row1.s_entries, inst.row2.h, inst.v_a, inst.lift))
+            keys.add((inst.row1.h, inst.row1.s, inst.row2.h, inst.v_a, inst.lift))
     info = search._gamma_from_lift.cache_info()
     # shrink trials change only open cores, so they add no key
     assert info.misses == len(keys)
@@ -178,9 +180,9 @@ def test_each_five_term_row_is_built_and_checked_once(cold_caches):
     extensions_used = set()
     for inst in family:
         if inst.shape == "glued":
-            extensions_used.add((inst.row1.realize()[1], inst.chain1.realize()[1]))
+            extensions_used.add((inst.row1.realize(), inst.chain1.realize()))
         else:
-            extensions_used.update(r.realize()[1] for r in (inst.row1, inst.row2))
+            extensions_used.update(r.realize() for r in (inst.row1, inst.row2))
     assert len({id(row) for row in rows}) == len(extensions_used) < len(rows)
     law = search.THEOREMS["five_lemma_topological"].evaluate
     for fts in squares * 2:
@@ -192,6 +194,38 @@ def test_each_five_term_row_is_built_and_checked_once(cold_caches):
             checked.add(fts.row2)
     info = FiveTermRow.is_strict_exact.cache_info()
     assert info.misses == len(checked) > 0
+
+
+def test_each_row_is_topologized_once(cold_caches):
+    """Building every square of both square families topologizes each
+    distinct row, an algebraic extension with a section, exactly once."""
+    rows = set()
+    for family in (p3_family(TINY), five_lemma_family(TINY)):
+        for _, inst in family:
+            inst.build()
+            rows |= {inst.row1, inst.row2, getattr(inst, "chain1", None)} - {None}
+    info = nagao_topology.cache_info()
+    assert info.misses == len({(r.alg, r.s) for r in rows}) > 0
+    assert info.hits > info.misses
+
+
+def test_a_square_carries_the_topologies_of_its_sections(cold_caches, monkeypatch):
+    """Row i of a SquareWithSections is the cached nagao_topology(alg_i, s_i),
+    so the square derives no Nagao core to check it."""
+    squares = [inst.build() for _, inst in p3_family(TINY)]
+    cores = []
+    nagao_core = extensions.nagao_core
+    monkeypatch.setattr(
+        extensions, "nagao_core", lambda alg, s: cores.append(s) or nagao_core(alg, s)
+    )
+    for sws in squares:
+        rebuilt = SquareWithSections(
+            sws.alg1, sws.s1, sws.alg2, sws.s2, sws.alpha, sws.gamma, sws.beta
+        )
+        for sq in (sws, rebuilt):
+            assert sq.square.row1 is nagao_topology(sws.alg1, sws.s1)
+            assert sq.square.row2 is nagao_topology(sws.alg2, sws.s2)
+    assert cores == []
 
 
 def test_square_maps_are_one_top_hom_each():
@@ -223,7 +257,7 @@ def test_a_non_exact_extension_is_refused_on_every_call():
     """Only checked extensions are cached, so a sequence that is not exact
     raises NotAnExtension however often it is built."""
     family = p3_family(FamilySpec(max_group_order=2, generators=("squares_small",)))
-    e = next(e for _, inst in family if (e := inst.row1.realize()[1]).A.group.order > 1)
+    e = next(e for _, inst in family if (e := inst.row1.realize()).A.group.order > 1)
     zero = TopHom(zero_hom(e.A.group, e.G.group), e.A, e.G)
     for _ in range(2):
         with pytest.raises(NotAnExtension, match="iota is not injective"):

@@ -36,7 +36,7 @@ Z4 = FinAbGroup([4])
 def make_row(a_top, b_top, h=None, s_index=0):
     h = h if h is not None else factor_set(a_top.group, b_top.group, {})
     secs = topologizing_sections(_cached_alg(a_top, b_top, h))
-    return RowData(a_top, b_top, h, secs[s_index].entries)
+    return RowData(a_top, b_top, h, secs[s_index])
 
 
 def unmet(rep):
@@ -46,7 +46,7 @@ def unmet(rep):
 
 def identity_p3_instance(row):
     return P3Instance(
-        row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s_entries
+        row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s.entries
     )
 
 
@@ -146,7 +146,7 @@ def test_five_lemma_nagao_case_gate():
 def zero_pad_instance(row, v_a=None, v_b=None, lift=None):
     v_a = v_a or identity_hom(row.A.group)
     v_b = v_b or identity_hom(row.B.group)
-    lift = lift or row.s_entries
+    lift = lift or row.s.entries
     return FiveLemmaInstance("zero_pad", row, row, None, v_a, v_b, lift)
 
 
@@ -179,7 +179,7 @@ def test_five_lemma_glued_shape():
         chain,
         identity_hom(Z2),
         identity_hom(Z2),
-        chain.s_entries,
+        chain.s.entries,
     )
     fts = inst.build()
     rep = verify_topological_five_lemma(fts)

@@ -1,6 +1,7 @@
 import pytest
 
 from topab.errors import (
+    DiagramError,
     InvalidCocycle,
     InvalidSection,
     NotAnExtension,
@@ -27,10 +28,9 @@ from topab.extensions import (
     section_for,
     sigma,
     snake_haus_sequence,
-    twisted_group,
     validate_cocycle,
 )
-from topab.groups import FinAbGroup, identity_hom
+from topab.groups import FinAbGroup, identity_hom, zero_hom
 from topab.search import _cached_alg
 from topab.topology import (
     TopAbGroup,
@@ -81,7 +81,7 @@ def test_cocycle_validation():
 
 def test_twisted_group_z4():
     h = factor_set(Z2, Z2, {((1,), (1,)): (1,)})
-    t = twisted_group(Z2, Z2, h)
+    t = TwistedGroup(h)
     check_group_laws(t)
     x = ((0,), (1,))
     assert t.add(x, x) == ((1,), (0,))
@@ -254,6 +254,20 @@ def identity_square(ext):
     )
 
 
+def test_extension_square_names_the_square_that_does_not_commute():
+    alg = z4_extension()
+    ext = nagao_topology(alg, canonical_section(alg))
+    ida, idg = identity_hom(Z2), identity_hom(Z4)
+    zero_a, zero_g = zero_hom(Z2, Z2), zero_hom(Z4, Z4)
+    # gamma = 0 under alpha = id: gamma(iota(1)) = 0 but iota(alpha(1)) != 0
+    with pytest.raises(DiagramError, match="left square does not commute"):
+        ExtensionSquare(ext, ext, ida, zero_g, ida)
+    # alpha = gamma = 0 under beta = id: pi(gamma(1)) = 0 but beta(pi(1)) != 0
+    with pytest.raises(DiagramError, match="right square does not commute"):
+        ExtensionSquare(ext, ext, zero_a, zero_g, ida)
+    ExtensionSquare(ext, ext, ida, idg, ida)
+
+
 def test_sigma_identity_square():
     alg = z4_extension()
     ext = nagao_topology(alg, canonical_section(alg))
@@ -363,6 +377,7 @@ def test_one_alg_extension_per_extension(monkeypatch):
         AlgExtension, "__post_init__", lambda self: calls.append(1) or post_init(self)
     )
     alg_extension.cache_clear()
+    nagao_topology.cache_clear()
     alg = z4_extension(a_core="indiscrete", b_core="discrete")
     calls.clear()
     ext = nagao_topology(alg, canonical_section(alg))

@@ -12,6 +12,7 @@ keeping only discrete quotients: only the filtered and strata counts moved.
 The spec covers every stratum of every family and 293 witnesses, so a change
 to the family order, a verdict, a detail or a shrunk witness shows here.
 Regenerate a file only for an intended change of the reports, and say why.
+`topab report` renders each `.md` file from its `.jsonl` file alone.
 """
 
 import json
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from topab.cli import main
 from topab.search import THEOREMS, FamilySpec, SearchTask, run_search
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,3 +48,12 @@ def test_expect_zero_failures_matches_golden_verdict(theorem):
     summary = json.loads(lines[-1])
     assert summary["type"] == "summary"
     assert THEOREMS[theorem].expect_zero_failures == (summary["failures"] == 0)
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_report_command_prints_the_golden_markdown(theorem, capsys):
+    """`topab report T.jsonl` prints the Markdown that verify wrote for the run."""
+    assert main(["report", str(GOLDEN / f"{theorem}.jsonl")]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == (GOLDEN / f"{theorem}.md").read_text(encoding="utf-8")

@@ -8,9 +8,13 @@ functions by name.  A definition that only tests reach belongs in the tests
 
 The walk is by `ast`: a definition's body reaches a name `n` it reads
 directly (a definition of its own module or a `from .m import n`), or
-`m.n` for a submodule `m` it imported.  Methods are part of their class.  A
-name that any perfbench/*.py file mentions, as a word anywhere in it, is a
-root, because the benchmark looks names up with getattr.
+`m.n` for a submodule `m` it imported.  Reaching a class reaches its
+decorators, bases, class-level statements and dunder methods; any other
+method of a reached class is reached once reached code reads an attribute
+of its name, `x.name` on any object, as the walk cannot tell types apart.
+A name that any perfbench/*.py file mentions, as a word anywhere in it, is a
+root, and so is a method of that name, because the benchmark looks names
+up with getattr and wraps methods on their classes.
 """
 
 import ast
@@ -49,23 +53,40 @@ def _module_index():
     return index
 
 
-def _reads(index, module, node):
-    """The (module, name) definitions that `node` reads."""
+def _reads(index, module, nodes):
+    """The (module, name) definitions that `nodes` read, and the attribute
+    names `.n` that they read."""
     defs, imports, submodules, _ = index[module]
-    out = set()
-    for sub in ast.walk(node):
+    out, attrs = set(), set()
+    for sub in (s for node in nodes for s in ast.walk(node)):
         if isinstance(sub, ast.Name):
             if sub.id in defs:
                 out.add((module, sub.id))
             elif sub.id in imports:
                 out.add(imports[sub.id])
-        elif (
-            isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id in submodules
-        ):
-            out.add((submodules[sub.value.id], sub.attr))
-    return out
+        elif isinstance(sub, ast.Attribute):
+            if isinstance(sub.ctx, ast.Load):
+                attrs.add(sub.attr)
+            if isinstance(sub.value, ast.Name) and sub.value.id in submodules:
+                out.add((submodules[sub.value.id], sub.attr))
+    return out, attrs
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class_parts(node):
+    """A class's shell (decorators, bases, class-level statements and dunder
+    methods), which reaching the class reaches, and its other methods."""
+    shell = [*node.decorator_list, *node.bases, *node.keywords]
+    methods = {}
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(stmt.name):
+            methods[stmt.name] = stmt
+        else:
+            shell.append(stmt)
+    return shell, methods
 
 
 def unreached_definitions():
@@ -79,22 +100,47 @@ def unreached_definitions():
         for name in defs
         if name in words
     ]
+    attrs = set()
+
+    def visit(module, nodes):
+        reads, read_attrs = _reads(index, module, nodes)
+        frontier.extend(reads)
+        attrs.update(read_attrs)
+
     for module, (_, _, _, roots) in index.items():
-        for stmt in roots:
-            frontier += _reads(index, module, stmt)
-    seen = set()
-    while frontier:
-        key = frontier.pop()
-        module, name = key
-        if key in seen or module not in index or name not in index[module][0]:
-            continue
-        seen.add(key)
-        frontier += _reads(index, module, index[module][0][name])
+        visit(module, roots)
+    seen, methods = set(), {}  # methods: (module, class, method) -> node, of reached classes
+    while True:
+        while frontier:
+            key = frontier.pop()
+            module, name = key
+            if key in seen or module not in index or name not in index[module][0]:
+                continue
+            seen.add(key)
+            node = index[module][0][name]
+            if isinstance(node, ast.ClassDef):
+                shell, own = _class_parts(node)
+                visit(module, shell)
+                methods.update({(module, name, m): fn for m, fn in own.items()})
+            else:
+                visit(module, [node])
+        reached = [
+            key for key in methods if key not in seen and (key[2] in attrs or key[2] in words)
+        ]
+        if not reached:
+            break
+        for key in reached:
+            seen.add(key)
+            visit(key[0], [methods[key]])
+    unreached_methods = [".".join(key) for key in methods if key not in seen]
     return sorted(
-        f"{module}.{name}"
-        for module, (defs, *_) in index.items()
-        for name in defs
-        if (module, name) not in seen and not (name.startswith("__") and name.endswith("__"))
+        [
+            f"{module}.{name}"
+            for module, (defs, *_) in index.items()
+            for name in defs
+            if (module, name) not in seen and not _is_dunder(name)
+        ]
+        + unreached_methods
     )
 
 

@@ -5,7 +5,13 @@ from math import prod
 import pytest
 
 from topab import jsonio, search
-from topab.errors import BudgetExceeded, InvalidSection, UnknownHypothesis, UnknownTheorem
+from topab.errors import (
+    BudgetExceeded,
+    InvalidCocycle,
+    InvalidSection,
+    UnknownHypothesis,
+    UnknownTheorem,
+)
 from topab.extensions import FactorSet
 from topab.groups import FinAbGroup, all_homs
 from topab.search import (
@@ -47,7 +53,7 @@ def test_all_cocycles_census():
     # the two twisted groups realize Z/4 and Z/2 x Z/2
     from topab.extensions import realize_cocycle
 
-    structures = sorted(realize_cocycle(Z2, Z2, h).G.moduli for h in hs)
+    structures = sorted(realize_cocycle(h).G.moduli for h in hs)
     assert structures == [(2, 2), (4,)]
     triv = FinAbGroup([])
     assert len(all_cocycles(Z2, triv)) == 1
@@ -290,37 +296,54 @@ def test_witness_elements_decode_strictly(key):
         instance_from_json(data)
 
 
-def _edit_lift(case, lift):
-    """The lift table of a witness, edited as `case` says; the first entry is
-    b = 0 and the last one a nonzero b."""
-    b, g = lift[-1]
-    other = next(x for _, x in lift if x != g)
+def _edit_table(case, table):
+    """A table of pairs (b, x) from a witness, edited as `case` says; the
+    first entry is b = 0 and the last one a nonzero b."""
+    b, g = table[-1]
+    other = next(x for _, x in table if x != g)
     return {
-        "duplicate": lift + [[b, g]],
-        "conflicting_duplicate": lift + [[b, other]],
-        "missing": lift[:-1],
-        "reordered": lift[::-1],
+        "duplicate": table + [[b, g]],
+        "conflicting_duplicate": table + [[b, other]],
+        "missing": table[:-1],
+        "reordered": table[::-1],
     }[case]
 
 
 @pytest.mark.parametrize("case", ["duplicate", "conflicting_duplicate", "missing", "reordered"])
 @pytest.mark.parametrize("theorem", ["open_fibers", "five_lemma_topological"])
 def test_witness_lifts_list_each_element_once(theorem, case):
-    """A lift table from JSON names each element of B1 once: listing one twice
-    or missing one is a typed error, and the order of the entries does not
-    matter, as the lift is sorted before it keys the middle-map cache."""
+    """A lift table, or a row's section table, from JSON names each element
+    of its domain once: listing one twice or missing one raises
+    InvalidSection when the witness is decoded, and the order of the
+    entries does not matter, as each table is sorted before it keys a
+    cache."""
     res = run_search(SearchTask(theorem, family=FamilySpec(max_group_order=2)))
-    data = next(
+    witness = next(
         r.witness for r in res.failures if len({tuple(g) for _, g in r.witness["lift"]}) > 1
     )
-    data["lift"] = _edit_lift(case, data["lift"])
-    if case == "reordered":
-        inst = instance_from_json(data)
-        assert list(inst.lift) == sorted(inst.lift)
-        assert replay_witness(theorem, data).conclusion_checked is False
-        return
-    with pytest.raises(InvalidSection):
-        replay_witness(theorem, data)
+    for owner, key in ((lambda d: d, "lift"), (lambda d: d["row1"], "s")):
+        data = json.loads(jsonio.dumps(witness))
+        owner(data)[key] = _edit_table(case, owner(data)[key])
+        if case == "reordered":
+            inst = instance_from_json(data)
+            assert list(inst.lift) == sorted(inst.lift)
+            assert list(inst.row1.s.entries) == sorted(inst.row1.s.entries)
+            assert replay_witness(theorem, data).conclusion_checked is False
+            continue
+        with pytest.raises(InvalidSection):
+            instance_from_json(data)
+
+
+def test_witness_rows_name_the_groups_of_their_cocycle():
+    """A row whose kernel is not the group its cocycle names is rejected
+    when the witness is decoded, before any realization is looked up."""
+    res = run_search(SearchTask("open_fibers", family=FamilySpec(max_group_order=2)))
+    data = next(
+        r.witness for r in res.failures if r.witness["row1"]["A"]["group"]["moduli"] == [2]
+    )
+    data["row1"]["A"] = {"group": {"moduli": [4]}, "open_core": {"elements": [[0]]}}
+    with pytest.raises(InvalidCocycle, match="do not match"):
+        instance_from_json(data)
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))

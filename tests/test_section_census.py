@@ -112,7 +112,7 @@ def test_extensions_stratum_matches_per_section_walk():
     section with each core, as the walk over every section did."""
     spec = FamilySpec(max_group_order=4)
     expected = [
-        ExtensionInstance(RowData(A_top, B_top, h, s.entries))
+        ExtensionInstance(RowData(A_top, B_top, h, s))
         for A_top, B_top, h in _cocycle_triples(spec, 4, reps=False)
         for s in first_section_per_core(
             _cached_alg(A_top, B_top, h), topologizing_sections(_cached_alg(A_top, B_top, h))
