@@ -202,7 +202,19 @@ def _render_report(text: str) -> str:
     summary = next((r for r in records if r.get("type") == "summary"), None)
     if summary is None:
         raise ValueError("no summary record found")
-    return markdown_report(summary, [r for r in records if r.get("type") == "failure"])
+    failures = [r for r in records if r.get("type") == "failure"]
+    dropped = summary["task"]["dropped_hypotheses"]
+    if not isinstance(dropped, list) or not all(isinstance(h, str) for h in dropped):
+        raise ValueError("dropped_hypotheses must be a list of strings")
+    for key in ("evaluated", "filtered", "failures"):
+        if type(summary[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {summary[key]!r}")
+    if summary["failures"] != len(failures):
+        raise ValueError(
+            f"the summary counts {summary['failures']} failures"
+            f" but the report lists {len(failures)}"
+        )
+    return markdown_report(summary, failures)
 
 
 def cmd_report(args) -> int:

@@ -146,10 +146,6 @@ class TwistedGroup:
         )
 
     @property
-    def order(self) -> int:
-        return self.A.order * self.B.order
-
-    @property
     def zero(self) -> Pair:
         return (self.A.zero, self.B.zero)
 
@@ -301,35 +297,6 @@ def factor_set_from_section(iota: Homomorphism, pi: Homomorphism, s: Section) ->
             g = sums_g[row[t[bp]]][neg_g[t[sums_b[b][bp]]]]
             entries.append((b, bp, _pull_back(iota, g)))
     return FactorSet(iota.source, B, tuple(entries))
-
-
-@dataclass(frozen=True)
-class ThetaIso:
-    """The isomorphism (A x B, +_h_s) -> G, (a, b) -> iota(a) + s(b)."""
-
-    twisted: TwistedGroup
-    mapping: dict  # Pair -> Element of G
-
-    @cached_property
-    def inverse(self) -> dict:
-        return {g: p for p, g in self.mapping.items()}
-
-    def __call__(self, p: Pair) -> Element:
-        return self.mapping[p]
-
-
-@cache
-def theta(alg: AlgExtension, s: Section) -> ThetaIso:
-    h = factor_set_from_section(alg.iota, alg.pi, s)
-    tw = TwistedGroup(h)
-    G = alg.G
-    mapping = {
-        (a, b): G.add(alg.iota(a), s(b))
-        for a in alg.A.group.elements
-        for b in alg.B.group.elements
-    }
-    assert len(set(mapping.values())) == G.order, "theta must be bijective"
-    return ThetaIso(tw, mapping)
 
 
 @dataclass(frozen=True)
@@ -510,7 +477,6 @@ def sigma(square: ExtensionSquare, s1: Section, s2: Section) -> dict[Element, El
     out = {}
     for b in a1.B.group.elements:
         out[b] = a2.pull_back(G2.sub(square.gamma(s1(b)), s2(square.beta(b))))
-    assert out[a1.B.group.zero] == a2.A.group.zero
     return out
 
 
@@ -530,27 +496,6 @@ def has_open_fibers(sigma_map: dict[Element, Element], B1_top: TopAbGroup) -> bo
         if any(sigma_map[G.add(b, n)] != v for n in core):
             return False
     return True
-
-
-def psi_maps(square: ExtensionSquare, s1: Section, s2: Section):
-    """The coordinate transports psi, psi1, psi2 with psi = psi1 + psi2.
-
-    psi is gamma read through the two theta charts; psi1(a,b) = (alpha(a), 0);
-    psi2(a,b) = (sigma(b), beta(b)).  The pointwise decomposition identity is
-    asserted (it follows from commutativity alone).
-    """
-    th1 = theta(square.row1.alg, s1)
-    th2 = theta(square.row2.alg, s2)
-    sg = sigma(square, s1, s2)
-    tw2 = th2.twisted
-    psi, psi1, psi2 = {}, {}, {}
-    for p in th1.twisted.elements:
-        a, b = p
-        psi[p] = th2.inverse[square.gamma(th1(p))]
-        psi1[p] = (square.alpha(a), tw2.B.zero)
-        psi2[p] = (sg[b], square.beta(b))
-        assert psi[p] == tw2.add(psi1[p], psi2[p]), "psi decomposition fails"
-    return psi, psi1, psi2
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,6 @@ from .extensions import (
     realize_cocycle,
     section_census,
     topologizing_sections,
-    validate_cocycle,
 )
 from .diagrams import (
     FiveTermRow,
@@ -122,8 +121,8 @@ def _cocycles_by_class(
     transversal: t(e_j) runs over the least element of each coset of A[n_j]
     (a generator that is 0 is skipped) and every other t(b) over all of A.
     Each class then holds |A|^(|B|-1) / |Hom(B, A)| tables, each built once
-    from the class's carry table and checked once against the cocycle
-    identity.
+    from the class's carry table.  That every table is a cocycle, and a new
+    one, is checked by tests/test_search.py on every pair up to order 4.
     """
     # the least element of each coset of n_jA in A, in increasing order
     cosets = [
@@ -161,10 +160,7 @@ def _cocycles_by_class(
                 (x, y, sums_a[c][sums_a[sums_a[t[x]][t[y]]][neg_a[t[xy]]]])
                 for (x, y, xy), c in zip(pairs, carry)
             )
-            h = FactorSet(A, B, entries)
-            assert validate_cocycle(h)
-            hs.append(h)
-        assert len({h.entries for h in hs}) == len(hs), "a transversal gives distinct tables"
+            hs.append(FactorSet(A, B, entries))
         out.append(tuple(hs))
     return tuple(out)
 
@@ -294,13 +290,20 @@ class RowData:
 
     @staticmethod
     def from_json(data) -> "RowData":
-        A = jsonio.topgroup_from_json(data["A"])
-        B = jsonio.topgroup_from_json(data["B"])
-        h = jsonio.cocycle_from_json(data["h"])
-        if h.A != A.group or h.B != B.group:
-            raise InvalidCocycle("cocycle groups do not match the row's groups")
+        A, B, h = _ends_and_cocycle_from_json(data)
         G = realize_cocycle(h).G
         return RowData(A, B, h, Section(B.group, G, _pairs_from(B.group, G, data["s"])))
+
+
+def _ends_and_cocycle_from_json(data) -> tuple[TopAbGroup, TopAbGroup, FactorSet]:
+    """The topologized ends A, B and the cocycle h: B x B -> A of a row or a
+    cocycle instance; InvalidCocycle if h is over other groups."""
+    A = jsonio.topgroup_from_json(data["A"])
+    B = jsonio.topgroup_from_json(data["B"])
+    h = jsonio.cocycle_from_json(data["h"])
+    if h.A != A.group or h.B != B.group:
+        raise InvalidCocycle("cocycle groups do not match the groups A and B")
+    return A, B, h
 
 
 @cache
@@ -505,11 +508,7 @@ class CocycleInstance:
 
     @staticmethod
     def from_json(data) -> "CocycleInstance":
-        return CocycleInstance(
-            jsonio.topgroup_from_json(data["A"]),
-            jsonio.topgroup_from_json(data["B"]),
-            jsonio.cocycle_from_json(data["h"]),
-        )
+        return CocycleInstance(*_ends_and_cocycle_from_json(data))
 
 
 @cache

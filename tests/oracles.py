@@ -7,7 +7,8 @@ They are exponential or cubic and meant for small instances only.
 """
 
 import itertools
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from math import prod
 
 from topab.diagrams import _finish, first_disagreeing_pair
@@ -17,7 +18,6 @@ from topab.extensions import (
     AlgExtension,
     ExtensionSquare,
     Section,
-    ThetaIso,
     TwistedGroup,
     comparison_map,
     enumerate_sections,
@@ -25,7 +25,7 @@ from topab.extensions import (
     is_topologizing,
     nagao_core,
     section_for,
-    theta,
+    sigma,
 )
 from topab.groups import (
     Element,
@@ -204,6 +204,35 @@ def check_group_laws(tw: TwistedGroup) -> None:
                 assert tw.add(tw.add(x, y), z) == tw.add(x, tw.add(y, z))
 
 
+@dataclass(frozen=True)
+class ThetaIso:
+    """The chart (A x B, +_h_s) -> G, (a, b) -> iota(a) + s(b)."""
+
+    twisted: TwistedGroup
+    mapping: dict  # (a, b) -> element of G
+
+    @cached_property
+    def inverse(self) -> dict:
+        return {g: p for p, g in self.mapping.items()}
+
+    def __call__(self, p):
+        return self.mapping[p]
+
+
+@cache
+def theta(alg: AlgExtension, s: Section) -> ThetaIso:
+    """The chart of a section, asserted bijective."""
+    h = factor_set_from_section(alg.iota, alg.pi, s)
+    G = alg.G
+    mapping = {
+        (a, b): G.add(alg.iota(a), s(b))
+        for a in alg.A.group.elements
+        for b in alg.B.group.elements
+    }
+    assert len(set(mapping.values())) == G.order, "theta must be bijective"
+    return ThetaIso(TwistedGroup(h), mapping)
+
+
 @cache
 def checked_theta(alg: AlgExtension, s: Section) -> ThetaIso:
     """theta(alg, s), asserted additive on every pair of (A x B, +_h_s);
@@ -214,6 +243,27 @@ def checked_theta(alg: AlgExtension, s: Section) -> ThetaIso:
         for y in tw.elements:
             assert mapping[tw.add(x, y)] == G.add(mapping[x], mapping[y])
     return th
+
+
+def psi_maps(square: ExtensionSquare, s1: Section, s2: Section):
+    """The coordinate transports psi, psi1, psi2 of a square with sections.
+
+    psi is gamma read through the two theta charts; psi1(a,b) = (alpha(a), 0);
+    psi2(a,b) = (sigma(b), beta(b)).  psi = psi1 + psi2 follows from
+    commutativity alone, and is asserted pointwise.
+    """
+    th1 = theta(square.row1.alg, s1)
+    th2 = theta(square.row2.alg, s2)
+    sg = sigma(square, s1, s2)
+    tw2 = th2.twisted
+    psi, psi1, psi2 = {}, {}, {}
+    for p in th1.twisted.elements:
+        a, b = p
+        psi[p] = th2.inverse[square.gamma(th1(p))]
+        psi1[p] = (square.alpha(a), tw2.B.zero)
+        psi2[p] = (sg[b], square.beta(b))
+        assert psi[p] == tw2.add(psi1[p], psi2[p]), "psi decomposition fails"
+    return psi, psi1, psi2
 
 
 def gamma_by_definition(
@@ -285,11 +335,12 @@ def comparison_key(alg: AlgExtension, s: Section, base: Section) -> tuple[Elemen
     return tuple(min(alg.A.group.add(g, n) for n in alg.A.open_core) for g in gs)
 
 
-def cocycle_law_by_section(theorem_id: str, alg: AlgExtension, secs, dropped):
+def cocycle_law_by_section(theorem_id: str, alg: AlgExtension, secs, cores, dropped):
     """The report of `nagao_comparison`, `choice_discrete` or `topologizable`
-    on alg, from secs, its topologizing sections, one section at a time: a
-    core and a comparison key against secs[0] for every section."""
-    cores = [core_by_definition(alg, s) for s in secs]
+    on alg, from secs, its topologizing sections, one section at a time:
+    cores[i] is core_by_definition(alg, secs[i]), computed once per
+    extension by the caller, and each section gets a comparison key against
+    secs[0]."""
     if theorem_id == "nagao_comparison":
         hyps = (("has_topologizing_sections", bool(secs)),)
 

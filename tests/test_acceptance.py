@@ -19,7 +19,6 @@ from topab.extensions import (
     AlgExtension,
     enumerate_sections,
     factor_set_from_section,
-    psi_maps,
     realize_cocycle,
 )
 from topab.groups import FinAbGroup, all_homs, all_subgroups
@@ -50,6 +49,7 @@ from oracles import (
     evaluation,
     is_continuous_oracle,
     is_strict_oracle,
+    psi_maps,
     separation_dual_iso,
 )
 
@@ -330,8 +330,9 @@ def test_criterion_7e_five_lemma_topological(shear_five_term):
 
 
 def test_criterion_8_psi_decomposition():
-    """The psi = psi1 + psi2 identity is asserted inside every evaluated
-    p3 instance (criterion 7a); re-check an explicit deterministic sample."""
+    """The psi = psi1 + psi2 identity, asserted pointwise by the oracle, on a
+    deterministic sample of the default p3 family: every tenth instance.
+    tests/test_extensions.py checks it on every square at order 3."""
     from topab.search import p3_family
 
     fam = p3_family(DEFAULT)

@@ -425,6 +425,27 @@ def test_report_incomplete_records_exit_2(tmp_path, capsys, failure):
     assert_usage_error(*run_cli(capsys, "report", str(bad)), "malformed report")
 
 
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda summary: summary["task"].update(dropped_hypotheses="abc"), "dropped_hypotheses"),
+        (lambda summary: summary.update(evaluated="many"), "evaluated"),
+        (lambda summary: summary.update(failures=summary["failures"] + 1), "failures"),
+    ],
+    ids=["dropped_not_a_list", "count_not_an_int", "failure_lines_missing"],
+)
+def test_report_malformed_summary_exit_2(tmp_path, capsys, edit, needle):
+    """A summary field of the wrong type, or a failure count that is not the
+    number of failure lines, is a malformed report, not a rendered one."""
+    golden = Path(__file__).parent / "golden" / "open_fibers.jsonl"
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    summary = json.loads(lines[-1])
+    edit(summary)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n", encoding="utf-8")
+    assert_usage_error(*run_cli(capsys, "report", str(bad)), "malformed report", needle)
+
+
 def test_search_negative_max_cocycles_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "search", "p3_generalized", "--max-order", "2", "--max-cocycles", "-1"

@@ -111,7 +111,6 @@ def cold_caches():
         search.p3_family,
         search.five_lemma_family,
         extensions.factor_set_from_section,
-        extensions.theta,
         extensions.alg_extension,
         FiveTermRow.is_strict_exact,
     ):

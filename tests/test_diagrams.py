@@ -93,7 +93,7 @@ def test_p3_generalized_identity_and_pfunc_case():
     inst = identity_p3_instance(row)
     rep = verify_p3_generalized(inst.build())
     assert rep.conclusion_checked is True
-    assert ("psi_decomposition", True) in rep.details
+    assert rep.details == (("gamma_continuous", True),)
 
 
 def test_p3_generalized_incompatible_gate():

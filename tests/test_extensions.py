@@ -24,14 +24,13 @@ from topab.extensions import (
     is_compatible,
     is_topologizing,
     nagao_topology,
-    psi_maps,
     section_for,
     sigma,
     snake_haus_sequence,
     validate_cocycle,
 )
 from topab.groups import FinAbGroup, identity_hom, zero_hom
-from topab.search import _cached_alg
+from topab.search import FamilySpec, _cached_alg, p3_family
 from topab.topology import (
     TopAbGroup,
     TopHom,
@@ -45,6 +44,7 @@ from oracles import (
     check_group_laws,
     checked_theta,
     compatible_section_via_eta,
+    psi_maps,
     same_topology,
 )
 
@@ -309,6 +309,19 @@ def test_psi_decomposition_identity_square():
     assert psi[p] == ((1,), (1,))
     zero_pair = ((0,), (0,))
     assert psi[zero_pair] == psi1[zero_pair] == psi2[zero_pair] == zero_pair
+
+
+def test_psi_and_theta_on_every_p3_square_at_order_3():
+    """On every square of the p3 family at the golden spec (max order 3,
+    every stratum): both theta charts are bijective and additive, and
+    psi = psi1 + psi2 holds pointwise."""
+    fam = p3_family(FamilySpec(max_group_order=3, sample_count=60, seed=0))
+    assert {stratum for stratum, _ in fam} == {"squares_small", "diagonal", "sampled"}
+    for _, inst in fam:
+        sws = inst.build()
+        checked_theta(sws.alg1, sws.s1)
+        checked_theta(sws.alg2, sws.s2)
+        psi_maps(sws.square, sws.s1, sws.s2)
 
 
 def test_compatible_section_via_eta_is_a_section():

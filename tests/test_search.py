@@ -12,10 +12,11 @@ from topab.errors import (
     UnknownHypothesis,
     UnknownTheorem,
 )
-from topab.extensions import FactorSet
+from topab.extensions import FactorSet, validate_cocycle
 from topab.groups import FinAbGroup, all_homs
 from topab.search import (
     THEOREMS,
+    CocycleInstance,
     FamilySpec,
     SearchTask,
     all_cocycles,
@@ -26,6 +27,7 @@ from topab.search import (
     run_search,
     topologized_groups,
 )
+from topab.topology import discrete
 
 from builders import factor_set
 
@@ -147,18 +149,18 @@ def test_cocycle_counts_follow_ext(A, B):
 )
 def test_cocycle_transversal_builds_each_table_once(A, B, monkeypatch):
     """t walks a transversal of Hom(B, A), so every candidate table is a new
-    cocycle, built and checked exactly once: classes * |A|^(|B|-1) /
-    |Hom(B, A)| tables and as many calls of validate_cocycle."""
-    calls, built = [], []
-    monkeypatch.setattr(search, "validate_cocycle", lambda h: calls.append(h) or True)
+    cocycle, built exactly once: classes * |A|^(|B|-1) / |Hom(B, A)|
+    distinct tables, each of which passes validate_cocycle."""
+    built = []
     post_init = FactorSet.__post_init__
     monkeypatch.setattr(FactorSet, "__post_init__", lambda h: built.append(h) or post_init(h))
     classes = prod(_quotient_order(A, n) for n in B.moduli)
     homs = sum(1 for _ in all_homs(B, A))
     by_class = search._cocycles_by_class.__wrapped__(A, B, search._COCYCLE_BUDGET)
-    assert len(calls) * homs == classes * A.order ** (B.order - 1)
-    assert [h for hs in by_class for h in hs] == calls == built
-    assert len({h.entries for h in calls}) == len(calls)
+    assert len(built) * homs == classes * A.order ** (B.order - 1)
+    assert [h for hs in by_class for h in hs] == built
+    assert len({h.entries for h in built}) == len(built)
+    assert all(validate_cocycle(h) for h in built)
 
 
 def test_order_5_cocycles_fit_the_budget():
@@ -342,6 +344,18 @@ def test_witness_rows_name_the_groups_of_their_cocycle():
         r.witness for r in res.failures if r.witness["row1"]["A"]["group"]["moduli"] == [2]
     )
     data["row1"]["A"] = {"group": {"moduli": [4]}, "open_core": {"elements": [[0]]}}
+    with pytest.raises(InvalidCocycle, match="do not match"):
+        instance_from_json(data)
+
+
+def test_cocycle_witness_names_the_groups_of_its_cocycle():
+    """A cocycle instance whose h is not a cocycle on its B with values in
+    its A is rejected when the witness is decoded, as a row is."""
+    Z3 = FinAbGroup([3])
+    data = CocycleInstance(discrete(Z2), discrete(Z3), factor_set(Z2, Z3, {})).to_json()
+    data = json.loads(jsonio.dumps(data))
+    assert instance_from_json(data).h.B == Z3
+    data["h"] = jsonio.cocycle_to_json(factor_set(Z2, FinAbGroup([2, 2]), {}))
     with pytest.raises(InvalidCocycle, match="do not match"):
         instance_from_json(data)
 

@@ -70,7 +70,8 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
       sections, and its core is their per-section core (which reads only
       N_B, so the first of them stands for all);
     - the three cocycle laws, with and without their hypotheses, report
-      what the per-section reference reports, and build no Section."""
+      what the per-section reference reports, and build no Section.
+    Each section's core is computed once and shared by the six references."""
     algs = _new_algs(max_order)
     assert algs
     built = []
@@ -83,24 +84,26 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
     empty = 0
     for alg in algs:
         secs = topologizing_sections_by_filter(alg)
+        cores = [core_by_definition(alg, s) for s in secs]
         empty += not secs
         assert topologizing_sections(alg) == secs
         census = section_census(alg)
         by_restriction = {}
-        for s in secs:
-            by_restriction.setdefault(_restriction(alg, s), []).append(s)
+        for s, core in zip(secs, cores):
+            by_restriction.setdefault(_restriction(alg, s), []).append((s, core))
         assert census.restrictions == tuple(by_restriction)
         free = alg.A.group.order ** (alg.B.group.order - alg.B.open_core.order)
         for r, covered in by_restriction.items():
             assert len(covered) == free
-            assert census.first_section(r) == covered[0]
-            assert census.core(r).element_set == core_by_definition(alg, covered[0])
+            first, core = covered[0]
+            assert census.first_section(r) == first
+            assert census.core(r).element_set == core
         for law in COCYCLE_LAWS:
             for dropped in (frozenset(), frozenset(law.droppable)):
                 with monkeypatch.context() as m:
                     m.setattr(Section, "__post_init__", counted)
                     got = law(alg, dropped).to_json()
-                reference = cocycle_law_by_section(law.theorem_id, alg, secs, dropped)
+                reference = cocycle_law_by_section(law.theorem_id, alg, secs, cores, dropped)
                 assert got == reference.to_json()
     assert built == []
     # the dropped hypothesis meets empty censuses from order 2 on
