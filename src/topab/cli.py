@@ -203,12 +203,20 @@ def _render_report(text: str) -> str:
     if summary is None:
         raise ValueError("no summary record found")
     failures = [r for r in records if r.get("type") == "failure"]
-    dropped = summary["task"]["dropped_hypotheses"]
+    task = summary["task"]
+    if type(task["theorem"]) is not str:
+        raise ValueError(f"theorem must be a string, got {task['theorem']!r}")
+    dropped = task["dropped_hypotheses"]
     if not isinstance(dropped, list) or not all(isinstance(h, str) for h in dropped):
         raise ValueError("dropped_hypotheses must be a list of strings")
-    for key in ("evaluated", "filtered", "failures"):
-        if type(summary[key]) is not int:
-            raise ValueError(f"{key} must be an integer, got {summary[key]!r}")
+    integers = [(key, task["family"][key]) for key in ("max_group_order", "seed")]
+    integers += [(key, summary[key]) for key in ("evaluated", "filtered", "failures")]
+    for key, value in integers:
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    strata = summary["strata"]
+    if not isinstance(strata, dict) or not all(type(n) is int for n in strata.values()):
+        raise ValueError(f"strata must map each stratum to an integer, got {strata!r}")
     if summary["failures"] != len(failures):
         raise ValueError(
             f"the summary counts {summary['failures']} failures"

@@ -342,11 +342,45 @@ class SectionCensus:
     `restrictions` holds every r of a topologizing section, in product
     order, which is the order in which `enumerate_sections` first meets
     them; each stands for the |A|^(|B| - |N_B|) sections that agree with it
-    on N_B.
+    on N_B, so there are `section_count` topologizing sections, and
+    `section(k)` builds the k-th of them alone.
     """
 
     alg: AlgExtension
     restrictions: tuple[tuple[Element, ...], ...]
+    section_count: int
+
+    def section(self, k: int) -> Section:
+        """The k-th topologizing section in `enumerate_sections` order.
+
+        Walking B's nonzero elements in order, a position on N_B keeps the
+        restrictions that agree with the prefix, and a free position divides
+        k by the number of sections each of its choices stands for."""
+        if not 0 <= k < self.section_count:
+            raise IndexError(f"section {k} of {self.section_count}")
+        alg = self.alg
+        B, G, core_b = alg.B.group, alg.G, alg.B.open_core
+        fibers, a_order = alg.pi.fibers(), alg.A.group.order
+        free = B.order - core_b.order
+        candidates, j = self.restrictions, 0
+        entries = [(B.zero, G.zero)]
+        for b in B.elements[1:]:
+            if b in core_b.element_set:
+                # core_b is sorted, so its j-th element is the j-th met here
+                j += 1
+                block = a_order**free
+                for g, agreeing in itertools.groupby(candidates, key=lambda r: r[j]):
+                    agreeing = tuple(agreeing)
+                    if k < len(agreeing) * block:
+                        break
+                    k -= len(agreeing) * block
+                candidates = agreeing
+            else:
+                free -= 1
+                q, k = divmod(k, len(candidates) * a_order**free)
+                g = fibers[b][q]
+            entries.append((b, g))
+        return Section(B, G, tuple(entries))
 
     def core(self, r: tuple[Element, ...]) -> Subgroup:
         """The Nagao core of every section restricting to r, built on first use."""
@@ -375,13 +409,16 @@ def section_census(alg: AlgExtension) -> SectionCensus:
         t = dict(zip(core_b, (G.zero, *r)))
         if all(sums_g[sums_g[t[b]][t[c]]][neg_g[t[bc]]] in iota_core for b, c, bc in pairs):
             passing.append((G.zero, *r))
-    return SectionCensus(alg, tuple(passing))
+    free = B.order - core_b.order
+    return SectionCensus(alg, tuple(passing), len(passing) * alg.A.group.order**free)
 
 
 @cache
 def topologizing_sections(alg: AlgExtension) -> tuple[Section, ...]:
     """The topologizing sections of alg, in enumerate_sections order: every
-    section whose restriction to N_B is in the census."""
+    section whose restriction to N_B is in the census.  The exhaustive strata,
+    `topab sections` and the disagreement trace of `nagao_comparison` need
+    them all; a sample draws one by its index with `SectionCensus.section`."""
     G, B, core_b = alg.G, alg.B.group, alg.B.open_core
     nonzero = B.elements[1:]
     fibers = list(map(alg.pi.fibers().__getitem__, nonzero))

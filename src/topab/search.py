@@ -680,11 +680,28 @@ def _small_squares(spec: FamilySpec):
 
 
 def _sampled_squares(spec: FamilySpec):
-    """A seeded sample of squares of extension rows up to the order bound."""
+    """A seeded sample of squares of extension rows up to the order bound.
+
+    Each row's section is drawn by its index among the topologizing sections
+    of its extension, and only the drawn section is built."""
     rng = random.Random(spec.seed)
     tops = topologized_groups(spec.max_group_order)
-    # a sample repeats rows and lifts; equal ones share one object
-    shared = {}
+    # a sample repeats sections, rows and lifts; equal ones share one object.
+    # Per extension: its census and the sections drawn from it, by index.
+    drawn, shared = {}, {}
+
+    def census_of(alg: AlgExtension):
+        got = drawn.get(alg)
+        if got is None:
+            got = drawn[alg] = section_census(alg), {}
+        return got
+
+    def draw(census, sections) -> Section:
+        k = rng.randrange(census.section_count)
+        if k not in sections:
+            sections[k] = census.section(k)
+        return sections[k]
+
     made, attempts = 0, 0
     while made < spec.sample_count and attempts < 40 * spec.sample_count:
         attempts += 1
@@ -693,10 +710,10 @@ def _sampled_squares(spec: FamilySpec):
         h1 = rng.choice(all_cocycles(a1.group, b1.group))
         h2 = rng.choice(all_cocycles(a2.group, b2.group))
         alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
-        s1s, s2s = topologizing_sections(alg1), topologizing_sections(alg2)
-        if not s1s or not s2s:
+        (c1, drawn1), (c2, drawn2) = census_of(alg1), census_of(alg2)
+        if not c1.section_count or not c2.section_count:
             continue
-        s1, s2 = rng.choice(s1s), rng.choice(s2s)
+        s1, s2 = draw(c1, drawn1), draw(c2, drawn2)
         alpha = rng.choice(hom_set(a1.group, a2.group))
         beta = rng.choice(hom_set(b1.group, b2.group))
         lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)

@@ -4,11 +4,27 @@ The program reads groups, cores and extensions from JSON or enumerates them;
 tests build them by hand with these.
 """
 
-from topab.extensions import AlgExtension, Extension, FactorSet, canonical_section, nagao_topology
+import random
+
+from topab.extensions import (
+    AlgExtension,
+    Extension,
+    FactorSet,
+    canonical_section,
+    nagao_topology,
+    topologizing_sections,
+)
 from topab.errors import ElementNotInGroup
-from topab.groups import Element, FinAbGroup, Homomorphism, Subgroup, subgroup
+from topab.groups import Element, FinAbGroup, Homomorphism, Subgroup, hom_set, subgroup
 from topab.jsonio import element_to_json, group_to_json, topgroup_to_json
-from topab.search import _cached_alg
+from topab.search import (
+    FamilySpec,
+    RowData,
+    _cached_alg,
+    all_cocycles,
+    gamma_lifts,
+    topologized_groups,
+)
 from topab.topology import TopAbGroup
 
 
@@ -66,3 +82,32 @@ def alg_extension_to_json(alg: AlgExtension) -> dict:
         "iota": hom_to_json(alg.iota),
         "pi": hom_to_json(alg.pi),
     }
+
+
+def sampled_squares_by_list(spec: FamilySpec):
+    """The reference for `search._sampled_squares`: each row's section is
+    `rng.choice` over the list of every topologizing section of its
+    extension, which takes the same one draw below their count as
+    `rng.randrange` does."""
+    rng = random.Random(spec.seed)
+    tops = topologized_groups(spec.max_group_order)
+    made, attempts = 0, 0
+    while made < spec.sample_count and attempts < 40 * spec.sample_count:
+        attempts += 1
+        a1, b1 = rng.choice(tops), rng.choice(tops)
+        a2, b2 = rng.choice(tops), rng.choice(tops)
+        h1 = rng.choice(all_cocycles(a1.group, b1.group))
+        h2 = rng.choice(all_cocycles(a2.group, b2.group))
+        alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
+        s1s, s2s = topologizing_sections(alg1), topologizing_sections(alg2)
+        if not s1s or not s2s:
+            continue
+        s1, s2 = rng.choice(s1s), rng.choice(s2s)
+        alpha = rng.choice(hom_set(a1.group, a2.group))
+        beta = rng.choice(hom_set(b1.group, b2.group))
+        lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)
+        if not lifts:
+            continue
+        lift = lifts[rng.randrange(len(lifts))]
+        yield RowData(a1, b1, h1, s1), RowData(a2, b2, h2, s2), alpha, beta, lift
+        made += 1

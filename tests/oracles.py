@@ -335,17 +335,16 @@ def comparison_key(alg: AlgExtension, s: Section, base: Section) -> tuple[Elemen
     return tuple(min(alg.A.group.add(g, n) for n in alg.A.open_core) for g in gs)
 
 
-def cocycle_law_by_section(theorem_id: str, alg: AlgExtension, secs, cores, dropped):
+def cocycle_law_by_section(theorem_id: str, alg: AlgExtension, secs, cores, keys, dropped):
     """The report of `nagao_comparison`, `choice_discrete` or `topologizable`
     on alg, from secs, its topologizing sections, one section at a time:
-    cores[i] is core_by_definition(alg, secs[i]), computed once per
-    extension by the caller, and each section gets a comparison key against
-    secs[0]."""
+    cores[i] is core_by_definition(alg, secs[i]) and keys[i] is
+    comparison_key(alg, secs[i], secs[0]), both computed once per extension
+    by the caller."""
     if theorem_id == "nagao_comparison":
         hyps = (("has_topologizing_sections", bool(secs)),)
 
         def conclude():
-            keys = [comparison_key(alg, s, secs[0]) for s in secs]
             pair = first_disagreeing_pair(cores, keys)
             bad = () if pair is None else (("disagreeing_pair_%d_%d" % pair, False),)
             return (("criteria_agree_on_all_pairs", pair is None),) + bad

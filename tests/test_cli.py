@@ -431,8 +431,22 @@ def test_report_incomplete_records_exit_2(tmp_path, capsys, failure):
         (lambda summary: summary["task"].update(dropped_hypotheses="abc"), "dropped_hypotheses"),
         (lambda summary: summary.update(evaluated="many"), "evaluated"),
         (lambda summary: summary.update(failures=summary["failures"] + 1), "failures"),
+        (lambda summary: summary["task"].update(theorem=["a"]), "theorem"),
+        (lambda summary: summary["task"]["family"].update(seed="x"), "seed"),
+        (lambda summary: summary["task"]["family"].update(max_group_order="4"), "max_group_order"),
+        (lambda summary: summary.update(strata={"diagonal": "lots"}), "strata"),
+        (lambda summary: summary.update(strata=["diagonal"]), "strata"),
     ],
-    ids=["dropped_not_a_list", "count_not_an_int", "failure_lines_missing"],
+    ids=[
+        "dropped_not_a_list",
+        "count_not_an_int",
+        "failure_lines_missing",
+        "theorem_not_a_string",
+        "seed_not_an_int",
+        "max_order_not_an_int",
+        "stratum_count_not_an_int",
+        "strata_not_a_mapping",
+    ],
 )
 def test_report_malformed_summary_exit_2(tmp_path, capsys, edit, needle):
     """A summary field of the wrong type, or a failure count that is not the

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from topab import jsonio, search
+from topab import extensions, jsonio, search
 from topab.errors import (
     BudgetExceeded,
     InvalidCocycle,
@@ -29,7 +29,7 @@ from topab.search import (
 )
 from topab.topology import discrete
 
-from builders import factor_set
+from builders import factor_set, sampled_squares_by_list
 
 Z2 = FinAbGroup([2])
 Z4 = FinAbGroup([4])
@@ -369,3 +369,22 @@ def test_reported_hypotheses_are_the_droppable_ones(theorem):
     for stratum, inst in _first_instance_of_each_stratum(theorem, spec):
         rep = info.evaluate(inst.build(), frozenset())
         assert tuple(n for n, _ in rep.hypotheses_checked) == info.droppable, stratum
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("max_order", [3, 4])
+def test_sampled_squares_draw_sections_by_index(max_order, seed, monkeypatch):
+    """Each sampled row draws its section by its index in the census and
+    yields the squares of the draw from the list of every topologizing
+    section, with no such list built."""
+    spec = FamilySpec(max_group_order=max_order, seed=seed, sample_count=400)
+    expected = list(sampled_squares_by_list(spec))
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return extensions.topologizing_sections(alg)
+
+    monkeypatch.setattr(search, "topologizing_sections", counted)
+    assert list(search._sampled_squares(spec)) == expected
+    assert len(expected) == 400 and calls == []

@@ -9,7 +9,10 @@ factor set of every section, filtered by `is_topologizing`, the subgroup
 laws and the extension stratum computed section by section.
 """
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topab import diagrams
 from topab.diagrams import (
@@ -20,10 +23,13 @@ from topab.diagrams import (
 from topab.extensions import (
     Section,
     _core_on,
+    factor_set_from_section,
+    is_topologizing,
     nagao_core,
     section_census,
     topologizing_sections,
 )
+from topab.groups import hom_set, quotient, subgroup_as_group
 from topab.search import (
     ExtensionInstance,
     FamilySpec,
@@ -31,10 +37,13 @@ from topab.search import (
     _cached_alg,
     _cocycle_triples,
     _extensions,
+    all_cocycles,
+    topologized_groups,
 )
 
 from oracles import (
     cocycle_law_by_section,
+    comparison_key,
     core_by_definition,
     first_section_per_core,
     topologizing_sections_by_filter,
@@ -64,14 +73,16 @@ def _restriction(alg, s):
 def test_census_matches_per_section_reference(max_order, monkeypatch):
     """On every extension up to order 4, with the per-section reference
     computed once per extension:
-    - the materialized census is the filtered list of sections;
+    - the materialized census is the filtered list of sections, and the
+      census counts them and builds the k-th of them by its index alone;
     - the census lists each restriction of a topologizing section once, in
       the order the sections first meet it; each covers |A|^(|B| - |N_B|)
       sections, and its core is their per-section core (which reads only
       N_B, so the first of them stands for all);
     - the three cocycle laws, with and without their hypotheses, report
       what the per-section reference reports, and build no Section.
-    Each section's core is computed once and shared by the six references."""
+    Each section's core and comparison key are computed once and shared by
+    the six references."""
     algs = _new_algs(max_order)
     assert algs
     built = []
@@ -85,9 +96,14 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
     for alg in algs:
         secs = topologizing_sections_by_filter(alg)
         cores = [core_by_definition(alg, s) for s in secs]
+        keys = [comparison_key(alg, s, secs[0]) for s in secs]
         empty += not secs
         assert topologizing_sections(alg) == secs
         census = section_census(alg)
+        assert census.section_count == len(secs)
+        assert [census.section(k) for k in range(len(secs))] == list(secs)
+        with pytest.raises(IndexError):
+            census.section(census.section_count)
         by_restriction = {}
         for s, core in zip(secs, cores):
             by_restriction.setdefault(_restriction(alg, s), []).append((s, core))
@@ -103,11 +119,50 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(Section, "__post_init__", counted)
                     got = law(alg, dropped).to_json()
-                reference = cocycle_law_by_section(law.theorem_id, alg, secs, cores, dropped)
+                reference = cocycle_law_by_section(
+                    law.theorem_id, alg, secs, cores, keys, dropped
+                )
                 assert got == reference.to_json()
     assert built == []
     # the dropped hypothesis meets empty censuses from order 2 on
     assert empty or max_order == 1
+
+
+@functools.cache
+def _ends_up_to_16():
+    """Every pair (A_top, B_top) of topologized groups with |A| * |B| <= 16."""
+    tops = topologized_groups(16)
+    return [(A, B) for A in tops for B in tops if A.group.order * B.group.order <= 16]
+
+
+@st.composite
+def drawn_sections(draw):
+    """An extension with |A| * |B| <= 16, any cocycle, and a section index
+    below its census count (None if no section topologizes)."""
+    A_top, B_top = draw(st.sampled_from(_ends_up_to_16()))
+    h = draw(st.sampled_from(all_cocycles(A_top.group, B_top.group)))
+    alg = _cached_alg(A_top, B_top, h)
+    count = section_census(alg).section_count
+    return alg, draw(st.integers(0, count - 1)) if count else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn_sections())
+def test_drawn_section_topologizes_and_count_has_closed_form(case):
+    """A nonempty census counts |Hom(N_B, A/N_A)| * |N_A|^(|N_B| - 1) *
+    |A|^(|B| - |N_B|) sections, and the section drawn by index passes the
+    definition: its full factor set maps N_B x N_B into N_A."""
+    alg, k = case
+    if k is None:
+        return
+    census = section_census(alg)
+    A, B, N_A, N_B = alg.A.group, alg.B.group, alg.A.open_core, alg.B.open_core
+    homs = len(hom_set(subgroup_as_group(N_B).group, quotient(A, N_A)[0]))
+    assert census.section_count == (
+        homs * N_A.order ** (N_B.order - 1) * A.order ** (B.order - N_B.order)
+    )
+    s = census.section(k)
+    assert is_topologizing(alg.A, alg.B, factor_set_from_section(alg.iota, alg.pi, s))
 
 
 def test_extensions_stratum_matches_per_section_walk():
