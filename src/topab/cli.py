@@ -34,7 +34,7 @@ from .extensions import (
 )
 from .duality import dual_group
 from . import jsonio
-from .search import FamilySpec, SearchTask, markdown_report, run_search
+from .search import _COCYCLE_BUDGET, FamilySpec, SearchTask, markdown_report, run_search
 
 
 def _read(path: str):
@@ -169,6 +169,11 @@ def cmd_dual(args) -> int:
 def cmd_sections(args) -> int:
     try:
         alg = jsonio.alg_extension_from_json(_read(args.extension))
+        a, free = alg.A.group.order, alg.B.group.order - 1
+        if a**free > _COCYCLE_BUDGET:
+            raise BudgetExceeded(
+                f"{a}^{free} sections exceed the budget; take a smaller extension"
+            )
     except _DECODE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

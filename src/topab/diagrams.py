@@ -443,8 +443,10 @@ class FiveTermSquare:
         return tops[i]
 
 
+@cache
 def _reduced_row(row: FiveTermRow):
-    """0 -> B/Im f -> C -> Im h -> 0 with quotient and subspace topologies."""
+    """0 -> B/Im f -> C -> Im h -> 0 with quotient and subspace topologies,
+    built once per row."""
     f, g, h, _ = row.maps
     b_top, c_top, d_top = row.groups[1], row.groups[2], row.groups[3]
     bq_top, bq_proj = quotient_top(b_top, f.image())

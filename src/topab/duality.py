@@ -63,8 +63,10 @@ class Character:
         return all(self.values[x] == 0 for x in elems)
 
 
+@cache
 def all_characters(G: FinAbGroup) -> tuple[Character, ...]:
-    """Every character of the bare group, in deterministic order."""
+    """Every character of the bare group, in deterministic order, built once
+    per group."""
     e = G.exponent
     choices = []
     for m in G.moduli:

@@ -15,7 +15,9 @@ topology it induces, depend only on its restriction to N_B, so
 restriction, and `alg_extension` checks each algebraic extension once.
 A row of a square is its algebra and its section: `realize_cocycle` realizes
 each cocycle once, and `nagao_topology` topologizes each (extension, section)
-pair once, so every square over the row shares one `Extension`.
+pair once, so every square over the row shares one `Extension`.  A
+`Section` is interned (`groups.Interned`), so these caches meet each
+section value as one object.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .groups import (
     Element,
     FinAbGroup,
     Homomorphism,
+    Interned,
     Subgroup,
     cached_hash,
     commutes,
@@ -156,13 +159,15 @@ class TwistedGroup:
 
 
 @dataclass(frozen=True)
-class Section:
+class Section(metaclass=Interned):
     """A set-theoretic section table of a projection G -> B, with s(0) = 0."""
 
     B: FinAbGroup
     G: FinAbGroup
     entries: tuple[tuple[Element, Element], ...]
 
+    # sorted, not a set, so that a repeated b still raises InvalidSection
+    _pool_key = staticmethod(lambda B, G, entries: (B, G, tuple(sorted(entries))))
     __hash__ = cached_hash(lambda s: (s.B, s.G, s.entries))
 
     def __post_init__(self):

@@ -11,9 +11,15 @@ loops below read the rows directly.  `elements`, `index` and
 `check_element` build no table.  Everything is immutable after
 construction; homomorphisms are defined on the standard generators and
 totalized on first use, so applying them inside enumeration loops is a dict
-lookup.  `hom_set`, `identity_hom` and `zero_hom` return shared cached
-objects: every caller reuses one homomorphism, whose table, image and kernel
-are built once.  `commutes` checks a square on those tables.
+lookup.  `commutes` checks a square on those tables.
+
+Values are validated once.  `Subgroup` and `Homomorphism` (here),
+`TopAbGroup` and `Section` are `Interned`: a constructor call with the
+arguments of a live object returns that object, which passed the same
+checks on the same value, so equal values are one object, whose table,
+image and kernel are built once.  `hom_set`, `identity_hom`, `zero_hom`,
+`quotient` and `subgroup_as_group` are cached, so each builds its result
+once per value.
 
 The other modules call three constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
@@ -24,6 +30,7 @@ x + K) and `Homomorphism.fibers` (y -> its preimages in element order).
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd, lcm, prod
@@ -52,6 +59,35 @@ def cached_hash(key: Callable):
             return h
 
     return __hash__
+
+
+class Interned(type):
+    """The metaclass of a value type with one object per value.
+
+    A call looks its arguments up in the class's pool, by the key that the
+    class's `_pool_key` makes of them.  A hit returns the pooled object
+    without running `__post_init__` again: that object passed the same
+    checks on the same value.  A miss constructs and validates as usual.  A
+    failed check pools nothing, so bad input raises on every call, and an
+    unhashable argument falls through to the constructor.  A key normalizes
+    its arguments only in ways that keep every rejection.  The pool holds
+    weak references, so an object that nothing else holds leaves it.
+    `dataclasses.replace` calls the class, so it goes through the pool too.
+    """
+
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        cls._pool = weakref.WeakValueDictionary()
+
+    def __call__(cls, *args, **kwargs):
+        try:
+            key = cls._pool_key(*args, **kwargs)
+            obj = cls._pool.get(key)
+        except TypeError:  # an unhashable argument or a wrong signature
+            return super().__call__(*args, **kwargs)
+        if obj is None:
+            obj = cls._pool[key] = super().__call__(*args, **kwargs)
+        return obj
 
 
 @cache
@@ -225,12 +261,14 @@ class FinAbGroup:
 
 
 @dataclass(frozen=True)
-class Subgroup:
+class Subgroup(metaclass=Interned):
     """A subgroup stored as a canonically sorted element set."""
 
     parent: FinAbGroup
     elements: tuple[Element, ...]
 
+    # the constructor merges repeated elements, so the key is their set
+    _pool_key = staticmethod(lambda parent, elements: (parent, frozenset(elements)))
     __hash__ = cached_hash(lambda s: (s.parent.moduli, s.elements))
 
     def __post_init__(self):
@@ -291,13 +329,16 @@ def subgroup_generated(G: FinAbGroup, gens: Iterable[Element]) -> Subgroup:
 
 
 @dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(metaclass=Interned):
     """A homomorphism given by images of the standard generators."""
 
     source: FinAbGroup
     target: FinAbGroup
     gen_images: tuple[Element, ...]
 
+    _pool_key = staticmethod(
+        lambda source, target, gen_images: (source, target, tuple(gen_images))
+    )
     __hash__ = cached_hash(lambda s: (s.source.moduli, s.target.moduli, s.gen_images))
 
     def __post_init__(self):
@@ -562,8 +603,10 @@ def coset_reps(G: FinAbGroup, K: Collection[Element]) -> dict[Element, Element]:
     return rep
 
 
+@cache
 def quotient(G: FinAbGroup, K: Subgroup) -> tuple[FinAbGroup, Homomorphism]:
-    """G/K in canonical cyclic decomposition plus the projection."""
+    """G/K in canonical cyclic decomposition plus the projection, built once
+    per (G, K)."""
     if K.parent != G:
         raise NotASubgroup("K is not a subgroup of G")
     rep = coset_reps(G, K)
@@ -577,13 +620,15 @@ def quotient(G: FinAbGroup, K: Subgroup) -> tuple[FinAbGroup, Homomorphism]:
 
 @dataclass(frozen=True)
 class GroupEmbedding:
-    """A subgroup realized as a group in its own right, with the inclusion."""
+    """A subgroup realized as a group in its own right, with the inclusion.
+    `subgroup_as_group` shares one per subgroup, so callers only read it."""
 
     group: FinAbGroup
     include: Homomorphism
     coords: dict  # parent element of the subgroup -> element of .group
 
 
+@cache
 def subgroup_as_group(S: Subgroup) -> GroupEmbedding:
     G = S.parent
     H, values = group_structure(S.elements, G.add, G.zero)

@@ -686,8 +686,9 @@ def _sampled_squares(spec: FamilySpec):
     of its extension, and only the drawn section is built."""
     rng = random.Random(spec.seed)
     tops = topologized_groups(spec.max_group_order)
-    # a sample repeats sections, rows and lifts; equal ones share one object.
-    # Per extension: its census and the sections drawn from it, by index.
+    # a sample repeats rows and lifts; equal ones share one object.  Per
+    # extension: its census and the sections drawn from it, by index, so a
+    # repeated draw is a lookup, not a walk of the census.
     drawn, shared = {}, {}
 
     def census_of(alg: AlgExtension):

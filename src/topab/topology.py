@@ -18,6 +18,7 @@ from .groups import (
     FinAbGroup,
     GroupEmbedding,
     Homomorphism,
+    Interned,
     Subgroup,
     cached_hash,
     hom_from_table,
@@ -29,12 +30,13 @@ from .groups import (
 
 
 @dataclass(frozen=True)
-class TopAbGroup:
+class TopAbGroup(metaclass=Interned):
     """A finite abelian group with the topology determined by its open core."""
 
     group: FinAbGroup
     open_core: Subgroup
 
+    _pool_key = staticmethod(lambda group, open_core: (group, open_core))
     __hash__ = cached_hash(lambda s: (s.group, s.open_core))
 
     def __post_init__(self):

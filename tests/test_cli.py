@@ -520,3 +520,28 @@ def test_verify_exit_code_ignores_expect_zero_failures(capsys, theorem, argv, co
     assert got == code
     assert "instances evaluated: 0 " not in out
     assert ("conclusion failures: 0" in out) == (code == 0)
+
+
+def test_sections_over_budget_exit_2_without_enumerating(tmp_path, capsys, monkeypatch):
+    """A = Z/4, B = Z/11 has 4^10 sections, just over the budget: the command
+    exits 2 with one line before it builds a single section."""
+    from topab import cli
+
+    assert cli._COCYCLE_BUDGET < 4**10 < 2 * cli._COCYCLE_BUDGET
+    built = []
+    monkeypatch.setattr(cli, "enumerate_sections", lambda alg: built.append(alg) or iter(()))
+    monkeypatch.setattr(cli, "topologizing_sections", lambda alg: built.append(alg) or ())
+    e = write(
+        tmp_path,
+        "e.json",
+        {
+            "A": jsonio.topgroup_to_json(discrete(FinAbGroup([4]))),
+            "G": {"moduli": [44]},
+            "B": jsonio.topgroup_to_json(discrete(FinAbGroup([11]))),
+            "iota": {"source": {"moduli": [4]}, "target": {"moduli": [44]}, "gen_images": [[11]]},
+            "pi": {"source": {"moduli": [44]}, "target": {"moduli": [11]}, "gen_images": [[1]]},
+        },
+    )
+    code, out, err = run_cli(capsys, "sections", e)
+    assert_usage_error(code, out, err, "4^10 sections exceed the budget")
+    assert built == []

@@ -1,9 +1,16 @@
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
+from topab import jsonio
 from topab.errors import (
     DiagramError,
+    ElementNotInGroup,
     InvalidCocycle,
     InvalidSection,
+    NotASubgroup,
     NotAnExtension,
     NotTopologizing,
 )
@@ -29,8 +36,8 @@ from topab.extensions import (
     snake_haus_sequence,
     validate_cocycle,
 )
-from topab.groups import FinAbGroup, identity_hom, zero_hom
-from topab.search import FamilySpec, _cached_alg, p3_family
+from topab.groups import FinAbGroup, Homomorphism, Interned, Subgroup, identity_hom, zero_hom
+from topab.search import FamilySpec, RowData, _cached_alg, five_lemma_family, p3_family
 from topab.topology import (
     TopAbGroup,
     TopHom,
@@ -399,3 +406,97 @@ def test_one_alg_extension_per_extension(monkeypatch):
     for s in enumerate_sections(alg):
         assert nagao_topology(alg, s).alg is ext.alg
     assert len(calls) == 1
+
+
+def test_equal_topologized_groups_and_sections_are_one_object():
+    """A constructor call with the value of a live object returns that object:
+    a section's entries in any order, through `dataclasses.replace` and
+    through JSON decoding."""
+    t = TopAbGroup(Z4, Subgroup(Z4, ((0,), (2,))))
+    assert TopAbGroup(FinAbGroup([4]), Subgroup(Z4, [(2,), (0,)])) is t
+    assert dataclasses.replace(discrete(Z4), open_core=t.open_core) is t
+    assert jsonio.topgroup_from_json(jsonio.topgroup_to_json(t)) is t
+    alg = z4_extension()
+    s = Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
+    assert Section(FinAbGroup([2]), Z4, [((1,), (1,)), ((0,), (0,))]) is s
+    assert canonical_section(alg) is s is next(enumerate_sections(alg))
+    assert section_for(alg, {(1,): (1,), (0,): (0,)}) is s
+    s3 = section_for(alg, {(0,): (0,), (1,): (3,)})
+    assert dataclasses.replace(s, entries=(((1,), (3,)), ((0,), (0,)))) is s3
+    row = RowData(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {((1,), (1,)): (1,)}), s)
+    assert RowData.from_json(row.to_json()).s is s
+
+
+@pytest.mark.parametrize(
+    "cls, args, error",
+    [
+        (TopAbGroup, (Z2, Subgroup(Z4, ((0,),))), NotASubgroup),
+        (Section, (Z2, Z4, (((0,), (2,)), ((1,), (1,)))), InvalidSection),  # s(0) != 0
+        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (1,)))), InvalidSection),
+        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (3,)))), InvalidSection),
+        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (4,)))), ElementNotInGroup),
+    ],
+)
+def test_invalid_values_raise_on_every_call_and_are_never_pooled(cls, args, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            cls(*args)
+    assert cls._pool.get(cls._pool_key(*args)) is None
+
+
+def test_unhashable_arguments_skip_the_pool():
+    """An unhashable argument skips the pool and reaches the constructor: an
+    open core that is no subgroup raises AttributeError, and a section table
+    of lists is read as pairs."""
+    with pytest.raises(AttributeError):
+        TopAbGroup(Z2, [(0,)])
+    s = Section(Z2, Z4, [[(0,), (0,)], [(1,), (1,)]])
+    assert s == Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
+
+
+def test_an_object_nothing_holds_leaves_the_pool():
+    b, g = FinAbGroup([5]), FinAbGroup([5, 7])
+    core = tuple((0, y) for y in range(7))
+    t = TopAbGroup(g, Subgroup(g, core))
+    s = Section(b, g, tuple(((x,), (x, 0)) for x in range(5)))
+    refs = [weakref.ref(t), weakref.ref(t.open_core), weakref.ref(s)]
+    del t, s
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert Subgroup._pool.get(Subgroup._pool_key(g, core)) is None
+    assert Section._pool.get(Section._pool_key(b, g, [((x,), (x, 0)) for x in range(5)])) is None
+
+
+def _interned_objects(roots):
+    """Every object of an Interned class reachable from `roots` through
+    topab objects, tuples, lists, sets and dicts."""
+    found, seen, stack = [], set(), list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(type(x), Interned):
+            found.append(x)
+        if isinstance(x, dict):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            stack.extend(x)
+        elif type(x).__module__.startswith("topab.") and hasattr(x, "__dict__"):
+            stack.extend(vars(x).values())
+    return found
+
+
+def test_no_two_distinct_interned_objects_are_equal_across_the_families():
+    """Every instance of the square and five-lemma families at max order 2,
+    and the square it builds: each value of an interned type is one object."""
+    spec = FamilySpec(max_group_order=2)
+    instances = [x for family in (p3_family, five_lemma_family) for _, x in family(spec)]
+    objects = _interned_objects([*instances, *(x.build() for x in instances)])
+    by_type = {}
+    for x in objects:
+        by_type.setdefault(type(x), []).append(x)
+    assert set(by_type) == {Subgroup, Homomorphism, TopAbGroup, Section}
+    for xs in by_type.values():
+        assert len(set(xs)) == len(xs)  # distinct objects, so distinct values

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import itertools
 import os
 import subprocess
@@ -15,9 +17,11 @@ from topab.errors import (
     NonPositiveModulus,
     NotASubgroup,
 )
+from topab import jsonio
 from topab.groups import (
     FinAbGroup,
     Homomorphism,
+    Subgroup,
     all_homs,
     all_subgroups,
     compose,
@@ -433,3 +437,68 @@ def test_all_homs_count():
     assert len(list(all_homs(z4, z6))) == 2
     k = FinAbGroup([2, 2])
     assert len(list(all_homs(k, k))) == 16
+
+
+def test_equal_subgroups_and_homomorphisms_are_one_object():
+    """A constructor call with the value of a live object returns that object:
+    whatever the order and repeats of the elements, through
+    `dataclasses.replace` and through JSON decoding."""
+    z4, k4 = FinAbGroup([4]), FinAbGroup([2, 2])
+    s = Subgroup(z4, ((0,), (2,)))
+    assert Subgroup(FinAbGroup([4]), [(2,), (0,), (2,)]) is s
+    assert subgroup(z4, {(0,), (2,)}) is s is subgroup_generated(z4, [(2,)])
+    assert dataclasses.replace(trivial_subgroup(z4), elements=((2,), (0,))) is s
+    assert jsonio.subgroup_from_json(z4, jsonio.subgroup_to_json(s)) is s
+    f = Homomorphism(k4, z4, ((2,), (0,)))
+    assert Homomorphism(FinAbGroup([2, 2]), z4, [(2,), (0,)]) is f
+    assert hom_from_table(k4, z4, f.table) is f
+    assert dataclasses.replace(zero_hom(k4, z4), gen_images=((2,), (0,))) is f
+    data = {"source": {"moduli": [2, 2]}, "target": {"moduli": [4]}, "gen_images": [[2], [0]]}
+    assert jsonio.hom_from_json(data) is f
+    assert f.kernel() is Subgroup(k4, ((0, 0), (0, 1)))
+    assert f.image() is s
+
+
+@pytest.mark.parametrize(
+    "cls, args, error",
+    [
+        (Subgroup, (FinAbGroup([4]), ((0,), (1,))), NotASubgroup),  # not closed
+        (Subgroup, (FinAbGroup([4]), ((0,), (4,))), ElementNotInGroup),
+        (Homomorphism, (FinAbGroup([2]), FinAbGroup([4]), ((1,),)), IllDefined),
+        (Homomorphism, (FinAbGroup([2]), FinAbGroup([4]), ((0,), (0,))), IllDefined),
+        (Homomorphism, (FinAbGroup([2]), FinAbGroup([4]), ((6,),)), ElementNotInGroup),
+    ],
+)
+def test_invalid_values_raise_on_every_call_and_are_never_pooled(cls, args, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            cls(*args)
+    assert cls._pool.get(cls._pool_key(*args)) is None
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (Subgroup, (FinAbGroup([4]), [[0]])),
+        (Homomorphism, (FinAbGroup([2]), FinAbGroup([2]), [[1]])),
+    ],
+)
+def test_unhashable_arguments_raise_the_constructors_error(cls, args):
+    """An unhashable argument skips the pool and reaches the constructor,
+    which raises TypeError."""
+    with pytest.raises(TypeError):
+        cls(*args)
+
+
+def test_an_object_nothing_holds_leaves_the_pool():
+    g = FinAbGroup([3, 5, 7])
+    s = Subgroup(g, ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
+    f = Homomorphism(g, g, ((0, 0, 0), (0, 1, 0), (0, 0, 0)))
+    keys = [
+        (Subgroup, Subgroup._pool_key(g, s.elements)),
+        (Homomorphism, Homomorphism._pool_key(g, g, f.gen_images)),
+    ]
+    assert all(cls._pool.get(key) is not None for cls, key in keys)
+    del s, f
+    gc.collect()
+    assert all(cls._pool.get(key) is None for cls, key in keys)
