@@ -143,15 +143,8 @@ def cmd_extend(args) -> int:
     except NotTopologizing as exc:
         print(f"not topologizing: {exc}", file=sys.stderr)
         return 3
-    out = {
-        "group": jsonio.group_to_json(ext.G.group),
-        "open_core": jsonio.subgroup_to_json(ext.G.open_core),
-        "theta_table": [
-            [list(a) + list(b), jsonio.element_to_json(real.from_pair[(a, b)])]
-            for (a, b) in sorted(real.from_pair)
-        ],
-    }
-    _emit(out, args.out)
+    theta = tuple((a + b, real.from_pair[(a, b)]) for a, b in sorted(real.from_pair))
+    _emit({**jsonio.to_json(ext.G), "theta_table": jsonio.to_json(theta)}, args.out)
     return 0
 
 
@@ -162,7 +155,7 @@ def cmd_dual(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     d = dual_group(t)
-    _emit(jsonio.dual_to_json(d), args.out)
+    _emit(jsonio.to_json(d), args.out)
     return 0
 
 
@@ -184,13 +177,10 @@ def cmd_sections(args) -> int:
     for i in topologizing:
         classes.setdefault(nagao_core(alg, sections[i]).elements, []).append(i)
     out = {
-        "sections": [jsonio.section_to_json(s) for s in sections],
+        "sections": [{"table": jsonio.to_json(s)} for s in sections],
         "topologizing": topologizing,
         "topology_classes": [
-            {
-                "open_core": [jsonio.element_to_json(x) for x in core],
-                "sections": idxs,
-            }
+            {"open_core": jsonio.to_json(core), "sections": idxs}
             for core, idxs in sorted(classes.items())
         ],
     }

@@ -130,7 +130,7 @@ def pull_back(chi: Character, f: Homomorphism) -> Character:
     src = f.source
     e_src, e_tgt = src.exponent, chi.group.exponent
     vals = tuple(
-        _rescale(chi(f(g)), e_tgt, e_src) for g in src.generators()
+        _rescale(chi(f(g)), e_tgt, e_src) for g in src.generators
     )
     return Character(src, vals)
 

@@ -243,6 +243,7 @@ class FinAbGroup:
         x = next((x for x in xs if x not in self.index), xs[0])
         return ElementNotInGroup(f"{x!r} is not an element of {self}")
 
+    @cached_property
     def generators(self) -> tuple[Element, ...]:
         """The standard generators; the generator of a Z/1 factor is 0."""
         n = len(self.moduli)
@@ -419,7 +420,7 @@ def hom_from_table(
     source: FinAbGroup, target: FinAbGroup, table: dict[Element, Element]
 ) -> Homomorphism:
     """Build a homomorphism from a total element map, verifying additivity."""
-    gen_images = tuple(table[g] for g in source.generators())
+    gen_images = tuple(table[g] for g in source.generators)
     f = Homomorphism(source, target, gen_images)
     if f.table != table:
         for x in source.elements:
@@ -430,7 +431,7 @@ def hom_from_table(
 
 @cache
 def identity_hom(G: FinAbGroup) -> Homomorphism:
-    return Homomorphism(G, G, G.generators())
+    return Homomorphism(G, G, G.generators)
 
 
 @cache
@@ -444,7 +445,7 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
             f"cannot compose {outer.source} <- {inner.target} mismatch"
         )
     return Homomorphism(
-        inner.source, outer.target, tuple(outer(inner(g)) for g in inner.source.generators())
+        inner.source, outer.target, tuple(outer(inner(g)) for g in inner.source.generators)
     )
 
 

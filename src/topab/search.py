@@ -5,7 +5,9 @@ small exhaustive strata plus a seeded sample of the larger space, declared
 once per family in a `_strata` call) and a law from `diagrams`, whose
 hypothesis names are the theorem's droppable hypotheses.  Every instance
 has one protocol: build() makes the object the verifier takes,
-to_json()/from_json() make it a replayable witness.
+to_json()/from_json() make it a replayable witness.  The encoder is shared:
+the instance's kind, then its fields, each encoded by `jsonio.to_json`.  Each
+class decodes itself, since the endpoints of its maps come from its rows.
 run_search builds each instance of the family, skips those failing surviving
 hypotheses, evaluates the conclusion on the rest, and reports failures as
 witnesses after a core-shrinking pass.
@@ -137,7 +139,7 @@ def _cocycles_by_class(
             f"B = {B} exceed the budget; lower --max-order"
         )
     choices = {b: A.elements for b in nonzero}
-    for e, n in zip(B.generators(), B.moduli):
+    for e, n in zip(B.generators, B.moduli):
         if e != B.zero:
             torsion = [a for a in A.elements if A.scale(n, a) == A.zero]
             choices[e] = sorted(set(coset_reps(A, torsion).values()))
@@ -220,15 +222,6 @@ class FamilySpec:
             if value < least:
                 raise InvalidFamilySpec(f"{name} must be at least {least}, got {value}")
 
-    def to_json(self) -> dict:
-        return {
-            "max_group_order": self.max_group_order,
-            "max_cocycle_count": self.max_cocycle_count,
-            "seed": self.seed,
-            "generators": list(self.generators),
-            "sample_count": self.sample_count,
-        }
-
 
 @dataclass(frozen=True)
 class SearchTask:
@@ -241,7 +234,7 @@ class SearchTask:
         return {
             "theorem": self.theorem_id,
             "dropped_hypotheses": list(self.dropped_hypotheses),
-            "family": self.family.to_json(),
+            "family": jsonio.to_json(self.family),
             "stop_at_first": self.stop_at_first,
         }
 
@@ -250,15 +243,12 @@ class SearchTask:
 # instances
 
 
-def _pairs_json(pairs) -> list:
-    return [[list(b), list(g)] for b, g in pairs]
+class _Instance:
+    """The encoder of the witness protocol: the instance's kind, then its
+    fields, each encoded by its type."""
 
-
-def _pairs_from(source: FinAbGroup, target: FinAbGroup, data) -> tuple:
-    return tuple(
-        (jsonio.element_from_json(source, b), jsonio.element_from_json(target, g))
-        for b, g in data
-    )
+    def to_json(self) -> dict:
+        return {"kind": _KIND_OF[type(self)], **jsonio.to_json(self)}
 
 
 @dataclass(frozen=True)
@@ -280,19 +270,11 @@ class RowData:
     def realize(self) -> Extension:
         return nagao_topology(self.alg, self.s)
 
-    def to_json(self) -> dict:
-        return {
-            "A": jsonio.topgroup_to_json(self.A),
-            "B": jsonio.topgroup_to_json(self.B),
-            "h": jsonio.cocycle_to_json(self.h),
-            "s": _pairs_json(self.s.entries),
-        }
-
     @staticmethod
     def from_json(data) -> "RowData":
         A, B, h = _ends_and_cocycle_from_json(data)
-        G = realize_cocycle(h).G
-        return RowData(A, B, h, Section(B.group, G, _pairs_from(B.group, G, data["s"])))
+        s = jsonio.section_from_json(B.group, realize_cocycle(h).G, data["s"])
+        return RowData(A, B, h, s)
 
 
 def _ends_and_cocycle_from_json(data) -> tuple[TopAbGroup, TopAbGroup, FactorSet]:
@@ -310,16 +292,6 @@ def _ends_and_cocycle_from_json(data) -> tuple[TopAbGroup, TopAbGroup, FactorSet
 def _cached_alg(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
     real = realize_cocycle(h)
     return alg_extension(A, real.G, B, real.iota, real.pi)
-
-
-def _hom_json(f: Homomorphism) -> list:
-    return [list(x) for x in f.gen_images]
-
-
-def _hom_from(source: FinAbGroup, target: FinAbGroup, data) -> Homomorphism:
-    return Homomorphism(
-        source, target, tuple(jsonio.element_from_json(target, x) for x in data)
-    )
 
 
 def gamma_lifts(
@@ -375,7 +347,7 @@ def _gamma_from_lift(
 
 
 @dataclass(frozen=True)
-class P3Instance:
+class P3Instance(_Instance):
     """A commutative extension square with sections; gamma given by its lift."""
 
     row1: RowData
@@ -391,29 +363,18 @@ class P3Instance:
         gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.alpha, self.lift)
         return SquareWithSections(r1.alg, r1.s, r2.alg, r2.s, self.alpha, gamma, self.beta)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "square_with_sections",
-            "row1": self.row1.to_json(),
-            "row2": self.row2.to_json(),
-            "alpha": _hom_json(self.alpha),
-            "beta": _hom_json(self.beta),
-            "lift": _pairs_json(self.lift),
-        }
-
     @staticmethod
     def from_json(data) -> "P3Instance":
         row1 = RowData.from_json(data["row1"])
         row2 = RowData.from_json(data["row2"])
-        alpha = _hom_from(row1.A.group, row2.A.group, data["alpha"])
-        beta = _hom_from(row1.B.group, row2.B.group, data["beta"])
-        B1, G2 = row1.B.group, row2.s.G
-        lift = Section(B1, G2, _pairs_from(B1, G2, data["lift"])).entries
+        alpha = jsonio.map_from_json(row1.A.group, row2.A.group, data["alpha"])
+        beta = jsonio.map_from_json(row1.B.group, row2.B.group, data["beta"])
+        lift = jsonio.section_from_json(row1.B.group, row2.s.G, data["lift"]).entries
         return P3Instance(row1, row2, alpha, beta, lift)
 
 
 @dataclass(frozen=True)
-class InjSquareInstance:
+class InjSquareInstance(_Instance):
     """Four injective-candidate maps forming a commuting square."""
 
     A: TopAbGroup
@@ -435,19 +396,6 @@ class InjSquareInstance:
             TopHom(self.beta, self.B, self.Bp),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "injective_square",
-            "A": jsonio.topgroup_to_json(self.A),
-            "B": jsonio.topgroup_to_json(self.B),
-            "Ap": jsonio.topgroup_to_json(self.Ap),
-            "Bp": jsonio.topgroup_to_json(self.Bp),
-            "f": _hom_json(self.f),
-            "g": _hom_json(self.g),
-            "alpha": _hom_json(self.alpha),
-            "beta": _hom_json(self.beta),
-        }
-
     @staticmethod
     def from_json(data) -> "InjSquareInstance":
         A = jsonio.topgroup_from_json(data["A"])
@@ -459,15 +407,15 @@ class InjSquareInstance:
             B,
             Ap,
             Bp,
-            _hom_from(A.group, B.group, data["f"]),
-            _hom_from(Ap.group, Bp.group, data["g"]),
-            _hom_from(A.group, Ap.group, data["alpha"]),
-            _hom_from(B.group, Bp.group, data["beta"]),
+            jsonio.map_from_json(A.group, B.group, data["f"]),
+            jsonio.map_from_json(Ap.group, Bp.group, data["g"]),
+            jsonio.map_from_json(A.group, Ap.group, data["alpha"]),
+            jsonio.map_from_json(B.group, Bp.group, data["beta"]),
         )
 
 
 @dataclass(frozen=True)
-class ExtensionInstance:
+class ExtensionInstance(_Instance):
     """A topological extension presented as a row with a section."""
 
     row: RowData
@@ -477,16 +425,13 @@ class ExtensionInstance:
     def build(self) -> Extension:
         return self.row.realize()
 
-    def to_json(self) -> dict:
-        return {"kind": "extension", "row": self.row.to_json()}
-
     @staticmethod
     def from_json(data) -> "ExtensionInstance":
         return ExtensionInstance(RowData.from_json(data["row"]))
 
 
 @dataclass(frozen=True)
-class CocycleInstance:
+class CocycleInstance(_Instance):
     """A cocycle over topologized ends; section-level facts are quantified."""
 
     A: TopAbGroup
@@ -497,14 +442,6 @@ class CocycleInstance:
 
     def build(self) -> AlgExtension:
         return _cached_alg(self.A, self.B, self.h)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "cocycle",
-            "A": jsonio.topgroup_to_json(self.A),
-            "B": jsonio.topgroup_to_json(self.B),
-            "h": jsonio.cocycle_to_json(self.h),
-        }
 
     @staticmethod
     def from_json(data) -> "CocycleInstance":
@@ -541,7 +478,7 @@ def _glued_row(e: Extension, ec: Extension) -> FiveTermRow:
 
 
 @dataclass(frozen=True)
-class FiveLemmaInstance:
+class FiveLemmaInstance(_Instance):
     """A five-term square built from extensions by zero-padding or gluing."""
 
     shape: str  # "zero_pad" or "glued"
@@ -581,30 +518,17 @@ class FiveLemmaInstance:
         )
         return FiveTermSquare(row, row, verts)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "five_lemma",
-            "shape": self.shape,
-            "row1": self.row1.to_json(),
-            "row2": self.row2.to_json(),
-            "chain1": self.chain1.to_json() if self.chain1 else None,
-            "v_a": _hom_json(self.v_a),
-            "v_b": _hom_json(self.v_b),
-            "lift": _pairs_json(self.lift),
-        }
-
     @staticmethod
     def from_json(data) -> "FiveLemmaInstance":
         row1 = RowData.from_json(data["row1"])
         row2 = RowData.from_json(data["row2"])
         chain1 = RowData.from_json(data["chain1"]) if data.get("chain1") else None
-        v_a = _hom_from(row1.A.group, row2.A.group, data["v_a"])
-        v_b = _hom_from(row1.B.group, row2.B.group, data["v_b"])
+        v_a = jsonio.map_from_json(row1.A.group, row2.A.group, data["v_a"])
+        v_b = jsonio.map_from_json(row1.B.group, row2.B.group, data["v_b"])
         # the lift maps the quotient of row1 (glued: of chain1) into the
         # middle group of row2 (glued: of chain1)
-        target = (chain1 or row2).s.G
-        source = (chain1 or row1).B.group
-        lift = Section(source, target, _pairs_from(source, target, data["lift"])).entries
+        source, target = (chain1 or row1).B.group, (chain1 or row2).s.G
+        lift = jsonio.section_from_json(source, target, data["lift"]).entries
         return FiveLemmaInstance(data["shape"], row1, row2, chain1, v_a, v_b, lift)
 
 
@@ -619,12 +543,13 @@ _INSTANCE_KINDS = {
     "cocycle": CocycleInstance,
     "five_lemma": FiveLemmaInstance,
 }
+_KIND_OF = {cls: kind for kind, cls in _INSTANCE_KINDS.items()}
 
 
 def instance_from_json(data):
     kind = data["kind"]
     if kind not in _INSTANCE_KINDS:
-        raise UnknownTheorem(f"unknown instance kind {kind}")
+        raise ValueError(f"unknown instance kind {kind!r}")
     return _INSTANCE_KINDS[kind].from_json(data)
 
 

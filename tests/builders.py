@@ -16,7 +16,7 @@ from topab.extensions import (
 )
 from topab.errors import ElementNotInGroup
 from topab.groups import Element, FinAbGroup, Homomorphism, Subgroup, hom_set, subgroup
-from topab.jsonio import element_to_json, group_to_json, topgroup_to_json
+from topab.jsonio import to_json
 from topab.search import (
     FamilySpec,
     RowData,
@@ -67,18 +67,18 @@ def split_extension(A_top: TopAbGroup, B_top: TopAbGroup) -> Extension:
 
 def hom_to_json(f: Homomorphism) -> dict:
     return {
-        "source": group_to_json(f.source),
-        "target": group_to_json(f.target),
-        "gen_images": [element_to_json(x) for x in f.gen_images],
+        "source": to_json(f.source),
+        "target": to_json(f.target),
+        "gen_images": to_json(f),
     }
 
 
 def alg_extension_to_json(alg: AlgExtension) -> dict:
     """The input of `topab sections`."""
     return {
-        "A": topgroup_to_json(alg.A),
-        "G": group_to_json(alg.G),
-        "B": topgroup_to_json(alg.B),
+        "A": to_json(alg.A),
+        "G": to_json(alg.G),
+        "B": to_json(alg.B),
         "iota": hom_to_json(alg.iota),
         "pi": hom_to_json(alg.pi),
     }

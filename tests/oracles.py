@@ -416,7 +416,7 @@ def evaluation(T: TopAbGroup) -> TopHom:
     for g in T.group.elements:
         vals = tuple(
             _rescale(d.elem_to_char[x](g), e_g, e_d)
-            for x in d.structure.generators()
+            for x in d.structure.generators
         )
         table[g] = dd.char_to_elem[Character(d.structure, vals)]
     return TopHom(hom_from_table(T.group, dd.structure, table), T, dd.as_top)

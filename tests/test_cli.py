@@ -160,8 +160,8 @@ def test_strata_come_in_declaration_order():
 
 def test_extend_zero_cocycle(tmp_path, capsys):
     z2 = FinAbGroup([2])
-    a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
-    b = write(tmp_path, "b.json", jsonio.topgroup_to_json(discrete(z2)))
+    a = write(tmp_path, "a.json", jsonio.to_json(discrete(z2)))
+    b = write(tmp_path, "b.json", jsonio.to_json(discrete(z2)))
     h = write(
         tmp_path,
         "h.json",
@@ -180,8 +180,8 @@ def test_extend_zero_cocycle(tmp_path, capsys):
 
 def test_extend_twisted_cocycle_gives_z4(tmp_path, capsys):
     z2 = FinAbGroup([2])
-    a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
-    b = write(tmp_path, "b.json", jsonio.topgroup_to_json(discrete(z2)))
+    a = write(tmp_path, "a.json", jsonio.to_json(discrete(z2)))
+    b = write(tmp_path, "b.json", jsonio.to_json(discrete(z2)))
     h = write(
         tmp_path,
         "h.json",
@@ -200,8 +200,8 @@ def test_extend_twisted_cocycle_gives_z4(tmp_path, capsys):
 
 def test_extend_not_topologizing_exit_3(tmp_path, capsys):
     z2 = FinAbGroup([2])
-    a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
-    b = write(tmp_path, "b.json", jsonio.topgroup_to_json(indiscrete(z2)))
+    a = write(tmp_path, "a.json", jsonio.to_json(discrete(z2)))
+    b = write(tmp_path, "b.json", jsonio.to_json(indiscrete(z2)))
     h = write(
         tmp_path,
         "h.json",
@@ -218,8 +218,8 @@ def test_extend_not_topologizing_exit_3(tmp_path, capsys):
 
 def test_extend_with_explicit_section(tmp_path, capsys):
     z2 = FinAbGroup([2])
-    a = write(tmp_path, "a.json", jsonio.topgroup_to_json(discrete(z2)))
-    b = write(tmp_path, "b.json", jsonio.topgroup_to_json(discrete(z2)))
+    a = write(tmp_path, "a.json", jsonio.to_json(discrete(z2)))
+    b = write(tmp_path, "b.json", jsonio.to_json(discrete(z2)))
     h = write(
         tmp_path,
         "h.json",
@@ -293,7 +293,7 @@ def test_extend_malformed_exit_2(tmp_path, capsys):
 
 def test_dual_command(tmp_path, capsys):
     z4 = FinAbGroup([4])
-    g = write(tmp_path, "g.json", jsonio.topgroup_to_json(topologize(z4, [(0,), (2,)])))
+    g = write(tmp_path, "g.json", jsonio.to_json(topologize(z4, [(0,), (2,)])))
     code, out, _ = run_cli(capsys, "dual", g)
     assert code == 0
     data = json.loads(out)
@@ -305,7 +305,7 @@ def test_dual_trivial(tmp_path, capsys):
     g = write(
         tmp_path,
         "g.json",
-        jsonio.topgroup_to_json(discrete(FinAbGroup([]))),
+        jsonio.to_json(discrete(FinAbGroup([]))),
     )
     code, out, _ = run_cli(capsys, "dual", g)
     assert code == 0
@@ -319,9 +319,9 @@ def test_sections_command(tmp_path, capsys):
         tmp_path,
         "e.json",
         {
-            "A": jsonio.topgroup_to_json(discrete(z2)),
+            "A": jsonio.to_json(discrete(z2)),
             "G": {"moduli": [4]},
-            "B": jsonio.topgroup_to_json(discrete(z2)),
+            "B": jsonio.to_json(discrete(z2)),
             "iota": {
                 "source": {"moduli": [2]},
                 "target": {"moduli": [4]},
@@ -364,7 +364,7 @@ def test_report_roundtrip(tmp_path, capsys):
 
 def test_outputs_reparse_roundtrip(tmp_path, capsys):
     z4 = FinAbGroup([4])
-    g = write(tmp_path, "g.json", jsonio.topgroup_to_json(topologize(z4, [(0,), (2,)])))
+    g = write(tmp_path, "g.json", jsonio.to_json(topologize(z4, [(0,), (2,)])))
     code, out, _ = run_cli(capsys, "dual", g)
     data = json.loads(out)
     # characters are characters of the base group
@@ -535,9 +535,9 @@ def test_sections_over_budget_exit_2_without_enumerating(tmp_path, capsys, monke
         tmp_path,
         "e.json",
         {
-            "A": jsonio.topgroup_to_json(discrete(FinAbGroup([4]))),
+            "A": jsonio.to_json(discrete(FinAbGroup([4]))),
             "G": {"moduli": [44]},
-            "B": jsonio.topgroup_to_json(discrete(FinAbGroup([11]))),
+            "B": jsonio.to_json(discrete(FinAbGroup([11]))),
             "iota": {"source": {"moduli": [4]}, "target": {"moduli": [44]}, "gen_images": [[11]]},
             "pi": {"source": {"moduli": [44]}, "target": {"moduli": [11]}, "gen_images": [[1]]},
         },

@@ -415,7 +415,7 @@ def test_equal_topologized_groups_and_sections_are_one_object():
     t = TopAbGroup(Z4, Subgroup(Z4, ((0,), (2,))))
     assert TopAbGroup(FinAbGroup([4]), Subgroup(Z4, [(2,), (0,)])) is t
     assert dataclasses.replace(discrete(Z4), open_core=t.open_core) is t
-    assert jsonio.topgroup_from_json(jsonio.topgroup_to_json(t)) is t
+    assert jsonio.topgroup_from_json(jsonio.to_json(t)) is t
     alg = z4_extension()
     s = Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
     assert Section(FinAbGroup([2]), Z4, [((1,), (1,)), ((0,), (0,))]) is s
@@ -424,7 +424,7 @@ def test_equal_topologized_groups_and_sections_are_one_object():
     s3 = section_for(alg, {(0,): (0,), (1,): (3,)})
     assert dataclasses.replace(s, entries=(((1,), (3,)), ((0,), (0,)))) is s3
     row = RowData(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {((1,), (1,)): (1,)}), s)
-    assert RowData.from_json(row.to_json()).s is s
+    assert RowData.from_json(jsonio.to_json(row)).s is s
 
 
 @pytest.mark.parametrize(

@@ -98,7 +98,7 @@ def test_surjective_beta_need_not_admit_compatible_section():
     row1 = split_extension(discrete(triv), indiscrete(Z2))
     row2 = split_extension(discrete(Z2), discrete(triv))
     g1, g2 = row1.G.group, row2.G.group
-    gamma = make_hom(g1, g2, [g2.generators()[0]])
+    gamma = make_hom(g1, g2, [g2.generators[0]])
     sq = ExtensionSquare(
         row1, row2, zero_hom(triv, Z2), gamma, zero_hom(Z2, triv)
     )

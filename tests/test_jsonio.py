@@ -24,12 +24,12 @@ Z4 = FinAbGroup([4])
 def test_group_roundtrip():
     for mods in [(), (2,), (2, 4), (3, 9)]:
         g = FinAbGroup(mods)
-        assert jsonio.group_from_json(jsonio.group_to_json(g)) == g
+        assert jsonio.group_from_json(jsonio.to_json(g)) == g
 
 
 def test_subgroup_roundtrip():
     s = subgroup(Z4, [(0,), (2,)])
-    back = jsonio.subgroup_from_json(Z4, jsonio.subgroup_to_json(s))
+    back = jsonio.subgroup_from_json(Z4, jsonio.to_json(s))
     assert back == s
 
 
@@ -46,18 +46,18 @@ def test_hom_roundtrip():
 
 def test_topgroup_roundtrip():
     t = topologize(Z4, [(0,), (2,)])
-    assert jsonio.topgroup_from_json(jsonio.topgroup_to_json(t)) == t
+    assert jsonio.topgroup_from_json(jsonio.to_json(t)) == t
 
 
 def test_cocycle_roundtrip_and_validation():
     h = factor_set(Z2, Z2, {((1,), (1,)): (1,)})
-    back = jsonio.cocycle_from_json(jsonio.cocycle_to_json(h))
+    back = jsonio.cocycle_from_json(jsonio.to_json(h))
     assert back == h
-    bad = jsonio.cocycle_to_json(h)
+    bad = jsonio.to_json(h)
     bad["table"] = bad["table"][:2]
     with pytest.raises(InvalidCocycle):
         jsonio.cocycle_from_json(bad)
-    repeated = jsonio.cocycle_to_json(h)
+    repeated = jsonio.to_json(h)
     repeated["table"].append([[1], [1], [0]])
     with pytest.raises(InvalidCocycle):
         jsonio.cocycle_from_json(repeated)
@@ -66,7 +66,7 @@ def test_cocycle_roundtrip_and_validation():
 def test_section_roundtrip():
     e = split_extension(discrete(Z2), discrete(Z2))
     s = canonical_section(e.alg)
-    table = jsonio.section_to_json(s)["table"]
+    table = jsonio.to_json(s)
     back = Section(s.B, s.G, tuple((tuple(b), tuple(g)) for b, g in table))
     assert back == s
 
@@ -75,7 +75,7 @@ def test_character_roundtrip():
     t = topologize(Z4, [(0,), (2,)])
     d = dual_group(t)
     for chi in d.characters:
-        data = jsonio.character_to_json(chi)
+        data = jsonio.to_json(chi)
         assert data["denominator"] == Z4.exponent
         assert {tuple(x): v for x, v in data["values"]} == chi.values
 
@@ -89,6 +89,6 @@ def test_alg_extension_roundtrip():
 
 def test_dumps_byte_stable():
     t = topologize(Z4, [(0,), (2,)])
-    a = jsonio.dumps(jsonio.topgroup_to_json(t))
-    b = jsonio.dumps(jsonio.topgroup_from_json(jsonio.topgroup_to_json(t)) and jsonio.topgroup_to_json(t))
+    a = jsonio.dumps(jsonio.to_json(t))
+    b = jsonio.dumps(jsonio.topgroup_from_json(jsonio.to_json(t)) and jsonio.to_json(t))
     assert a == b == '{"group":{"moduli":[4]},"open_core":{"elements":[[0],[2]]}}'

@@ -348,6 +348,16 @@ def test_witness_rows_name_the_groups_of_their_cocycle():
         instance_from_json(data)
 
 
+@pytest.mark.parametrize("kind", ["square", None, "P3Instance"])
+def test_unknown_witness_kind_is_a_decode_error(kind):
+    """A witness of no known kind is malformed, like every other bad
+    witness: ValueError, not the UnknownTheorem of a bad request."""
+    data = CocycleInstance(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {})).to_json()
+    data["kind"] = kind
+    with pytest.raises(ValueError, match="unknown instance kind"):
+        instance_from_json(data)
+
+
 def test_cocycle_witness_names_the_groups_of_its_cocycle():
     """A cocycle instance whose h is not a cocycle on its B with values in
     its A is rejected when the witness is decoded, as a row is."""
@@ -355,7 +365,7 @@ def test_cocycle_witness_names_the_groups_of_its_cocycle():
     data = CocycleInstance(discrete(Z2), discrete(Z3), factor_set(Z2, Z3, {})).to_json()
     data = json.loads(jsonio.dumps(data))
     assert instance_from_json(data).h.B == Z3
-    data["h"] = jsonio.cocycle_to_json(factor_set(Z2, FinAbGroup([2, 2]), {}))
+    data["h"] = jsonio.to_json(factor_set(Z2, FinAbGroup([2, 2]), {}))
     with pytest.raises(InvalidCocycle, match="do not match"):
         instance_from_json(data)
 
