@@ -26,11 +26,10 @@ from .extensions import (
     alg_extension,
     canonical_section,
     enumerate_sections,
-    nagao_core,
     nagao_topology,
     realize_cocycle,
+    section_census,
     section_for,
-    topologizing_sections,
 )
 from .duality import dual_group
 from . import jsonio
@@ -171,11 +170,14 @@ def cmd_sections(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sections = list(enumerate_sections(alg))
-    census = set(topologizing_sections(alg))
-    topologizing = [i for i, s in enumerate(sections) if s in census]
-    classes: dict[tuple, list[int]] = {}
-    for i in topologizing:
-        classes.setdefault(nagao_core(alg, sections[i]).elements, []).append(i)
+    census = section_census(alg)
+    passing = set(census.restrictions)
+    topologizing, classes = [], {}
+    for i, s in enumerate(sections):
+        r = tuple(map(s, alg.B.open_core))
+        if r in passing:
+            topologizing.append(i)
+            classes.setdefault(census.core(r).elements, []).append(i)
     out = {
         "sections": [{"table": jsonio.to_json(s)} for s in sections],
         "topologizing": topologizing,

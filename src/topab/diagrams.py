@@ -39,7 +39,6 @@ from .extensions import (
     section_census,
     sigma,
     snake_haus_sequence,
-    topologizing_sections,
 )
 from .duality import dual_extension
 from .topology import (
@@ -580,9 +579,7 @@ def _criteria_agree(alg: AlgExtension):
     if pair is not None:
         index = {r: i for i, r in enumerate(rs)}
         core_b = alg.B.open_core
-        of_section = [
-            index[tuple(map(s, core_b))] for s in topologizing_sections(alg)
-        ]
+        of_section = [index[tuple(map(s, core_b))] for s in census.sections()]
         pair = first_disagreeing_pair(
             [cores[i] for i in of_section], [keys[i] for i in of_section]
         )

@@ -12,7 +12,8 @@ keyed by iota, pi and the section, so every choice of open cores on A and B
 over one realization shares it.  Whether a section topologizes, and the
 topology it induces, depend only on its restriction to N_B, so
 `section_census` lists the topologizing sections of an extension by that
-restriction, and `alg_extension` checks each algebraic extension once.
+restriction; it is their one source, and builds and keeps each by its index.
+`alg_extension` checks each algebraic extension once.
 A row of a square is its algebra and its section: `realize_cocycle` realizes
 each cocycle once, and `nagao_topology` topologizes each (extension, section)
 pair once, so every square over the row shares one `Extension`.  A
@@ -348,12 +349,17 @@ class SectionCensus:
     order, which is the order in which `enumerate_sections` first meets
     them; each stands for the |A|^(|B| - |N_B|) sections that agree with it
     on N_B, so there are `section_count` topologizing sections, and
-    `section(k)` builds the k-th of them alone.
+    `section(k)` builds the k-th of them alone and keeps it in `built`.
     """
 
     alg: AlgExtension
     restrictions: tuple[tuple[Element, ...], ...]
     section_count: int
+    built: dict[int, Section] = field(default_factory=dict, compare=False, repr=False)
+
+    def sections(self) -> Iterator[Section]:
+        """Every topologizing section, in `enumerate_sections` order."""
+        return map(self.section, range(self.section_count))
 
     def section(self, k: int) -> Section:
         """The k-th topologizing section in `enumerate_sections` order.
@@ -361,13 +367,15 @@ class SectionCensus:
         Walking B's nonzero elements in order, a position on N_B keeps the
         restrictions that agree with the prefix, and a free position divides
         k by the number of sections each of its choices stands for."""
+        if k in self.built:
+            return self.built[k]
         if not 0 <= k < self.section_count:
             raise IndexError(f"section {k} of {self.section_count}")
         alg = self.alg
         B, G, core_b = alg.B.group, alg.G, alg.B.open_core
         fibers, a_order = alg.pi.fibers(), alg.A.group.order
         free = B.order - core_b.order
-        candidates, j = self.restrictions, 0
+        candidates, j, rest = self.restrictions, 0, k
         entries = [(B.zero, G.zero)]
         for b in B.elements[1:]:
             if b in core_b.element_set:
@@ -376,16 +384,17 @@ class SectionCensus:
                 block = a_order**free
                 for g, agreeing in itertools.groupby(candidates, key=lambda r: r[j]):
                     agreeing = tuple(agreeing)
-                    if k < len(agreeing) * block:
+                    if rest < len(agreeing) * block:
                         break
-                    k -= len(agreeing) * block
+                    rest -= len(agreeing) * block
                 candidates = agreeing
             else:
                 free -= 1
-                q, k = divmod(k, len(candidates) * a_order**free)
+                q, rest = divmod(rest, len(candidates) * a_order**free)
                 g = fibers[b][q]
             entries.append((b, g))
-        return Section(B, G, tuple(entries))
+        s = self.built[k] = Section(B, G, tuple(entries))
+        return s
 
     def core(self, r: tuple[Element, ...]) -> Subgroup:
         """The Nagao core of every section restricting to r, built on first use."""
@@ -416,24 +425,6 @@ def section_census(alg: AlgExtension) -> SectionCensus:
             passing.append((G.zero, *r))
     free = B.order - core_b.order
     return SectionCensus(alg, tuple(passing), len(passing) * alg.A.group.order**free)
-
-
-@cache
-def topologizing_sections(alg: AlgExtension) -> tuple[Section, ...]:
-    """The topologizing sections of alg, in enumerate_sections order: every
-    section whose restriction to N_B is in the census.  The exhaustive strata,
-    `topab sections` and the disagreement trace of `nagao_comparison` need
-    them all; a sample draws one by its index with `SectionCensus.section`."""
-    G, B, core_b = alg.G, alg.B.group, alg.B.open_core
-    nonzero = B.elements[1:]
-    fibers = list(map(alg.pi.fibers().__getitem__, nonzero))
-    on_core = [i for i, b in enumerate(nonzero) if b in core_b.element_set]
-    passing = {r[1:] for r in section_census(alg).restrictions}
-    return tuple(
-        Section(B, G, ((B.zero, G.zero), *zip(nonzero, choice)))
-        for choice in itertools.product(*fibers)
-        if tuple(choice[i] for i in on_core) in passing
-    )
 
 
 def nagao_core(alg: AlgExtension, s: Section) -> Subgroup:

@@ -67,7 +67,6 @@ from .extensions import (
     nagao_topology,
     realize_cocycle,
     section_census,
-    topologizing_sections,
 )
 from .diagrams import (
     FiveTermRow,
@@ -574,17 +573,17 @@ def _row_pool(spec: FamilySpec, max_order: int) -> list[RowData]:
     return [
         RowData(A_top, B_top, h, s)
         for A_top, B_top, h in _cocycle_triples(spec, max_order, reps=False)
-        for s in topologizing_sections(_cached_alg(A_top, B_top, h))
+        for s in section_census(_cached_alg(A_top, B_top, h)).sections()
     ]
 
 
 def _diagonal_rows(spec: FamilySpec):
-    """Each class representative row with its topologizing sections, the first
-    of which is the row's own section."""
+    """Each class representative row with its section census; the row's own
+    section is the census's first."""
     for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=True):
-        secs = topologizing_sections(_cached_alg(A_top, B_top, h))
-        if secs:
-            yield RowData(A_top, B_top, h, secs[0]), secs
+        census = section_census(_cached_alg(A_top, B_top, h))
+        if census.section_count:
+            yield RowData(A_top, B_top, h, census.section(0)), census
 
 
 # A square of extension rows is (row1, row2, alpha, beta, lift): verticals
@@ -611,23 +610,8 @@ def _sampled_squares(spec: FamilySpec):
     of its extension, and only the drawn section is built."""
     rng = random.Random(spec.seed)
     tops = topologized_groups(spec.max_group_order)
-    # a sample repeats rows and lifts; equal ones share one object.  Per
-    # extension: its census and the sections drawn from it, by index, so a
-    # repeated draw is a lookup, not a walk of the census.
-    drawn, shared = {}, {}
-
-    def census_of(alg: AlgExtension):
-        got = drawn.get(alg)
-        if got is None:
-            got = drawn[alg] = section_census(alg), {}
-        return got
-
-    def draw(census, sections) -> Section:
-        k = rng.randrange(census.section_count)
-        if k not in sections:
-            sections[k] = census.section(k)
-        return sections[k]
-
+    # a sample repeats rows and lifts; equal ones share one object
+    shared = {}
     made, attempts = 0, 0
     while made < spec.sample_count and attempts < 40 * spec.sample_count:
         attempts += 1
@@ -636,10 +620,11 @@ def _sampled_squares(spec: FamilySpec):
         h1 = rng.choice(all_cocycles(a1.group, b1.group))
         h2 = rng.choice(all_cocycles(a2.group, b2.group))
         alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
-        (c1, drawn1), (c2, drawn2) = census_of(alg1), census_of(alg2)
+        c1, c2 = section_census(alg1), section_census(alg2)
         if not c1.section_count or not c2.section_count:
             continue
-        s1, s2 = draw(c1, drawn1), draw(c2, drawn2)
+        s1 = c1.section(rng.randrange(c1.section_count))
+        s2 = c2.section(rng.randrange(c2.section_count))
         alpha = rng.choice(hom_set(a1.group, a2.group))
         beta = rng.choice(hom_set(b1.group, b2.group))
         lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)
@@ -672,9 +657,9 @@ def _strata(spec: FamilySpec, **generators) -> list[tuple[str, object]]:
 
 
 def _diagonal_squares(spec: FamilySpec):
-    for r1, secs in _diagonal_rows(spec):
+    for r1, census in _diagonal_rows(spec):
         ida, idb = identity_hom(r1.A.group), identity_hom(r1.B.group)
-        for s2 in secs:
+        for s2 in census.sections():
             r2 = replace(r1, s=s2)
             yield P3Instance(r1, r2, ida, idb, r1.s.entries)
 
@@ -784,7 +769,7 @@ def _glued_small(spec: FamilySpec):
             idc = identity_hom(C_top.group)
             for hc in all_cocycles(e_b.group, C_top.group):
                 algc = _cached_alg(e_b, C_top, hc)
-                for sc in topologizing_sections(algc):
+                for sc in section_census(algc).sections():
                     chain = RowData(e_b, C_top, hc, sc)
                     for lift in gamma_lifts(algc, sc, algc, idb, idc):
                         yield FiveLemmaInstance("glued", base, base, chain, ida, idb, lift)

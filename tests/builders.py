@@ -12,7 +12,7 @@ from topab.extensions import (
     FactorSet,
     canonical_section,
     nagao_topology,
-    topologizing_sections,
+    section_census,
 )
 from topab.errors import ElementNotInGroup
 from topab.groups import Element, FinAbGroup, Homomorphism, Subgroup, hom_set, subgroup
@@ -84,11 +84,11 @@ def alg_extension_to_json(alg: AlgExtension) -> dict:
     }
 
 
-def sampled_squares_by_list(spec: FamilySpec):
+def sampled_squares_by_list(spec: FamilySpec, drawn: dict):
     """The reference for `search._sampled_squares`: each row's section is
     `rng.choice` over the list of every topologizing section of its
     extension, which takes the same one draw below their count as
-    `rng.randrange` does."""
+    `rng.randrange` does.  drawn[alg] gets the index of each draw from alg."""
     rng = random.Random(spec.seed)
     tops = topologized_groups(spec.max_group_order)
     made, attempts = 0, 0
@@ -99,10 +99,12 @@ def sampled_squares_by_list(spec: FamilySpec):
         h1 = rng.choice(all_cocycles(a1.group, b1.group))
         h2 = rng.choice(all_cocycles(a2.group, b2.group))
         alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
-        s1s, s2s = topologizing_sections(alg1), topologizing_sections(alg2)
+        s1s, s2s = (tuple(section_census(alg).sections()) for alg in (alg1, alg2))
         if not s1s or not s2s:
             continue
         s1, s2 = rng.choice(s1s), rng.choice(s2s)
+        drawn.setdefault(alg1, set()).add(s1s.index(s1))
+        drawn.setdefault(alg2, set()).add(s2s.index(s2))
         alpha = rng.choice(hom_set(a1.group, a2.group))
         beta = rng.choice(hom_set(b1.group, b2.group))
         lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)

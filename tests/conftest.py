@@ -7,7 +7,7 @@ default family contains the order-2 ones and that each fails there.
 
 import pytest
 
-from topab.extensions import topologizing_sections
+from topab.extensions import section_census
 from topab.groups import FinAbGroup, identity_hom, zero_hom
 from topab.search import (
     FiveLemmaInstance,
@@ -27,8 +27,8 @@ def _split_row(a_top, b_top) -> RowData:
     """The split extension of b_top by a_top with its first topologizing
     section."""
     h = factor_set(a_top.group, b_top.group, {})
-    secs = topologizing_sections(_cached_alg(a_top, b_top, h))
-    return RowData(a_top, b_top, h, secs[0])
+    census = section_census(_cached_alg(a_top, b_top, h))
+    return RowData(a_top, b_top, h, next(census.sections()))
 
 
 def _mixed_row():

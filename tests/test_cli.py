@@ -524,13 +524,13 @@ def test_verify_exit_code_ignores_expect_zero_failures(capsys, theorem, argv, co
 
 def test_sections_over_budget_exit_2_without_enumerating(tmp_path, capsys, monkeypatch):
     """A = Z/4, B = Z/11 has 4^10 sections, just over the budget: the command
-    exits 2 with one line before it builds a single section."""
+    exits 2 with one line before it enumerates a section or builds a census."""
     from topab import cli
 
     assert cli._COCYCLE_BUDGET < 4**10 < 2 * cli._COCYCLE_BUDGET
     built = []
     monkeypatch.setattr(cli, "enumerate_sections", lambda alg: built.append(alg) or iter(()))
-    monkeypatch.setattr(cli, "topologizing_sections", lambda alg: built.append(alg) or ())
+    monkeypatch.setattr(cli, "section_census", lambda alg: built.append(alg))
     e = write(
         tmp_path,
         "e.json",

@@ -12,7 +12,7 @@ from topab.diagrams import (
     verify_topological_five_lemma,
 )
 from topab.errors import DiagramError
-from topab.extensions import topologizing_sections
+from topab.extensions import section_census
 from topab.groups import FinAbGroup, hom_set, identity_hom, zero_hom
 from topab.search import (
     FamilySpec,
@@ -35,8 +35,8 @@ Z4 = FinAbGroup([4])
 
 def make_row(a_top, b_top, h=None, s_index=0):
     h = h if h is not None else factor_set(a_top.group, b_top.group, {})
-    secs = topologizing_sections(_cached_alg(a_top, b_top, h))
-    return RowData(a_top, b_top, h, secs[s_index])
+    census = section_census(_cached_alg(a_top, b_top, h))
+    return RowData(a_top, b_top, h, census.section(s_index))
 
 
 def unmet(rep):

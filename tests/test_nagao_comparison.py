@@ -15,7 +15,7 @@ from topab.diagrams import _finish, first_disagreeing_pair, verify_nagao_compari
 from topab.extensions import (
     comparison_map,
     nagao_core,
-    topologizing_sections,
+    section_census,
 )
 from topab.search import (
     FamilySpec,
@@ -27,8 +27,12 @@ from oracles import comparison_key, same_topology
 DROP = frozenset({"has_topologizing_sections"})
 
 
+def topologizing(alg):
+    return tuple(section_census(alg).sections())
+
+
 def reference_nagao_comparison(alg, dropped=frozenset()):
-    secs = topologizing_sections(alg)
+    secs = topologizing(alg)
 
     def conclude():
         cores = [nagao_core(alg, s).element_set for s in secs]
@@ -62,7 +66,7 @@ def test_partitions_match_pairwise_reference(spec):
     no_sections = 0
     for _, inst in family:
         alg = inst.build()
-        no_sections += not topologizing_sections(alg)
+        no_sections += not topologizing(alg)
         for dropped in (frozenset(), DROP):
             got = verify_nagao_comparison(alg, dropped).to_json()
             assert got == reference_nagao_comparison(alg, dropped).to_json()
@@ -75,7 +79,7 @@ def test_no_topologizing_sections_with_hypothesis_dropped():
     empty = [
         alg
         for alg in (inst.build() for _, inst in family)
-        if not topologizing_sections(alg)
+        if not topologizing(alg)
     ]
     assert empty
     for alg in empty:
@@ -132,7 +136,7 @@ def extensions_with_two_topologies():
     return [
         alg
         for alg in algs
-        if len({nagao_core(alg, s) for s in topologizing_sections(alg)}) > 1
+        if len({nagao_core(alg, s) for s in topologizing(alg)}) > 1
     ]
 
 
@@ -141,7 +145,7 @@ def sections_of_small_extensions(draw):
     """An extension and three of its topologizing sections: two to compare
     and a base for the keys."""
     alg = draw(st.sampled_from(extensions_with_two_topologies()))
-    secs = st.sampled_from(topologizing_sections(alg))
+    secs = st.sampled_from(topologizing(alg))
     return alg, draw(secs), draw(secs), draw(secs)
 
 

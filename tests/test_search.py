@@ -386,15 +386,27 @@ def test_reported_hypotheses_are_the_droppable_ones(theorem):
 def test_sampled_squares_draw_sections_by_index(max_order, seed, monkeypatch):
     """Each sampled row draws its section by its index in the census and
     yields the squares of the draw from the list of every topologizing
-    section, with no such list built."""
+    section, with no such list built: no census enumerates its sections,
+    and each keeps only the sections drawn from it."""
     spec = FamilySpec(max_group_order=max_order, seed=seed, sample_count=400)
-    expected = list(sampled_squares_by_list(spec))
-    calls = []
+    drawn = {}
+    expected = list(sampled_squares_by_list(spec, drawn))
+    censuses, calls = {}, []
+    sections = extensions.SectionCensus.sections
 
-    def counted(alg):
-        calls.append(alg)
-        return extensions.topologizing_sections(alg)
+    def fresh_census(alg):
+        if alg not in censuses:
+            censuses[alg] = extensions.section_census.__wrapped__(alg)
+        return censuses[alg]
 
-    monkeypatch.setattr(search, "topologizing_sections", counted)
+    def counted(census):
+        calls.append(census)
+        return sections(census)
+
+    monkeypatch.setattr(search, "section_census", fresh_census)
+    monkeypatch.setattr(extensions.SectionCensus, "sections", counted)
     assert list(search._sampled_squares(spec)) == expected
     assert len(expected) == 400 and calls == []
+    assert {alg: set(c.built) for alg, c in censuses.items()} == {
+        alg: drawn.get(alg, set()) for alg in censuses
+    }

@@ -27,7 +27,6 @@ from topab.extensions import (
     is_topologizing,
     nagao_core,
     section_census,
-    topologizing_sections,
 )
 from topab.groups import hom_set, quotient, subgroup_as_group
 from topab.search import (
@@ -69,6 +68,10 @@ def _restriction(alg, s):
     return tuple(s(b) for b in alg.B.open_core)
 
 
+def _sections(alg):
+    return tuple(section_census(alg).sections())
+
+
 @pytest.mark.parametrize("max_order", ORDERS)
 def test_census_matches_per_section_reference(max_order, monkeypatch):
     """On every extension up to order 4, with the per-section reference
@@ -98,10 +101,11 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
         cores = [core_by_definition(alg, s) for s in secs]
         keys = [comparison_key(alg, s, secs[0]) for s in secs]
         empty += not secs
-        assert topologizing_sections(alg) == secs
         census = section_census(alg)
         assert census.section_count == len(secs)
-        assert [census.section(k) for k in range(len(secs))] == list(secs)
+        assert tuple(census.sections()) == secs
+        # each section is kept under its own index
+        assert [census.built[k] for k in range(len(secs))] == list(secs)
         with pytest.raises(IndexError):
             census.section(census.section_count)
         by_restriction = {}
@@ -173,7 +177,7 @@ def test_extensions_stratum_matches_per_section_walk():
         ExtensionInstance(RowData(A_top, B_top, h, s))
         for A_top, B_top, h in _cocycle_triples(spec, 4, reps=False)
         for s in first_section_per_core(
-            _cached_alg(A_top, B_top, h), topologizing_sections(_cached_alg(A_top, B_top, h))
+            _cached_alg(A_top, B_top, h), _sections(_cached_alg(A_top, B_top, h))
         )
     ]
     assert list(_extensions(spec)) == expected
@@ -183,7 +187,7 @@ def test_extensions_stratum_matches_per_section_walk():
 def test_census_count_is_restrictions_times_free_choices(max_order):
     """Each passing N_B-restriction extends to every choice off N_B."""
     for alg in _new_algs(max_order):
-        secs = topologizing_sections(alg)
+        secs = _sections(alg)
         restrictions = {_restriction(alg, s) for s in secs}
         A, B, N_B = alg.A.group, alg.B.group, alg.B.open_core
         assert len(secs) == len(restrictions) * A.order ** (B.order - N_B.order)
@@ -192,7 +196,7 @@ def test_census_count_is_restrictions_times_free_choices(max_order):
 @pytest.mark.parametrize("max_order", ORDERS)
 def test_nagao_core_matches_per_section_reference(max_order):
     for alg in _new_algs(max_order):
-        for s in topologizing_sections(alg):
+        for s in _sections(alg):
             assert nagao_core(alg, s).element_set == core_by_definition(alg, s)
 
 
@@ -201,7 +205,7 @@ def test_nagao_core_is_built_once_per_restriction():
     restrictions = set()
     sections = empty = partial = 0
     for alg in _algs(4):
-        secs = topologizing_sections(alg)
+        secs = _sections(alg)
         for s in secs:
             nagao_core(alg, s)
             restrictions.add((alg, _restriction(alg, s)))
