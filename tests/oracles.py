@@ -310,15 +310,19 @@ def same_topology(alg: AlgExtension, s1: Section, s2: Section) -> bool:
 
 
 def topologizing_sections_by_filter(alg: AlgExtension) -> tuple[Section, ...]:
-    """Every section whose full factor set passes `is_topologizing`, in
-    enumeration order."""
-    # the uncached factor set keeps the reference from filling the cache
-    build = factor_set_from_section.__wrapped__
-    return tuple(
-        s
-        for s in enumerate_sections(alg)
-        if is_topologizing(alg.A, alg.B, build(alg.iota, alg.pi, s))
-    )
+    """Every section whose cocycle h_s(b, b') = iota^{-1}(s(b) + s(b') - s(b + b'))
+    maps N_B x N_B into N_A, in enumeration order, tested section by section
+    on N_B x N_B alone (the rest of h_s does not decide continuity at 0)."""
+    G, B, core_b, core_a = alg.G, alg.B.group, alg.B.open_core, alg.A.core_set
+
+    def topologizes(s: Section) -> bool:
+        return all(
+            alg.pull_back(G.sub(G.add(s(b), s(c)), s(B.add(b, c)))) in core_a
+            for b in core_b
+            for c in core_b
+        )
+
+    return tuple(filter(topologizes, enumerate_sections(alg)))
 
 
 def core_by_definition(alg: AlgExtension, s: Section) -> frozenset[Element]:

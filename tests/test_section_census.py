@@ -3,8 +3,8 @@ per-section definitions.
 
 `section_census` tests each restriction of a section to N_B once, and the
 census cores are built once per restriction.  The references in
-tests/oracles.py are the per-section constructions they replaced: the full
-factor set of every section, filtered by `is_topologizing`, the subgroup
+tests/oracles.py are per-section constructions: every section, kept when
+its cocycle h_s maps N_B x N_B into N_A, the subgroup
 {iota(a) + s(b) : a in N_A, b in N_B} built for each section, and the cocycle
 laws and the extension stratum computed section by section.
 """
