@@ -1,9 +1,9 @@
 """Command-line front end: verify, search, extend, dual, sections, report.
 
 Exit codes: 0 success (for verify: zero conclusion failures), 1 conclusion
-failures found in verify mode, 2 usage or malformed input, 3 domain rejection
-(a non-topologizing section).  All outputs are deterministic given the inputs
-and seed.
+failures found in verify mode, 2 usage, malformed input or an --out path that
+cannot be written, 3 domain rejection (a non-topologizing section).  All
+outputs are deterministic given the inputs and seed.
 """
 
 from __future__ import annotations
@@ -203,8 +203,7 @@ def _render_report(text: str) -> str:
     task = summary["task"]
     if type(task["theorem"]) is not str:
         raise ValueError(f"theorem must be a string, got {task['theorem']!r}")
-    dropped = task["dropped_hypotheses"]
-    if not isinstance(dropped, list) or not all(isinstance(h, str) for h in dropped):
+    if not _is_list_of(str, task["dropped_hypotheses"]):
         raise ValueError("dropped_hypotheses must be a list of strings")
     integers = [(key, task["family"][key]) for key in ("max_group_order", "seed")]
     integers += [(key, summary[key]) for key in ("evaluated", "filtered", "failures")]
@@ -219,7 +218,19 @@ def _render_report(text: str) -> str:
             f"the summary counts {summary['failures']} failures"
             f" but the report lists {len(failures)}"
         )
+    for r in failures:
+        details = r["details"]
+        if not _is_list_of(dict, details) or not all(
+            type(d["name"]) is str and type(d["ok"]) is bool for d in details
+        ):
+            raise ValueError("details must be a list of {name: string, ok: boolean}")
+        if not _is_list_of(str, r["model_collapse"]):
+            raise ValueError("model_collapse must be a list of strings")
     return markdown_report(summary, failures)
+
+
+def _is_list_of(t: type, value) -> bool:
+    return type(value) is list and all(type(x) is t for x in value)
 
 
 def cmd_report(args) -> int:
@@ -299,7 +310,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        # _read and cmd_report handle the inputs, so this is an output
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,13 @@ from topab.groups import FinAbGroup
 from topab.search import THEOREMS, FamilySpec
 from topab.topology import discrete
 
-from builders import indiscrete, topologize
+from builders import (
+    alg_extension_to_json,
+    factor_set,
+    indiscrete,
+    split_extension,
+    topologize,
+)
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +390,29 @@ def assert_usage_error(code, out, err, *needles):
         assert needle in err
 
 
+@pytest.mark.parametrize(
+    "command", ["verify", "search", "extend", "dual", "sections", "report"]
+)
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    """An --out path that cannot be written is a usage error: verify and
+    search get an existing file for their report directory, the other
+    commands a file in a missing directory."""
+    z2 = discrete(FinAbGroup([2]))
+    top = write(tmp_path, "t.json", jsonio.to_json(z2))
+    h = write(tmp_path, "h.json", jsonio.to_json(factor_set(z2.group, z2.group, {})))
+    inputs = {
+        "verify": ["p3_generalized", "--max-order", "1"],
+        "search": ["p3_generalized", "--max-order", "1"],
+        "extend": [top, top, h],
+        "dual": [top],
+        "sections": [write(tmp_path, "e.json", alg_extension_to_json(split_extension(z2, z2).alg))],
+        "report": [str(Path(__file__).parent / "golden" / "open_fibers.jsonl")],
+    }
+    out = top if command in ("verify", "search") else str(tmp_path / "missing" / "out")
+    code, stdout, err = run_cli(capsys, command, *inputs[command], "--out", out)
+    assert_usage_error(code, stdout, err, "cannot write")
+
+
 def test_verify_max_order_zero_exit_2(capsys):
     code, out, err = run_cli(capsys, "verify", "p3_generalized", "--max-order", "0")
     assert_usage_error(code, out, err, "max_group_order must be at least 1")
@@ -428,14 +457,16 @@ def test_report_incomplete_records_exit_2(tmp_path, capsys, failure):
 @pytest.mark.parametrize(
     "edit, needle",
     [
-        (lambda summary: summary["task"].update(dropped_hypotheses="abc"), "dropped_hypotheses"),
-        (lambda summary: summary.update(evaluated="many"), "evaluated"),
-        (lambda summary: summary.update(failures=summary["failures"] + 1), "failures"),
-        (lambda summary: summary["task"].update(theorem=["a"]), "theorem"),
-        (lambda summary: summary["task"]["family"].update(seed="x"), "seed"),
-        (lambda summary: summary["task"]["family"].update(max_group_order="4"), "max_group_order"),
-        (lambda summary: summary.update(strata={"diagonal": "lots"}), "strata"),
-        (lambda summary: summary.update(strata=["diagonal"]), "strata"),
+        (lambda summary, _: summary["task"].update(dropped_hypotheses="abc"), "dropped_hypotheses"),
+        (lambda summary, _: summary.update(evaluated="many"), "evaluated"),
+        (lambda summary, _: summary.update(failures=summary["failures"] + 1), "failures"),
+        (lambda summary, _: summary["task"].update(theorem=["a"]), "theorem"),
+        (lambda summary, _: summary["task"]["family"].update(seed="x"), "seed"),
+        (lambda summary, _: summary["task"]["family"].update(max_group_order="4"), "max_group_order"),
+        (lambda summary, _: summary.update(strata={"diagonal": "lots"}), "strata"),
+        (lambda summary, _: summary.update(strata=["diagonal"]), "strata"),
+        (lambda _, failure: failure["details"][1].update(ok="no"), "details"),
+        (lambda _, failure: failure.update(model_collapse="xy"), "model_collapse"),
     ],
     ids=[
         "dropped_not_a_list",
@@ -446,17 +477,19 @@ def test_report_incomplete_records_exit_2(tmp_path, capsys, failure):
         "max_order_not_an_int",
         "stratum_count_not_an_int",
         "strata_not_a_mapping",
+        "detail_ok_not_a_bool",
+        "model_collapse_not_a_list",
     ],
 )
 def test_report_malformed_summary_exit_2(tmp_path, capsys, edit, needle):
-    """A summary field of the wrong type, or a failure count that is not the
-    number of failure lines, is a malformed report, not a rendered one."""
+    """A summary field or a failure-line field of the wrong type, or a
+    failure count that is not the number of failure lines, is a malformed
+    report, not a rendered one."""
     golden = Path(__file__).parent / "golden" / "open_fibers.jsonl"
-    lines = golden.read_text(encoding="utf-8").splitlines()
-    summary = json.loads(lines[-1])
-    edit(summary)
+    records = [json.loads(line) for line in golden.read_text(encoding="utf-8").splitlines()]
+    edit(records[-1], records[0])
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n", encoding="utf-8")
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     assert_usage_error(*run_cli(capsys, "report", str(bad)), "malformed report", needle)
 
 
