@@ -23,7 +23,7 @@ from .errors import (
     UnknownTheorem,
 )
 from .extensions import (
-    alg_extension,
+    AlgExtension,
     canonical_section,
     enumerate_sections,
     nagao_topology,
@@ -33,7 +33,14 @@ from .extensions import (
 )
 from .duality import dual_group
 from . import jsonio
-from .search import _COCYCLE_BUDGET, FamilySpec, SearchTask, markdown_report, run_search
+from .search import (
+    _COCYCLE_BUDGET,
+    FamilySpec,
+    SearchTask,
+    _check_task,
+    markdown_report,
+    run_search,
+)
 
 
 def _read(path: str):
@@ -41,8 +48,7 @@ def _read(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise TopabError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -72,12 +78,15 @@ _DECODE_ERRORS = (TopabError, KeyError, ValueError, IndexError, TypeError)
 
 
 def _run_and_write(task: SearchTask, out_dir: str | None):
+    # a bad task or an unwritable report directory fails before the search
+    _check_task(task)
+    if out_dir:
+        d = Path(out_dir)
+        d.mkdir(parents=True, exist_ok=True)
     result = run_search(task)
     jsonl = result.to_jsonl()
     md = result.to_markdown()
     if out_dir:
-        d = Path(out_dir)
-        d.mkdir(parents=True, exist_ok=True)
         stem = task.theorem_id
         (d / f"{stem}.jsonl").write_text(jsonl, encoding="utf-8")
         (d / f"{stem}.md").write_text(md, encoding="utf-8")
@@ -119,7 +128,7 @@ def cmd_extend(args) -> int:
         if h.A != a_top.group or h.B != b_top.group:
             raise TopabError("cocycle groups do not match the given groups")
         real = realize_cocycle(h)
-        alg = alg_extension(a_top, real.G, b_top, real.iota, real.pi)
+        alg = AlgExtension(a_top, real.G, b_top, real.iota, real.pi)
         if args.section:
             data = _read(args.section)
             A, B = a_top.group, b_top.group

@@ -13,12 +13,12 @@ over one realization shares it.  Whether a section topologizes, and the
 topology it induces, depend only on its restriction to N_B, so
 `section_census` lists the topologizing sections of an extension by that
 restriction; it is their one source, and builds and keeps each by its index.
-`alg_extension` checks each algebraic extension once.
 A row of a square is its algebra and its section: `realize_cocycle` realizes
 each cocycle once, and `nagao_topology` topologizes each (extension, section)
-pair once, so every square over the row shares one `Extension`.  A
-`Section` is interned (`groups.Interned`), so these caches meet each
-section value as one object.
+pair once, so every square over the row shares one `Extension`.
+`AlgExtension` and `Section` are interned (`groups.Interned`), so each
+algebraic extension is checked once while it lives, and these caches meet
+each value as one object.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class FactorSet:
         object.__setattr__(self, "entries", canon)
 
     @cached_property
-    def table(self) -> dict[tuple[Element, Element], Element]:
-        return {(b, bp): a for b, bp, a in self.entries}
-
-    @cached_property
     def rows(self) -> dict[Element, dict[Element, Element]]:
         """b -> {b': h(b, b')}."""
         out: dict[Element, dict[Element, Element]] = {}
@@ -93,7 +89,7 @@ class FactorSet:
         return out
 
     def __call__(self, b: Element, bp: Element) -> Element:
-        return self.table[(b, bp)]
+        return self.rows[b][bp]
 
 
 @cache
@@ -190,7 +186,7 @@ class Section(metaclass=Interned):
 
 
 @dataclass(frozen=True)
-class AlgExtension:
+class AlgExtension(metaclass=Interned):
     """Exact 0 -> A -> G -> B -> 0 with topologies on the ends but not on G."""
 
     A: TopAbGroup
@@ -199,6 +195,7 @@ class AlgExtension:
     iota: Homomorphism
     pi: Homomorphism
 
+    _pool_key = staticmethod(lambda A, G, B, iota, pi: (A, G, B, iota, pi))
     __hash__ = cached_hash(lambda s: (s.A, s.G, s.B, s.iota, s.pi))
 
     def __post_init__(self):
@@ -215,15 +212,6 @@ class AlgExtension:
 
     def pull_back(self, g: Element) -> Element:
         return _pull_back(self.iota, g)
-
-
-@cache
-def alg_extension(
-    A: TopAbGroup, G: FinAbGroup, B: TopAbGroup, iota: Homomorphism, pi: Homomorphism
-) -> AlgExtension:
-    """The one checked AlgExtension of (A, G, B, iota, pi); a failed check
-    raises NotAnExtension on every call, since only results are cached."""
-    return AlgExtension(A, G, B, iota, pi)
 
 
 def _pull_back(iota: Homomorphism, g: Element) -> Element:
@@ -253,7 +241,7 @@ class Extension:
         if self.pi.source != self.G or self.pi.target != self.B:
             raise NotAnExtension("pi endpoints are wrong")
         # algebraic exactness, checked once per algebraic extension
-        alg = alg_extension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
+        alg = AlgExtension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
         object.__setattr__(self, "alg", alg)
         for name, f in (("iota", self.iota), ("pi", self.pi)):
             if not is_continuous(f):

@@ -3,23 +3,22 @@
 Groups are direct sums of cyclic groups Z/m1 x ... x Z/mk in additive
 notation.  Elements are coordinate tuples reduced into [0, mi), listed in
 `itertools.product` order.  Arithmetic is by lookup.  The first `add`,
-`sub`, `negation` or `scale` on a group builds its tables, which every group with
-the same moduli shares: a row of sums for each element (each row built on
-its first use), the negation map, and the multiples k * x, k < exponent, of
-each element.  Every entry is the tuple object of `elements`, and the hot
-loops below read the rows directly.  `elements`, `index` and
-`check_element` build no table.  Everything is immutable after
-construction; homomorphisms are defined on the standard generators and
-totalized on first use, so applying them inside enumeration loops is a dict
-lookup.  `commutes` checks a square on those tables.
+`sub`, `negation` or `scale` on a group builds its tables: a row of sums for
+each element (each row built on its first use), the negation map, and the
+multiples k * x, k < exponent, of each element.  Every entry is the tuple
+object of `elements`, and the hot loops below read the rows directly.
+`elements`, `index` and `check_element` build no table.  Everything is
+immutable after construction; homomorphisms are defined on the standard
+generators and totalized on first use, so applying them inside enumeration
+loops is a dict lookup.  `commutes` checks a square on those tables.
 
-Values are validated once.  `Subgroup` and `Homomorphism` (here),
-`TopAbGroup` and `Section` are `Interned`: a constructor call with the
-arguments of a live object returns that object, which passed the same
-checks on the same value, so equal values are one object, whose table,
-image and kernel are built once.  `hom_set`, `identity_hom`, `zero_hom`,
-`quotient` and `subgroup_as_group` are cached, so each builds its result
-once per value.
+Values are validated once.  `FinAbGroup`, `Subgroup` and `Homomorphism`
+(here), `TopAbGroup`, `Section` and `AlgExtension` are `Interned`: a
+constructor call with the arguments of a live object returns that object,
+which passed the same checks on the same value, so equal values are one
+object, whose tables, image and kernel are built once.  `hom_set`,
+`identity_hom`, `zero_hom`, `quotient` and `subgroup_as_group` are cached,
+so each builds its result once per value.
 
 The other modules call three constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
@@ -90,16 +89,6 @@ class Interned(type):
         return obj
 
 
-@cache
-def _elements(moduli: tuple[int, ...]) -> tuple[Element, ...]:
-    return tuple(itertools.product(*(range(m) for m in moduli)))
-
-
-@cache
-def _index(moduli: tuple[int, ...]) -> dict[Element, int]:
-    return {x: i for i, x in enumerate(_elements(moduli))}
-
-
 class _Rows(dict):
     """element -> row, each row built by `build` on its first lookup."""
 
@@ -114,67 +103,24 @@ class _Rows(dict):
         return row
 
 
-class _Tables:
-    """The arithmetic of Z/m1 + ... + Z/mk, filled from the coordinate
-    formulas; every entry is a tuple object of `_elements(moduli)`.  A row
-    lookup at a non-element raises KeyError.  The rows are shared by every
-    group with these moduli, so callers only read them."""
+class _InternedModuli(Interned):
+    """`Interned`, reading the moduli once and as ints, so that an iterator
+    of moduli meets the group pooled for their tuple."""
 
-    def __init__(self, moduli: tuple[int, ...]):
-        self.moduli = moduli
-        self.elements = _elements(moduli)
-        self.index = _index(moduli)
-        self.exponent = lcm(*moduli) if moduli else 1
-        # flat index of x in product order: sum of x_j * strides[j]
-        self.strides = [prod(moduli[j + 1 :]) for j in range(len(moduli))]
-        self.sums = _Rows(self._sum_row)
-        self.multiples = _Rows(self._multiples_row)
-
-    def _at(self, columns: list[list[int]]) -> list[Element]:
-        """The elements at the flat indices i_1 + ... + i_k over the
-        product of the columns, in product order."""
-        flat = [0]
-        for col in columns:
-            flat = [i + c for i in flat for c in col]
-        return list(map(self.elements.__getitem__, flat))
-
-    def _sum_row(self, x: Element) -> dict[Element, Element]:
-        self.index[x]  # KeyError unless x is an element
-        cols = [
-            [(a + c) % m * s for c in range(m)]
-            for a, m, s in zip(x, self.moduli, self.strides)
-        ]
-        return dict(zip(self.elements, self._at(cols)))
-
-    @cached_property
-    def negation(self) -> dict[Element, Element]:
-        cols = [[-c % m * s for c in range(m)] for m, s in zip(self.moduli, self.strides)]
-        return dict(zip(self.elements, self._at(cols)))
-
-    def _multiples_row(self, x: Element) -> tuple[Element, ...]:
-        self.index[x]  # KeyError unless x is an element
-        terms = list(zip(x, self.moduli, self.strides))
-        return tuple(
-            self.elements[sum(k * a % m * s for a, m, s in terms)]
-            for k in range(self.exponent)
-        )
-
-
-@cache
-def _tables(moduli: tuple[int, ...]) -> _Tables:
-    return _Tables(moduli)
+    def __call__(cls, moduli):
+        return super().__call__(tuple(map(int, moduli)))
 
 
 @dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(metaclass=_InternedModuli):
     """Z/m1 + ... + Z/mk; the empty tuple of moduli is the trivial group."""
 
     moduli: tuple[int, ...]
 
+    _pool_key = staticmethod(lambda moduli: moduli)
     __hash__ = cached_hash(lambda s: s.moduli)
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
         if any(m < 1 for m in self.moduli):
             raise NonPositiveModulus(f"moduli must be >= 1, got {self.moduli}")
 
@@ -196,30 +142,64 @@ class FinAbGroup:
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        return _elements(self.moduli)
+        return tuple(itertools.product(*(range(m) for m in self.moduli)))
 
     @cached_property
     def index(self) -> dict[Element, int]:
-        return _index(self.moduli)
+        return {x: i for i, x in enumerate(self.elements)}
 
     def check_element(self, x: Element) -> Element:
         if x not in self.index:
             raise ElementNotInGroup(f"{x!r} is not an element of {self}")
         return x
 
+    # The tables, filled from the coordinate formulas: every entry is a
+    # tuple object of `elements`, a row lookup at a non-element raises
+    # KeyError, and callers only read them.
+
     @cached_property
     def sums(self) -> dict[Element, dict[Element, Element]]:
         """x -> the row {y: x + y}."""
-        return _tables(self.moduli).sums
+        return _Rows(self._sum_row)
 
     @cached_property
     def negation(self) -> dict[Element, Element]:
-        return _tables(self.moduli).negation
+        cols = [[-c % m * s for c in range(m)] for m, s in zip(self.moduli, self._strides)]
+        return dict(zip(self.elements, self._at(cols)))
 
     @cached_property
     def multiples(self) -> dict[Element, tuple[Element, ...]]:
         """x -> (k * x for k in range(exponent))."""
-        return _tables(self.moduli).multiples
+        return _Rows(self._multiples_row)
+
+    @cached_property
+    def _strides(self) -> list[int]:
+        # flat index of x in product order: sum of x_j * strides[j]
+        return [prod(self.moduli[j + 1 :]) for j in range(self.rank)]
+
+    def _at(self, columns: list[list[int]]) -> list[Element]:
+        """The elements at the flat indices i_1 + ... + i_k over the
+        product of the columns, in product order."""
+        flat = [0]
+        for col in columns:
+            flat = [i + c for i in flat for c in col]
+        return list(map(self.elements.__getitem__, flat))
+
+    def _sum_row(self, x: Element) -> dict[Element, Element]:
+        self.index[x]  # KeyError unless x is an element
+        cols = [
+            [(a + c) % m * s for c in range(m)]
+            for a, m, s in zip(x, self.moduli, self._strides)
+        ]
+        return dict(zip(self.elements, self._at(cols)))
+
+    def _multiples_row(self, x: Element) -> tuple[Element, ...]:
+        self.index[x]  # KeyError unless x is an element
+        terms = list(zip(x, self.moduli, self._strides))
+        return tuple(
+            self.elements[sum(k * a % m * s for a, m, s in terms)]
+            for k in range(self.exponent)
+        )
 
     def add(self, x: Element, y: Element) -> Element:
         try:

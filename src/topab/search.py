@@ -62,7 +62,6 @@ from .extensions import (
     Extension,
     FactorSet,
     Section,
-    alg_extension,
     factor_set_from_section,
     nagao_topology,
     realize_cocycle,
@@ -290,7 +289,7 @@ def _ends_and_cocycle_from_json(data) -> tuple[TopAbGroup, TopAbGroup, FactorSet
 @cache
 def _cached_alg(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
     real = realize_cocycle(h)
-    return alg_extension(A, real.G, B, real.iota, real.pi)
+    return AlgExtension(A, real.G, B, real.iota, real.pi)
 
 
 def gamma_lifts(

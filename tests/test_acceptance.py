@@ -391,6 +391,24 @@ def test_criterion_10_negative_control():
     assert ok
 
 
+def test_dropping_injectivity_refutes_alpha_strict_alone():
+    """A second negative control, pinned the way 7b-7e pin theirs: with
+    maps_injective dropped, strictness_injectivity fails on 35 squares of the
+    default family, each on alpha_strict alone and only where maps_injective
+    fails, and every witness replays.  No other test sees alpha_strict fail,
+    so this is what catches a verifier that forces it true."""
+    dropped = ("maps_injective",)
+    res = run_search(SearchTask("strictness_injectivity", dropped, DEFAULT))
+    assert (res.evaluated, res.filtered) == (376, 345)
+    assert res.strata_counts == {"squares_small": 321, "sampled": 400}
+    assert res.failure_count == 35
+    for r in res.failures:
+        assert r.details == (("alpha_strict", False),)
+        assert {n for n, ok in r.hypotheses_checked if not ok} == set(dropped)
+        replay = replay_witness("strictness_injectivity", r.witness, dropped)
+        assert replay.conclusion_checked is False and replay.details == r.details
+
+
 def test_criterion_11_determinism():
     task = SearchTask("five_lemma_nagao", family=FamilySpec(max_group_order=2, generators=("squares_small",)))
     a = run_search(task).to_jsonl()

@@ -413,6 +413,31 @@ def test_unwritable_out_exit_2(tmp_path, capsys, command):
     assert_usage_error(code, stdout, err, "cannot write")
 
 
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_unwritable_out_exits_before_the_search(tmp_path, capsys, monkeypatch, command):
+    """The report directory is made before the family is built, so an
+    existing file for it exits 2 with no search run."""
+    from topab import cli
+
+    def no_search(task):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "run_search", no_search)
+    out = write(tmp_path, "file.json", {})
+    code, stdout, err = run_cli(capsys, command, "p3_generalized", "--out", out)
+    assert_usage_error(code, stdout, err, "cannot write")
+
+
+@pytest.mark.parametrize("command, arity", [("extend", 3), ("dual", 1), ("sections", 1)])
+def test_missing_input_returns_2(tmp_path, capsys, command, arity):
+    """main returns 2 for an input that cannot be read, raising nothing, and
+    does not call it an output error."""
+    missing = str(tmp_path / "missing.json")
+    code, stdout, err = run_cli(capsys, command, *[missing] * arity)
+    assert_usage_error(code, stdout, err, f"cannot read {missing}")
+    assert "output" not in err
+
+
 def test_verify_max_order_zero_exit_2(capsys):
     code, out, err = run_cli(capsys, "verify", "p3_generalized", "--max-order", "0")
     assert_usage_error(code, out, err, "max_group_order must be at least 1")

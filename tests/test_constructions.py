@@ -111,7 +111,8 @@ def cold_caches():
         search.p3_family,
         search.five_lemma_family,
         extensions.factor_set_from_section,
-        extensions.alg_extension,
+        extensions.section_census,
+        extensions._core_on,
         FiveTermRow.is_strict_exact,
     ):
         fn.cache_clear()
@@ -240,16 +241,23 @@ def test_square_maps_are_one_top_hom_each():
 def test_each_algebraic_extension_is_checked_once(cold_caches, monkeypatch):
     """Every Extension over the same (A, G, B, iota, pi), whatever its
     section or the open core of G, shares one checked AlgExtension."""
-    checked = []
+    checked, extensions_built = [], []
     post_init = AlgExtension.__post_init__
     monkeypatch.setattr(
-        AlgExtension, "__post_init__", lambda self: checked.append(self) or post_init(self)
+        AlgExtension,
+        "__post_init__",
+        lambda self: checked.append((self.A, self.G, self.B, self.iota, self.pi))
+        or post_init(self),
+    )
+    ext_post_init = Extension.__post_init__
+    monkeypatch.setattr(
+        Extension,
+        "__post_init__",
+        lambda self: extensions_built.append(1) or ext_post_init(self),
     )
     for theorem in ("open_fibers", "five_lemma_topological"):
         run_search(SearchTask(theorem, family=TINY))
-    info = extensions.alg_extension.cache_info()
-    assert len(checked) == len(set(checked)) == info.misses == info.currsize > 0
-    assert info.hits > info.misses
+    assert 0 < len(checked) == len(set(checked)) < len(extensions_built)
 
 
 def test_a_non_exact_extension_is_refused_on_every_call():

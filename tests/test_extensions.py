@@ -21,7 +21,6 @@ from topab.extensions import (
     FactorSet,
     Section,
     TwistedGroup,
-    alg_extension,
     canonical_section,
     cocycle_violations,
     comparison_map,
@@ -388,24 +387,20 @@ def test_extension_rejects_non_strict():
 
 
 def test_one_alg_extension_per_extension(monkeypatch):
-    """nagao_topology checks exactness once: the Extension keeps the
-    AlgExtension it checked as `alg`, and every later extension over the same
-    algebra reuses it, whatever its section."""
+    """nagao_topology checks no exactness that is checked already: the
+    Extension keeps the live AlgExtension of its algebra as `alg`, whatever
+    its section."""
     calls = []
     post_init = AlgExtension.__post_init__
     monkeypatch.setattr(
         AlgExtension, "__post_init__", lambda self: calls.append(1) or post_init(self)
     )
-    alg_extension.cache_clear()
     nagao_topology.cache_clear()
     alg = z4_extension(a_core="indiscrete", b_core="discrete")
     calls.clear()
-    ext = nagao_topology(alg, canonical_section(alg))
-    assert ext.alg == alg
-    assert len(calls) == 1
     for s in enumerate_sections(alg):
-        assert nagao_topology(alg, s).alg is ext.alg
-    assert len(calls) == 1
+        assert nagao_topology(alg, s).alg is alg
+    assert calls == []
 
 
 def test_equal_topologized_groups_and_sections_are_one_object():
@@ -431,6 +426,11 @@ def test_equal_topologized_groups_and_sections_are_one_object():
     "cls, args, error",
     [
         (TopAbGroup, (Z2, Subgroup(Z4, ((0,),))), NotASubgroup),
+        (
+            AlgExtension,
+            (discrete(Z2), Z4, discrete(Z2), zero_hom(Z2, Z4), make_hom(Z4, Z2, [(1,)])),
+            NotAnExtension,
+        ),
         (Section, (Z2, Z4, (((0,), (2,)), ((1,), (1,)))), InvalidSection),  # s(0) != 0
         (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (1,)))), InvalidSection),
         (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (3,)))), InvalidSection),
@@ -497,6 +497,6 @@ def test_no_two_distinct_interned_objects_are_equal_across_the_families():
     by_type = {}
     for x in objects:
         by_type.setdefault(type(x), []).append(x)
-    assert set(by_type) == {Subgroup, Homomorphism, TopAbGroup, Section}
+    assert set(by_type) == {FinAbGroup, Subgroup, Homomorphism, TopAbGroup, Section, AlgExtension}
     for xs in by_type.values():
         assert len(set(xs)) == len(xs)  # distinct objects, so distinct values

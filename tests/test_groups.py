@@ -99,7 +99,10 @@ def test_membership_builds_no_table():
 
 
 def test_import_builds_no_table():
-    code = "import topab.cli, topab.groups as g; print(g._tables.cache_info().currsize)"
+    code = (
+        "import topab.cli, topab.groups as g; tables = ('sums', 'negation', 'multiples');"
+        "print(sum(t in vars(x) for x in g.FinAbGroup._pool.values() for t in tables))"
+    )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -441,9 +444,13 @@ def test_all_homs_count():
 
 def test_equal_subgroups_and_homomorphisms_are_one_object():
     """A constructor call with the value of a live object returns that object:
-    whatever the order and repeats of the elements, through
-    `dataclasses.replace` and through JSON decoding."""
+    whatever the order and repeats of the elements, from any iterable of
+    moduli, through `dataclasses.replace` and through JSON decoding."""
     z4, k4 = FinAbGroup([4]), FinAbGroup([2, 2])
+    assert FinAbGroup(iter([2, 2])) is FinAbGroup((2, 2)) is k4
+    g = FinAbGroup(iter([3, 5, 7]))  # a value no live group has
+    assert g.moduli == (3, 5, 7) and FinAbGroup([3, 5, 7]) is g
+    assert dataclasses.replace(z4) is z4 is jsonio.group_from_json({"moduli": [4]})
     s = Subgroup(z4, ((0,), (2,)))
     assert Subgroup(FinAbGroup([4]), [(2,), (0,), (2,)]) is s
     assert subgroup(z4, {(0,), (2,)}) is s is subgroup_generated(z4, [(2,)])
@@ -462,6 +469,7 @@ def test_equal_subgroups_and_homomorphisms_are_one_object():
 @pytest.mark.parametrize(
     "cls, args, error",
     [
+        (FinAbGroup, ((2, 0),), NonPositiveModulus),
         (Subgroup, (FinAbGroup([4]), ((0,), (1,))), NotASubgroup),  # not closed
         (Subgroup, (FinAbGroup([4]), ((0,), (4,))), ElementNotInGroup),
         (Homomorphism, (FinAbGroup([2]), FinAbGroup([4]), ((1,),)), IllDefined),
