@@ -426,15 +426,15 @@ def test_equal_topologized_groups_and_sections_are_one_object():
     "cls, args, error",
     [
         (TopAbGroup, (Z2, Subgroup(Z4, ((0,),))), NotASubgroup),
+        (Section, (Z2, Z4, (((0,), (2,)), ((1,), (1,)))), InvalidSection),  # s(0) != 0
+        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (1,)))), InvalidSection),
+        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (3,)))), InvalidSection),
+        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (4,)))), ElementNotInGroup),
         (
             AlgExtension,
             (discrete(Z2), Z4, discrete(Z2), zero_hom(Z2, Z4), make_hom(Z4, Z2, [(1,)])),
             NotAnExtension,
         ),
-        (Section, (Z2, Z4, (((0,), (2,)), ((1,), (1,)))), InvalidSection),  # s(0) != 0
-        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (1,)))), InvalidSection),
-        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (3,)))), InvalidSection),
-        (Section, (Z2, Z4, (((0,), (0,)), ((1,), (4,)))), ElementNotInGroup),
     ],
 )
 def test_invalid_values_raise_on_every_call_and_are_never_pooled(cls, args, error):

@@ -469,12 +469,12 @@ def test_equal_subgroups_and_homomorphisms_are_one_object():
 @pytest.mark.parametrize(
     "cls, args, error",
     [
-        (FinAbGroup, ((2, 0),), NonPositiveModulus),
         (Subgroup, (FinAbGroup([4]), ((0,), (1,))), NotASubgroup),  # not closed
         (Subgroup, (FinAbGroup([4]), ((0,), (4,))), ElementNotInGroup),
         (Homomorphism, (FinAbGroup([2]), FinAbGroup([4]), ((1,),)), IllDefined),
         (Homomorphism, (FinAbGroup([2]), FinAbGroup([4]), ((0,), (0,))), IllDefined),
         (Homomorphism, (FinAbGroup([2]), FinAbGroup([4]), ((6,),)), ElementNotInGroup),
+        (FinAbGroup, ((2, 0),), NonPositiveModulus),
     ],
 )
 def test_invalid_values_raise_on_every_call_and_are_never_pooled(cls, args, error):
