@@ -386,6 +386,83 @@ def test_extension_rejects_non_strict():
         )
 
 
+_to_z4, _onto_z2 = make_hom(Z2, Z4, [(2,)]), make_hom(Z4, Z2, [(1,)])
+_K4_FIRST, _K4_SECOND = make_hom(Z2, K4, [(1, 0)]), make_hom(K4, Z2, [(0,), (1,)])
+_K4_ONTO_FIRST = make_hom(K4, Z2, [(1,), (0,)])
+
+
+@pytest.mark.parametrize(
+    "iota, pi, message",
+    [
+        (identity_hom(Z2), _onto_z2, "iota must map A into G"),
+        (_to_z4, identity_hom(Z2), "pi must map G onto B"),
+    ],
+)
+def test_alg_extension_refuses_wrong_endpoints(iota, pi, message):
+    with pytest.raises(NotAnExtension) as error:
+        AlgExtension(discrete(Z2), Z4, discrete(Z2), iota, pi)
+    assert str(error.value) == message
+
+
+# (A, G, B, iota, pi, message): one case per reason a sequence is not exact,
+# refused by the AlgExtension and by the Extension over the discrete G
+ALGEBRAIC_FAILURES = [
+    (Z2, Z4, Z2, zero_hom(Z2, Z4), _onto_z2, "iota is not injective"),
+    (Z2, Z2, Z2, identity_hom(Z2), zero_hom(Z2, Z2), "pi is not surjective"),
+    (Z2, K4, Z2, _K4_FIRST, _K4_ONTO_FIRST, "image of iota differs from kernel of pi"),
+    # precedence: injectivity before surjectivity before image = kernel
+    (Z2, Z4, Z2, zero_hom(Z2, Z4), zero_hom(Z4, Z2), "iota is not injective"),
+    (Z2, Z4, Z2, _to_z4, zero_hom(Z4, Z2), "pi is not surjective"),
+]
+
+
+@pytest.mark.parametrize("A, G, B, iota, pi, message", ALGEBRAIC_FAILURES)
+def test_each_algebraic_failure_has_its_message(A, G, B, iota, pi, message):
+    a, g, b = discrete(A), discrete(G), discrete(B)
+    with pytest.raises(NotAnExtension) as alg_error:
+        AlgExtension(a, G, b, iota, pi)
+    with pytest.raises(NotAnExtension) as ext_error:
+        Extension(
+            a, g, b, TopHom(iota, a, discrete(iota.target)), TopHom(pi, discrete(pi.source), b)
+        )
+    assert str(alg_error.value) == str(ext_error.value) == message
+
+
+def _k4_extension(a, g_core, b):
+    g = topologize(K4, g_core)
+    return Extension(a, g, b, TopHom(_K4_FIRST, a, g), TopHom(_K4_SECOND, g, b))
+
+
+# one case per reason an exact sequence is not a topological extension
+TOPOLOGICAL_FAILURES = {
+    "iota endpoints are wrong": lambda: Extension(
+        discrete(Z2),
+        discrete(Z4),
+        discrete(Z2),
+        TopHom(_to_z4, indiscrete(Z2), discrete(Z4)),
+        TopHom(_onto_z2, discrete(Z4), discrete(Z2)),
+    ),
+    "pi endpoints are wrong": lambda: Extension(
+        discrete(Z2),
+        discrete(Z4),
+        discrete(Z2),
+        TopHom(_to_z4, discrete(Z2), discrete(Z4)),
+        TopHom(_onto_z2, discrete(Z4), indiscrete(Z2)),
+    ),
+    "iota is not continuous": lambda: _k4_extension(indiscrete(Z2), [(0, 0)], discrete(Z2)),
+    "iota is not strict": lambda: _k4_extension(discrete(Z2), K4.elements, indiscrete(Z2)),
+    "pi is not continuous": lambda: _k4_extension(discrete(Z2), [(0, 0), (0, 1)], discrete(Z2)),
+    "pi is not strict": lambda: _k4_extension(discrete(Z2), [(0, 0)], indiscrete(Z2)),
+}
+
+
+@pytest.mark.parametrize("message", TOPOLOGICAL_FAILURES)
+def test_each_topological_failure_has_its_message(message):
+    with pytest.raises(NotAnExtension) as error:
+        TOPOLOGICAL_FAILURES[message]()
+    assert str(error.value) == message
+
+
 def test_one_alg_extension_per_extension(monkeypatch):
     """nagao_topology checks no exactness that is checked already: the
     Extension keeps the live AlgExtension of its algebra as `alg`, whatever
