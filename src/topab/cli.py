@@ -159,6 +159,11 @@ def cmd_extend(args) -> int:
 def cmd_dual(args) -> int:
     try:
         t = jsonio.topgroup_from_json(_read(args.group))
+        n = t.group.order
+        if n**2 > _COCYCLE_BUDGET:
+            raise BudgetExceeded(
+                f"{n}^2 character values exceed the budget; take a smaller group"
+            )
     except _DECODE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

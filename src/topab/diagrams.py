@@ -19,12 +19,13 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable
 
-from .errors import DiagramError, NotAnExtension
+from .errors import DiagramError
 from .groups import (
     Homomorphism,
     cached_hash,
     commutes,
     coset_reps,
+    exactness_failure,
     hom_from_table,
     is_exact_at,
 )
@@ -51,8 +52,8 @@ from .topology import (
     is_strict,
     is_topological_isomorphism,
     quotient_top,
-    separation,
     separation_hom,
+    strictness_failure,
     subspace_top,
 )
 
@@ -186,22 +187,15 @@ verify_lemma_strictness_injectivity = Law(
 def _separated_and_dual_sequences(E: Extension):
     """Under case (a) N_A = 0 or case (b) N_B = 0, the separated sequence and
     the dual sequence are both topological extensions."""
-    out = []
-    haus_a, _ = separation(E.A)
-    haus_g, _ = separation(E.G)
-    haus_b, _ = separation(E.B)
-    try:
-        iota_h = separation_hom(E.iota)
-        pi_h = separation_hom(E.pi)
-        Extension(haus_a, haus_g, haus_b, iota_h, pi_h)
-        out.append(("separated_sequence_extension", True))
-    except NotAnExtension:
-        out.append(("separated_sequence_extension", False))
-    dual = dual_extension(E)
-    out.append(("dual_sequence_extension", dual.is_extension))
-    snake = snake_haus_sequence(E)
-    out.append(("snake_sequence_exact", snake.is_exact))
-    return tuple(out)
+    iota_h, pi_h = separation_hom(E.iota), separation_hom(E.pi)
+    separated = exactness_failure(iota=iota_h.map, pi=pi_h.map) or strictness_failure(
+        iota=iota_h, pi=pi_h
+    )
+    return (
+        ("separated_sequence_extension", separated is None),
+        ("dual_sequence_extension", dual_extension(E).is_extension),
+        ("snake_sequence_exact", snake_haus_sequence(E).is_exact),
+    )
 
 
 verify_haus_exactness = Law(
@@ -396,21 +390,12 @@ class FiveTermRow:
             ):
                 raise DiagramError(f"map {i} does not match its endpoints")
 
-    def top_map(self, i: int) -> TopHom:
-        return TopHom(self.maps[i], self.groups[i], self.groups[i + 1])
-
     @cache
     def is_strict_exact(self) -> bool:
         """Exact at B, C and D, with all four maps continuous and strict;
         computed once per distinct row."""
-        for f, g in zip(self.maps, self.maps[1:]):
-            if not is_exact_at(f, g):
-                return False
-        for i in range(4):
-            th = self.top_map(i)
-            if not is_continuous(th) or not is_strict(th):
-                return False
-        return True
+        tops = dict(zip("fghk", map(TopHom, self.maps, self.groups, self.groups[1:])))
+        return all(map(is_exact_at, self.maps, self.maps[1:])) and not strictness_failure(**tops)
 
 
 @dataclass(frozen=True)
@@ -443,9 +428,9 @@ class FiveTermSquare:
 
 
 @cache
-def _reduced_row(row: FiveTermRow):
-    """0 -> B/Im f -> C -> Im h -> 0 with quotient and subspace topologies,
-    built once per row."""
+def _reduced_row_is_extension(row: FiveTermRow) -> bool:
+    """0 -> B/Im f -> C -> Im h -> 0, with quotient and subspace topologies,
+    is a topological extension; decided once per row."""
     f, g, h, _ = row.maps
     b_top, c_top, d_top = row.groups[1], row.groups[2], row.groups[3]
     bq_top, bq_proj = quotient_top(b_top, f.image())
@@ -459,7 +444,8 @@ def _reduced_row(row: FiveTermRow):
     h_prime = hom_from_table(
         c_top.group, imh_top.group, {x: inv[h(x)] for x in c_top.group.elements}
     )
-    return bq_top, imh_top, g_prime, h_prime
+    g_top, h_top = TopHom(g_prime, bq_top, c_top), TopHom(h_prime, c_top, imh_top)
+    return not (exactness_failure(g=g_prime, h=h_prime) or strictness_failure(g=g_top, h=h_top))
 
 
 def _five_lemma_cases(fts: FiveTermSquare) -> tuple[bool, bool]:
@@ -485,19 +471,15 @@ def _gamma_iso_and_gamma_haus(fts: FiveTermSquare):
     """
     gamma_t = fts.vertical_top(2)
     bijective = fts.verticals[2].is_bijective()
-    # the three-term reduction, mirroring the classical proof
-    try:
-        reduced = [(_reduced_row(row), row.groups[2]) for row in (fts.row1, fts.row2)]
-        for (bq, imh, gp, hp), c in reduced:
-            Extension(bq, c, imh, TopHom(gp, bq, c), TopHom(hp, c, imh))
-        reduction_ok = True
-    except NotAnExtension:
-        reduction_ok = False
     well = is_continuous(gamma_t)
     gh = separation_hom(gamma_t) if well else None
     return (
         ("gamma_group_iso", bijective),
-        ("reduction_rows_extensions", reduction_ok),
+        # the three-term reduction, mirroring the classical proof
+        (
+            "reduction_rows_extensions",
+            _reduced_row_is_extension(fts.row1) and _reduced_row_is_extension(fts.row2),
+        ),
         ("gamma_haus_well_defined", well),
         ("gamma_haus_continuous", well and is_continuous(gh)),
         ("gamma_haus_surjective", well and gh.map.is_surjective()),

@@ -44,14 +44,14 @@ from .groups import (
     Subgroup,
     cached_hash,
     commutes,
+    exactness_failure,
     group_structure,
     hom_from_table,
-    is_exact_at,
     quotient,
     subgroup,
     subgroup_as_group,
 )
-from .topology import TopAbGroup, TopHom, is_continuous, is_strict, separation
+from .topology import TopAbGroup, TopHom, separation, strictness_failure
 
 # the pair (a, b) with a in A, b in B
 Pair = tuple[Element, Element]
@@ -203,12 +203,8 @@ class AlgExtension(metaclass=Interned):
             raise NotAnExtension("iota must map A into G")
         if self.pi.source != self.G or self.pi.target != self.B.group:
             raise NotAnExtension("pi must map G onto B")
-        if not self.iota.is_injective():
-            raise NotAnExtension("iota is not injective")
-        if not self.pi.is_surjective():
-            raise NotAnExtension("pi is not surjective")
-        if not is_exact_at(self.iota, self.pi):
-            raise NotAnExtension("image of iota differs from kernel of pi")
+        if reason := exactness_failure(iota=self.iota, pi=self.pi):
+            raise NotAnExtension(reason)
 
     def pull_back(self, g: Element) -> Element:
         return _pull_back(self.iota, g)
@@ -243,11 +239,8 @@ class Extension:
         # algebraic exactness, checked once per algebraic extension
         alg = AlgExtension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
         object.__setattr__(self, "alg", alg)
-        for name, f in (("iota", self.iota), ("pi", self.pi)):
-            if not is_continuous(f):
-                raise NotAnExtension(f"{name} is not continuous")
-            if not is_strict(f):
-                raise NotAnExtension(f"{name} is not strict")
+        if reason := strictness_failure(iota=self.iota, pi=self.pi):
+            raise NotAnExtension(reason)
 
 
 def section_for(alg: AlgExtension, mapping: dict[Element, Element]) -> Section:
@@ -532,11 +525,7 @@ class SnakeSequence:
     core_b: FinAbGroup
     coker_f: FinAbGroup
     maps: tuple[Homomorphism, Homomorphism, Homomorphism]
-    exactness: tuple[tuple[str, bool], ...]
-
-    @property
-    def is_exact(self) -> bool:
-        return all(ok for _, ok in self.exactness)
+    is_exact: bool
 
 
 def snake_haus_sequence(E: Extension) -> SnakeSequence:
@@ -593,12 +582,7 @@ def snake_haus_sequence(E: Extension) -> SnakeSequence:
             for x in nb_emb.group.elements
         },
     )
-    exactness = (
-        ("ker_f_injects", m1.is_injective()),
-        ("exact_at_core_g", is_exact_at(m1, m2)),
-        ("exact_at_core_b", is_exact_at(m2, m3)),
-        ("coker_surjects", m3.is_surjective()),
-    )
+    exact = exactness_failure(m1=m1, m2=m2, m3=m3) is None
     return SnakeSequence(
-        ker_f_emb.group, ng_emb.group, nb_emb.group, coker, (m1, m2, m3), exactness
+        ker_f_emb.group, ng_emb.group, nb_emb.group, coker, (m1, m2, m3), exact
     )

@@ -20,10 +20,12 @@ object, whose tables, image and kernel are built once.  `hom_set`,
 `identity_hom`, `zero_hom`, `quotient` and `subgroup_as_group` are cached,
 so each builds its result once per value.
 
-The other modules call three constructions owned here: `group_structure`
+The other modules call four constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
 element of each of its elements), `coset_reps` (x -> the least element of
-x + K) and `Homomorphism.fibers` (y -> its preimages in element order).
+x + K), `Homomorphism.fibers` (y -> its preimages in element order) and
+`exactness_failure`, the one decision of whether a sequence bounded by zeros
+is exact, which every extension and exact sequence of the package reads.
 """
 
 from __future__ import annotations
@@ -463,6 +465,21 @@ def is_exact_at(f: Homomorphism, g: Homomorphism) -> bool:
     if f.target != g.source:
         raise CompositionMismatch("target of f must equal source of g")
     return f.image().element_set == g.kernel().element_set
+
+
+def exactness_failure(**maps: Homomorphism) -> str | None:
+    """Why 0 -> X_0 -> ... -> X_n -> 0 along the named maps is not exact, or
+    None: the first map is not injective, the last is not surjective, or an
+    image is not the next kernel, tried in that order."""
+    names, fs = list(maps), list(maps.values())
+    if not fs[0].is_injective():
+        return f"{names[0]} is not injective"
+    if not fs[-1].is_surjective():
+        return f"{names[-1]} is not surjective"
+    for i in range(len(fs) - 1):
+        if not is_exact_at(fs[i], fs[i + 1]):
+            return f"image of {names[i]} differs from kernel of {names[i + 1]}"
+    return None
 
 
 def _prime_factors(n: int) -> dict[int, int]:

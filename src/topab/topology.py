@@ -5,6 +5,8 @@ the minimal open neighborhood of 0 (equivalently the closure of {0}): the
 open sets are exactly the unions of cosets of N.  Every predicate in this
 module therefore reduces to a set-inclusion formula, and each formula is
 cross-validated against a literal open-set oracle in the test suite.
+`strictness_failure`, read after `groups.exactness_failure`, is the one
+decision of whether a sequence is a topological extension.
 """
 
 from __future__ import annotations
@@ -84,6 +86,18 @@ def is_strict(f: TopHom) -> bool:
         raise NotContinuous("strictness is a property of continuous homomorphisms")
     core_image = frozenset(map(f.map.table.__getitem__, f.source.open_core))
     return core_image == f.map.image().element_set & f.target.core_set
+
+
+def strictness_failure(**maps: TopHom) -> str | None:
+    """The first of the named maps that is not continuous or not strict, or
+    None.  After `groups.exactness_failure` on their homomorphisms, it
+    decides whether 0 -> X_0 -> ... -> X_n -> 0 is a topological extension."""
+    for name, f in maps.items():
+        if not is_continuous(f):
+            return f"{name} is not continuous"
+        if not is_strict(f):
+            return f"{name} is not strict"
+    return None
 
 
 @cache

@@ -603,3 +603,17 @@ def test_sections_over_budget_exit_2_without_enumerating(tmp_path, capsys, monke
     code, out, err = run_cli(capsys, "sections", e)
     assert_usage_error(code, out, err, "4^10 sections exceed the budget")
     assert built == []
+
+
+def test_dual_over_budget_exit_2_without_building_characters(tmp_path, capsys, monkeypatch):
+    """(Z/2)^10 has 1024 characters of 1024 values each, just over the budget:
+    the command exits 2 with one line before it builds a character."""
+    from topab import cli, duality
+
+    assert cli._COCYCLE_BUDGET < 1024**2 < 2 * cli._COCYCLE_BUDGET
+    built = []
+    monkeypatch.setattr(duality, "all_characters", lambda G: built.append(G) or ())
+    g = write(tmp_path, "g.json", jsonio.to_json(discrete(FinAbGroup([2] * 10))))
+    code, out, err = run_cli(capsys, "dual", g)
+    assert_usage_error(code, out, err, "1024^2 character values exceed the budget")
+    assert built == []

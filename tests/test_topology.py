@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from topab.errors import NotContinuous, NotWellDefined
@@ -6,10 +8,13 @@ from topab.groups import (
     all_homs,
     all_subgroups,
     compose,
+    exactness_failure,
+    hom_set,
     identity_hom,
     subgroup,
     zero_hom,
 )
+from topab.search import topologized_groups
 from topab.topology import (
     TopAbGroup,
     TopHom,
@@ -23,6 +28,7 @@ from topab.topology import (
     quotient_top,
     separation,
     separation_hom,
+    strictness_failure,
     subspace_top,
 )
 
@@ -31,6 +37,7 @@ from oracles import (
     closure_of_zero,
     has_property_p,
     is_continuous_oracle,
+    is_strict_exact_oracle,
     is_strict_oracle,
     open_sets,
 )
@@ -215,3 +222,31 @@ def test_topological_isomorphism():
     t = topologize(Z4, [(0,), (2,)])
     assert is_topological_isomorphism(TopHom(identity_hom(Z4), t, t))
     assert not is_topological_isomorphism(TopHom(identity_hom(Z4), t, discrete(Z4)))
+
+
+def test_extension_decision_matches_the_oracle_on_every_small_sequence():
+    """0 -> A -> G -> B -> 0 is a topological extension, by the exactness
+    decision and then the strictness decision, exactly when the open-set
+    oracle finds the zero-padded row strict exact; over every A, G, B of
+    order <= 4 with every topology and every iota, pi.  Each reason occurs."""
+    tops = topologized_groups(4)
+    zero = discrete(FinAbGroup(()))
+    reasons = {}
+    for A, G, B in itertools.product(tops, repeat=3):
+        for iota, pi in itertools.product(hom_set(A.group, G.group), hom_set(G.group, B.group)):
+            reason = exactness_failure(iota=iota, pi=pi) or strictness_failure(
+                iota=TopHom(iota, A, G), pi=TopHom(pi, G, B)
+            )
+            row = (zero_hom(zero.group, A.group), iota, pi, zero_hom(B.group, zero.group))
+            assert (reason is None) == is_strict_exact_oracle((zero, A, G, B, zero), row)
+            reasons[reason] = reasons.get(reason, 0) + 1
+    assert reasons == {
+        "iota is not injective": 40044,
+        "pi is not surjective": 13332,
+        "image of iota differs from kernel of pi": 6724,
+        "iota is not continuous": 107,
+        "iota is not strict": 67,
+        "pi is not continuous": 97,
+        "pi is not strict": 59,
+        None: 103,
+    }
