@@ -77,34 +77,10 @@ _RUN_ERRORS = (UnknownTheorem, UnknownHypothesis, InvalidFamilySpec, BudgetExcee
 _DECODE_ERRORS = (TopabError, KeyError, ValueError, IndexError, TypeError)
 
 
-def _run_and_write(task: SearchTask, out_dir: str | None):
-    # a bad task or an unwritable report directory fails before the search
-    _check_task(task)
-    if out_dir:
-        d = Path(out_dir)
-        d.mkdir(parents=True, exist_ok=True)
-    result = run_search(task)
-    jsonl = result.to_jsonl()
-    md = result.to_markdown()
-    if out_dir:
-        stem = task.theorem_id
-        (d / f"{stem}.jsonl").write_text(jsonl, encoding="utf-8")
-        (d / f"{stem}.md").write_text(md, encoding="utf-8")
-    sys.stdout.write(md)
-    return result
-
-
-def cmd_verify(args) -> int:
-    try:
-        task = SearchTask(args.theorem, (), _family_from_args(args))
-        result = _run_and_write(task, args.out)
-    except _RUN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if result.failure_count == 0 else 1
-
-
-def cmd_search(args) -> int:
+def cmd_run(args) -> int:
+    """`verify` and `search`: run the theorem over its family and write the
+    report.  `search` may drop hypotheses and stop at the first witness; it
+    prints the witness count and exits 0, where `verify` exits 1 on a failure."""
     try:
         task = SearchTask(
             args.theorem,
@@ -112,12 +88,25 @@ def cmd_search(args) -> int:
             _family_from_args(args),
             stop_at_first=args.stop_at_first,
         )
-        result = _run_and_write(task, args.out)
+        # a bad task or an unwritable report directory fails before the search
+        _check_task(task)
+        if args.out:
+            d = Path(args.out)
+            d.mkdir(parents=True, exist_ok=True)
+        result = run_search(task)
     except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"witnesses: {result.failure_count}")
-    return 0
+    jsonl = result.to_jsonl()
+    md = result.to_markdown()
+    if args.out:
+        (d / f"{task.theorem_id}.jsonl").write_text(jsonl, encoding="utf-8")
+        (d / f"{task.theorem_id}.md").write_text(md, encoding="utf-8")
+    sys.stdout.write(md)
+    if args.command == "search":
+        print(f"witnesses: {result.failure_count}")
+        return 0
+    return 0 if result.failure_count == 0 else 1
 
 
 def cmd_extend(args) -> int:
@@ -282,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a theorem over its default family")
     sp.add_argument("theorem", choices=None, metavar="THEOREM")
     add_family_flags(sp)
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_run, drop=None, stop_at_first=False)
 
     sp = sub.add_parser("search", help="drop hypotheses and hunt for witnesses")
     sp.add_argument("theorem", metavar="THEOREM")
     sp.add_argument("--drop", action="append", metavar="HYPOTHESIS")
     sp.add_argument("--stop-at-first", action="store_true")
     add_family_flags(sp)
-    sp.set_defaults(fn=cmd_search)
+    sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("extend", help="twist two groups by a cocycle")
     sp.add_argument("kernel", help="topological group JSON for the kernel")

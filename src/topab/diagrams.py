@@ -24,9 +24,11 @@ from .groups import (
     Homomorphism,
     cached_hash,
     commutes,
+    corestricted,
     coset_reps,
     exactness_failure,
-    hom_from_table,
+    identity_hom,
+    induced,
     is_exact_at,
 )
 from .extensions import (
@@ -50,6 +52,7 @@ from .topology import (
     is_hausdorff,
     is_indiscrete,
     is_strict,
+    is_topological_extension,
     is_topological_isomorphism,
     quotient_top,
     separation_hom,
@@ -186,15 +189,14 @@ verify_lemma_strictness_injectivity = Law(
 
 def _separated_and_dual_sequences(E: Extension):
     """Under case (a) N_A = 0 or case (b) N_B = 0, the separated sequence and
-    the dual sequence are both topological extensions."""
-    iota_h, pi_h = separation_hom(E.iota), separation_hom(E.pi)
-    separated = exactness_failure(iota=iota_h.map, pi=pi_h.map) or strictness_failure(
-        iota=iota_h, pi=pi_h
-    )
+    the dual sequence are both topological extensions, and the snake
+    sequence of the separation comparison is exact."""
+    separated = is_topological_extension(separation_hom(E.iota), separation_hom(E.pi))
+    m1, m2, m3 = snake_haus_sequence(E)
     return (
-        ("separated_sequence_extension", separated is None),
-        ("dual_sequence_extension", dual_extension(E).is_extension),
-        ("snake_sequence_exact", snake_haus_sequence(E).is_exact),
+        ("separated_sequence_extension", separated),
+        ("dual_sequence_extension", is_topological_extension(*dual_extension(E))),
+        ("snake_sequence_exact", exactness_failure(m1=m1, m2=m2, m3=m3) is None),
     )
 
 
@@ -435,17 +437,11 @@ def _reduced_row_is_extension(row: FiveTermRow) -> bool:
     b_top, c_top, d_top = row.groups[1], row.groups[2], row.groups[3]
     bq_top, bq_proj = quotient_top(b_top, f.image())
     imh_top, imh_incl = subspace_top(d_top, h.image())
-    # induced g': B/Im f -> C
-    pre = bq_proj.map.fibers()
-    g_table = {y: g(pre[y][0]) for y in bq_top.group.elements}
-    g_prime = hom_from_table(bq_top.group, c_top.group, g_table)
-    # corestriction h': C -> Im h
-    inv = {imh_incl.map(x): x for x in imh_top.group.elements}
-    h_prime = hom_from_table(
-        c_top.group, imh_top.group, {x: inv[h(x)] for x in c_top.group.elements}
+    g_prime = induced(g, bq_proj.map, identity_hom(c_top.group))  # B/Im f -> C
+    h_prime = corestricted(h, imh_incl.map)  # C -> Im h
+    return is_topological_extension(
+        TopHom(g_prime, bq_top, c_top), TopHom(h_prime, c_top, imh_top)
     )
-    g_top, h_top = TopHom(g_prime, bq_top, c_top), TopHom(h_prime, c_top, imh_top)
-    return not (exactness_failure(g=g_prime, h=h_prime) or strictness_failure(g=g_top, h=h_top))
 
 
 def _five_lemma_cases(fts: FiveTermSquare) -> tuple[bool, bool]:

@@ -16,15 +16,8 @@ from functools import cache, cached_property
 
 from .errors import NotAnExtension, NotContinuous
 from .extensions import Extension
-from .groups import (
-    Element,
-    FinAbGroup,
-    Homomorphism,
-    exactness_failure,
-    group_structure,
-    hom_from_table,
-)
-from .topology import TopAbGroup, TopHom, discrete, is_continuous, strictness_failure
+from .groups import Element, FinAbGroup, Homomorphism, group_structure, hom_from_table
+from .topology import TopAbGroup, TopHom, discrete, is_continuous
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,9 @@ class DualGroup:
         return dict(self._elem_to_char)
 
     @cached_property
-    def char_to_elem(self) -> dict[Character, Element]:
-        return {c: x for x, c in self._elem_to_char}
+    def elem_of_values(self) -> dict[tuple[int, ...], Element]:
+        """The element of each character, keyed by its generator values."""
+        return {c.gen_values: x for x, c in self._elem_to_char}
 
     @property
     def order(self) -> int:
@@ -125,50 +119,25 @@ def _rescale(value: int, from_den: int, to_den: int) -> int:
     return (num // from_den) % to_den
 
 
-def pull_back(chi: Character, f: Homomorphism) -> Character:
-    """chi o f as a character of the source of f."""
-    src = f.source
-    e_src, e_tgt = src.exponent, chi.group.exponent
-    vals = tuple(
-        _rescale(chi(f(g)), e_tgt, e_src) for g in src.generators
-    )
-    return Character(src, vals)
-
-
 def dual_hom(f: TopHom) -> Homomorphism:
-    """The dual map between dual structures, chi -> chi o f (contravariant)."""
+    """The dual map between dual structures, chi -> chi o f (contravariant):
+    chi o f is looked up by its values on the generators of the source."""
     if not is_continuous(f):
         raise NotContinuous("only continuous maps dualize to continuous characters")
     d_tgt = dual_group(f.target)
     d_src = dual_group(f.source)
+    e_src, e_tgt = f.source.group.exponent, f.target.group.exponent
+    images = [f.map(g) for g in f.source.group.generators]
     table = {}
-    for x in d_tgt.structure.elements:
-        chi = d_tgt.elem_to_char[x]
-        table[x] = d_src.char_to_elem[pull_back(chi, f.map)]
+    for x, chi in d_tgt.elem_to_char.items():
+        values = tuple(_rescale(chi(y), e_tgt, e_src) for y in images)
+        table[x] = d_src.elem_of_values[values]
     return hom_from_table(d_tgt.structure, d_src.structure, table)
 
 
-@dataclass(frozen=True)
-class DualSequence:
-    """0 -> B* -> G* -> A* -> 0, and whether it is a topological extension."""
-
-    b_dual: DualGroup
-    g_dual: DualGroup
-    a_dual: DualGroup
-    is_extension: bool
-
-
-def dual_extension(E: Extension) -> DualSequence:
+def dual_extension(E: Extension) -> tuple[TopHom, TopHom]:
+    """The dual sequence 0 -> B* -> G* -> A* -> 0 of E as its maps (pi*, iota*)."""
     if not isinstance(E, Extension):
         raise NotAnExtension("dual_extension expects a topological extension")
-    b_dual = dual_group(E.B)
-    g_dual = dual_group(E.G)
-    a_dual = dual_group(E.A)
-    pi_dual = dual_hom(E.pi)
-    iota_dual = dual_hom(E.iota)
-    pi_dual_top = TopHom(pi_dual, b_dual.as_top, g_dual.as_top)
-    iota_dual_top = TopHom(iota_dual, g_dual.as_top, a_dual.as_top)
-    failure = exactness_failure(pi_dual=pi_dual, iota_dual=iota_dual) or strictness_failure(
-        pi_dual=pi_dual_top, iota_dual=iota_dual_top
-    )
-    return DualSequence(b_dual, g_dual, a_dual, failure is None)
+    b_dual, g_dual, a_dual = (dual_group(T).as_top for T in (E.B, E.G, E.A))
+    return TopHom(dual_hom(E.pi), b_dual, g_dual), TopHom(dual_hom(E.iota), g_dual, a_dual)

@@ -44,9 +44,12 @@ from .groups import (
     Subgroup,
     cached_hash,
     commutes,
+    compose,
+    corestricted,
     exactness_failure,
     group_structure,
     hom_from_table,
+    induced,
     quotient,
     subgroup,
     subgroup_as_group,
@@ -512,77 +515,27 @@ def has_open_fibers(sigma_map: dict[Element, Element], B1_top: TopAbGroup) -> bo
     return True
 
 
-@dataclass(frozen=True)
-class SnakeSequence:
-    """0 -> ker f -> N_G -> N_B -> coker f -> 0 for the separation comparison.
-
-    f: A -> ker(pi_Haus) is the map induced by q_G o iota; the connecting map
-    is the usual lift-push-project recipe.
-    """
-
-    ker_f: FinAbGroup
-    core_g: FinAbGroup
-    core_b: FinAbGroup
-    coker_f: FinAbGroup
-    maps: tuple[Homomorphism, Homomorphism, Homomorphism]
-    is_exact: bool
-
-
-def snake_haus_sequence(E: Extension) -> SnakeSequence:
+def snake_haus_sequence(E: Extension) -> tuple[Homomorphism, Homomorphism, Homomorphism]:
+    """The maps (m1, m2, m3) of 0 -> ker f -> N_G -> N_B -> coker f -> 0 for
+    the separation comparison.  f: A -> ker(pi_Haus) is q_G o iota; m1 and m2
+    restrict iota and pi to the cores; the connecting map m3 is the usual
+    lift-push-project recipe."""
     alg = E.alg
-    G, B = alg.G, alg.B.group
-    haus_g, q_g = separation(E.G)
-    haus_b, q_b = separation(E.B)
-    pi_haus = hom_from_table(
-        haus_g.group,
-        haus_b.group,
-        {
-            q_g(g): q_b(alg.pi(g))
-            for g in G.elements
-        },
-    )
-    ker_pi_haus = pi_haus.kernel()
-    kemb = subgroup_as_group(ker_pi_haus)
-    # f: A -> ker(pi_Haus)
-    f = hom_from_table(
-        alg.A.group,
-        kemb.group,
-        {a: kemb.coords[q_g(alg.iota(a))] for a in alg.A.group.elements},
-    )
-    ker_f_emb = subgroup_as_group(f.kernel())
-    ng_emb = subgroup_as_group(E.G.open_core)
-    nb_emb = subgroup_as_group(E.B.open_core)
+    _, q_g = separation(E.G)
+    _, q_b = separation(E.B)
+    kemb = subgroup_as_group(induced(alg.pi, q_g.map, q_b.map).kernel())
+    f = corestricted(compose(q_g.map, alg.iota), kemb.include)
+    ker_f = subgroup_as_group(f.kernel()).include
+    n_g = subgroup_as_group(E.G.open_core).include
+    n_b = subgroup_as_group(E.B.open_core).include
     coker, coker_proj = quotient(kemb.group, f.image())
-
-    # ker f -> N_G, restriction of iota
-    m1 = hom_from_table(
-        ker_f_emb.group,
-        ng_emb.group,
-        {
-            x: ng_emb.coords[alg.iota(ker_f_emb.include(x))]
-            for x in ker_f_emb.group.elements
-        },
-    )
-    # N_G -> N_B, restriction of pi
-    m2 = hom_from_table(
-        ng_emb.group,
-        nb_emb.group,
-        {
-            x: nb_emb.coords[alg.pi(ng_emb.include(x))]
-            for x in ng_emb.group.elements
-        },
-    )
+    m1 = corestricted(compose(alg.iota, ker_f), n_g)
+    m2 = corestricted(compose(alg.pi, n_g), n_b)
     # connecting map N_B -> coker f: lift along pi, push through q_G, project
     lift = alg.pi.fibers()
     m3 = hom_from_table(
-        nb_emb.group,
+        n_b.source,
         coker,
-        {
-            x: coker_proj(kemb.coords[q_g(lift[nb_emb.include(x)][0])])
-            for x in nb_emb.group.elements
-        },
+        {x: coker_proj(kemb.coords[q_g(lift[n_b(x)][0])]) for x in n_b.source.elements},
     )
-    exact = exactness_failure(m1=m1, m2=m2, m3=m3) is None
-    return SnakeSequence(
-        ker_f_emb.group, ng_emb.group, nb_emb.group, coker, (m1, m2, m3), exact
-    )
+    return m1, m2, m3

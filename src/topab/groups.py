@@ -20,12 +20,15 @@ object, whose tables, image and kernel are built once.  `hom_set`,
 `identity_hom`, `zero_hom`, `quotient` and `subgroup_as_group` are cached,
 so each builds its result once per value.
 
-The other modules call four constructions owned here: `group_structure`
+The other modules call these constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
 element of each of its elements), `coset_reps` (x -> the least element of
-x + K), `Homomorphism.fibers` (y -> its preimages in element order) and
-`exactness_failure`, the one decision of whether a sequence bounded by zeros
-is exact, which every extension and exact sequence of the package reads.
+x + K), `Homomorphism.fibers` (y -> its preimages in element order),
+`induced` and `corestricted` (the map f induces between quotients, and f
+as a map into a subgroup; every induced map of the package is built by
+these two), and `exactness_failure`, the one decision of whether a sequence
+bounded by zeros is exact, which every extension and exact sequence of the
+package reads.
 """
 
 from __future__ import annotations
@@ -429,6 +432,28 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     return Homomorphism(
         inner.source, outer.target, tuple(outer(inner(g)) for g in inner.source.generators)
     )
+
+
+def induced(f: Homomorphism, p: Homomorphism, q: Homomorphism) -> Homomorphism:
+    """The map P -> Q with induced(p(x)) == q(f(x)), for f: X -> Y and onto
+    maps p: X -> P, q: Y -> Q; IllDefined unless f(ker p) lies in ker q."""
+    if p.source != f.source or q.source != f.target:
+        raise CompositionMismatch("p must start at the source of f, q at its target")
+    if any(q(f(k)) != q.target.zero for k in p.kernel()):
+        raise IllDefined("f does not map ker p into ker q")
+    table = {y: q(f(xs[0])) for y, xs in p.fibers().items()}
+    return hom_from_table(p.target, q.target, table)
+
+
+def corestricted(f: Homomorphism, j: Homomorphism) -> Homomorphism:
+    """f: X -> Y as a map into the subgroup j: J -> Y, for injective j;
+    IllDefined unless f(X) lies in j(J)."""
+    if j.target != f.target:
+        raise CompositionMismatch("j must map into the target of f")
+    pre = j.fibers()
+    if not pre.keys() >= f.image().element_set:
+        raise IllDefined("f does not map into the image of j")
+    return hom_from_table(f.source, j.source, {x: pre[y][0] for x, y in f.table.items()})
 
 
 def commutes(

@@ -6,7 +6,8 @@ open sets are exactly the unions of cosets of N.  Every predicate in this
 module therefore reduces to a set-inclusion formula, and each formula is
 cross-validated against a literal open-set oracle in the test suite.
 `strictness_failure`, read after `groups.exactness_failure`, is the one
-decision of whether a sequence is a topological extension.
+decision of whether a sequence is a topological extension;
+`is_topological_extension` reads the two as one bool for 0 -> X -> Y -> Z -> 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .groups import (
     Interned,
     Subgroup,
     cached_hash,
-    hom_from_table,
+    exactness_failure,
+    induced,
     quotient,
     subgroup,
     subgroup_as_group,
@@ -100,12 +102,16 @@ def strictness_failure(**maps: TopHom) -> str | None:
     return None
 
 
+def is_topological_extension(f: TopHom, g: TopHom) -> bool:
+    """0 -> X -> Y -> Z -> 0 along f, g is exact, with f and g continuous and
+    strict: `groups.exactness_failure`, then `strictness_failure`."""
+    return not (exactness_failure(f=f.map, g=g.map) or strictness_failure(f=f, g=g))
+
+
 @cache
 def separation(T: TopAbGroup) -> tuple[TopAbGroup, TopHom]:
     """The universal Hausdorff quotient G/N (discrete here) and its projection."""
-    Q, proj = quotient(T.group, T.open_core)
-    haus = discrete(Q)
-    return haus, TopHom(proj, T, haus)
+    return quotient_top(T, T.open_core)
 
 
 def separation_hom(f: TopHom) -> TopHom:
@@ -116,13 +122,7 @@ def separation_hom(f: TopHom) -> TopHom:
         )
     src_haus, q_src = separation(f.source)
     tgt_haus, q_tgt = separation(f.target)
-    pre = q_src.map.fibers()
-    table = {y: q_tgt(f.map(pre[y][0])) for y in src_haus.group.elements}
-    induced = hom_from_table(src_haus.group, tgt_haus.group, table)
-    assert all(
-        induced(q_src(x)) == q_tgt(f.map(x)) for x in f.source.group.elements
-    )
-    return TopHom(induced, src_haus, tgt_haus)
+    return TopHom(induced(f.map, q_src.map, q_tgt.map), src_haus, tgt_haus)
 
 
 def subspace_top(T: TopAbGroup, S: Subgroup) -> tuple[TopAbGroup, TopHom]:

@@ -8,6 +8,7 @@ They are exponential or cubic and meant for small instances only.
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
 from math import prod
 
@@ -422,8 +423,19 @@ def evaluation(T: TopAbGroup) -> TopHom:
             _rescale(d.elem_to_char[x](g), e_g, e_d)
             for x in d.structure.generators
         )
-        table[g] = dd.char_to_elem[Character(d.structure, vals)]
+        table[g] = dd.elem_of_values[vals]
     return TopHom(hom_from_table(T.group, dd.structure, table), T, dd.as_top)
+
+
+def pull_back(chi: Character, f: Homomorphism) -> Character:
+    """chi o f as a character of the source of f: on each generator g, the
+    fraction chi(f(g)) / exponent(target), written over exponent(source)."""
+    vals = []
+    for g in f.source.generators:
+        v = Fraction(chi(f(g)), chi.group.exponent) * f.source.exponent
+        assert v.denominator == 1, "chi o f does not live over the source exponent"
+        vals.append(int(v))
+    return Character(f.source, tuple(vals))
 
 
 def separation_dual_iso(T: TopAbGroup) -> Homomorphism:

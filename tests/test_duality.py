@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from topab.errors import NotContinuous
@@ -7,21 +9,21 @@ from topab.duality import (
     dual_extension,
     dual_group,
     dual_hom,
-    pull_back,
 )
 from topab.extensions import canonical_section, nagao_topology
-from topab.groups import FinAbGroup, all_subgroups, compose, identity_hom, zero_hom
+from topab.groups import FinAbGroup, all_subgroups, compose, hom_set, identity_hom, zero_hom
 from topab.search import _cached_alg, all_groups_up_to_order
 from topab.topology import (
     TopAbGroup,
     TopHom,
     discrete,
     is_continuous,
+    is_topological_extension,
     separation,
 )
 
 from builders import factor_set, indiscrete, make_hom, split_extension, topologize
-from oracles import evaluation, separation_dual_iso
+from oracles import evaluation, pull_back, separation_dual_iso
 
 Z2 = FinAbGroup([2])
 Z4 = FinAbGroup([4])
@@ -126,22 +128,50 @@ def test_pullback_rescaling():
     assert back.group == Z2 and back((1,)) == 1  # 2/4 becomes 1/2
 
 
+def test_dual_hom_matches_pull_back():
+    """dual_hom(f) sends each character chi to chi o f, by the reference
+    pull_back, for every continuous f between topologized groups on these
+    moduli, whose exponents differ, so that values are rescaled."""
+    moduli = [(), (2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4)]
+    tops = [TopAbGroup(G, s) for G in map(FinAbGroup, moduli) for s in all_subgroups(G)]
+    checked = 0
+    for s, t in itertools.product(tops, repeat=2):
+        for f in hom_set(s.group, t.group):
+            th = TopHom(f, s, t)
+            if not is_continuous(th):
+                continue
+            d_src, d_tgt, df = dual_group(s), dual_group(t), dual_hom(th)
+            for x, chi in d_tgt.elem_to_char.items():
+                assert d_src.elem_to_char[df(x)] == pull_back(chi, f)
+            checked += 1
+    assert checked > 1000
+
+
+def _dual_sequence(e):
+    """Whether the dual sequence of e is a topological extension, and the
+    orders of B*, G* and A*, read off the endpoints of its maps."""
+    pi_dual, iota_dual = dual_extension(e)
+    assert pi_dual.target == iota_dual.source
+    orders = (pi_dual.source.group.order, pi_dual.target.group.order, iota_dual.target.group.order)
+    return is_topological_extension(pi_dual, iota_dual), orders
+
+
 def test_dual_extension_discrete_z4():
     alg = _cached_alg(
         discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {((1,), (1,)): (1,)})
     )
     e = nagao_topology(alg, canonical_section(alg))
     assert e.G.group.moduli == (4,)
-    seq = dual_extension(e)
-    assert seq.is_extension
-    assert seq.b_dual.order == 2 and seq.g_dual.order == 4 and seq.a_dual.order == 2
+    is_extension, (b_dual, g_dual, a_dual) = _dual_sequence(e)
+    assert is_extension
+    assert b_dual == 2 and g_dual == 4 and a_dual == 2
 
 
 def test_dual_extension_degenerate():
     e = split_extension(indiscrete(Z2), discrete(Z2))
-    seq = dual_extension(e)
-    assert seq.a_dual.order == 1
-    assert seq.is_extension
+    is_extension, (_, _, a_dual) = _dual_sequence(e)
+    assert a_dual == 1
+    assert is_extension
 
 
 def test_duals_isomorphic():

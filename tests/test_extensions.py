@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import gc
+import itertools
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from topab import jsonio
 from topab.errors import (
@@ -30,19 +33,39 @@ from topab.extensions import (
     is_compatible,
     is_topologizing,
     nagao_topology,
+    section_census,
     section_for,
     sigma,
     snake_haus_sequence,
     validate_cocycle,
 )
-from topab.groups import FinAbGroup, Homomorphism, Interned, Subgroup, identity_hom, zero_hom
-from topab.search import FamilySpec, RowData, _cached_alg, five_lemma_family, p3_family
+from topab.groups import (
+    FinAbGroup,
+    Homomorphism,
+    Interned,
+    Subgroup,
+    exactness_failure,
+    identity_hom,
+    zero_hom,
+)
+from topab.diagrams import verify_haus_exactness
+from topab.duality import dual_extension
+from topab.search import (
+    FamilySpec,
+    RowData,
+    _cached_alg,
+    five_lemma_family,
+    p3_family,
+    topologized_groups,
+)
 from topab.topology import (
     TopAbGroup,
     TopHom,
     discrete,
     is_continuous,
     is_strict,
+    is_topological_extension,
+    separation_hom,
 )
 
 from builders import factor_set, indiscrete, make_hom, split_extension, topologize
@@ -347,28 +370,93 @@ def test_compatible_section_via_eta_is_a_section():
     assert is_compatible(sq, s1, s2)
 
 
+def _snake(e):
+    """Whether the snake sequence of e is exact, and the orders of ker f, N_G,
+    N_B and coker f, read off the endpoints of its maps."""
+    m1, m2, m3 = snake_haus_sequence(e)
+    assert m1.target == m2.source and m2.target == m3.source
+    exact = exactness_failure(m1=m1, m2=m2, m3=m3) is None
+    return exact, (m1.source.order, m2.source.order, m3.source.order, m3.target.order)
+
+
 def test_split_extension_and_snake():
     e = split_extension(discrete(Z2), indiscrete(Z2))
-    seq = snake_haus_sequence(e)
-    assert seq.is_exact
-    assert seq.ker_f.order == 1
-    assert seq.core_g.order == 2
-    assert seq.core_b.order == 2
-    assert seq.coker_f.order == 1
+    exact, (ker_f, core_g, core_b, coker_f) = _snake(e)
+    assert exact
+    assert ker_f == 1
+    assert core_g == 2
+    assert core_b == 2
+    assert coker_f == 1
 
 
 def test_snake_hausdorff_kernel_case():
     # with A Hausdorff (N_A = 0), ker f and coker f vanish
     e = split_extension(discrete(Z2), indiscrete(Z4))
-    seq = snake_haus_sequence(e)
-    assert seq.is_exact and seq.ker_f.order == 1 and seq.coker_f.order == 1
+    exact, (ker_f, _, _, coker_f) = _snake(e)
+    assert exact and ker_f == 1 and coker_f == 1
 
 
 def test_snake_all_trivial():
     e = split_extension(discrete(Z2), discrete(Z2))
-    seq = snake_haus_sequence(e)
-    assert seq.is_exact
-    assert seq.core_g.order == 1 and seq.core_b.order == 1
+    exact, (_, core_g, core_b, _) = _snake(e)
+    assert exact
+    assert core_g == 1 and core_b == 1
+
+
+@functools.cache
+def _ends_up_to_32():
+    """Every pair (A_top, B_top) of topologized groups with |A| * |B| <= 32
+    whose census walks at most 1,024 restrictions to N_B."""
+    tops = topologized_groups(16)
+    return [
+        (A, B)
+        for A in tops
+        for B in tops
+        if A.group.order * B.group.order <= 32
+        and A.group.order ** (B.open_core.order - 1) <= 1024
+    ]
+
+
+@st.composite
+def topologized_extensions(draw):
+    """An extension of B_top by A_top, |A| * |B| <= 32, by the carry cocycle
+    of random c_j in A plus the coboundary of a random t: B -> A with
+    t(0) = 0, topologized by a section drawn from its census."""
+    A_top, B_top = draw(st.sampled_from(_ends_up_to_32()))
+    A, B = A_top.group, B_top.group
+    c = [draw(st.sampled_from(A.elements)) for _ in B.moduli]
+    t = {b: draw(st.sampled_from(A.elements)) for b in B.elements[1:]}
+    t[B.zero] = A.zero
+    entries = []
+    for x, y in itertools.product(B.elements, repeat=2):
+        carry = A.zero
+        for j, n in enumerate(B.moduli):
+            if x[j] + y[j] >= n:
+                carry = A.add(carry, c[j])
+        dt = A.sub(A.add(t[x], t[y]), t[B.add(x, y)])
+        entries.append((x, y, A.add(carry, dt)))
+    alg = _cached_alg(A_top, B_top, FactorSet(A, B, tuple(entries)))
+    census = section_census(alg)
+    assume(census.section_count)
+    return nagao_topology(alg, census.section(draw(st.integers(0, census.section_count - 1))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(topologized_extensions())
+def test_separated_dual_and_snake_sequences_are_exact(e):
+    """With or without the case gate of haus_exactness, the separated and
+    the dual sequence of a topological extension are topological extensions
+    and its snake sequence is exact; the law reads the same three clauses."""
+    m1, m2, m3 = snake_haus_sequence(e)
+    assert is_topological_extension(separation_hom(e.iota), separation_hom(e.pi))
+    assert is_topological_extension(*dual_extension(e))
+    assert exactness_failure(m1=m1, m2=m2, m3=m3) is None
+    report = verify_haus_exactness(e, frozenset({"case_gate"}))
+    assert report.details == (
+        ("separated_sequence_extension", True),
+        ("dual_sequence_extension", True),
+        ("snake_sequence_exact", True),
+    )
 
 
 def test_extension_rejects_non_strict():

@@ -25,11 +25,13 @@ from topab.groups import (
     all_homs,
     all_subgroups,
     compose,
+    corestricted,
     coset_reps,
     group_structure,
     hom_from_table,
     hom_set,
     identity_hom,
+    induced,
     is_exact_at,
     isomorphism_class_moduli,
     quotient,
@@ -149,15 +151,33 @@ def groups_with_subgroup(draw):
 
 
 @st.composite
-def homomorphisms(draw):
-    """A homomorphism between groups of order at most 32."""
-    source, target = draw(groups_up_to_order_32()), draw(groups_up_to_order_32())
+def homomorphisms(draw, groups=groups_up_to_order_32()):
+    """A homomorphism between groups drawn from `groups`, by default of order
+    at most 32."""
+    source, target = draw(groups), draw(groups)
     # the image of a generator of order m is an element killed by m
     images = [
         draw(st.sampled_from([y for y in target.elements if not any(target.scale(m, y))]))
         for m in source.moduli
     ]
     return Homomorphism(source, target, tuple(images))
+
+
+@st.composite
+def homs_with_subgroups(draw):
+    """A homomorphism f: X -> Y, K <= X generated by one or two drawn
+    elements and L <= Y by at most one; for half of the draws L is generated
+    by f(K) as well, so that it contains f(K).  X and Y have order at most
+    32 and moduli in 2, 3, 4, 6, 8, so that f is seldom zero."""
+    moduli = st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=1, max_size=3)
+    f = draw(homomorphisms(moduli.filter(lambda ms: prod(ms) <= 32).map(FinAbGroup)))
+    K = subgroup_generated(
+        f.source, draw(st.lists(st.sampled_from(f.source.elements), min_size=1, max_size=2))
+    )
+    gens = draw(st.lists(st.sampled_from(f.target.elements), max_size=1))
+    if draw(st.booleans()):
+        gens += [f(k) for k in K]
+    return f, K, subgroup_generated(f.target, gens)
 
 
 PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -213,6 +233,48 @@ def test_fibers_partition_the_source_in_element_order(f):
     for y, xs in fibers.items():
         assert list(xs) == sorted(xs)
         assert all(f(x) == y for x in xs)
+
+
+@PROPERTIES
+@given(homs_with_subgroups())
+def test_induced_map_commutes_with_the_projections(case):
+    """induced(f, proj_K, proj_L) o proj_K == proj_L o f on every element
+    when f(K) <= L, and IllDefined otherwise."""
+    f, K, L = case
+    _, p = quotient(f.source, K)
+    _, q = quotient(f.target, L)
+    if all(f(k) in L for k in K):
+        m = induced(f, p, q)
+        assert all(m(p(x)) == q(f(x)) for x in f.source.elements)
+    else:
+        with pytest.raises(IllDefined):
+            induced(f, p, q)
+
+
+@PROPERTIES
+@given(homs_with_subgroups())
+def test_corestriction_factors_through_the_inclusion(case):
+    """f restricted to K, corestricted to L, followed by the inclusion of L,
+    is f on every element of K when f(K) <= L, and IllDefined otherwise."""
+    f, K, L = case
+    k_incl, j = subgroup_as_group(K).include, subgroup_as_group(L).include
+    f_on_k = compose(f, k_incl)
+    if all(f(k) in L for k in K):
+        c = corestricted(f_on_k, j)
+        assert c.source == k_incl.source and c.target == j.source
+        assert all(j(c(x)) == f_on_k(x) for x in f_on_k.source.elements)
+    else:
+        with pytest.raises(IllDefined):
+            corestricted(f_on_k, j)
+
+
+def test_induced_and_corestricted_check_endpoints():
+    z2, z4 = FinAbGroup([2]), FinAbGroup([4])
+    f = make_hom(z4, z2, [(1,)])
+    with pytest.raises(CompositionMismatch):
+        induced(f, identity_hom(z2), identity_hom(z2))
+    with pytest.raises(CompositionMismatch):
+        corestricted(f, identity_hom(z4))
 
 
 def test_subgroup_generated():

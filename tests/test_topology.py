@@ -11,6 +11,7 @@ from topab.groups import (
     exactness_failure,
     hom_set,
     identity_hom,
+    quotient,
     subgroup,
     zero_hom,
 )
@@ -132,6 +133,14 @@ def test_separation():
     assert haus3.group.order == 1
 
 
+def test_separation_is_the_quotient_by_the_core_with_the_discrete_topology():
+    tops = topologized_groups(16)
+    assert len(tops) == 215
+    for t in tops:
+        Q, proj = quotient(t.group, t.open_core)
+        assert separation(t) == (discrete(Q), TopHom(proj, t, discrete(Q)))
+
+
 def test_separation_hom_functorial():
     tops = all_topologies(Z4) + all_topologies(FinAbGroup([2, 2]))
     for s in tops:
@@ -144,6 +153,10 @@ def test_separation_hom_functorial():
                     continue
                 fh = separation_hom(th)
                 assert is_continuous(fh)
+                # the induced map commutes with the separation projections
+                _, q_s = separation(s)
+                _, q_t = separation(t)
+                assert all(fh(q_s(x)) == q_t(f(x)) for x in s.group.elements)
                 # compose with identity
                 ih = separation_hom(TopHom(identity_hom(s.group), s, s))
                 assert ih.map == identity_hom(ih.source.group)
