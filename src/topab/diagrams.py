@@ -1,5 +1,10 @@
 """Commutative diagrams and the 11 continuity-transfer laws.
 
+A diagram is its maps: each law reads a `topology.Ladder` of one square
+(strictness-injectivity), two (an extension square, verticals alpha, gamma,
+beta) or four (the five lemma, whose rows are tuples of four `TopHom`s), and
+reads each group slot off the endpoints of a vertical.
+
 Each law is one `Law` declaration: a tuple of named hypotheses (predicates on
 the built instance), a conclusion function and a notes function.  Calling
 `law(x, dropped)` evaluates the hypotheses, then the conclusion, and returns a
@@ -14,16 +19,12 @@ model-collapse notes listing hypotheses that are vacuous at finite scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .errors import DiagramError
 from .groups import (
-    Homomorphism,
-    cached_hash,
-    commutes,
     corestricted,
     coset_reps,
     exactness_failure,
@@ -34,18 +35,16 @@ from .groups import (
 from .extensions import (
     AlgExtension,
     Extension,
-    ExtensionSquare,
     Section,
     has_open_fibers,
     is_compatible,
-    nagao_topology,
     section_census,
     sigma,
     snake_haus_sequence,
 )
 from .duality import dual_extension
 from .topology import (
-    TopAbGroup,
+    Ladder,
     TopHom,
     is_continuous,
     is_discrete,
@@ -136,38 +135,21 @@ class Law:
 # strictness-and-injectivity lemma
 
 
-@dataclass(frozen=True)
-class InjectiveSquare:
-    """f: A -> B over g: A' -> B' with verticals alpha: A -> A', beta: B -> B'."""
-
-    f: TopHom
-    g: TopHom
-    alpha: TopHom
-    beta: TopHom
-
-    def __post_init__(self):
-        if (
-            self.alpha.source != self.f.source
-            or self.alpha.target != self.g.source
-            or self.beta.source != self.f.target
-            or self.beta.target != self.g.target
-        ):
-            raise DiagramError("square endpoints do not line up")
-        if not commutes(self.f.map, self.g.map, self.alpha.map, self.beta.map):
-            raise DiagramError("square does not commute")
+# The square is the one-square Ladder of f = top[0] over g = bottom[0] with
+# the verticals (alpha, beta).
 
 
 def _continuous_strict(m: TopHom) -> bool:
     return is_continuous(m) and is_strict(m)
 
 
-def _maps(sq: InjectiveSquare) -> tuple[TopHom, ...]:
-    return (sq.f, sq.g, sq.alpha, sq.beta)
+def _maps(sq: Ladder) -> tuple[TopHom, ...]:
+    return (*sq.top, *sq.bottom, *sq.verticals)
 
 
-def _alpha_strict(sq: InjectiveSquare):
+def _alpha_strict(sq: Ladder):
     """All four maps injective continuous and f, g, beta strict => alpha strict."""
-    return (("alpha_strict", _continuous_strict(sq.alpha)),)
+    return (("alpha_strict", _continuous_strict(sq.verticals[0])),)
 
 
 verify_lemma_strictness_injectivity = Law(
@@ -175,9 +157,9 @@ verify_lemma_strictness_injectivity = Law(
     (
         ("maps_injective", lambda sq: all(m.map.is_injective() for m in _maps(sq))),
         ("maps_continuous", lambda sq: all(is_continuous(m) for m in _maps(sq))),
-        ("f_strict", lambda sq: _continuous_strict(sq.f)),
-        ("g_strict", lambda sq: _continuous_strict(sq.g)),
-        ("beta_strict", lambda sq: _continuous_strict(sq.beta)),
+        ("f_strict", lambda sq: _continuous_strict(sq.top[0])),
+        ("g_strict", lambda sq: _continuous_strict(sq.bottom[0])),
+        ("beta_strict", lambda sq: _continuous_strict(sq.verticals[1])),
     ),
     _alpha_strict,
 )
@@ -215,46 +197,24 @@ verify_haus_exactness = Law(
 # shared shape for the section-compatibility theorems
 
 
-@dataclass(frozen=True)
-class SquareWithSections:
-    """An extension square over the rows (alg1, s1) and (alg2, s2): row i is
-    alg_i with the topology induced by s_i, nagao_topology(alg_i, s_i), so
-    it carries that topology by construction."""
+class SquareWithSections(NamedTuple):
+    """An extension square (`extensions.extension_square`, whose verticals
+    are alpha, gamma, beta) with a section s_i of row i, whose topology s_i
+    induces.  Each group slot is read off a vertical: A1 is alpha.source, A2
+    alpha.target, B1 beta.source, G2 gamma.target."""
 
-    alg1: AlgExtension
+    square: Ladder
     s1: Section
-    alg2: AlgExtension
     s2: Section
-    alpha: Homomorphism
-    gamma: Homomorphism
-    beta: Homomorphism
-    square: ExtensionSquare = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        row1, row2 = nagao_topology(self.alg1, self.s1), nagao_topology(self.alg2, self.s2)
-        square = ExtensionSquare(row1, row2, self.alpha, self.gamma, self.beta)
-        object.__setattr__(self, "square", square)
-
-    @cached_property
-    def alpha_top(self) -> TopHom:
-        return TopHom(self.square.alpha, self.square.row1.A, self.square.row2.A)
-
-    @cached_property
-    def beta_top(self) -> TopHom:
-        return TopHom(self.square.beta, self.square.row1.B, self.square.row2.B)
-
-    @cached_property
-    def gamma_top(self) -> TopHom:
-        return TopHom(self.square.gamma, self.square.row1.G, self.square.row2.G)
 
 
-_ALPHA_CONTINUOUS = ("alpha_continuous", lambda sws: is_continuous(sws.alpha_top))
-_BETA_CONTINUOUS = ("beta_continuous", lambda sws: is_continuous(sws.beta_top))
+_ALPHA_CONTINUOUS = ("alpha_continuous", lambda sws: is_continuous(sws.square.verticals[0]))
+_BETA_CONTINUOUS = ("beta_continuous", lambda sws: is_continuous(sws.square.verticals[2]))
 
 
 def _gamma_continuous(sws: SquareWithSections):
     """alpha, beta continuous + compatible sections => gamma continuous."""
-    return (("gamma_continuous", is_continuous(sws.gamma_top)),)
+    return (("gamma_continuous", is_continuous(sws.square.verticals[1])),)
 
 
 verify_p3_generalized = Law(
@@ -262,7 +222,7 @@ verify_p3_generalized = Law(
     (
         _ALPHA_CONTINUOUS,
         _BETA_CONTINUOUS,
-        ("sections_compatible", lambda sws: is_compatible(sws.square, sws.s1, sws.s2)),
+        ("sections_compatible", lambda sws: is_compatible(*sws)),
     ),
     _gamma_continuous,
 )
@@ -275,17 +235,17 @@ def _open_fibers_iffs(sws: SquareWithSections):
     Refuted in strictness_iff, in both directions, by the squares of
     test_open_fibers_strict_clause_fails_{forward,converse} in
     tests/test_findings.py."""
-    a_c, b_c = is_continuous(sws.alpha_top), is_continuous(sws.beta_top)
-    g_c = is_continuous(sws.gamma_top)
-    a_cs, b_cs = _continuous_strict(sws.alpha_top), _continuous_strict(sws.beta_top)
+    alpha, gamma, beta = sws.square.verticals
+    a_c, b_c, g_c = is_continuous(alpha), is_continuous(beta), is_continuous(gamma)
+    a_cs, b_cs = _continuous_strict(alpha), _continuous_strict(beta)
     return (
         ("continuity_iff", (a_c and b_c) == g_c),
-        ("strictness_iff", (a_cs and b_cs) == _continuous_strict(sws.gamma_top)),
+        ("strictness_iff", (a_cs and b_cs) == _continuous_strict(gamma)),
     )
 
 
 def _sigma_open_fibers(sws: SquareWithSections) -> bool:
-    return has_open_fibers(sigma(sws.square, sws.s1, sws.s2), sws.square.row1.B)
+    return has_open_fibers(sigma(*sws), sws.square.verticals[2].source)
 
 
 verify_open_fibers = Law(
@@ -295,7 +255,8 @@ verify_open_fibers = Law(
 
 def _p3_discrete_cases(sws: SquareWithSections) -> tuple[bool, bool]:
     """(B1 discrete, A2 indiscrete)."""
-    return is_discrete(sws.square.row1.B), is_indiscrete(sws.square.row2.A)
+    alpha, _, beta = sws.square.verticals
+    return is_discrete(beta.source), is_indiscrete(alpha.target)
 
 
 def _p3_discrete_iffs(sws: SquareWithSections):
@@ -306,15 +267,15 @@ def _p3_discrete_iffs(sws: SquareWithSections):
     test_open_fibers_strict_clause_fails_{forward,converse} in
     tests/test_findings.py."""
     b1_discrete, a2_indiscrete = _p3_discrete_cases(sws)
+    alpha, gamma, beta = sws.square.verticals
     out = []
-    g_c = is_continuous(sws.gamma_top)
+    g_c = is_continuous(gamma)
     if b1_discrete:
-        out.append(("b1_discrete_alpha_iff", g_c == is_continuous(sws.alpha_top)))
-        a_cs, b_cs = _continuous_strict(sws.alpha_top), _continuous_strict(sws.beta_top)
-        g_cs = _continuous_strict(sws.gamma_top)
-        out.append(("b1_discrete_strictness_iff", (a_cs and b_cs) == g_cs))
+        out.append(("b1_discrete_alpha_iff", g_c == is_continuous(alpha)))
+        a_cs, b_cs = _continuous_strict(alpha), _continuous_strict(beta)
+        out.append(("b1_discrete_strictness_iff", (a_cs and b_cs) == _continuous_strict(gamma)))
     if a2_indiscrete:
-        out.append(("a2_indiscrete_beta_iff", g_c == is_continuous(sws.beta_top)))
+        out.append(("a2_indiscrete_beta_iff", g_c == is_continuous(beta)))
     return tuple(out)
 
 
@@ -332,11 +293,11 @@ verify_p3_discrete = Law(
 def _nagao_cases(sws: SquareWithSections) -> tuple[bool, bool, bool]:
     """Cases (a) B1 discrete, (b)(i) A2 and A1 Hausdorff, (b)(ii) A2 and B1
     Hausdorff."""
-    r1, r2 = sws.square.row1, sws.square.row2
+    alpha, _, beta = sws.square.verticals
     return (
-        is_discrete(r1.B),
-        is_hausdorff(r2.A) and is_hausdorff(r1.A),
-        is_hausdorff(r2.A) and is_hausdorff(r1.B),
+        is_discrete(beta.source),
+        is_hausdorff(alpha.target) and is_hausdorff(alpha.source),
+        is_hausdorff(alpha.target) and is_hausdorff(beta.source),
     )
 
 
@@ -346,11 +307,12 @@ def _gamma_haus(sws: SquareWithSections):
 
     Refuted in gamma_haus_well_defined, in case (b)(i), by the shear of
     test_five_lemma_nagao_case_b_fails in tests/test_findings.py."""
-    well = is_continuous(sws.gamma_top)  # gamma(N_G1) <= N_G2
+    gamma = sws.square.verticals[1]
+    well = is_continuous(gamma)  # gamma(N_G1) <= N_G2
     return (
         ("gamma_haus_well_defined", well),
-        ("gamma_haus_continuous", well and is_continuous(separation_hom(sws.gamma_top))),
-        ("g2_hausdorff_implies_gamma_continuous", not is_hausdorff(sws.square.row2.G) or well),
+        ("gamma_haus_continuous", well and is_continuous(separation_hom(gamma))),
+        ("g2_hausdorff_implies_gamma_continuous", not is_hausdorff(gamma.target) or well),
     )
 
 
@@ -375,85 +337,41 @@ verify_five_lemma_nagao = Law(
 # the topological five lemma
 
 
-@dataclass(frozen=True)
-class FiveTermRow:
-    """A -> B -> C -> D -> E of topologized groups (maps need not be named)."""
-
-    groups: tuple[TopAbGroup, TopAbGroup, TopAbGroup, TopAbGroup, TopAbGroup]
-    maps: tuple[Homomorphism, Homomorphism, Homomorphism, Homomorphism]
-
-    __hash__ = cached_hash(lambda s: (s.groups, s.maps))
-
-    def __post_init__(self):
-        for i, f in enumerate(self.maps):
-            if (
-                f.source != self.groups[i].group
-                or f.target != self.groups[i + 1].group
-            ):
-                raise DiagramError(f"map {i} does not match its endpoints")
-
-    @cache
-    def is_strict_exact(self) -> bool:
-        """Exact at B, C and D, with all four maps continuous and strict;
-        computed once per distinct row."""
-        tops = dict(zip("fghk", map(TopHom, self.maps, self.groups, self.groups[1:])))
-        return all(map(is_exact_at, self.maps, self.maps[1:])) and not strictness_failure(**tops)
-
-
-@dataclass(frozen=True)
-class FiveTermSquare:
-    row1: FiveTermRow
-    row2: FiveTermRow
-    verticals: tuple[
-        Homomorphism, Homomorphism, Homomorphism, Homomorphism, Homomorphism
-    ]
-
-    def __post_init__(self):
-        for i, v in enumerate(self.verticals):
-            if (
-                v.source != self.row1.groups[i].group
-                or v.target != self.row2.groups[i].group
-            ):
-                raise DiagramError(f"vertical {i} does not match the rows")
-        for i in range(4):
-            v0, v1 = self.verticals[i], self.verticals[i + 1]
-            if not commutes(self.row1.maps[i], self.row2.maps[i], v0, v1):
-                raise DiagramError(f"square {i} does not commute")
-
-    def vertical_top(self, i: int) -> TopHom:
-        """The i-th vertical between the topologized groups, built on its
-        first request and kept, so each square builds it once."""
-        tops = self.__dict__.setdefault("_vertical_tops", {})
-        if i not in tops:
-            tops[i] = TopHom(self.verticals[i], self.row1.groups[i], self.row2.groups[i])
-        return tops[i]
+@cache
+def is_strict_exact(row: tuple[TopHom, ...]) -> bool:
+    """The row A -> B -> C -> D -> E, the tuple of its four maps, is exact at
+    B, C and D, with all four maps continuous and strict; decided once per
+    distinct row.  A five-term square is the four-square Ladder of two rows."""
+    maps = [f.map for f in row]
+    exact = all(map(is_exact_at, maps, maps[1:]))
+    return exact and not strictness_failure(**dict(zip("fghk", row)))
 
 
 @cache
-def _reduced_row_is_extension(row: FiveTermRow) -> bool:
+def _reduced_row_is_extension(row: tuple[TopHom, ...]) -> bool:
     """0 -> B/Im f -> C -> Im h -> 0, with quotient and subspace topologies,
     is a topological extension; decided once per row."""
-    f, g, h, _ = row.maps
-    b_top, c_top, d_top = row.groups[1], row.groups[2], row.groups[3]
-    bq_top, bq_proj = quotient_top(b_top, f.image())
-    imh_top, imh_incl = subspace_top(d_top, h.image())
-    g_prime = induced(g, bq_proj.map, identity_hom(c_top.group))  # B/Im f -> C
-    h_prime = corestricted(h, imh_incl.map)  # C -> Im h
+    f, g, h, _ = row
+    c_top = g.target
+    bq_top, bq_proj = quotient_top(g.source, f.map.image())
+    imh_top, imh_incl = subspace_top(h.target, h.map.image())
+    g_prime = induced(g.map, bq_proj.map, identity_hom(c_top.group))  # B/Im f -> C
+    h_prime = corestricted(h.map, imh_incl.map)  # C -> Im h
     return is_topological_extension(
         TopHom(g_prime, bq_top, c_top), TopHom(h_prime, c_top, imh_top)
     )
 
 
-def _five_lemma_cases(fts: FiveTermSquare) -> tuple[bool, bool]:
+def _five_lemma_cases(fts: Ladder) -> tuple[bool, bool]:
     """Cases (a) D1 and D2 discrete, (b) B1 and B2 Hausdorff."""
-    g1, g2 = fts.row1.groups, fts.row2.groups
+    _, beta, _, delta, _ = fts.verticals
     return (
-        is_discrete(g1[3]) and is_discrete(g2[3]),
-        is_hausdorff(g1[1]) and is_hausdorff(g2[1]),
+        is_discrete(delta.source) and is_discrete(delta.target),
+        is_hausdorff(beta.source) and is_hausdorff(beta.target),
     )
 
 
-def _gamma_iso_and_gamma_haus(fts: FiveTermSquare):
+def _gamma_iso_and_gamma_haus(fts: Ladder):
     """beta, delta topological isos; epsilon injective; alpha surjective; rows
     strict exact; D_i discrete or B_i Hausdorff compact => gamma is a group
     isomorphism, gamma_Haus is well-defined, continuous and surjective; and a
@@ -465,23 +383,23 @@ def _gamma_iso_and_gamma_haus(fts: FiveTermSquare):
     shear of test_five_lemma_topological_case_b_fails in
     tests/test_findings.py.
     """
-    gamma_t = fts.vertical_top(2)
-    bijective = fts.verticals[2].is_bijective()
-    well = is_continuous(gamma_t)
-    gh = separation_hom(gamma_t) if well else None
+    gamma = fts.verticals[2]
+    bijective = gamma.map.is_bijective()
+    well = is_continuous(gamma)
+    gh = separation_hom(gamma) if well else None
     return (
         ("gamma_group_iso", bijective),
         # the three-term reduction, mirroring the classical proof
         (
             "reduction_rows_extensions",
-            _reduced_row_is_extension(fts.row1) and _reduced_row_is_extension(fts.row2),
+            _reduced_row_is_extension(fts.top) and _reduced_row_is_extension(fts.bottom),
         ),
         ("gamma_haus_well_defined", well),
         ("gamma_haus_continuous", well and is_continuous(gh)),
         ("gamma_haus_surjective", well and gh.map.is_surjective()),
         (
             "c2_hausdorff_implies_continuous_bijection",
-            not is_hausdorff(fts.row2.groups[2]) or (well and bijective),
+            not is_hausdorff(gamma.target) or (well and bijective),
         ),
     )
 
@@ -493,11 +411,11 @@ def _five_lemma(theorem_id: str, iso: tuple[str, Callable]) -> Law:
         (
             (
                 "rows_strict_exact",
-                lambda fts: fts.row1.is_strict_exact() and fts.row2.is_strict_exact(),
+                lambda fts: is_strict_exact(fts.top) and is_strict_exact(fts.bottom),
             ),
             iso,
-            ("epsilon_injective", lambda fts: fts.verticals[4].is_injective()),
-            ("alpha_surjective", lambda fts: fts.verticals[0].is_surjective()),
+            ("epsilon_injective", lambda fts: fts.verticals[4].map.is_injective()),
+            ("alpha_surjective", lambda fts: fts.verticals[0].map.is_surjective()),
             ("case_gate", lambda fts: any(_five_lemma_cases(fts))),
         ),
         _gamma_iso_and_gamma_haus,
@@ -505,8 +423,8 @@ def _five_lemma(theorem_id: str, iso: tuple[str, Callable]) -> Law:
     )
 
 
-def _beta_delta(fts: FiveTermSquare) -> tuple[TopHom, TopHom]:
-    return fts.vertical_top(1), fts.vertical_top(3)
+def _beta_delta(fts: Ladder) -> tuple[TopHom, TopHom]:
+    return fts.verticals[1], fts.verticals[3]
 
 
 verify_topological_five_lemma = _five_lemma(

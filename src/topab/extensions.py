@@ -15,7 +15,9 @@ topology it induces, depend only on its restriction to N_B, so
 restriction; it is their one source, and builds and keeps each by its index.
 A row of a square is its algebra and its section: `realize_cocycle` realizes
 each cocycle once, and `nagao_topology` topologizes each (extension, section)
-pair once, so every square over the row shares one `Extension`.
+pair once, so every square over the row shares one `Extension`.  An
+extension square is the two-square `topology.Ladder` of `extension_square`:
+the rows' iota and pi over each other, joined by alpha, gamma and beta.
 `AlgExtension` and `Section` are interned (`groups.Interned`), so each
 algebraic extension is checked once while it lives, and these caches meet
 each value as one object.
@@ -33,7 +35,6 @@ from .errors import (
     InvalidSection,
     NotAnExtension,
     NotTopologizing,
-    DiagramError,
     ValueOutsideIotaImage,
 )
 from .groups import (
@@ -43,7 +44,6 @@ from .groups import (
     Interned,
     Subgroup,
     cached_hash,
-    commutes,
     compose,
     corestricted,
     exactness_failure,
@@ -54,7 +54,7 @@ from .groups import (
     subgroup,
     subgroup_as_group,
 )
-from .topology import TopAbGroup, TopHom, separation, strictness_failure
+from .topology import Ladder, TopAbGroup, TopHom, separation, strictness_failure
 
 # the pair (a, b) with a in A, b in B
 Pair = tuple[Element, Element]
@@ -456,52 +456,41 @@ def comparison_map(alg: AlgExtension, s1: Section, s2: Section) -> dict[Element,
     }
 
 
-@dataclass(frozen=True)
-class ExtensionSquare:
-    """Two extensions joined by vertical maps alpha, gamma, beta (gamma is bare)."""
-
-    row1: Extension
-    row2: Extension
-    alpha: Homomorphism
-    gamma: Homomorphism
-    beta: Homomorphism
-
-    def __post_init__(self):
-        a1, a2 = self.row1.alg, self.row2.alg
-        if (
-            self.alpha.source != a1.A.group
-            or self.alpha.target != a2.A.group
-            or self.gamma.source != a1.G
-            or self.gamma.target != a2.G
-            or self.beta.source != a1.B.group
-            or self.beta.target != a2.B.group
-        ):
-            raise DiagramError("vertical maps do not match the rows")
-        if not commutes(a1.iota, a2.iota, self.alpha, self.gamma):
-            raise DiagramError("left square does not commute")
-        if not commutes(a1.pi, a2.pi, self.gamma, self.beta):
-            raise DiagramError("right square does not commute")
+def extension_square(
+    row1: Extension, row2: Extension, alpha: Homomorphism, gamma: Homomorphism, beta: Homomorphism
+) -> Ladder:
+    """row1 over row2 as a two-square ladder, with the verticals alpha on the
+    kernels, gamma on the middle groups and beta on the quotients."""
+    return Ladder(
+        (row1.iota, row1.pi),
+        (row2.iota, row2.pi),
+        (
+            TopHom(alpha, row1.A, row2.A),
+            TopHom(gamma, row1.G, row2.G),
+            TopHom(beta, row1.B, row2.B),
+        ),
+    )
 
 
-def sigma(square: ExtensionSquare, s1: Section, s2: Section) -> dict[Element, Element]:
-    """b -> iota2^{-1}(gamma(s1(b)) - s2(beta(b))), total on B1."""
-    a1, a2 = square.row1.alg, square.row2.alg
-    if s1.B != a1.B.group or s1.G != a1.G:
+def sigma(square: Ladder, s1: Section, s2: Section) -> dict[Element, Element]:
+    """b -> iota2^{-1}(gamma(s1(b)) - s2(beta(b))), total on B1, for an
+    extension square with a section of each row."""
+    pi1, (iota2, pi2) = square.top[1], square.bottom
+    gamma, beta = square.verticals[1].map, square.verticals[2].map
+    if s1.B != pi1.target.group or s1.G != pi1.source.group:
         raise InvalidSection("s1 does not belong to row 1")
-    if s2.B != a2.B.group or s2.G != a2.G:
+    if s2.B != pi2.target.group or s2.G != pi2.source.group:
         raise InvalidSection("s2 does not belong to row 2")
-    G2 = a2.G
-    out = {}
-    for b in a1.B.group.elements:
-        out[b] = a2.pull_back(G2.sub(square.gamma(s1(b)), s2(square.beta(b))))
-    return out
+    sub = s2.G.sub
+    return {b: _pull_back(iota2.map, sub(gamma(s1(b)), s2(beta(b)))) for b in s1.B.elements}
 
 
-def is_compatible(square: ExtensionSquare, s1: Section, s2: Section) -> bool:
+def is_compatible(square: Ladder, s1: Section, s2: Section) -> bool:
     """Continuity of sigma at 0: sigma(N_B1) inside N_A2."""
     sg = sigma(square, s1, s2)
-    core_a2 = square.row2.A.core_set
-    return all(sg[b] in core_a2 for b in square.row1.B.open_core)
+    alpha, _, beta = square.verticals
+    core_a2 = alpha.target.core_set
+    return all(sg[b] in core_a2 for b in beta.source.open_core)
 
 
 def has_open_fibers(sigma_map: dict[Element, Element], B1_top: TopAbGroup) -> bool:

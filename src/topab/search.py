@@ -47,7 +47,6 @@ from .groups import (
     Homomorphism,
     all_subgroups,
     cached_hash,
-    commutes,
     compose,
     coset_reps,
     hom_from_table,
@@ -56,21 +55,19 @@ from .groups import (
     isomorphism_class_moduli,
     zero_hom,
 )
-from .topology import TopAbGroup, TopHom, discrete
+from .topology import Ladder, TopAbGroup, TopHom, discrete, identity_top
 from .extensions import (
     AlgExtension,
     Extension,
     FactorSet,
     Section,
+    extension_square,
     factor_set_from_section,
     nagao_topology,
     realize_cocycle,
     section_census,
 )
 from .diagrams import (
-    FiveTermRow,
-    FiveTermSquare,
-    InjectiveSquare,
     SquareWithSections,
     VerificationReport,
     verify_choice_discrete,
@@ -359,7 +356,8 @@ class P3Instance(_Instance):
     def build(self) -> SquareWithSections:
         r1, r2 = self.row1, self.row2
         gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.alpha, self.lift)
-        return SquareWithSections(r1.alg, r1.s, r2.alg, r2.s, self.alpha, gamma, self.beta)
+        square = extension_square(r1.realize(), r2.realize(), self.alpha, gamma, self.beta)
+        return SquareWithSections(square, r1.s, r2.s)
 
     @staticmethod
     def from_json(data) -> "P3Instance":
@@ -386,13 +384,8 @@ class InjSquareInstance(_Instance):
 
     __hash__ = cached_hash(lambda s: (s.A, s.B, s.Ap, s.Bp, s.f, s.g, s.alpha, s.beta))
 
-    def build(self) -> InjectiveSquare:
-        return InjectiveSquare(
-            TopHom(self.f, self.A, self.B),
-            TopHom(self.g, self.Ap, self.Bp),
-            TopHom(self.alpha, self.A, self.Ap),
-            TopHom(self.beta, self.B, self.Bp),
-        )
+    def build(self) -> Ladder:
+        return _square(self.A, self.B, self.Ap, self.Bp, self.f, self.g, self.alpha, self.beta)
 
     @staticmethod
     def from_json(data) -> "InjSquareInstance":
@@ -410,6 +403,23 @@ class InjSquareInstance(_Instance):
             jsonio.map_from_json(A.group, Ap.group, data["alpha"]),
             jsonio.map_from_json(B.group, Bp.group, data["beta"]),
         )
+
+
+def _square(A, B, Ap, Bp, f, g, alpha, beta) -> Ladder:
+    """f: A -> B over g: Ap -> Bp with verticals alpha, beta, as a Ladder."""
+    return Ladder(
+        (TopHom(f, A, B),), (TopHom(g, Ap, Bp),), (TopHom(alpha, A, Ap), TopHom(beta, B, Bp))
+    )
+
+
+@cache
+def _commutes(*square) -> bool:
+    """Whether `_square` builds; cached, as the sampled stratum repeats squares."""
+    try:
+        _square(*square)
+    except DiagramError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -453,26 +463,24 @@ def _trivial_top() -> TopAbGroup:
     return discrete(FinAbGroup(()))
 
 
+def _to_zero(T: TopAbGroup) -> TopHom:
+    z = _trivial_top()
+    return TopHom(zero_hom(T.group, z.group), T, z)
+
+
 @cache
-def _zero_padded_row(e: Extension) -> FiveTermRow:
+def _zero_padded_row(e: Extension) -> tuple[TopHom, ...]:
     """0 -> A -> G -> B -> 0 as a five-term row, one per extension."""
     z = _trivial_top()
-    return FiveTermRow(
-        (z, e.A, e.G, e.B, z),
-        (zero_hom(z.group, e.A.group), e.iota.map, e.pi.map, zero_hom(e.B.group, z.group)),
-    )
+    return (TopHom(zero_hom(z.group, e.A.group), z, e.A), e.iota, e.pi, _to_zero(e.B))
 
 
 @cache
-def _glued_row(e: Extension, ec: Extension) -> FiveTermRow:
+def _glued_row(e: Extension, ec: Extension) -> tuple[TopHom, ...]:
     """A -> G -> Gc -> C -> 0 for an extension ec of e's quotient, one per pair."""
     if ec.A != e.B:
         raise DiagramError("chain must extend the base row's quotient")
-    z = _trivial_top()
-    return FiveTermRow(
-        (e.A, e.G, ec.G, ec.B, z),
-        (e.iota.map, compose(ec.iota.map, e.pi.map), ec.pi.map, zero_hom(ec.B.group, z.group)),
-    )
+    return (e.iota, TopHom(compose(ec.iota.map, e.pi.map), e.G, ec.G), ec.pi, _to_zero(ec.B))
 
 
 @dataclass(frozen=True)
@@ -491,43 +499,43 @@ class FiveLemmaInstance(_Instance):
         lambda s: (s.shape, s.row1, s.row2, s.chain1, s.v_a, s.v_b, s.lift)
     )
 
-    def build(self) -> FiveTermSquare:
-        z = _trivial_top().group
+    def build(self) -> Ladder:
+        z = identity_top(_trivial_top())
         if self.shape == "zero_pad":
             r1, r2 = self.row1, self.row2
+            e1, e2 = r1.realize(), r2.realize()
             gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.v_a, self.lift)
-            verts = (identity_hom(z), self.v_a, gamma, self.v_b, identity_hom(z))
-            rows = _zero_padded_row(r1.realize()), _zero_padded_row(r2.realize())
-            return FiveTermSquare(*rows, verts)
-        if self.shape != "glued":
-            raise ValueError(f"unknown shape {self.shape}")
+            v_a, v_b = TopHom(self.v_a, e1.A, e2.A), TopHom(self.v_b, e1.B, e2.B)
+            verts = (z, v_a, TopHom(gamma, e1.G, e2.G), v_b, z)
+            return Ladder(_zero_padded_row(e1), _zero_padded_row(e2), verts)
         # glued: both 5-term rows come from the same chain E, E'; the middle
         # vertical is a lift over E' with identity outer maps.
         e, c = self.row1.realize(), self.chain1
         ec = c.realize()
-        row = _glued_row(e, ec)
         gamma_p = _gamma_from_lift(c.h, c.s, c.h, identity_hom(c.h.A), self.lift)
-        verts = (
-            identity_hom(e.A.group),
-            identity_hom(e.G.group),
-            gamma_p,
-            identity_hom(ec.B.group),
-            identity_hom(z),
-        )
-        return FiveTermSquare(row, row, verts)
+        verts = (identity_top(e.A), identity_top(e.G), TopHom(gamma_p, ec.G, ec.G))
+        row = _glued_row(e, ec)
+        return Ladder(row, row, verts + (identity_top(ec.B), z))
 
     @staticmethod
     def from_json(data) -> "FiveLemmaInstance":
+        shape, chain = data["shape"], data.get("chain1")
+        if shape not in ("zero_pad", "glued"):
+            raise ValueError(f"unknown shape {shape!r}")
+        if shape == "glued" and not chain:
+            raise ValueError("a glued five-term square needs chain1")
+        if shape == "zero_pad" and chain:
+            raise ValueError("a zero_pad five-term square has no chain1")
         row1 = RowData.from_json(data["row1"])
         row2 = RowData.from_json(data["row2"])
-        chain1 = RowData.from_json(data["chain1"]) if data.get("chain1") else None
+        chain1 = RowData.from_json(chain) if chain else None
         v_a = jsonio.map_from_json(row1.A.group, row2.A.group, data["v_a"])
         v_b = jsonio.map_from_json(row1.B.group, row2.B.group, data["v_b"])
         # the lift maps the quotient of row1 (glued: of chain1) into the
         # middle group of row2 (glued: of chain1)
         source, target = (chain1 or row1).B.group, (chain1 or row2).s.G
         lift = jsonio.section_from_json(source, target, data["lift"]).entries
-        return FiveLemmaInstance(data["shape"], row1, row2, chain1, v_a, v_b, lift)
+        return FiveLemmaInstance(shape, row1, row2, chain1, v_a, v_b, lift)
 
 
 def _zero_pad(r1, r2, v_a, v_b, lift) -> FiveLemmaInstance:
@@ -689,7 +697,7 @@ def _commuting_squares(spec: FamilySpec):
                         for g in hom_set(Ap.group, Bp.group):
                             for alpha in hom_set(A.group, Ap.group):
                                 for beta in hom_set(B.group, Bp.group):
-                                    if commutes(f, g, alpha, beta):
+                                    if _commutes(A, B, Ap, Bp, f, g, alpha, beta):
                                         yield InjSquareInstance(
                                             A, B, Ap, Bp, f, g, alpha, beta
                                         )
@@ -705,7 +713,8 @@ def _sampled_commuting_squares(spec: FamilySpec):
         f = rng.choice(hom_set(A.group, B.group))
         g = rng.choice(hom_set(Ap.group, Bp.group))
         alpha = rng.choice(hom_set(A.group, Ap.group))
-        betas = [b for b in hom_set(B.group, Bp.group) if commutes(f, g, alpha, b)]
+        square = (A, B, Ap, Bp, f, g, alpha)
+        betas = [b for b in hom_set(B.group, Bp.group) if _commutes(*square, b)]
         if not betas:
             continue
         beta = rng.choice(betas)

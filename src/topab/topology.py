@@ -8,6 +8,8 @@ cross-validated against a literal open-set oracle in the test suite.
 `strictness_failure`, read after `groups.exactness_failure`, is the one
 decision of whether a sequence is a topological extension;
 `is_topological_extension` reads the two as one bool for 0 -> X -> Y -> Z -> 0.
+`Ladder`, two rows of `TopHom`s joined by `TopHom` verticals and checked
+square by square when built, is every commutative diagram of the laws.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import NotASubgroup, NotContinuous, NotWellDefined
+from .errors import DiagramError, NotASubgroup, NotContinuous, NotWellDefined
 from .groups import (
     Element,
     FinAbGroup,
@@ -24,7 +26,9 @@ from .groups import (
     Interned,
     Subgroup,
     cached_hash,
+    commutes,
     exactness_failure,
+    identity_hom,
     induced,
     quotient,
     subgroup,
@@ -75,6 +79,34 @@ class TopHom:
 
     def __call__(self, x: Element) -> Element:
         return self.map(x)
+
+
+@cache
+def identity_top(T: TopAbGroup) -> TopHom:
+    return TopHom(identity_hom(T.group), T, T)
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """The rows top[i]: X_i -> X_(i+1) over bottom[i]: Y_i -> Y_(i+1), joined
+    by v_i: X_i -> Y_i.  One pass checks that each square i lines up (f =
+    top[i] and g = bottom[i] run between the ends of v_i and v_(i+1)) and
+    commutes (v_(i+1) o f == g o v_i), so the rows compose."""
+
+    top: tuple[TopHom, ...]
+    bottom: tuple[TopHom, ...]
+    verticals: tuple[TopHom, ...]
+
+    def __post_init__(self):
+        if not len(self.top) == len(self.bottom) == len(self.verticals) - 1:
+            raise DiagramError("a ladder has n maps in each row and n + 1 verticals")
+        vs = self.verticals
+        for i, (f, g, v, w) in enumerate(zip(self.top, self.bottom, vs, vs[1:])):
+            ends = (v.source, w.source, v.target, w.target)
+            if (f.source, f.target, g.source, g.target) != ends:
+                raise DiagramError(f"square {i} does not line up")
+            if not commutes(f.map, g.map, v.map, w.map):
+                raise DiagramError(f"square {i} does not commute")
 
 
 def is_continuous(f: TopHom) -> bool:

@@ -17,7 +17,6 @@ from topab.duality import Character, _rescale, dual_group, dual_hom
 from topab.errors import InvalidSection, NotContinuous, NotTopologizing
 from topab.extensions import (
     AlgExtension,
-    ExtensionSquare,
     Section,
     TwistedGroup,
     comparison_map,
@@ -38,7 +37,7 @@ from topab.groups import (
     hom_from_table,
     subgroup,
 )
-from topab.topology import TopAbGroup, TopHom, separation
+from topab.topology import Ladder, TopAbGroup, TopHom, separation
 
 from builders import reduce_into
 
@@ -246,23 +245,30 @@ def checked_theta(alg: AlgExtension, s: Section) -> ThetaIso:
     return th
 
 
-def psi_maps(square: ExtensionSquare, s1: Section, s2: Section):
-    """The coordinate transports psi, psi1, psi2 of a square with sections.
+def row_alg(iota: TopHom, pi: TopHom) -> AlgExtension:
+    """The algebraic extension of a row (iota, pi) of an extension square."""
+    return AlgExtension(iota.source, iota.target.group, pi.target, iota.map, pi.map)
+
+
+def psi_maps(square: Ladder, s1: Section, s2: Section):
+    """The coordinate transports psi, psi1, psi2 of an extension square
+    (`extensions.extension_square`) with sections.
 
     psi is gamma read through the two theta charts; psi1(a,b) = (alpha(a), 0);
     psi2(a,b) = (sigma(b), beta(b)).  psi = psi1 + psi2 follows from
     commutativity alone, and is asserted pointwise.
     """
-    th1 = theta(square.row1.alg, s1)
-    th2 = theta(square.row2.alg, s2)
+    th1 = theta(row_alg(*square.top), s1)
+    th2 = theta(row_alg(*square.bottom), s2)
     sg = sigma(square, s1, s2)
+    alpha, gamma, beta = square.verticals
     tw2 = th2.twisted
     psi, psi1, psi2 = {}, {}, {}
     for p in th1.twisted.elements:
         a, b = p
-        psi[p] = th2.inverse[square.gamma(th1(p))]
-        psi1[p] = (square.alpha(a), tw2.B.zero)
-        psi2[p] = (sg[b], square.beta(b))
+        psi[p] = th2.inverse[gamma(th1(p))]
+        psi1[p] = (alpha(a), tw2.B.zero)
+        psi2[p] = (sg[b], beta(b))
         assert psi[p] == tw2.add(psi1[p], psi2[p]), "psi decomposition fails"
     return psi, psi1, psi2
 
@@ -382,7 +388,7 @@ def first_section_per_core(alg: AlgExtension, secs) -> list[Section]:
 
 
 def compatible_section_via_eta(
-    square: ExtensionSquare, s1: Section, eta: Section | None = None
+    square: Ladder, s1: Section, eta: Section | None = None
 ) -> Section:
     """The candidate section s2 = gamma o s1 o eta for surjective beta.
 
@@ -390,8 +396,8 @@ def compatible_section_via_eta(
     when omitted).  The result is always a section of pi2; whether it is
     compatible with s1 must be checked by the caller.
     """
-    a1, a2 = square.row1.alg, square.row2.alg
-    beta = square.beta
+    a1, a2 = row_alg(*square.top), row_alg(*square.bottom)
+    gamma, beta = square.verticals[1].map, square.verticals[2].map
     if not beta.is_surjective():
         raise InvalidSection("the construction needs beta surjective")
     if eta is None:
@@ -403,7 +409,7 @@ def compatible_section_via_eta(
         for b2 in a2.B.group.elements:
             if beta(eta(b2)) != b2:
                 raise InvalidSection("eta is not a section of beta")
-    mapping2 = {b2: square.gamma(s1(eta(b2))) for b2 in a2.B.group.elements}
+    mapping2 = {b2: gamma(s1(eta(b2))) for b2 in a2.B.group.elements}
     return section_for(a2, mapping2)
 
 

@@ -184,7 +184,8 @@ def _gamma_haus_oracle(gamma: TopHom) -> dict[str, bool]:
 
 def _square_oracle(sws) -> dict[str, bool]:
     """The clauses of open_fibers, p3_discrete and five_lemma_nagao."""
-    maps = (sws.alpha_top, sws.beta_top, sws.gamma_top)
+    alpha, gamma, beta = sws.square.verticals
+    maps = (alpha, beta, gamma)
     a_c, b_c, g_c = map(is_continuous_oracle, maps)
     a_cs, b_cs, g_cs = map(_cont_strict_oracle, maps)
     strictness_iff = (a_cs and b_cs) == g_cs
@@ -194,8 +195,8 @@ def _square_oracle(sws) -> dict[str, bool]:
         "b1_discrete_alpha_iff": g_c == a_c,
         "b1_discrete_strictness_iff": strictness_iff,
         "a2_indiscrete_beta_iff": g_c == b_c,
-        **_gamma_haus_oracle(sws.gamma_top),
-        "g2_hausdorff_implies_gamma_continuous": g_c or not is_hausdorff(sws.square.row2.G),
+        **_gamma_haus_oracle(gamma),
+        "g2_hausdorff_implies_gamma_continuous": g_c or not is_hausdorff(gamma.target),
     }
 
 
@@ -206,7 +207,7 @@ ORACLE_CLAUSES = {
     "open_fibers": _square_oracle,
     "p3_discrete": _square_oracle,
     "five_lemma_nagao": _square_oracle,
-    "five_lemma_topological": lambda fts: _gamma_haus_oracle(fts.vertical_top(2)),
+    "five_lemma_topological": lambda fts: _gamma_haus_oracle(fts.verticals[2]),
 }
 
 
@@ -341,7 +342,7 @@ def test_criterion_8_psi_decomposition():
         if not isinstance(inst, P3Instance):
             continue
         sws = inst.build()
-        psi_maps(sws.square, sws.s1, sws.s2)  # asserts the identity pointwise
+        psi_maps(*sws)  # asserts the identity pointwise
         checked += 1
     report("8 (psi decomposition)", True, f"{checked} sampled instances re-checked")
 

@@ -12,8 +12,8 @@ small spec.
 
 import pytest
 
-from topab import extensions, search
-from topab.diagrams import FiveTermRow, SquareWithSections
+from topab import diagrams, extensions, search
+from topab.diagrams import is_strict_exact
 from topab.errors import NotAnExtension
 from topab.extensions import (
     AlgExtension,
@@ -48,6 +48,11 @@ def fresh_alg(row) -> AlgExtension:
     return AlgExtension(row.A, real.G, row.B, real.iota, real.pi)
 
 
+def objects(row):
+    """The topologized groups X_0 -> ... -> X_n of a row of maps."""
+    return (row[0].source, *(f.target for f in row))
+
+
 def check_row_algebra(row):
     """The shared realization and factor set of a row equal fresh ones."""
     alg, fresh = _cached_alg(row.A, row.B, row.h), fresh_alg(row)
@@ -68,7 +73,7 @@ def test_p3_pieces_equal_their_definitions(spec):
         expected = gamma_by_definition(
             fresh1, inst.row1.s.table, fresh2, inst.alpha, dict(inst.lift)
         )
-        assert sws.square.gamma.table == expected
+        assert sws.square.verticals[1].map.table == expected
 
 
 @pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
@@ -78,8 +83,9 @@ def test_five_lemma_pieces_equal_their_definitions(spec):
     for _, inst in family:
         fts = inst.build()
         shapes.add(inst.shape)
-        for row in (fts.row1, fts.row2):
-            assert row.is_strict_exact() == is_strict_exact_oracle(row.groups, row.maps)
+        for row in (fts.top, fts.bottom):
+            maps = [f.map for f in row]
+            assert is_strict_exact(row) == is_strict_exact_oracle(objects(row), maps)
         if inst.shape == "zero_pad":
             fresh1 = check_row_algebra(inst.row1)
             fresh2 = check_row_algebra(inst.row2)
@@ -88,7 +94,7 @@ def test_five_lemma_pieces_equal_their_definitions(spec):
             fresh1 = fresh2 = check_row_algebra(inst.chain1)
             s1, alpha = inst.chain1.s.table, identity_hom(inst.chain1.h.A)
         expected = gamma_by_definition(fresh1, s1, fresh2, alpha, dict(inst.lift))
-        assert fts.verticals[2].table == expected
+        assert fts.verticals[2].map.table == expected
     assert shapes == ({"zero_pad", "glued"} if spec is SPECS["order2"] else {"zero_pad"})
 
 
@@ -113,7 +119,7 @@ def cold_caches():
         extensions.factor_set_from_section,
         extensions.section_census,
         extensions._core_on,
-        FiveTermRow.is_strict_exact,
+        diagrams.is_strict_exact,
     ):
         fn.cache_clear()
 
@@ -175,7 +181,7 @@ def test_each_middle_map_is_built_once_per_algebraic_input(cold_caches):
 def test_each_five_term_row_is_built_and_checked_once(cold_caches):
     family = [inst for _, inst in five_lemma_family(TINY)]
     squares = [inst.build() for inst in family]
-    rows = [row for fts in squares for row in (fts.row1, fts.row2)]
+    rows = [row for fts in squares for row in (fts.top, fts.bottom)]
     # one zero-padded row per extension, one glued row per pair of them
     extensions_used = set()
     for inst in family:
@@ -189,10 +195,10 @@ def test_each_five_term_row_is_built_and_checked_once(cold_caches):
         law(fts)
     checked = set()
     for fts in squares:
-        checked.add(fts.row1)
-        if fts.row1.is_strict_exact():
-            checked.add(fts.row2)
-    info = FiveTermRow.is_strict_exact.cache_info()
+        checked.add(fts.top)
+        if is_strict_exact(fts.top):
+            checked.add(fts.bottom)
+    info = is_strict_exact.cache_info()
     assert info.misses == len(checked) > 0
 
 
@@ -210,32 +216,40 @@ def test_each_row_is_topologized_once(cold_caches):
 
 
 def test_a_square_carries_the_topologies_of_its_sections(cold_caches, monkeypatch):
-    """Row i of a SquareWithSections is the cached nagao_topology(alg_i, s_i),
-    so the square derives no Nagao core to check it."""
-    squares = [inst.build() for _, inst in p3_family(TINY)]
+    """Row i of a P3 square is (iota, pi) of the cached nagao_topology(alg_i,
+    s_i), with s_i beside it, so the square derives no Nagao core to check it,
+    also when it is built again."""
+    built = [(inst, inst.build()) for _, inst in p3_family(TINY)]
     cores = []
     nagao_core = extensions.nagao_core
     monkeypatch.setattr(
         extensions, "nagao_core", lambda alg, s: cores.append(s) or nagao_core(alg, s)
     )
-    for sws in squares:
-        rebuilt = SquareWithSections(
-            sws.alg1, sws.s1, sws.alg2, sws.s2, sws.alpha, sws.gamma, sws.beta
-        )
-        for sq in (sws, rebuilt):
-            assert sq.square.row1 is nagao_topology(sws.alg1, sws.s1)
-            assert sq.square.row2 is nagao_topology(sws.alg2, sws.s2)
+    for inst, sws in built:
+        e1 = nagao_topology(inst.row1.alg, inst.row1.s)
+        e2 = nagao_topology(inst.row2.alg, inst.row2.s)
+        for sq in (sws, inst.build()):
+            assert sq.square.top[0] is e1.iota and sq.square.top[1] is e1.pi
+            assert sq.square.bottom[0] is e2.iota and sq.square.bottom[1] is e2.pi
+            assert sq.s1 is inst.row1.s and sq.s2 is inst.row2.s
     assert cores == []
 
 
 def test_square_maps_are_one_top_hom_each():
+    """Each vertical of a P3 square is one TopHom, built with the square: it
+    joins the groups of its rows and carries the instance's map."""
     spec = FamilySpec(max_group_order=2, generators=("squares_small",))
-    _, inst = p3_family(spec)[0]
-    assert isinstance(inst, P3Instance)
-    sws = inst.build()
-    assert sws.alpha_top is sws.alpha_top
-    assert sws.beta_top is sws.beta_top
-    assert sws.gamma_top is sws.gamma_top
+    family = p3_family(spec)
+    assert family
+    for _, inst in family:
+        assert isinstance(inst, P3Instance)
+        e1, e2 = inst.row1.realize(), inst.row2.realize()
+        alpha, gamma, beta = inst.build().square.verticals
+        r1, r2 = inst.row1, inst.row2
+        middle = search._gamma_from_lift(r1.h, r1.s, r2.h, inst.alpha, inst.lift)
+        assert (alpha.source, alpha.target, alpha.map) == (e1.A, e2.A, inst.alpha)
+        assert (gamma.source, gamma.target, gamma.map) == (e1.G, e2.G, middle)
+        assert (beta.source, beta.target, beta.map) == (e1.B, e2.B, inst.beta)
 
 
 def test_each_algebraic_extension_is_checked_once(cold_caches, monkeypatch):
@@ -272,9 +286,18 @@ def test_a_non_exact_extension_is_refused_on_every_call():
 
 
 def test_five_term_verticals_are_one_top_hom_each():
-    for _, inst in five_lemma_family(TINY)[:50]:
-        fts = inst.build()
-        for i, v in enumerate(fts.verticals):
-            top = fts.vertical_top(i)
-            assert top is fts.vertical_top(i)
-            assert top == TopHom(v, fts.row1.groups[i], fts.row2.groups[i])
+    """Each vertical of a five-term square is one TopHom, built with the
+    square: v_i joins the i-th groups of the two rows and carries the
+    instance's map (identities on the ends of the zero-padded shape, and
+    everywhere but the middle on the glued one)."""
+    family = five_lemma_family(TINY)
+    for shape in ("zero_pad", "glued"):
+        for inst in [inst for _, inst in family if inst.shape == shape][:50]:
+            fts = inst.build()
+            ends = zip(fts.verticals, objects(fts.top), objects(fts.bottom))
+            assert all(v.source is x and v.target is y for v, x, y in ends)
+            outer = [identity_hom(v.source.group) for v in fts.verticals]
+            if shape == "zero_pad":
+                outer[1], outer[3] = inst.v_a, inst.v_b
+            # the middle map is checked against its definition above
+            assert all(fts.verticals[i].map is outer[i] for i in (0, 1, 3, 4))

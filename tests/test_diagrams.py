@@ -1,8 +1,9 @@
 import itertools
 
+import pytest
+
 from topab.diagrams import (
-    FiveTermSquare,
-    InjectiveSquare,
+    is_strict_exact,
     verify_five_lemma_nagao,
     verify_haus_exactness,
     verify_lemma_strictness_injectivity,
@@ -24,7 +25,7 @@ from topab.search import (
     five_lemma_family,
     topologized_groups,
 )
-from topab.topology import TopHom, discrete
+from topab.topology import Ladder, TopHom, discrete
 
 from builders import factor_set, indiscrete, split_extension, topologize
 from oracles import commutes_by_compose
@@ -53,7 +54,7 @@ def identity_p3_instance(row):
 def test_strictness_injectivity_identity():
     t = topologize(Z4, [(0,), (2,)])
     idm = TopHom(identity_hom(Z4), t, t)
-    sq = InjectiveSquare(idm, idm, idm, idm)
+    sq = Ladder((idm,), (idm,), (idm, idm))
     rep = verify_lemma_strictness_injectivity(sq)
     assert rep.conclusion_checked is True
 
@@ -64,7 +65,7 @@ def test_strictness_injectivity_gate():
     b = indiscrete(Z2)
     idm = TopHom(identity_hom(Z2), a, b)
     ida = TopHom(identity_hom(Z2), a, a)
-    sq = InjectiveSquare(ida, idm, ida, idm)
+    sq = Ladder((ida,), (idm,), (ida, idm))
     rep = verify_lemma_strictness_injectivity(sq)
     assert rep.conclusion_checked is None
     assert unmet(rep) == ["g_strict", "beta_strict"]
@@ -155,7 +156,7 @@ def test_five_lemma_topological_identity():
     fts = zero_pad_instance(row).build()
     rep = verify_topological_five_lemma(fts)
     assert rep.conclusion_checked is True
-    assert fts.row1.is_strict_exact() and fts.row2.is_strict_exact()
+    assert is_strict_exact(fts.top) and is_strict_exact(fts.bottom)
 
 
 def test_five_lemma_topological_case_gate():
@@ -202,21 +203,23 @@ def test_five_term_square_commutes_as_composites_do():
     squares = {inst.build() for _, inst in five_lemma_family(FamilySpec(max_group_order=2))}
     outcomes = {True: 0, False: 0}
     for sq in squares:
-        m1, m2 = sq.row1.maps, sq.row2.maps
+        m1, m2 = [f.map for f in sq.top], [g.map for g in sq.bottom]
         for i, v in enumerate(sq.verticals):
-            for w in hom_set(v.source, v.target):
-                vs = sq.verticals[:i] + (w,) + sq.verticals[i + 1 :]
+            for w in hom_set(v.source.group, v.target.group):
+                vs = sq.verticals[:i] + (TopHom(w, v.source, v.target),) + sq.verticals[i + 1 :]
                 expected = all(
-                    commutes_by_compose(m1[j], m2[j], vs[j], vs[j + 1]) for j in range(4)
+                    commutes_by_compose(m1[j], m2[j], vs[j].map, vs[j + 1].map)
+                    for j in range(4)
                 )
-                assert builds(lambda: FiveTermSquare(sq.row1, sq.row2, vs)) == expected
+                assert builds(lambda: Ladder(sq.top, sq.bottom, vs)) == expected
                 outcomes[expected] += 1
     assert len(squares) > 100 and min(outcomes.values()) > 1000, outcomes
 
 
 def test_injective_square_commutes_as_composites_do():
-    """Over every input that _commuting_squares tries, InjectiveSquare builds
-    exactly when the composites agree, and the stratum keeps exactly those."""
+    """Over every input that _commuting_squares tries, the one-square Ladder
+    builds exactly when the composites agree, and the stratum keeps exactly
+    those."""
     tops = topologized_groups(2)
     commuting, tried = set(), 0
     for A, B, Ap, Bp in itertools.product(tops, repeat=4):
@@ -228,10 +231,9 @@ def test_injective_square_commutes_as_composites_do():
         ):
             tried += 1
             expected = commutes_by_compose(f, g, alpha, beta)
-            maps = (
-                TopHom(f, A, B), TopHom(g, Ap, Bp), TopHom(alpha, A, Ap), TopHom(beta, B, Bp)
-            )
-            assert builds(lambda: InjectiveSquare(*maps)) == expected
+            rows = (TopHom(f, A, B),), (TopHom(g, Ap, Bp),)
+            verticals = TopHom(alpha, A, Ap), TopHom(beta, B, Bp)
+            assert builds(lambda: Ladder(*rows, verticals)) == expected
             if expected:
                 commuting.add((A, B, Ap, Bp, f, g, alpha, beta))
     stratum = [
@@ -240,3 +242,42 @@ def test_injective_square_commutes_as_composites_do():
     ]
     assert len(stratum) == len(commuting) and set(stratum) == commuting
     assert 0 < len(commuting) < tried
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_ladder_names_the_square_it_rejects(n):
+    """A ladder of n identity squares on discrete Z2 builds.  A wrong number
+    of maps is refused by the length message; a map moved to other endpoints
+    (indiscrete Z2) or a zero map in a row is refused by the index of the
+    first square it breaks, for every square.  A vertical other than the
+    first is in two squares, so v_(i+1) is the one moved for square i."""
+    t, other = discrete(Z2), indiscrete(Z2)
+    ident = TopHom(identity_hom(Z2), t, t)
+    row, verts = (ident,) * n, (ident,) * (n + 1)
+    Ladder(row, row, verts)
+    length = r"^a ladder has n maps in each row and n \+ 1 verticals$"
+    for top, bottom, vs in (
+        (row[1:], row, verts),
+        (row, row + (ident,), verts),
+        (row, row, verts[1:]),
+        (row, row, verts + (ident,)),
+    ):
+        with pytest.raises(DiagramError, match=length):
+            Ladder(top, bottom, vs)
+
+    def at(seq, i, m):
+        return seq[:i] + (m,) + seq[i + 1 :]
+
+    for i in range(n):
+        for top, bottom, vs in (
+            (at(row, i, TopHom(identity_hom(Z2), t, other)), row, verts),  # f.target
+            (row, at(row, i, TopHom(identity_hom(Z2), other, t)), verts),  # g.source
+            (row, row, at(verts, i + 1, TopHom(identity_hom(Z2), other, t))),  # v_(i+1).source
+            (row, row, at(verts, i + 1, TopHom(identity_hom(Z2), t, other))),  # v_(i+1).target
+        ):
+            with pytest.raises(DiagramError, match=rf"^square {i} does not line up$"):
+                Ladder(top, bottom, vs)
+        zero = TopHom(zero_hom(Z2, Z2), t, t)
+        for top, bottom in ((at(row, i, zero), row), (row, at(row, i, zero))):
+            with pytest.raises(DiagramError, match=rf"^square {i} does not commute$"):
+                Ladder(top, bottom, verts)

@@ -20,7 +20,6 @@ from topab.errors import (
 from topab.extensions import (
     AlgExtension,
     Extension,
-    ExtensionSquare,
     FactorSet,
     Section,
     TwistedGroup,
@@ -28,6 +27,7 @@ from topab.extensions import (
     cocycle_violations,
     comparison_map,
     enumerate_sections,
+    extension_square,
     factor_set_from_section,
     has_open_fibers,
     is_compatible,
@@ -274,7 +274,7 @@ def test_same_topology_rejects_non_topologizing():
 
 
 def identity_square(ext):
-    return ExtensionSquare(
+    return extension_square(
         ext,
         ext,
         identity_hom(ext.A.group),
@@ -289,12 +289,12 @@ def test_extension_square_names_the_square_that_does_not_commute():
     ida, idg = identity_hom(Z2), identity_hom(Z4)
     zero_a, zero_g = zero_hom(Z2, Z2), zero_hom(Z4, Z4)
     # gamma = 0 under alpha = id: gamma(iota(1)) = 0 but iota(alpha(1)) != 0
-    with pytest.raises(DiagramError, match="left square does not commute"):
-        ExtensionSquare(ext, ext, ida, zero_g, ida)
+    with pytest.raises(DiagramError, match="square 0 does not commute"):
+        extension_square(ext, ext, ida, zero_g, ida)
     # alpha = gamma = 0 under beta = id: pi(gamma(1)) = 0 but beta(pi(1)) != 0
-    with pytest.raises(DiagramError, match="right square does not commute"):
-        ExtensionSquare(ext, ext, zero_a, zero_g, ida)
-    ExtensionSquare(ext, ext, ida, idg, ida)
+    with pytest.raises(DiagramError, match="square 1 does not commute"):
+        extension_square(ext, ext, zero_a, zero_g, ida)
+    extension_square(ext, ext, ida, idg, ida)
 
 
 def test_sigma_identity_square():
@@ -348,15 +348,15 @@ def test_psi_and_theta_on_every_p3_square_at_order_3():
     assert {stratum for stratum, _ in fam} == {"squares_small", "diagonal", "sampled"}
     for _, inst in fam:
         sws = inst.build()
-        checked_theta(sws.alg1, sws.s1)
-        checked_theta(sws.alg2, sws.s2)
-        psi_maps(sws.square, sws.s1, sws.s2)
+        checked_theta(inst.row1.alg, sws.s1)
+        checked_theta(inst.row2.alg, sws.s2)
+        psi_maps(*sws)
 
 
 def test_compatible_section_via_eta_is_a_section():
     a1 = split_extension(discrete(Z2), discrete(Z2))
     a2 = split_extension(discrete(Z2), discrete(Z2))
-    sq = ExtensionSquare(
+    sq = extension_square(
         a1,
         a2,
         identity_hom(Z2),

@@ -13,9 +13,9 @@ from topab.diagrams import (
     verify_topological_five_lemma,
 )
 from topab.extensions import (
-    ExtensionSquare,
     canonical_section,
     enumerate_sections,
+    extension_square,
     is_compatible,
     is_topologizing,
     factor_set_from_section,
@@ -73,8 +73,9 @@ def test_open_fibers_strict_clause_fails_converse(converse_open_fibers_square):
     rep = verify_open_fibers(sws)
     assert all(ok for _, ok in rep.hypotheses_checked)
     assert dict(rep.details)["strictness_iff"] is False
-    assert is_continuous(sws.gamma_top) and is_strict(sws.gamma_top)
-    assert is_continuous(sws.beta_top) and not is_strict(sws.beta_top)
+    _, gamma, beta = sws.square.verticals
+    assert is_continuous(gamma) and is_strict(gamma)
+    assert is_continuous(beta) and not is_strict(beta)
 
 
 def test_non_topologizable_algebraic_extension_exists():
@@ -99,7 +100,7 @@ def test_surjective_beta_need_not_admit_compatible_section():
     row2 = split_extension(discrete(Z2), discrete(triv))
     g1, g2 = row1.G.group, row2.G.group
     gamma = make_hom(g1, g2, [g2.generators[0]])
-    sq = ExtensionSquare(
+    sq = extension_square(
         row1, row2, zero_hom(triv, Z2), gamma, zero_hom(Z2, triv)
     )
     s1 = canonical_section(row1.alg)

@@ -163,14 +163,22 @@ def homomorphisms(draw, groups=groups_up_to_order_32()):
     return Homomorphism(source, target, tuple(images))
 
 
+# Nontrivial groups of order at most 32 with moduli in 2, 3, 4, 6, 8, so that
+# a homomorphism between two of them is seldom zero.
+SMALL_MODULI_GROUPS = (
+    st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=1, max_size=3)
+    .filter(lambda ms: prod(ms) <= 32)
+    .map(FinAbGroup)
+)
+
+
 @st.composite
 def homs_with_subgroups(draw):
-    """A homomorphism f: X -> Y, K <= X generated by one or two drawn
-    elements and L <= Y by at most one; for half of the draws L is generated
-    by f(K) as well, so that it contains f(K).  X and Y have order at most
-    32 and moduli in 2, 3, 4, 6, 8, so that f is seldom zero."""
-    moduli = st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=1, max_size=3)
-    f = draw(homomorphisms(moduli.filter(lambda ms: prod(ms) <= 32).map(FinAbGroup)))
+    """A homomorphism f: X -> Y between `SMALL_MODULI_GROUPS`, K <= X
+    generated by one or two drawn elements and L <= Y by at most one; for
+    half of the draws L is generated by f(K) as well, so that it contains
+    f(K)."""
+    f = draw(homomorphisms(SMALL_MODULI_GROUPS))
     K = subgroup_generated(
         f.source, draw(st.lists(st.sampled_from(f.source.elements), min_size=1, max_size=2))
     )
@@ -225,7 +233,7 @@ def test_coset_reps_gives_each_coset_its_least_element(gs):
 
 
 @PROPERTIES
-@given(homomorphisms())
+@given(homomorphisms(SMALL_MODULI_GROUPS))
 def test_fibers_partition_the_source_in_element_order(f):
     fibers = f.fibers()
     assert fibers.keys() == f.image().element_set

@@ -358,6 +358,43 @@ def test_unknown_witness_kind_is_a_decode_error(kind):
         instance_from_json(data)
 
 
+def _five_lemma_witness(shape):
+    """The JSON of the first five-lemma instance of a shape at max order 2."""
+    family = search.five_lemma_family(FamilySpec(max_group_order=2))
+    inst = next(i for _, i in family if i.shape == shape)
+    return json.loads(jsonio.dumps(inst.to_json()))
+
+
+@pytest.mark.parametrize("shape", ["glue", "zero_padded", "", None])
+def test_unknown_five_term_shape_is_a_decode_error(shape):
+    """A five-lemma witness of no known shape is rejected with ValueError
+    when it is decoded, so replay fails before anything is built."""
+    data = _five_lemma_witness("zero_pad")
+    data["shape"] = shape
+    with pytest.raises(ValueError, match="unknown shape"):
+        instance_from_json(data)
+    with pytest.raises(ValueError, match="unknown shape"):
+        replay_witness("five_lemma_topological", data)
+
+
+@pytest.mark.parametrize("chain", ["absent", None, {}])
+def test_a_glued_witness_needs_its_chain(chain):
+    """A glued five-lemma witness without chain1 is rejected with ValueError
+    when it is decoded, and a zero-padded one with a chain1 too."""
+    data = _five_lemma_witness("glued")
+    if chain == "absent":
+        del data["chain1"]
+    else:
+        data["chain1"] = chain
+    for decode in (instance_from_json, lambda d: replay_witness("five_lemma_topological", d)):
+        with pytest.raises(ValueError, match="a glued five-term square needs chain1"):
+            decode(data)
+    padded = _five_lemma_witness("zero_pad")
+    padded["chain1"] = _five_lemma_witness("glued")["chain1"]
+    with pytest.raises(ValueError, match="a zero_pad five-term square has no chain1"):
+        instance_from_json(padded)
+
+
 def test_cocycle_witness_names_the_groups_of_its_cocycle():
     """A cocycle instance whose h is not a cocycle on its B with values in
     its A is rejected when the witness is decoded, as a row is."""
