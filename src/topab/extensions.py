@@ -127,8 +127,6 @@ class TwistedGroup:
 
     h: FactorSet
 
-    __hash__ = cached_hash(lambda s: s.h)
-
     def __post_init__(self):
         bad = cocycle_violations(self.h)
         if bad:
@@ -158,7 +156,7 @@ class TwistedGroup:
         return (sums_a[sums_a[a][ap]][self.h.rows[b][bp]], self.B.sums[b][bp])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Section(metaclass=Interned):
     """A set-theoretic section table of a projection G -> B, with s(0) = 0."""
 
@@ -168,7 +166,6 @@ class Section(metaclass=Interned):
 
     # sorted, not a set, so that a repeated b still raises InvalidSection
     _pool_key = staticmethod(lambda B, G, entries: (B, G, tuple(sorted(entries))))
-    __hash__ = cached_hash(lambda s: (s.B, s.G, s.entries))
 
     def __post_init__(self):
         table = {self.B.check_element(b): self.G.check_element(g) for b, g in self.entries}
@@ -188,7 +185,7 @@ class Section(metaclass=Interned):
         return self.table[b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgExtension(metaclass=Interned):
     """Exact 0 -> A -> G -> B -> 0 with topologies on the ends but not on G."""
 
@@ -199,7 +196,6 @@ class AlgExtension(metaclass=Interned):
     pi: Homomorphism
 
     _pool_key = staticmethod(lambda A, G, B, iota, pi: (A, G, B, iota, pi))
-    __hash__ = cached_hash(lambda s: (s.A, s.G, s.B, s.iota, s.pi))
 
     def __post_init__(self):
         if self.iota.source != self.A.group or self.iota.target != self.G:
@@ -231,8 +227,6 @@ class Extension:
     iota: TopHom
     pi: TopHom
     alg: AlgExtension = field(init=False, repr=False, compare=False)
-
-    __hash__ = cached_hash(lambda s: (s.A, s.G, s.B))
 
     def __post_init__(self):
         if self.iota.source != self.A or self.iota.target != self.G:

@@ -15,10 +15,11 @@ loops is a dict lookup.  `commutes` checks a square on those tables.
 Values are validated once.  `FinAbGroup`, `Subgroup` and `Homomorphism`
 (here), `TopAbGroup`, `Section` and `AlgExtension` are `Interned`: a
 constructor call with the arguments of a live object returns that object,
-which passed the same checks on the same value, so equal values are one
-object, whose tables, image and kernel are built once.  `hom_set`,
-`identity_hom`, `zero_hom`, `quotient` and `subgroup_as_group` are cached,
-so each builds its result once per value.
+which passed the same checks on the same value.  Equal values are one
+object, so these classes compare and hash by identity, and their tables,
+image and kernel are built once.  `hom_set`, `identity_hom`, `zero_hom`,
+`quotient` and `subgroup_as_group` are cached, so each builds its result
+once per value.
 
 The other modules call these constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from math import gcd, lcm, prod
 from typing import Callable, Collection, Iterable, Iterator
@@ -53,7 +54,8 @@ Element = tuple[int, ...]
 
 def cached_hash(key: Callable):
     """A __hash__ for frozen dataclasses: hash(key(self)), computed once and
-    kept in the instance dict, since instances are set and cache keys."""
+    kept in the instance dict, for a value whose key is too large to hash
+    on every cache lookup (`extensions.FactorSet`)."""
 
     def __hash__(self):
         try:
@@ -72,11 +74,14 @@ class Interned(type):
     class's `_pool_key` makes of them.  A hit returns the pooled object
     without running `__post_init__` again: that object passed the same
     checks on the same value.  A miss constructs and validates as usual.  A
-    failed check pools nothing, so bad input raises on every call, and an
-    unhashable argument falls through to the constructor.  A key normalizes
-    its arguments only in ways that keep every rejection.  The pool holds
-    weak references, so an object that nothing else holds leaves it.
-    `dataclasses.replace` calls the class, so it goes through the pool too.
+    failed check pools nothing, so bad input raises on every call.  An
+    unhashable argument reaches the constructor, and the object it builds is
+    then looked up by the key of its normalized fields.  A key normalizes its
+    arguments only in ways that keep every rejection.  So equal values are
+    one object on every path, and the classes compare and hash by identity
+    (`eq=False`).  The pool holds weak references, so an object that nothing
+    else holds leaves it.  `dataclasses.replace` calls the class, so it goes
+    through the pool too.
     """
 
     def __init__(cls, name, bases, namespace):
@@ -88,7 +93,9 @@ class Interned(type):
             key = cls._pool_key(*args, **kwargs)
             obj = cls._pool.get(key)
         except TypeError:  # an unhashable argument or a wrong signature
-            return super().__call__(*args, **kwargs)
+            obj = super().__call__(*args, **kwargs)
+            key = cls._pool_key(*(getattr(obj, f.name) for f in fields(obj)))
+            return cls._pool.setdefault(key, obj)
         if obj is None:
             obj = cls._pool[key] = super().__call__(*args, **kwargs)
         return obj
@@ -116,14 +123,13 @@ class _InternedModuli(Interned):
         return super().__call__(tuple(map(int, moduli)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinAbGroup(metaclass=_InternedModuli):
     """Z/m1 + ... + Z/mk; the empty tuple of moduli is the trivial group."""
 
     moduli: tuple[int, ...]
 
     _pool_key = staticmethod(lambda moduli: moduli)
-    __hash__ = cached_hash(lambda s: s.moduli)
 
     def __post_init__(self):
         if any(m < 1 for m in self.moduli):
@@ -246,7 +252,7 @@ class FinAbGroup(metaclass=_InternedModuli):
         return " x ".join(f"Z/{m}" for m in self.moduli)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup(metaclass=Interned):
     """A subgroup stored as a canonically sorted element set."""
 
@@ -255,7 +261,6 @@ class Subgroup(metaclass=Interned):
 
     # the constructor merges repeated elements, so the key is their set
     _pool_key = staticmethod(lambda parent, elements: (parent, frozenset(elements)))
-    __hash__ = cached_hash(lambda s: (s.parent.moduli, s.elements))
 
     def __post_init__(self):
         G = self.parent
@@ -314,7 +319,7 @@ def subgroup_generated(G: FinAbGroup, gens: Iterable[Element]) -> Subgroup:
     return Subgroup(G, tuple(span))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Homomorphism(metaclass=Interned):
     """A homomorphism given by images of the standard generators."""
 
@@ -325,7 +330,6 @@ class Homomorphism(metaclass=Interned):
     _pool_key = staticmethod(
         lambda source, target, gen_images: (source, target, tuple(gen_images))
     )
-    __hash__ = cached_hash(lambda s: (s.source.moduli, s.target.moduli, s.gen_images))
 
     def __post_init__(self):
         if len(self.gen_images) != self.source.rank:

@@ -46,7 +46,6 @@ from .groups import (
     FinAbGroup,
     Homomorphism,
     all_subgroups,
-    cached_hash,
     compose,
     coset_reps,
     hom_from_table,
@@ -256,8 +255,6 @@ class RowData:
     h: FactorSet
     s: Section
 
-    __hash__ = cached_hash(lambda r: (r.A, r.B, r.h, r.s))
-
     @cached_property
     def alg(self) -> AlgExtension:
         return _cached_alg(self.A, self.B, self.h)
@@ -351,8 +348,6 @@ class P3Instance(_Instance):
     beta: Homomorphism
     lift: tuple[tuple[Element, Element], ...]
 
-    __hash__ = cached_hash(lambda s: (s.row1, s.row2, s.alpha, s.beta, s.lift))
-
     def build(self) -> SquareWithSections:
         r1, r2 = self.row1, self.row2
         gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.alpha, self.lift)
@@ -381,8 +376,6 @@ class InjSquareInstance(_Instance):
     g: Homomorphism
     alpha: Homomorphism
     beta: Homomorphism
-
-    __hash__ = cached_hash(lambda s: (s.A, s.B, s.Ap, s.Bp, s.f, s.g, s.alpha, s.beta))
 
     def build(self) -> Ladder:
         return _square(self.A, self.B, self.Ap, self.Bp, self.f, self.g, self.alpha, self.beta)
@@ -428,8 +421,6 @@ class ExtensionInstance(_Instance):
 
     row: RowData
 
-    __hash__ = cached_hash(lambda s: s.row)
-
     def build(self) -> Extension:
         return self.row.realize()
 
@@ -445,8 +436,6 @@ class CocycleInstance(_Instance):
     A: TopAbGroup
     B: TopAbGroup
     h: FactorSet
-
-    __hash__ = cached_hash(lambda s: (s.A, s.B, s.h))
 
     def build(self) -> AlgExtension:
         return _cached_alg(self.A, self.B, self.h)
@@ -494,10 +483,6 @@ class FiveLemmaInstance(_Instance):
     v_a: Homomorphism
     v_b: Homomorphism
     lift: tuple[tuple[Element, Element], ...]
-
-    __hash__ = cached_hash(
-        lambda s: (s.shape, s.row1, s.row2, s.chain1, s.v_a, s.v_b, s.lift)
-    )
 
     def build(self) -> Ladder:
         z = identity_top(_trivial_top())

@@ -25,7 +25,6 @@ from .groups import (
     Homomorphism,
     Interned,
     Subgroup,
-    cached_hash,
     commutes,
     exactness_failure,
     identity_hom,
@@ -37,7 +36,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopAbGroup(metaclass=Interned):
     """A finite abelian group with the topology determined by its open core."""
 
@@ -45,7 +44,6 @@ class TopAbGroup(metaclass=Interned):
     open_core: Subgroup
 
     _pool_key = staticmethod(lambda group, open_core: (group, open_core))
-    __hash__ = cached_hash(lambda s: (s.group, s.open_core))
 
     def __post_init__(self):
         if self.open_core.parent != self.group:
@@ -70,8 +68,6 @@ class TopHom:
     map: Homomorphism
     source: TopAbGroup
     target: TopAbGroup
-
-    __hash__ = cached_hash(lambda s: (s.map, s.source, s.target))
 
     def __post_init__(self):
         if self.map.source != self.source.group or self.map.target != self.target.group:

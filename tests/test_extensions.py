@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import itertools
+import json
 import weakref
 
 import pytest
@@ -54,6 +55,7 @@ from topab.search import (
     FamilySpec,
     RowData,
     _cached_alg,
+    extension_family,
     five_lemma_family,
     p3_family,
     topologized_groups,
@@ -68,7 +70,14 @@ from topab.topology import (
     separation_hom,
 )
 
-from builders import factor_set, indiscrete, make_hom, split_extension, topologize
+from builders import (
+    alg_extension_to_json,
+    factor_set,
+    indiscrete,
+    make_hom,
+    split_extension,
+    topologize,
+)
 from oracles import (
     check_group_laws,
     checked_theta,
@@ -619,6 +628,37 @@ def test_unhashable_arguments_skip_the_pool():
     assert s == Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
 
 
+INTERNED = (FinAbGroup, Subgroup, Homomorphism, TopAbGroup, Section, AlgExtension)
+
+
+@pytest.mark.parametrize("cls", INTERNED)
+def test_interned_values_compare_and_hash_by_identity(cls):
+    assert cls.__eq__ is object.__eq__
+    assert cls.__hash__ is object.__hash__
+
+
+def test_one_object_per_value_on_every_path():
+    """An unhashable argument, `dataclasses.replace` and a JSON round trip
+    through `jsonio` all return the pooled object of each interned type."""
+    s = Section(Z2, Z4, [[(0,), (0,)], [(1,), (1,)]])
+    assert s is Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
+    alg = z4_extension(a_core="indiscrete")
+    A = alg.A
+    round_trips = [
+        (Z4, jsonio.group_from_json),
+        (A.open_core, lambda d: jsonio.subgroup_from_json(Z2, d)),
+        (alg.iota, lambda d: jsonio.map_from_json(Z2, Z4, d)),
+        (A, jsonio.topgroup_from_json),
+        (s, lambda d: jsonio.section_from_json(Z2, Z4, d)),
+        (alg, jsonio.alg_extension_from_json),
+    ]
+    assert [type(x) for x, _ in round_trips] == list(INTERNED)
+    for x, decode in round_trips:
+        data = alg_extension_to_json(x) if x is alg else jsonio.to_json(x)
+        assert decode(json.loads(jsonio.dumps(data))) is x
+        assert dataclasses.replace(x) is x
+
+
 def test_an_object_nothing_holds_leaves_the_pool():
     b, g = FinAbGroup([5]), FinAbGroup([5, 7])
     core = tuple((0, y) for y in range(7))
@@ -654,14 +694,21 @@ def _interned_objects(roots):
 
 
 def test_no_two_distinct_interned_objects_are_equal_across_the_families():
-    """Every instance of the square and five-lemma families at max order 2,
-    and the square it builds: each value of an interned type is one object."""
+    """Every instance of the square and five-lemma families at max order 2
+    and of the extension family at max order 4, and what it builds: each
+    value of an interned type is one object.  At order 4 `first_section`
+    lists the entries of some sections in the fiber order of two different
+    projections, so a section key that did not sort them would show here."""
     spec = FamilySpec(max_group_order=2)
     instances = [x for family in (p3_family, five_lemma_family) for _, x in family(spec)]
+    instances += [x for _, x in extension_family(FamilySpec(max_group_order=4))]
     objects = _interned_objects([*instances, *(x.build() for x in instances)])
     by_type = {}
     for x in objects:
         by_type.setdefault(type(x), []).append(x)
     assert set(by_type) == {FinAbGroup, Subgroup, Homomorphism, TopAbGroup, Section, AlgExtension}
-    for xs in by_type.values():
-        assert len(set(xs)) == len(xs)  # distinct objects, so distinct values
+    for cls, xs in by_type.items():
+        # the value of x: the pool key of its fields.  Its interned fields
+        # are keyed by identity, which the check of their own type covers.
+        values = {cls._pool_key(*(getattr(x, f.name) for f in dataclasses.fields(x))) for x in xs}
+        assert len(values) == len(xs)  # distinct objects, so distinct values

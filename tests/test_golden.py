@@ -16,6 +16,9 @@ Regenerate a file only for an intended change of the reports, and say why.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,30 @@ def test_report_command_prints_the_golden_markdown(theorem, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     assert out.out == (GOLDEN / f"{theorem}.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("theorem", ["open_fibers", "nagao_comparison"])
+def test_verify_writes_the_golden_bytes_under_any_hash_seed(theorem, tmp_path):
+    """Interned values hash by identity, so a set of them would iterate in
+    another order in each process.  A square law and a cocycle law, run by
+    `python -m topab verify` at GOLDEN_SPEC under two hash seeds, write the
+    golden files and print the golden Markdown."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    spec = GOLDEN_SPEC
+    jsonl = (GOLDEN / f"{theorem}.jsonl").read_bytes()
+    md = (GOLDEN / f"{theorem}.md").read_bytes()
+    failures = json.loads(jsonl.splitlines()[-1])["failures"]
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "topab", "verify", theorem, "--out", str(out)]
+            + ["--max-order", str(spec.max_group_order), "--sample", str(spec.sample_count)]
+            + ["--seed", str(spec.seed)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (1 if failures else 0, b"")
+        assert proc.stdout == md
+        assert (out / f"{theorem}.jsonl").read_bytes() == jsonl
+        assert (out / f"{theorem}.md").read_bytes() == md
