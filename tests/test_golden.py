@@ -70,15 +70,16 @@ def test_verify_writes_the_golden_bytes_under_any_hash_seed(theorem, tmp_path):
     golden files and print the golden Markdown."""
     src = Path(__file__).resolve().parents[1] / "src"
     spec = GOLDEN_SPEC
+    argv = [sys.executable, "-m", "topab", "verify", theorem]
+    argv += ["--max-order", str(spec.max_group_order), "--sample", str(spec.sample_count)]
+    argv += ["--seed", str(spec.seed)]
     jsonl = (GOLDEN / f"{theorem}.jsonl").read_bytes()
     md = (GOLDEN / f"{theorem}.md").read_bytes()
     failures = json.loads(jsonl.splitlines()[-1])["failures"]
     for hash_seed in ("0", "1"):
         out = tmp_path / hash_seed
         proc = subprocess.run(
-            [sys.executable, "-m", "topab", "verify", theorem, "--out", str(out)]
-            + ["--max-order", str(spec.max_group_order), "--sample", str(spec.sample_count)]
-            + ["--seed", str(spec.seed)],
+            [*argv, "--out", str(out)],
             env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
             capture_output=True,
             timeout=300,
