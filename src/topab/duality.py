@@ -1,89 +1,41 @@
 """Pontryagin duals of finite topological abelian groups.
 
-Characters take values in the torsion subgroup Q/Z of the circle, stored as
-numerators over the group exponent, so all arithmetic is exact.  A character
-of (G, N) is continuous iff it kills N, so the dual is the character group
-of G/N, carried discretely: the dual of a finite Hausdorff group under the
-compact-open topology is discrete, so that topology is declared rather than
-constructed.
+A character of G is a homomorphism G -> Z/e, e the exponent of G, whose
+value v stands for v/e in the torsion subgroup Q/Z of the circle, so all
+arithmetic is exact; `hom_set(G, Z/e)` lists them all.  A character of
+(G, N) is continuous iff its kernel contains N, so the dual is the
+character group of G/N, carried discretely: the dual of a finite Hausdorff
+group under the compact-open topology is discrete, so that topology is
+declared rather than constructed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import NotAnExtension, NotContinuous
 from .extensions import Extension
-from .groups import Element, FinAbGroup, Homomorphism, group_structure, hom_from_table
+from .groups import Element, FinAbGroup, Homomorphism, group_structure, hom_from_table, hom_set
 from .topology import TopAbGroup, TopHom, discrete, is_continuous
-
-
-@dataclass(frozen=True)
-class Character:
-    """A homomorphism G -> Q/Z with values v/exponent, v stored mod exponent."""
-
-    group: FinAbGroup
-    gen_values: tuple[int, ...]
-
-    def __post_init__(self):
-        e = self.group.exponent
-        vals = tuple(int(v) % e for v in self.gen_values)
-        object.__setattr__(self, "gen_values", vals)
-        if len(vals) != self.group.rank:
-            raise ValueError("one value per generator required")
-        for m, v in zip(self.group.moduli, vals):
-            if (m * v) % e != 0:
-                raise ValueError(f"value {v}/{e} has order not dividing {m}")
-
-    @property
-    def denominator(self) -> int:
-        return self.group.exponent
-
-    @cached_property
-    def values(self) -> dict[Element, int]:
-        e = self.group.exponent
-        return {
-            x: sum(c * v for c, v in zip(x, self.gen_values)) % e
-            for x in self.group.elements
-        }
-
-    def __call__(self, x: Element) -> int:
-        return self.values[x]
-
-    def kills(self, elems) -> bool:
-        return all(self.values[x] == 0 for x in elems)
-
-
-@cache
-def all_characters(G: FinAbGroup) -> tuple[Character, ...]:
-    """Every character of the bare group, in deterministic order, built once
-    per group."""
-    e = G.exponent
-    choices = []
-    for m in G.moduli:
-        step = e // m
-        choices.append([k * step for k in range(m)])
-    return tuple(Character(G, vals) for vals in itertools.product(*choices))
 
 
 @dataclass(frozen=True)
 class DualGroup:
     """All continuous characters of a topologized group, carried discretely."""
 
-    characters: tuple[Character, ...]
+    characters: tuple[Homomorphism, ...]
     structure: FinAbGroup
-    _elem_to_char: tuple[tuple[Element, Character], ...]
+    _elem_to_char: tuple[tuple[Element, Homomorphism], ...]
 
     @cached_property
-    def elem_to_char(self) -> dict[Element, Character]:
+    def elem_to_char(self) -> dict[Element, Homomorphism]:
         return dict(self._elem_to_char)
 
     @cached_property
-    def elem_of_values(self) -> dict[tuple[int, ...], Element]:
-        """The element of each character, keyed by its generator values."""
-        return {c.gen_values: x for x, c in self._elem_to_char}
+    def elem_of_values(self) -> dict[tuple[Element, ...], Element]:
+        """The element of each character, keyed by its generator images."""
+        return {chi.gen_images: x for x, chi in self._elem_to_char}
 
     @property
     def order(self) -> int:
@@ -96,18 +48,20 @@ class DualGroup:
 
 @cache
 def dual_group(T: TopAbGroup) -> DualGroup:
-    """The group of characters killing the open core, in canonical form."""
-    core = T.open_core.elements
+    """The group of characters whose kernel contains the open core, in
+    canonical form."""
+    G = T.group
+    circle = FinAbGroup((G.exponent,))
+    zero = circle.zero
     continuous = tuple(
-        chi for chi in all_characters(T.group) if chi.kills(core)
+        chi for chi in hom_set(G, circle) if all(chi.table[x] == zero for x in T.open_core)
     )
-    key = {chi.gen_values: chi for chi in continuous}
-    e = T.group.exponent
+    key = {chi.gen_images: chi for chi in continuous}
 
     def add(u, v):
-        return tuple((a + b) % e for a, b in zip(u, v))
+        return tuple(map(circle.add, u, v))
 
-    structure, keys = group_structure(key, add, (0,) * T.group.rank)
+    structure, keys = group_structure(key, add, (zero,) * G.rank)
     pairs = tuple(zip(structure.elements, map(key.__getitem__, keys)))
     return DualGroup(continuous, structure, pairs)
 
@@ -121,7 +75,8 @@ def _rescale(value: int, from_den: int, to_den: int) -> int:
 
 def dual_hom(f: TopHom) -> Homomorphism:
     """The dual map between dual structures, chi -> chi o f (contravariant):
-    chi o f is looked up by its values on the generators of the source."""
+    chi o f is looked up by its images of the generators of the source, each
+    value rescaled to the exponent of the source."""
     if not is_continuous(f):
         raise NotContinuous("only continuous maps dualize to continuous characters")
     d_tgt = dual_group(f.target)
@@ -130,7 +85,7 @@ def dual_hom(f: TopHom) -> Homomorphism:
     images = [f.map(g) for g in f.source.group.generators]
     table = {}
     for x, chi in d_tgt.elem_to_char.items():
-        values = tuple(_rescale(chi(y), e_tgt, e_src) for y in images)
+        values = tuple((_rescale(chi(y)[0], e_tgt, e_src),) for y in images)
         table[x] = d_src.elem_of_values[values]
     return hom_from_table(d_tgt.structure, d_src.structure, table)
 

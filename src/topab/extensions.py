@@ -18,9 +18,9 @@ each cocycle once, and `nagao_topology` topologizes each (extension, section)
 pair once, so every square over the row shares one `Extension`.  An
 extension square is the two-square `topology.Ladder` of `extension_square`:
 the rows' iota and pi over each other, joined by alpha, gamma and beta.
-`AlgExtension` and `Section` are interned (`groups.Interned`), so each
-algebraic extension is checked once while it lives, and these caches meet
-each value as one object.
+`FactorSet`, `AlgExtension` and `Section` are interned (`groups.Interned`),
+so each cocycle and algebraic extension is checked once while it lives, and
+these caches meet each value as one object and hash it by identity.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .groups import (
     Homomorphism,
     Interned,
     Subgroup,
-    cached_hash,
     compose,
     corestricted,
     exactness_failure,
@@ -60,15 +59,16 @@ from .topology import Ladder, TopAbGroup, TopHom, separation, strictness_failure
 Pair = tuple[Element, Element]
 
 
-@dataclass(frozen=True)
-class FactorSet:
+@dataclass(frozen=True, eq=False)
+class FactorSet(metaclass=Interned):
     """A normalized symmetric 2-cocycle h: B x B -> A, stored as a full table."""
 
     A: FinAbGroup
     B: FinAbGroup
     entries: tuple[tuple[Element, Element, Element], ...]
 
-    __hash__ = cached_hash(lambda s: (s.A, s.B, s.entries))
+    # sorted, not a set, so that a repeated pair still raises InvalidCocycle
+    _pool_key = staticmethod(lambda A, B, entries: (A, B, tuple(sorted(entries))))
 
     def __post_init__(self):
         table = {}

@@ -13,13 +13,13 @@ generators and totalized on first use, so applying them inside enumeration
 loops is a dict lookup.  `commutes` checks a square on those tables.
 
 Values are validated once.  `FinAbGroup`, `Subgroup` and `Homomorphism`
-(here), `TopAbGroup`, `Section` and `AlgExtension` are `Interned`: a
-constructor call with the arguments of a live object returns that object,
-which passed the same checks on the same value.  Equal values are one
-object, so these classes compare and hash by identity, and their tables,
-image and kernel are built once.  `hom_set`, `identity_hom`, `zero_hom`,
-`quotient` and `subgroup_as_group` are cached, so each builds its result
-once per value.
+(here), `TopAbGroup`, `FactorSet`, `Section` and `AlgExtension` are
+`Interned`: a constructor call with the arguments of a live object returns
+that object, which passed the same checks on the same value.  Equal values
+are one object, so these classes compare and hash by identity, and their
+tables, image and kernel are built once.  `hom_set`, `identity_hom`,
+`zero_hom`, `quotient` and `subgroup_as_group` are cached, so each builds
+its result once per value.
 
 The other modules call these constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
@@ -50,21 +50,6 @@ from .errors import (
 )
 
 Element = tuple[int, ...]
-
-
-def cached_hash(key: Callable):
-    """A __hash__ for frozen dataclasses: hash(key(self)), computed once and
-    kept in the instance dict, for a value whose key is too large to hash
-    on every cache lookup (`extensions.FactorSet`)."""
-
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash(key(self))
-            return h
-
-    return __hash__
 
 
 class Interned(type):

@@ -2,8 +2,10 @@
 
 `to_json` encodes a value by its type; a tuple is an array, and a dataclass
 with no encoder of its own (a topologized group, a search row, a family
-spec, a witness instance) is the object of its fields.  `dumps` renders with
-sorted keys and compact separators so repeated runs are byte-identical.
+spec, a witness instance) is the object of its fields.  A dual group writes
+each of its characters G -> Z/e as the table of its values over the
+denominator e.  `dumps` renders with sorted keys and compact separators so
+repeated runs are byte-identical.
 The decoders are strict: an element is an array of integers in its group,
 and each value runs its own checks.  `map_from_json` and `section_from_json`
 take the endpoints that the JSON of a map or a section leaves out.
@@ -16,7 +18,7 @@ from dataclasses import fields, is_dataclass
 from functools import cache
 
 from .extensions import AlgExtension, FactorSet, Section
-from .duality import Character, DualGroup
+from .duality import DualGroup
 from .groups import Element, FinAbGroup, Homomorphism, Subgroup, subgroup
 from .topology import TopAbGroup
 
@@ -50,11 +52,16 @@ _ENCODERS = {
     Homomorphism: lambda f: to_json(f.gen_images),
     Section: lambda s: to_json(s.entries),
     FactorSet: lambda h: {"A": to_json(h.A), "B": to_json(h.B), "table": to_json(h.entries)},
-    Character: lambda chi: {
-        "values": [[list(x), v] for x, v in sorted(chi.values.items())],
-        "denominator": chi.denominator,
+    DualGroup: lambda d: {
+        "structure": to_json(d.structure),
+        "characters": [
+            {
+                "values": [[list(x), v] for x, (v,) in chi.table.items()],
+                "denominator": chi.target.order,
+            }
+            for chi in d.characters
+        ],
     },
-    DualGroup: lambda d: {"structure": to_json(d.structure), "characters": to_json(d.characters)},
 }
 
 

@@ -46,6 +46,7 @@ from .groups import (
     FinAbGroup,
     Homomorphism,
     all_subgroups,
+    commutes,
     compose,
     coset_reps,
     hom_from_table,
@@ -405,16 +406,6 @@ def _square(A, B, Ap, Bp, f, g, alpha, beta) -> Ladder:
     )
 
 
-@cache
-def _commutes(*square) -> bool:
-    """Whether `_square` builds; cached, as the sampled stratum repeats squares."""
-    try:
-        _square(*square)
-    except DiagramError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class ExtensionInstance(_Instance):
     """A topological extension presented as a row with a section."""
@@ -682,7 +673,7 @@ def _commuting_squares(spec: FamilySpec):
                         for g in hom_set(Ap.group, Bp.group):
                             for alpha in hom_set(A.group, Ap.group):
                                 for beta in hom_set(B.group, Bp.group):
-                                    if _commutes(A, B, Ap, Bp, f, g, alpha, beta):
+                                    if commutes(f, g, alpha, beta):
                                         yield InjSquareInstance(
                                             A, B, Ap, Bp, f, g, alpha, beta
                                         )
@@ -698,8 +689,7 @@ def _sampled_commuting_squares(spec: FamilySpec):
         f = rng.choice(hom_set(A.group, B.group))
         g = rng.choice(hom_set(Ap.group, Bp.group))
         alpha = rng.choice(hom_set(A.group, Ap.group))
-        square = (A, B, Ap, Bp, f, g, alpha)
-        betas = [b for b in hom_set(B.group, Bp.group) if _commutes(*square, b)]
+        betas = [b for b in hom_set(B.group, Bp.group) if commutes(f, g, alpha, b)]
         if not betas:
             continue
         beta = rng.choice(betas)

@@ -13,7 +13,7 @@ from functools import cache, cached_property
 from math import prod
 
 from topab.diagrams import _finish, first_disagreeing_pair
-from topab.duality import Character, _rescale, dual_group, dual_hom
+from topab.duality import _rescale, dual_group, dual_hom
 from topab.errors import InvalidSection, NotContinuous, NotTopologizing
 from topab.extensions import (
     AlgExtension,
@@ -426,22 +426,25 @@ def evaluation(T: TopAbGroup) -> TopHom:
     table = {}
     for g in T.group.elements:
         vals = tuple(
-            _rescale(d.elem_to_char[x](g), e_g, e_d)
+            (_rescale(d.elem_to_char[x](g)[0], e_g, e_d),)
             for x in d.structure.generators
         )
         table[g] = dd.elem_of_values[vals]
     return TopHom(hom_from_table(T.group, dd.structure, table), T, dd.as_top)
 
 
-def pull_back(chi: Character, f: Homomorphism) -> Character:
-    """chi o f as a character of the source of f: on each generator g, the
-    fraction chi(f(g)) / exponent(target), written over exponent(source)."""
+def pull_back(chi: Homomorphism, f: Homomorphism) -> Homomorphism:
+    """chi o f as a character of the source of f, a map into Z/exponent(source):
+    on each generator g, the fraction chi(f(g)) / exponent(target), written
+    over exponent(source)."""
+    e = f.source.exponent
     vals = []
     for g in f.source.generators:
-        v = Fraction(chi(f(g)), chi.group.exponent) * f.source.exponent
+        (v,) = chi(f(g))
+        v = Fraction(v, chi.target.order) * e
         assert v.denominator == 1, "chi o f does not live over the source exponent"
-        vals.append(int(v))
-    return Character(f.source, tuple(vals))
+        vals.append((int(v),))
+    return Homomorphism(f.source, FinAbGroup((e,)), tuple(vals))
 
 
 def separation_dual_iso(T: TopAbGroup) -> Homomorphism:

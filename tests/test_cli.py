@@ -612,7 +612,7 @@ def test_dual_over_budget_exit_2_without_building_characters(tmp_path, capsys, m
 
     assert cli._COCYCLE_BUDGET < 1024**2 < 2 * cli._COCYCLE_BUDGET
     built = []
-    monkeypatch.setattr(duality, "all_characters", lambda G: built.append(G) or ())
+    monkeypatch.setattr(duality, "hom_set", lambda G, circle: built.append(G) or ())
     g = write(tmp_path, "g.json", jsonio.to_json(discrete(FinAbGroup([2] * 10))))
     code, out, err = run_cli(capsys, "dual", g)
     assert_usage_error(code, out, err, "1024^2 character values exceed the budget")

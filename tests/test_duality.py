@@ -3,13 +3,7 @@ import itertools
 import pytest
 
 from topab.errors import NotContinuous
-from topab.duality import (
-    Character,
-    all_characters,
-    dual_extension,
-    dual_group,
-    dual_hom,
-)
+from topab.duality import dual_extension, dual_group, dual_hom
 from topab.extensions import canonical_section, nagao_topology
 from topab.groups import FinAbGroup, all_subgroups, compose, hom_set, identity_hom, zero_hom
 from topab.search import _cached_alg, all_groups_up_to_order
@@ -30,14 +24,18 @@ Z4 = FinAbGroup([4])
 
 
 def test_all_characters_count_and_additivity():
+    """The characters of G, its homomorphisms into Z/exponent, are |G| in
+    number, and on the discrete G they are the dual."""
     for mods in [(), (2,), (4,), (2, 2), (2, 4), (6,)]:
         G = FinAbGroup(mods)
-        chars = all_characters(G)
-        assert len(chars) == G.order
+        circle = FinAbGroup([G.exponent])
+        chars = hom_set(G, circle)
+        assert len(chars) == G.order == len(set(chars))
+        assert dual_group(discrete(G)).characters == chars
         for chi in chars:
             for x in G.elements:
                 for y in G.elements:
-                    assert chi(G.add(x, y)) == (chi(x) + chi(y)) % G.exponent
+                    assert chi(G.add(x, y)) == circle.add(chi(x), chi(y))
 
 
 def test_dual_group_sizes():
@@ -65,15 +63,14 @@ def test_elem_char_tables_are_isomorphisms():
     t = topologize(FinAbGroup([2, 4]), [(0, 0), (0, 2)])
     d = dual_group(t)
     st = d.structure
-    e = t.group.exponent
+    circle = FinAbGroup([t.group.exponent])
     for x in st.elements:
         for y in st.elements:
             lhs = d.elem_to_char[st.add(x, y)]
-            rhs_vals = tuple(
-                (a + b) % e
-                for a, b in zip(d.elem_to_char[x].gen_values, d.elem_to_char[y].gen_values)
+            rhs_images = tuple(
+                map(circle.add, d.elem_to_char[x].gen_images, d.elem_to_char[y].gen_images)
             )
-            assert lhs.gen_values == rhs_vals
+            assert lhs.gen_images == rhs_images
 
 
 def test_dual_hom_contravariant():
@@ -123,9 +120,9 @@ def test_evaluation_discrete_is_iso():
 
 def test_pullback_rescaling():
     f = make_hom(Z2, Z4, [(2,)])
-    chi = Character(Z4, (1,))
+    chi = make_hom(Z4, Z4, [(1,)])
     back = pull_back(chi, f)
-    assert back.group == Z2 and back((1,)) == 1  # 2/4 becomes 1/2
+    assert back.source == Z2 and back.target == Z2 and back((1,)) == (1,)  # 2/4 becomes 1/2
 
 
 def test_dual_hom_matches_pull_back():

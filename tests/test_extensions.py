@@ -6,7 +6,7 @@ import json
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from topab import jsonio
 from topab.errors import (
@@ -34,6 +34,7 @@ from topab.extensions import (
     is_compatible,
     is_topologizing,
     nagao_topology,
+    realize_cocycle,
     section_census,
     section_for,
     sigma,
@@ -55,6 +56,7 @@ from topab.search import (
     FamilySpec,
     RowData,
     _cached_alg,
+    all_groups_up_to_order,
     extension_family,
     five_lemma_family,
     p3_family,
@@ -85,6 +87,7 @@ from oracles import (
     psi_maps,
     same_topology,
 )
+from test_groups import PROPERTIES
 
 Z2 = FinAbGroup([2])
 Z4 = FinAbGroup([4])
@@ -426,13 +429,9 @@ def _ends_up_to_32():
     ]
 
 
-@st.composite
-def topologized_extensions(draw):
-    """An extension of B_top by A_top, |A| * |B| <= 32, by the carry cocycle
-    of random c_j in A plus the coboundary of a random t: B -> A with
-    t(0) = 0, topologized by a section drawn from its census."""
-    A_top, B_top = draw(st.sampled_from(_ends_up_to_32()))
-    A, B = A_top.group, B_top.group
+def _draw_cocycle(draw, A: FinAbGroup, B: FinAbGroup) -> FactorSet:
+    """The carry cocycle of random c_j in A plus the coboundary of a random
+    t: B -> A with t(0) = 0."""
     c = [draw(st.sampled_from(A.elements)) for _ in B.moduli]
     t = {b: draw(st.sampled_from(A.elements)) for b in B.elements[1:]}
     t[B.zero] = A.zero
@@ -444,13 +443,50 @@ def topologized_extensions(draw):
                 carry = A.add(carry, c[j])
         dt = A.sub(A.add(t[x], t[y]), t[B.add(x, y)])
         entries.append((x, y, A.add(carry, dt)))
-    alg = _cached_alg(A_top, B_top, FactorSet(A, B, tuple(entries)))
+    return FactorSet(A, B, tuple(entries))
+
+
+@st.composite
+def topologized_extensions(draw):
+    """An extension of B_top by A_top, |A| * |B| <= 32, by a drawn cocycle,
+    topologized by a section drawn from its census."""
+    A_top, B_top = draw(st.sampled_from(_ends_up_to_32()))
+    alg = _cached_alg(A_top, B_top, _draw_cocycle(draw, A_top.group, B_top.group))
     census = section_census(alg)
     assume(census.section_count)
     return nagao_topology(alg, census.section(draw(st.integers(0, census.section_count - 1))))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@st.composite
+def cocycles_up_to_32(draw):
+    """A drawn cocycle B x B -> A with |A| * |B| <= 32."""
+    groups = all_groups_up_to_order(16)
+    A, B = draw(
+        st.sampled_from([(A, B) for A in groups for B in groups if A.order * B.order <= 32])
+    )
+    return _draw_cocycle(draw, A, B)
+
+
+@PROPERTIES
+@given(cocycles_up_to_32())
+def test_a_cocycles_realization_is_an_extension_with_the_twisted_sum(h):
+    """realize_cocycle(h) is an exact 0 -> A -> G -> B -> 0 whose from_pair
+    is a bijection carrying the twisted sum of A x B to the sum of G, and a
+    second construction of the same table is the same object."""
+    real = realize_cocycle(h)
+    G, tw = real.G, TwistedGroup(h)
+    assert real.iota.is_injective()
+    assert real.pi.is_surjective()
+    assert exactness_failure(iota=real.iota, pi=real.pi) is None
+    assert sorted(real.from_pair.values()) == list(G.elements)
+    for x in tw.elements:
+        row = G.sums[real.from_pair[x]]
+        for y in tw.elements:
+            assert real.from_pair[tw.add(x, y)] == row[real.from_pair[y]]
+    assert FactorSet(h.A, h.B, tuple(map(tuple, reversed(h.entries)))) is h
+
+
+@PROPERTIES
 @given(topologized_extensions())
 def test_separated_dual_and_snake_sequences_are_exact(e):
     """With or without the case gate of haus_exactness, the separated and
@@ -628,7 +664,7 @@ def test_unhashable_arguments_skip_the_pool():
     assert s == Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
 
 
-INTERNED = (FinAbGroup, Subgroup, Homomorphism, TopAbGroup, Section, AlgExtension)
+INTERNED = (FinAbGroup, Subgroup, Homomorphism, TopAbGroup, FactorSet, Section, AlgExtension)
 
 
 @pytest.mark.parametrize("cls", INTERNED)
@@ -642,6 +678,8 @@ def test_one_object_per_value_on_every_path():
     through `jsonio` all return the pooled object of each interned type."""
     s = Section(Z2, Z4, [[(0,), (0,)], [(1,), (1,)]])
     assert s is Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
+    h = factor_set(Z2, Z2, {((1,), (1,)): (1,)})
+    assert h is FactorSet(Z2, Z2, [list(e) for e in reversed(h.entries)])
     alg = z4_extension(a_core="indiscrete")
     A = alg.A
     round_trips = [
@@ -649,6 +687,7 @@ def test_one_object_per_value_on_every_path():
         (A.open_core, lambda d: jsonio.subgroup_from_json(Z2, d)),
         (alg.iota, lambda d: jsonio.map_from_json(Z2, Z4, d)),
         (A, jsonio.topgroup_from_json),
+        (h, jsonio.cocycle_from_json),
         (s, lambda d: jsonio.section_from_json(Z2, Z4, d)),
         (alg, jsonio.alg_extension_from_json),
     ]
@@ -706,7 +745,7 @@ def test_no_two_distinct_interned_objects_are_equal_across_the_families():
     by_type = {}
     for x in objects:
         by_type.setdefault(type(x), []).append(x)
-    assert set(by_type) == {FinAbGroup, Subgroup, Homomorphism, TopAbGroup, Section, AlgExtension}
+    assert set(by_type) == set(INTERNED)
     for cls, xs in by_type.items():
         # the value of x: the pool key of its fields.  Its interned fields
         # are keyed by identity, which the check of their own type covers.

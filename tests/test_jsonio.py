@@ -74,10 +74,13 @@ def test_section_roundtrip():
 def test_character_roundtrip():
     t = topologize(Z4, [(0,), (2,)])
     d = dual_group(t)
-    for chi in d.characters:
-        data = jsonio.to_json(chi)
-        assert data["denominator"] == Z4.exponent
-        assert {tuple(x): v for x, v in data["values"]} == chi.values
+    data = jsonio.to_json(d)
+    assert len(data["characters"]) == len(d.characters) == 2
+    for chi, chi_data in zip(d.characters, data["characters"]):
+        assert chi_data["denominator"] == Z4.exponent
+        assert [[tuple(x), (v,)] for x, v in chi_data["values"]] == [
+            [x, chi(x)] for x in Z4.elements
+        ]
 
 
 def test_alg_extension_roundtrip():

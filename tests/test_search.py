@@ -150,10 +150,15 @@ def test_cocycle_counts_follow_ext(A, B):
 def test_cocycle_transversal_builds_each_table_once(A, B, monkeypatch):
     """t walks a transversal of Hom(B, A), so every candidate table is a new
     cocycle, built exactly once: classes * |A|^(|B|-1) / |Hom(B, A)|
-    distinct tables, each of which passes validate_cocycle."""
+    distinct tables, each of which passes validate_cocycle.  The constructor
+    calls are counted, since a table in the pool is not built again."""
     built = []
-    post_init = FactorSet.__post_init__
-    monkeypatch.setattr(FactorSet, "__post_init__", lambda h: built.append(h) or post_init(h))
+
+    def counted(*args):
+        built.append(FactorSet(*args))
+        return built[-1]
+
+    monkeypatch.setattr(search, "FactorSet", counted)
     classes = prod(_quotient_order(A, n) for n in B.moduli)
     homs = sum(1 for _ in all_homs(B, A))
     by_class = search._cocycles_by_class.__wrapped__(A, B, search._COCYCLE_BUDGET)
