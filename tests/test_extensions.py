@@ -632,10 +632,16 @@ def test_equal_topologized_groups_and_sections_are_one_object():
     assert RowData.from_json(jsonio.to_json(row)).s is s
 
 
+# a live cocycle, so that a key that forgot a repeated entry would meet it
+_Z4_COCYCLE = factor_set(Z2, Z2, {((1,), (1,)): (1,)})
+
+
 @pytest.mark.parametrize(
     "cls, args, error",
     [
         (TopAbGroup, (Z2, Subgroup(Z4, ((0,),))), NotASubgroup),
+        (FactorSet, (Z2, Z2, _Z4_COCYCLE.entries * 2), InvalidCocycle),
+        (FactorSet, (Z2, Z2, _Z4_COCYCLE.entries[:3] + (((1,), (1,), (2,)),)), ElementNotInGroup),
         (Section, (Z2, Z4, (((0,), (2,)), ((1,), (1,)))), InvalidSection),  # s(0) != 0
         (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (1,)))), InvalidSection),
         (Section, (Z2, Z4, (((0,), (0,)), ((1,), (1,)), ((1,), (3,)))), InvalidSection),
