@@ -6,12 +6,16 @@ beta) or four (the five lemma, whose rows are tuples of four `TopHom`s), and
 reads each group slot off the endpoints of a vertical.
 
 Each law is one `Law` declaration: a tuple of named hypotheses (predicates on
-the built instance), a conclusion function and a notes function.  Calling
-`law(x, dropped)` evaluates the hypotheses, then the conclusion, and returns a
-VerificationReport.  An unmet hypothesis that is not dropped gives a report
-with no conclusion (conclusion_checked is None), so the search counts the
-instance as filtered.  The names of a law's hypotheses are its droppable
-hypotheses, which the search registry reads from `Law.droppable`.
+the built instance), a conclusion function and a notes function, so a law is
+a gate followed by a conclusion.  Calling `law(x, dropped)` evaluates every
+hypothesis, then the conclusion, and returns the full VerificationReport: an
+unmet hypothesis that is not dropped gives a report with no conclusion
+(conclusion_checked is None).  `law.gate(x, dropped)`, the search's path,
+gives the same report, except that it stops at the first unmet hypothesis
+that is not dropped and returns None: the instance is filtered, and no later
+hypothesis, conclusion or note is computed.  The names of a law's hypotheses
+are its droppable hypotheses, which the search registry reads from
+`Law.droppable`.
 Conclusions are always computed from the topology-module predicates, never
 assumed, so the harness can refute as well as confirm.  Every report carries
 model-collapse notes listing hypotheses that are vacuous at finite scale.
@@ -112,8 +116,11 @@ def _finish(
 @dataclass(frozen=True)
 class Law:
     """A law: named hypotheses on the built instance, the conclusion clauses
-    and the instance's extra model-collapse notes.  `law(x, dropped)` is its
-    verifier; the hypothesis names are its droppable hypotheses."""
+    and the instance's extra model-collapse notes; the hypothesis names are
+    its droppable hypotheses.  `law(x, dropped)` is its verifier, whose
+    report checks every hypothesis; `law.gate(x, dropped)` is the search's
+    path, which pays for a filtered instance only up to its first unmet
+    hypothesis."""
 
     theorem_id: str
     hypotheses: tuple[tuple[str, Callable[[object], bool]], ...]
@@ -126,6 +133,21 @@ class Law:
 
     def __call__(self, x, dropped: frozenset[str] = frozenset()) -> VerificationReport:
         hyps = tuple((name, holds(x)) for name, holds in self.hypotheses)
+        return _finish(
+            self.theorem_id, hyps, lambda: self.conclusion(x), dropped, self.notes(x)
+        )
+
+    def gate(self, x, dropped: frozenset[str] = frozenset()) -> VerificationReport | None:
+        """None at the first hypothesis, in declared order, that is unmet and
+        not dropped; otherwise the report of `self(x, dropped)`.  Each
+        hypothesis runs at most once: the kept ones hold by then, and the
+        dropped ones run last, for the report."""
+        for name, holds in self.hypotheses:
+            if name not in dropped and not holds(x):
+                return None
+        hyps = tuple(
+            (name, name not in dropped or holds(x)) for name, holds in self.hypotheses
+        )
         return _finish(
             self.theorem_id, hyps, lambda: self.conclusion(x), dropped, self.notes(x)
         )

@@ -8,15 +8,20 @@ has one protocol: build() makes the object the verifier takes,
 to_json()/from_json() make it a replayable witness.  The encoder is shared:
 the instance's kind, then its fields, each encoded by `jsonio.to_json`.  Each
 class decodes itself, since the endpoints of its maps come from its rows.
-run_search builds each instance of the family, skips those failing surviving
-hypotheses, evaluates the conclusion on the rest, and reports failures as
-witnesses after a core-shrinking pass.
+run_search builds each instance of the family and calls the law's gate on
+it (`TheoremSpec.evaluate`, `diagrams.Law.gate`), which runs the hypotheses
+in order and counts the instance as filtered at the first unmet one that is
+not dropped, computing nothing further.  On the rest it evaluates the
+conclusion, and it reports failures as witnesses after a core-shrinking
+pass; `replay_witness` calls the law itself, whose report checks every
+hypothesis.
 
 The algebra of an instance does not depend on its topologies, so it is
 built once per algebraic input and shared: `realize_cocycle` realizes each
 cocycle h once, `_gamma_from_lift` builds each middle map once per (h1, s1,
-h2, alpha, lift), and `_zero_padded_row` and `_glued_row` build each
-five-term row once per extension or pair of extensions.  Only the open
+h2, alpha, lift), a sample lists the lifts of each algebraic square once,
+and `_zero_padded_row` and `_glued_row` build each five-term row once per
+extension or pair of extensions, keyed by (e.alg, e.G).  Only the open
 cores vary between instances over the same algebra, and between the trials
 of a shrink.  A row is its algebra and its `Section`, which the strata hand
 over as they enumerate them and `RowData.from_json` decodes at the witness
@@ -68,6 +73,7 @@ from .extensions import (
     section_census,
 )
 from .diagrams import (
+    Law,
     SquareWithSections,
     VerificationReport,
     verify_choice_discrete,
@@ -448,19 +454,36 @@ def _to_zero(T: TopAbGroup) -> TopHom:
     return TopHom(zero_hom(T.group, z.group), T, z)
 
 
+# The row caches are keyed by an extension's interned algebra and middle
+# group, (e.alg, e.G), which determine it, so they look rows up by identity.
+
+
 @cache
-def _zero_padded_row(e: Extension) -> tuple[TopHom, ...]:
+def _zero_padded_row(alg: AlgExtension, G: TopAbGroup) -> tuple[TopHom, ...]:
     """0 -> A -> G -> B -> 0 as a five-term row, one per extension."""
     z = _trivial_top()
-    return (TopHom(zero_hom(z.group, e.A.group), z, e.A), e.iota, e.pi, _to_zero(e.B))
+    return (
+        TopHom(zero_hom(z.group, alg.A.group), z, alg.A),
+        TopHom(alg.iota, alg.A, G),
+        TopHom(alg.pi, G, alg.B),
+        _to_zero(alg.B),
+    )
 
 
 @cache
-def _glued_row(e: Extension, ec: Extension) -> tuple[TopHom, ...]:
-    """A -> G -> Gc -> C -> 0 for an extension ec of e's quotient, one per pair."""
-    if ec.A != e.B:
+def _glued_row(
+    alg: AlgExtension, G: TopAbGroup, algc: AlgExtension, Gc: TopAbGroup
+) -> tuple[TopHom, ...]:
+    """A -> G -> Gc -> C -> 0 for an extension (algc, Gc) of the quotient of
+    (alg, G), one per pair."""
+    if algc.A != alg.B:
         raise DiagramError("chain must extend the base row's quotient")
-    return (e.iota, TopHom(compose(ec.iota.map, e.pi.map), e.G, ec.G), ec.pi, _to_zero(ec.B))
+    return (
+        TopHom(alg.iota, alg.A, G),
+        TopHom(compose(algc.iota, alg.pi), G, Gc),
+        TopHom(algc.pi, Gc, algc.B),
+        _to_zero(algc.B),
+    )
 
 
 @dataclass(frozen=True)
@@ -483,14 +506,15 @@ class FiveLemmaInstance(_Instance):
             gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.v_a, self.lift)
             v_a, v_b = TopHom(self.v_a, e1.A, e2.A), TopHom(self.v_b, e1.B, e2.B)
             verts = (z, v_a, TopHom(gamma, e1.G, e2.G), v_b, z)
-            return Ladder(_zero_padded_row(e1), _zero_padded_row(e2), verts)
+            row1, row2 = _zero_padded_row(e1.alg, e1.G), _zero_padded_row(e2.alg, e2.G)
+            return Ladder(row1, row2, verts)
         # glued: both 5-term rows come from the same chain E, E'; the middle
         # vertical is a lift over E' with identity outer maps.
         e, c = self.row1.realize(), self.chain1
         ec = c.realize()
         gamma_p = _gamma_from_lift(c.h, c.s, c.h, identity_hom(c.h.A), self.lift)
         verts = (identity_top(e.A), identity_top(e.G), TopHom(gamma_p, ec.G, ec.G))
-        row = _glued_row(e, ec)
+        row = _glued_row(e.alg, e.G, ec.alg, ec.G)
         return Ladder(row, row, verts + (identity_top(ec.B), z))
 
     @staticmethod
@@ -593,8 +617,9 @@ def _sampled_squares(spec: FamilySpec):
     of its extension, and only the drawn section is built."""
     rng = random.Random(spec.seed)
     tops = topologized_groups(spec.max_group_order)
-    # a sample repeats rows and lifts; equal ones share one object
-    shared = {}
+    # a sample repeats rows and lifts; equal ones share one object, and the
+    # lifts of one algebraic square are listed once
+    shared, lifts_of = {}, {}
     made, attempts = 0, 0
     while made < spec.sample_count and attempts < 40 * spec.sample_count:
         attempts += 1
@@ -610,7 +635,10 @@ def _sampled_squares(spec: FamilySpec):
         s2 = c2.section(rng.randrange(c2.section_count))
         alpha = rng.choice(hom_set(a1.group, a2.group))
         beta = rng.choice(hom_set(b1.group, b2.group))
-        lifts = gamma_lifts(alg1, s1, alg2, alpha, beta)
+        key = (alg1, s1, alg2, alpha, beta)
+        lifts = lifts_of.get(key)
+        if lifts is None:
+            lifts = lifts_of[key] = gamma_lifts(*key)
         if not lifts:
             continue
         lift = lifts[rng.randrange(len(lifts))]
@@ -775,14 +803,20 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """A theorem: its droppable hypotheses (its law's hypothesis names), its
-    family, and its law, called as evaluate(instance.build(), dropped)."""
+    """A theorem: its law, whose hypothesis names are its droppable
+    hypotheses, its family, and the runner's path through the law, called
+    as evaluate(instance.build(), dropped): `law.gate`, which returns None
+    for a filtered instance."""
 
     theorem_id: str
-    droppable: tuple[str, ...]
+    law: Law
     build_family: object
     evaluate: object
     expect_zero_failures: bool
+
+    @property
+    def droppable(self) -> tuple[str, ...]:
+        return self.law.droppable
 
 
 THEOREMS: dict[str, TheoremSpec] = {}
@@ -790,7 +824,7 @@ THEOREMS: dict[str, TheoremSpec] = {}
 
 def _register(law, family, expect_zero=True):
     THEOREMS[law.theorem_id] = TheoremSpec(
-        law.theorem_id, law.droppable, family, law, expect_zero
+        law.theorem_id, law, family, law.gate, expect_zero
     )
 
 
@@ -857,7 +891,8 @@ def shrink_witness(inst, evaluate, dropped):
                     built = trial.build()
                 except (NotTopologizing, DiagramError, InvalidSection):
                     continue
-                if evaluate(built, dropped).conclusion_checked is False:
+                rep = evaluate(built, dropped)
+                if rep is not None and rep.conclusion_checked is False:
                     current = trial
                     improved = True
                     break
@@ -957,7 +992,7 @@ def run_search(task: SearchTask) -> RunResult:
     failures: list[VerificationReport] = []
     for _, inst in family:
         rep = info.evaluate(inst.build(), dropped)
-        if rep.conclusion_checked is None:
+        if rep is None:
             filtered += 1
             continue
         evaluated += 1
@@ -976,4 +1011,4 @@ def replay_witness(theorem_id: str, witness_json: dict, dropped=()) -> Verificat
     """Re-run a reported witness through the verifier in isolation."""
     info = _check_task(SearchTask(theorem_id, tuple(dropped)))
     inst = instance_from_json(witness_json)
-    return info.evaluate(inst.build(), frozenset(dropped))
+    return info.law(inst.build(), frozenset(dropped))

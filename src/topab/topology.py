@@ -9,7 +9,8 @@ cross-validated against a literal open-set oracle in the test suite.
 decision of whether a sequence is a topological extension;
 `is_topological_extension` reads the two as one bool for 0 -> X -> Y -> Z -> 0.
 `Ladder`, two rows of `TopHom`s joined by `TopHom` verticals and checked
-square by square when built, is every commutative diagram of the laws.
+square by square on every build, is every commutative diagram of the laws;
+the commutativity of each distinct square is computed once and memoized.
 """
 
 from __future__ import annotations
@@ -82,12 +83,20 @@ def identity_top(T: TopAbGroup) -> TopHom:
     return TopHom(identity_hom(T.group), T, T)
 
 
+# Families build ladders over the same maps many times; each distinct square
+# is compared element by element once.  Homomorphisms are interned, so the
+# key of four maps hashes by identity.
+_square_commutes = cache(commutes)
+
+
 @dataclass(frozen=True)
 class Ladder:
     """The rows top[i]: X_i -> X_(i+1) over bottom[i]: Y_i -> Y_(i+1), joined
-    by v_i: X_i -> Y_i.  One pass checks that each square i lines up (f =
-    top[i] and g = bottom[i] run between the ends of v_i and v_(i+1)) and
-    commutes (v_(i+1) o f == g o v_i), so the rows compose."""
+    by v_i: X_i -> Y_i.  One pass checks, on every build, that each square i
+    lines up (f = top[i] and g = bottom[i] run between the ends of v_i and
+    v_(i+1)) and commutes (v_(i+1) o f == g o v_i), so the rows compose.
+    Whether the four maps of a square commute is computed once per square
+    (`_square_commutes`) and read back on later builds."""
 
     top: tuple[TopHom, ...]
     bottom: tuple[TopHom, ...]
@@ -101,7 +110,7 @@ class Ladder:
             ends = (v.source, w.source, v.target, w.target)
             if (f.source, f.target, g.source, g.target) != ends:
                 raise DiagramError(f"square {i} does not line up")
-            if not commutes(f.map, g.map, v.map, w.map):
+            if not _square_commutes(f.map, g.map, v.map, w.map):
                 raise DiagramError(f"square {i} does not commute")
 
 

@@ -256,7 +256,7 @@ def _check_refutations(label, tid, count, broken, never_broken, case, finding):
         problems.append(f"the oracles disagree with witnesses {disagreeing[:5]}...")
     if finding not in THEOREMS[tid].build_family(DEFAULT):
         problems.append(f"the pinned counterexample is not in stratum {finding[0]}")
-    elif THEOREMS[tid].evaluate(finding[1].build(), frozenset()).conclusion_checked is not False:
+    elif THEOREMS[tid].law(finding[1].build(), frozenset()).conclusion_checked is not False:
         problems.append("the pinned counterexample does not fail")
     _report_criterion_7(label, res, not problems)
     assert not problems, problems

@@ -45,7 +45,7 @@ def clause_lines(theorem_id: str, spec: FamilySpec) -> list[str]:
     dropped = frozenset(info.droppable)
     digest, failing, count = hashlib.sha256(), {}, 0
     for i, (_, inst) in enumerate(info.build_family(spec)):
-        rep = info.evaluate(inst.build(), dropped)
+        rep = info.law(inst.build(), dropped)
         line = [i, rep.hypotheses_checked, rep.conclusion_checked, rep.details]
         digest.update((json.dumps(line, separators=(",", ":")) + "\n").encode())
         for name, ok in rep.details:

@@ -12,7 +12,7 @@ small spec.
 
 import pytest
 
-from topab import diagrams, extensions, search
+from topab import diagrams, extensions, search, topology
 from topab.diagrams import is_strict_exact
 from topab.errors import NotAnExtension
 from topab.extensions import (
@@ -30,6 +30,7 @@ from topab.search import (
     SearchTask,
     _cached_alg,
     five_lemma_family,
+    inj_family,
     p3_family,
     run_search,
 )
@@ -120,6 +121,7 @@ def cold_caches():
         extensions.section_census,
         extensions._core_on,
         diagrams.is_strict_exact,
+        topology._square_commutes,
     ):
         fn.cache_clear()
 
@@ -200,6 +202,25 @@ def test_each_five_term_row_is_built_and_checked_once(cold_caches):
             checked.add(fts.bottom)
     info = is_strict_exact.cache_info()
     assert info.misses == len(checked) > 0
+
+
+def test_each_square_of_a_ladder_is_compared_once(cold_caches):
+    """Building every instance of the three ladder families twice compares
+    the maps of each distinct square once; every other build of a square
+    reads the memo, and still checks that the square lines up."""
+    squares = []
+    for family in (p3_family(TINY), five_lemma_family(TINY), inj_family(TINY)):
+        for _, inst in family * 2:
+            ladder = inst.build()
+            ladder = getattr(ladder, "square", ladder)
+            vs = ladder.verticals
+            squares += [
+                (f.map, g.map, v.map, w.map)
+                for f, g, v, w in zip(ladder.top, ladder.bottom, vs, vs[1:])
+            ]
+    info = topology._square_commutes.cache_info()
+    assert info.misses == len(set(squares)) > 0
+    assert info.hits == len(squares) - info.misses > info.misses
 
 
 def test_each_row_is_topologized_once(cold_caches):

@@ -1,8 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from topab import topology
 from topab.diagrams import (
+    Law,
     is_strict_exact,
     verify_five_lemma_nagao,
     verify_haus_exactness,
@@ -16,6 +19,7 @@ from topab.errors import DiagramError
 from topab.extensions import section_census
 from topab.groups import FinAbGroup, hom_set, identity_hom, zero_hom
 from topab.search import (
+    THEOREMS,
     FamilySpec,
     FiveLemmaInstance,
     P3Instance,
@@ -29,6 +33,7 @@ from topab.topology import Ladder, TopHom, discrete
 
 from builders import factor_set, indiscrete, split_extension, topologize
 from oracles import commutes_by_compose
+from test_golden import GOLDEN_SPEC
 
 Z2 = FinAbGroup([2])
 Z4 = FinAbGroup([4])
@@ -185,6 +190,13 @@ def test_five_lemma_glued_shape():
     fts = inst.build()
     rep = verify_topological_five_lemma(fts)
     assert rep.conclusion_checked is True
+    # a chain over another topology of the base's quotient is refused on
+    # every build, also once the glued row of the matching chain is cached
+    other = replace(inst, chain1=make_row(indiscrete(Z2), discrete(Z2)))
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="chain must extend the base row's quotient"):
+            other.build()
+        assert inst.build().top is fts.top
 
 
 def builds(make) -> bool:
@@ -281,3 +293,102 @@ def test_ladder_names_the_square_it_rejects(n):
         for top, bottom in ((at(row, i, zero), row), (row, at(row, i, zero))):
             with pytest.raises(DiagramError, match=rf"^square {i} does not commute$"):
                 Ladder(top, bottom, verts)
+
+
+def test_a_ladder_is_checked_on_every_build_after_its_square_is_memoized():
+    """The commutativity of a square's four maps is memoized, and a ladder
+    that does not commute, or whose maps commute but do not line up, still
+    raises on every build once the memo holds the result for its maps."""
+    t, other = discrete(Z2), indiscrete(Z2)
+    ident, zero = identity_hom(Z2), zero_hom(Z2, Z2)
+    good = TopHom(ident, t, t)
+    Ladder((good,), (good,), (good, good))
+    assert topology._square_commutes(ident, ident, ident, ident) is True
+    bad = TopHom(zero, t, t)
+    assert topology._square_commutes(zero, ident, ident, ident) is False
+    for _ in range(3):
+        with pytest.raises(DiagramError, match=r"^square 0 does not commute$"):
+            Ladder((bad,), (good,), (good, good))
+        with pytest.raises(DiagramError, match=r"^square 0 does not line up$"):
+            Ladder((TopHom(ident, t, other),), (good,), (good, good))
+
+
+def _dropped_choices(droppable):
+    """No hypothesis, each one alone, and all of them."""
+    return {frozenset(), frozenset(droppable)} | {frozenset([n]) for n in droppable}
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_the_runner_filters_exactly_the_instances_the_full_report_filters(theorem):
+    """On every instance of the family at the golden spec, under each choice
+    of dropped hypotheses, the runner's path (`TheoremSpec.evaluate`, the
+    law's gate) filters exactly when the full report `law(x, dropped)` has
+    no conclusion, and otherwise gives that report, field by field."""
+    info = THEOREMS[theorem]
+    built = [inst.build() for _, inst in info.build_family(GOLDEN_SPEC)]
+    for dropped in _dropped_choices(info.droppable):
+        filtered = 0
+        for i, x in enumerate(built):
+            full = info.law(x, dropped)
+            gated = info.evaluate(x, dropped)
+            assert (gated is None) == (full.conclusion_checked is None), (dropped, i)
+            if gated is None:
+                filtered += 1
+            else:
+                assert vars(gated) == vars(full), (dropped, i)
+        if dropped == frozenset(info.droppable):
+            assert filtered == 0
+
+
+def _spy_law(values: dict[str, bool]):
+    """A law whose hypotheses, conclusion and notes record their calls."""
+    calls = []
+
+    def recorded(name, value):
+        return lambda x: calls.append(name) or value
+
+    law = Law(
+        "spy",
+        tuple((name, recorded(name, ok)) for name, ok in values.items()),
+        recorded("conclusion", (("clause", True),)),
+        recorded("notes", ("a note",)),
+    )
+    return law, calls
+
+
+@pytest.mark.parametrize(
+    "dropped, gate_calls",
+    [
+        ((), ["h1", "h2"]),
+        (("h2",), ["h1", "h3"]),
+        (("h1", "h2"), ["h3"]),
+    ],
+)
+def test_the_gate_stops_at_the_first_unmet_hypothesis_that_is_not_dropped(
+    dropped, gate_calls
+):
+    """On the runner's path no hypothesis after the first unmet kept one
+    runs, nor do the conclusion and the notes; the full report still runs
+    every hypothesis and the notes."""
+    law, calls = _spy_law({"h1": True, "h2": False, "h3": False, "h4": True})
+    assert law.gate(None, frozenset(dropped)) is None
+    assert calls == gate_calls
+    calls.clear()
+    rep = law(None, frozenset(dropped))
+    assert rep.conclusion_checked is None
+    assert calls == ["h1", "h2", "h3", "h4", "notes"]
+
+
+def test_the_gate_runs_each_hypothesis_once_when_it_passes():
+    """When every kept hypothesis holds, the gate runs each hypothesis once,
+    the kept ones first and the dropped ones for the report, then the
+    conclusion and the notes, and its report is the full one."""
+    law, calls = _spy_law({"h1": True, "h2": False, "h3": False, "h4": True})
+    dropped = frozenset({"h2", "h3"})
+    rep = law.gate(None, dropped)
+    assert calls == ["h1", "h4", "h2", "h3", "notes", "conclusion"]
+    calls.clear()
+    assert vars(rep) == vars(law(None, dropped))
+    assert sorted(calls) == sorted(["h1", "h2", "h3", "h4", "notes", "conclusion"])
+    assert rep.hypotheses_checked == (("h1", True), ("h2", False), ("h3", False), ("h4", True))
+    assert rep.conclusion_checked is True

@@ -281,6 +281,9 @@ def test_instance_protocol_round_trip_and_replay(theorem):
         assert back == inst and hash(back) == hash(inst), stratum
         expected = info.evaluate(inst.build(), frozenset())
         replayed = replay_witness(theorem, data)
+        if expected is None:  # the runner filters it
+            assert replayed.conclusion_checked is None, stratum
+            continue
         assert replayed.conclusion_checked == expected.conclusion_checked, stratum
         assert replayed.details == expected.details, stratum
 
@@ -419,7 +422,7 @@ def test_reported_hypotheses_are_the_droppable_ones(theorem):
     info = THEOREMS[theorem]
     spec = FamilySpec(max_group_order=2, sample_count=10)
     for stratum, inst in _first_instance_of_each_stratum(theorem, spec):
-        rep = info.evaluate(inst.build(), frozenset())
+        rep = info.law(inst.build(), frozenset())
         assert tuple(n for n, _ in rep.hypotheses_checked) == info.droppable, stratum
 
 
