@@ -207,7 +207,7 @@ def test_each_five_term_row_is_built_and_checked_once(cold_caches):
 def test_each_square_of_a_ladder_is_compared_once(cold_caches):
     """Building every instance of the three ladder families twice compares
     the maps of each distinct square once; every other build of a square
-    reads the memo, and still checks that the square lines up."""
+    reads the memo."""
     squares = []
     for family in (p3_family(TINY), five_lemma_family(TINY), inj_family(TINY)):
         for _, inst in family * 2:
