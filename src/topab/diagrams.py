@@ -7,15 +7,13 @@ reads each group slot off the endpoints of a vertical.
 
 Each law is one `Law` declaration: a tuple of named hypotheses (predicates on
 the built instance), a conclusion function and a notes function, so a law is
-a gate followed by a conclusion.  Calling `law(x, dropped)` evaluates every
-hypothesis, then the conclusion, and returns the full VerificationReport: an
-unmet hypothesis that is not dropped gives a report with no conclusion
-(conclusion_checked is None).  `law.gate(x, dropped)`, the search's path,
-gives the same report, except that it stops at the first unmet hypothesis
-that is not dropped and returns None: the instance is filtered, and no later
-hypothesis, conclusion or note is computed.  The names of a law's hypotheses
-are its droppable hypotheses, which the search registry reads from
-`Law.droppable`.
+a gate followed by a conclusion.  Calling `law(x, dropped)` runs the
+hypotheses in their declared order and returns None at the first one that is
+unmet and not dropped: the instance is filtered, and no later hypothesis,
+conclusion or note is computed.  Otherwise it returns the VerificationReport,
+with the dropped hypotheses run last, each once.  The names of a law's
+hypotheses are its droppable hypotheses, which the search registry reads
+from `Law.droppable`.
 Conclusions are always computed from the topology-module predicates, never
 assumed, so the harness can refute as well as confirm.  Every report carries
 model-collapse notes listing hypotheses that are vacuous at finite scale.
@@ -79,7 +77,7 @@ MODEL_COLLAPSE_NOTES = (
 class VerificationReport:
     theorem_id: str
     hypotheses_checked: tuple[tuple[str, bool], ...]
-    conclusion_checked: bool | None
+    conclusion_checked: bool
     details: tuple[tuple[str, bool], ...] = ()
     model_collapse: tuple[str, ...] = MODEL_COLLAPSE_NOTES
     witness: dict | None = None  # the instance JSON of a reported failure
@@ -95,32 +93,11 @@ class VerificationReport:
         }
 
 
-def _finish(
-    theorem_id: str,
-    hyps: tuple[tuple[str, bool], ...],
-    conclude,
-    dropped: frozenset[str],
-    extra_collapse: tuple[str, ...] = (),
-) -> VerificationReport:
-    """The report of one verifier: the conclusion clauses from `conclude()`
-    if every hypothesis not in `dropped` holds; otherwise no conclusion."""
-    collapse = MODEL_COLLAPSE_NOTES + extra_collapse
-    if any(not ok and n not in dropped for n, ok in hyps):
-        return VerificationReport(theorem_id, hyps, None, (), collapse)
-    details = tuple(conclude())
-    return VerificationReport(
-        theorem_id, hyps, all(ok for _, ok in details), details, collapse
-    )
-
-
 @dataclass(frozen=True)
 class Law:
     """A law: named hypotheses on the built instance, the conclusion clauses
     and the instance's extra model-collapse notes; the hypothesis names are
-    its droppable hypotheses.  `law(x, dropped)` is its verifier, whose
-    report checks every hypothesis; `law.gate(x, dropped)` is the search's
-    path, which pays for a filtered instance only up to its first unmet
-    hypothesis."""
+    its droppable hypotheses.  `law(x, dropped)` is its verifier."""
 
     theorem_id: str
     hypotheses: tuple[tuple[str, Callable[[object], bool]], ...]
@@ -131,25 +108,23 @@ class Law:
     def droppable(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.hypotheses)
 
-    def __call__(self, x, dropped: frozenset[str] = frozenset()) -> VerificationReport:
-        hyps = tuple((name, holds(x)) for name, holds in self.hypotheses)
-        return _finish(
-            self.theorem_id, hyps, lambda: self.conclusion(x), dropped, self.notes(x)
-        )
-
-    def gate(self, x, dropped: frozenset[str] = frozenset()) -> VerificationReport | None:
+    def __call__(self, x, dropped: frozenset[str] = frozenset()) -> VerificationReport | None:
         """None at the first hypothesis, in declared order, that is unmet and
-        not dropped; otherwise the report of `self(x, dropped)`.  Each
-        hypothesis runs at most once: the kept ones hold by then, and the
-        dropped ones run last, for the report."""
+        not dropped; otherwise the report.  Each hypothesis runs at most
+        once: the kept ones hold by then, and the dropped ones run last."""
         for name, holds in self.hypotheses:
             if name not in dropped and not holds(x):
                 return None
         hyps = tuple(
             (name, name not in dropped or holds(x)) for name, holds in self.hypotheses
         )
-        return _finish(
-            self.theorem_id, hyps, lambda: self.conclusion(x), dropped, self.notes(x)
+        details = tuple(self.conclusion(x))
+        return VerificationReport(
+            self.theorem_id,
+            hyps,
+            all(ok for _, ok in details),
+            details,
+            MODEL_COLLAPSE_NOTES + self.notes(x),
         )
 
 

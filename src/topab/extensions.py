@@ -217,16 +217,17 @@ def _pull_back(iota: Homomorphism, g: Element) -> Element:
         raise ValueOutsideIotaImage(f"{g} is not in the image of iota") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Extension:
-    """A topological extension: exact, with iota and pi continuous and strict."""
+    """A topological extension: exact, with iota and pi continuous and strict.
+    It compares and hashes by identity, like its maps."""
 
     A: TopAbGroup
     G: TopAbGroup
     B: TopAbGroup
     iota: TopHom
     pi: TopHom
-    alg: AlgExtension = field(init=False, repr=False, compare=False)
+    alg: AlgExtension = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.iota.source != self.A or self.iota.target != self.G:

@@ -8,13 +8,12 @@ has one protocol: build() makes the object the verifier takes,
 to_json()/from_json() make it a replayable witness.  The encoder is shared:
 the instance's kind, then its fields, each encoded by `jsonio.to_json`.  Each
 class decodes itself, since the endpoints of its maps come from its rows.
-run_search builds each instance of the family and calls the law's gate on
-it (`TheoremSpec.evaluate`, `diagrams.Law.gate`), which runs the hypotheses
-in order and counts the instance as filtered at the first unmet one that is
-not dropped, computing nothing further.  On the rest it evaluates the
-conclusion, and it reports failures as witnesses after a core-shrinking
-pass; `replay_witness` calls the law itself, whose report checks every
-hypothesis.
+run_search builds each instance of the family and calls the law on it
+(`TheoremSpec.evaluate`), which runs the hypotheses in order and returns
+None, the instance filtered, at the first unmet one that is not dropped,
+computing nothing further.  On the rest it evaluates the conclusion, and it
+reports failures as witnesses after a core-shrinking pass; `replay_witness`
+calls the law the same way.
 
 The algebra of an instance does not depend on its topologies, so it is
 built once per algebraic input and shared: `realize_cocycle` realizes each
@@ -71,6 +70,7 @@ from .extensions import (
     nagao_topology,
     realize_cocycle,
     section_census,
+    section_for,
 )
 from .diagrams import (
     Law,
@@ -271,9 +271,11 @@ class RowData:
 
     @staticmethod
     def from_json(data) -> "RowData":
+        """The row; InvalidSection unless s is a section of its pi."""
         A, B, h = _ends_and_cocycle_from_json(data)
-        s = jsonio.section_from_json(B.group, realize_cocycle(h).G, data["s"])
-        return RowData(A, B, h, s)
+        alg = _cached_alg(A, B, h)
+        s = jsonio.section_from_json(B.group, alg.G, data["s"])
+        return RowData(A, B, h, section_for(alg, s.table))
 
 
 def _ends_and_cocycle_from_json(data) -> tuple[TopAbGroup, TopAbGroup, FactorSet]:
@@ -531,6 +533,12 @@ class FiveLemmaInstance(_Instance):
         chain1 = RowData.from_json(chain) if chain else None
         v_a = jsonio.map_from_json(row1.A.group, row2.A.group, data["v_a"])
         v_b = jsonio.map_from_json(row1.B.group, row2.B.group, data["v_b"])
+        if shape == "glued" and (
+            row2 != row1
+            or v_a is not identity_hom(row1.A.group)
+            or v_b is not identity_hom(row1.B.group)
+        ):
+            raise ValueError("a glued five-term square has row2 = row1 and identity v_a, v_b")
         # the lift maps the quotient of row1 (glued: of chain1) into the
         # middle group of row2 (glued: of chain1)
         source, target = (chain1 or row1).B.group, (chain1 or row2).s.G
@@ -804,9 +812,9 @@ def five_lemma_family(spec: FamilySpec) -> list[tuple[str, object]]:
 @dataclass(frozen=True)
 class TheoremSpec:
     """A theorem: its law, whose hypothesis names are its droppable
-    hypotheses, its family, and the runner's path through the law, called
-    as evaluate(instance.build(), dropped): `law.gate`, which returns None
-    for a filtered instance."""
+    hypotheses, its family, and the runner's call of the law,
+    evaluate(instance.build(), dropped), which returns None for a filtered
+    instance; a benchmark may wrap it."""
 
     theorem_id: str
     law: Law
@@ -824,7 +832,7 @@ THEOREMS: dict[str, TheoremSpec] = {}
 
 def _register(law, family, expect_zero=True):
     THEOREMS[law.theorem_id] = TheoremSpec(
-        law.theorem_id, law, family, law.gate, expect_zero
+        law.theorem_id, law, family, law, expect_zero
     )
 
 
@@ -873,10 +881,12 @@ def _with_cores(inst, cores):
     return replace(inst, row=row(inst.row, *cores))
 
 
-def shrink_witness(inst, evaluate, dropped):
-    """Greedily shrink open cores while the conclusion failure persists."""
+def shrink_witness(inst, rep, evaluate, dropped):
+    """Greedily shrink open cores while the conclusion failure persists.
+    rep is the failing report of inst; returns the instance kept and its
+    failing report."""
     if _instance_cores(inst) is None:
-        return inst
+        return inst, rep
     current = inst
     improved = True
     while improved:
@@ -891,14 +901,14 @@ def shrink_witness(inst, evaluate, dropped):
                     built = trial.build()
                 except (NotTopologizing, DiagramError, InvalidSection):
                     continue
-                rep = evaluate(built, dropped)
-                if rep is not None and rep.conclusion_checked is False:
-                    current = trial
+                trial_rep = evaluate(built, dropped)
+                if trial_rep is not None and not trial_rep.conclusion_checked:
+                    current, rep = trial, trial_rep
                     improved = True
                     break
             if improved:
                 break
-    return current
+    return current, rep
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +988,6 @@ def _check_task(task: SearchTask) -> TheoremSpec:
     return info
 
 
-
 def run_search(task: SearchTask) -> RunResult:
     """Evaluate a theorem over its family; failures become witnesses."""
     info = _check_task(task)
@@ -996,10 +1005,8 @@ def run_search(task: SearchTask) -> RunResult:
             filtered += 1
             continue
         evaluated += 1
-        if rep.conclusion_checked is False:
-            small = shrink_witness(inst, info.evaluate, dropped)
-            if small is not inst:
-                rep = info.evaluate(small.build(), dropped)
+        if not rep.conclusion_checked:
+            small, rep = shrink_witness(inst, rep, info.evaluate, dropped)
             rep.witness = small.to_json()
             failures.append(rep)
             if task.stop_at_first:
@@ -1007,8 +1014,11 @@ def run_search(task: SearchTask) -> RunResult:
     return RunResult(task, strata_counts, evaluated, filtered, failures)
 
 
-def replay_witness(theorem_id: str, witness_json: dict, dropped=()) -> VerificationReport:
-    """Re-run a reported witness through the verifier in isolation."""
+def replay_witness(
+    theorem_id: str, witness_json: dict, dropped=()
+) -> VerificationReport | None:
+    """Re-run a reported witness through the law in isolation; None if it no
+    longer meets a hypothesis that is not dropped."""
     info = _check_task(SearchTask(theorem_id, tuple(dropped)))
     inst = instance_from_json(witness_json)
     return info.law(inst.build(), frozenset(dropped))

@@ -62,9 +62,11 @@ def discrete(G: FinAbGroup) -> TopAbGroup:
     return TopAbGroup(G, trivial_subgroup(G))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopHom:
-    """A homomorphism between topologized groups; continuity is not assumed."""
+    """A homomorphism between topologized groups; continuity is not assumed.
+    It compares and hashes by identity, so a cache keyed by maps, such as
+    `diagrams.is_strict_exact`, hashes its key without calling Python."""
 
     map: Homomorphism
     source: TopAbGroup

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import prod
 
-from topab.diagrams import _finish, first_disagreeing_pair
+from topab.diagrams import VerificationReport, first_disagreeing_pair
 from topab.duality import _rescale, dual_group, dual_hom
 from topab.errors import InvalidSection, NotContinuous, NotTopologizing
 from topab.extensions import (
@@ -346,9 +346,19 @@ def comparison_key(alg: AlgExtension, s: Section, base: Section) -> tuple[Elemen
     return tuple(min(alg.A.group.add(g, n) for n in alg.A.open_core) for g in gs)
 
 
+def law_report(theorem_id: str, hyps, conclude, dropped) -> VerificationReport | None:
+    """A law's report from the values of its hypotheses and its conclusion
+    clauses, `conclude()`; None if a hypothesis not in dropped is unmet."""
+    if any(not ok and n not in dropped for n, ok in hyps):
+        return None
+    details = tuple(conclude())
+    return VerificationReport(theorem_id, hyps, all(ok for _, ok in details), details)
+
+
 def cocycle_law_by_section(theorem_id: str, alg: AlgExtension, secs, cores, keys, dropped):
     """The report of `nagao_comparison`, `choice_discrete` or `topologizable`
-    on alg, from secs, its topologizing sections, one section at a time:
+    on alg (None if filtered), from secs, its topologizing sections, one
+    section at a time:
     cores[i] is core_by_definition(alg, secs[i]) and keys[i] is
     comparison_key(alg, secs[i], secs[0]), both computed once per extension
     by the caller."""
@@ -373,7 +383,7 @@ def cocycle_law_by_section(theorem_id: str, alg: AlgExtension, secs, cores, keys
         def conclude():
             return (("topologizing_section_exists", bool(secs)),)
 
-    return _finish(theorem_id, hyps, conclude, dropped)
+    return law_report(theorem_id, hyps, conclude, dropped)
 
 
 def first_section_per_core(alg: AlgExtension, secs) -> list[Section]:

@@ -241,7 +241,7 @@ def _check_refutations(label, tid, count, broken, never_broken, case, finding):
     not_replayed, disagreeing = [], []
     for i, r in enumerate(res.failures):
         replay = replay_witness(tid, r.witness)
-        if replay.conclusion_checked is not False or replay.details != r.details:
+        if replay is None or replay.conclusion_checked or replay.details != r.details:
             not_replayed.append(i)
         reported = dict(r.details)
         clauses = oracle(instance_from_json(r.witness).build())
@@ -256,8 +256,10 @@ def _check_refutations(label, tid, count, broken, never_broken, case, finding):
         problems.append(f"the oracles disagree with witnesses {disagreeing[:5]}...")
     if finding not in THEOREMS[tid].build_family(DEFAULT):
         problems.append(f"the pinned counterexample is not in stratum {finding[0]}")
-    elif THEOREMS[tid].law(finding[1].build(), frozenset()).conclusion_checked is not False:
-        problems.append("the pinned counterexample does not fail")
+    else:
+        pinned = THEOREMS[tid].law(finding[1].build(), frozenset())
+        if pinned is None or pinned.conclusion_checked:
+            problems.append("the pinned counterexample does not fail")
     _report_criterion_7(label, res, not problems)
     assert not problems, problems
     assert (res.failure_count == 0) == THEOREMS[tid].expect_zero_failures

@@ -184,13 +184,17 @@ def test_each_five_term_row_is_built_and_checked_once(cold_caches):
     family = [inst for _, inst in five_lemma_family(TINY)]
     squares = [inst.build() for inst in family]
     rows = [row for fts in squares for row in (fts.top, fts.bottom)]
-    # one zero-padded row per extension, one glued row per pair of them
+    # one zero-padded row per extension, one glued row per pair of them; an
+    # extension is its (alg, G), as it compares by identity
+    def key(e):
+        return e.alg, e.G
+
     extensions_used = set()
     for inst in family:
         if inst.shape == "glued":
-            extensions_used.add((inst.row1.realize(), inst.chain1.realize()))
+            extensions_used.add((key(inst.row1.realize()), key(inst.chain1.realize())))
         else:
-            extensions_used.update(r.realize() for r in (inst.row1, inst.row2))
+            extensions_used.update(key(r.realize()) for r in (inst.row1, inst.row2))
     assert len({id(row) for row in rows}) == len(extensions_used) < len(rows)
     law = search.THEOREMS["five_lemma_topological"].evaluate
     for fts in squares * 2:

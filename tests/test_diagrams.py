@@ -45,9 +45,9 @@ def make_row(a_top, b_top, h=None, s_index=0):
     return RowData(a_top, b_top, h, census.section(s_index))
 
 
-def unmet(rep):
-    """The names of the hypotheses a report found false."""
-    return [n for n, ok in rep.hypotheses_checked if not ok]
+def unmet(law, x):
+    """The names of the hypotheses of law that x does not meet."""
+    return [n for n, holds in law.hypotheses if not holds(x)]
 
 
 def identity_p3_instance(row):
@@ -71,9 +71,8 @@ def test_strictness_injectivity_gate():
     idm = TopHom(identity_hom(Z2), a, b)
     ida = TopHom(identity_hom(Z2), a, a)
     sq = Ladder((ida,), (idm,), (ida, idm))
-    rep = verify_lemma_strictness_injectivity(sq)
-    assert rep.conclusion_checked is None
-    assert unmet(rep) == ["g_strict", "beta_strict"]
+    assert verify_lemma_strictness_injectivity(sq) is None
+    assert unmet(verify_lemma_strictness_injectivity, sq) == ["g_strict", "beta_strict"]
     rep = verify_lemma_strictness_injectivity(sq, frozenset({"g_strict", "beta_strict"}))
     assert rep.conclusion_checked is True
 
@@ -89,9 +88,8 @@ def test_haus_exactness_cases():
     assert rep.conclusion_checked is True
     # neither case: gate
     e = split_extension(indiscrete(Z2), indiscrete(Z2))
-    rep = verify_haus_exactness(e)
-    assert rep.conclusion_checked is None
-    assert unmet(rep) == ["case_gate"]
+    assert verify_haus_exactness(e) is None
+    assert unmet(verify_haus_exactness, e) == ["case_gate"]
 
 
 def test_p3_generalized_identity_and_pfunc_case():
@@ -118,9 +116,9 @@ def test_p3_generalized_incompatible_gate():
     # lift sending the generator of B1 into iota2(1)
     lift = ((alg1.B.group.zero, alg2.G.zero), ((1,), alg2.iota((1,))))
     inst = P3Instance(row1, row2, alpha, beta, lift)
-    rep = verify_p3_generalized(inst.build())
-    assert dict(rep.hypotheses_checked)["sections_compatible"] is False
-    assert rep.conclusion_checked is None
+    sws = inst.build()
+    assert unmet(verify_p3_generalized, sws) == ["sections_compatible"]
+    assert verify_p3_generalized(sws) is None
 
 
 def test_open_fibers_and_discrete_verifiers_pass_basic():
@@ -135,18 +133,16 @@ def test_p3_discrete_gate():
     # B1 not discrete and A2 not indiscrete -> gate
     row = make_row(discrete(Z2), indiscrete(Z2))
     sws = identity_p3_instance(row).build()
-    rep = verify_p3_discrete(sws)
-    assert rep.conclusion_checked is None
-    assert unmet(rep) == ["case_gate"]
+    assert verify_p3_discrete(sws) is None
+    assert unmet(verify_p3_discrete, sws) == ["case_gate"]
 
 
 def test_five_lemma_nagao_case_gate():
     # B1 indiscrete, A2 indiscrete (so not Hausdorff): neither case applies
     row = make_row(indiscrete(Z2), indiscrete(Z2))
     sws = identity_p3_instance(row).build()
-    rep = verify_five_lemma_nagao(sws)
-    assert rep.conclusion_checked is None
-    assert unmet(rep) == ["case_gate"]
+    assert verify_five_lemma_nagao(sws) is None
+    assert unmet(verify_five_lemma_nagao, sws) == ["case_gate"]
 
 
 def zero_pad_instance(row, v_a=None, v_b=None, lift=None):
@@ -168,9 +164,8 @@ def test_five_lemma_topological_case_gate():
     # B-slot (= A of the padded extension) not Hausdorff, D-slot not discrete
     row = make_row(indiscrete(Z2), indiscrete(Z2))
     fts = zero_pad_instance(row).build()
-    rep = verify_topological_five_lemma(fts)
-    assert rep.conclusion_checked is None
-    assert unmet(rep) == ["case_gate"]
+    assert verify_topological_five_lemma(fts) is None
+    assert unmet(verify_topological_five_lemma, fts) == ["case_gate"]
 
 
 def test_five_lemma_glued_shape():
@@ -321,21 +316,24 @@ def _dropped_choices(droppable):
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_the_runner_filters_exactly_the_instances_the_full_report_filters(theorem):
     """On every instance of the family at the golden spec, under each choice
-    of dropped hypotheses, the runner's path (`TheoremSpec.evaluate`, the
-    law's gate) filters exactly when the full report `law(x, dropped)` has
-    no conclusion, and otherwise gives that report, field by field."""
+    of dropped hypotheses, the runner's path (`TheoremSpec.evaluate`)
+    filters exactly when one of the law's own predicates is false on a
+    hypothesis that is not dropped, and otherwise reports the value of
+    every predicate, in declared order, and a conclusion that holds exactly
+    when every clause does."""
     info = THEOREMS[theorem]
     built = [inst.build() for _, inst in info.build_family(GOLDEN_SPEC)]
     for dropped in _dropped_choices(info.droppable):
         filtered = 0
         for i, x in enumerate(built):
-            full = info.law(x, dropped)
-            gated = info.evaluate(x, dropped)
-            assert (gated is None) == (full.conclusion_checked is None), (dropped, i)
-            if gated is None:
+            values = tuple((n, holds(x)) for n, holds in info.law.hypotheses)
+            rep = info.evaluate(x, dropped)
+            assert (rep is None) == any(not ok and n not in dropped for n, ok in values)
+            if rep is None:
                 filtered += 1
-            else:
-                assert vars(gated) == vars(full), (dropped, i)
+                continue
+            assert rep.hypotheses_checked == values, (dropped, i)
+            assert rep.conclusion_checked is all(ok for _, ok in rep.details), (dropped, i)
         if dropped == frozenset(info.droppable):
             assert filtered == 0
 
@@ -367,28 +365,20 @@ def _spy_law(values: dict[str, bool]):
 def test_the_gate_stops_at_the_first_unmet_hypothesis_that_is_not_dropped(
     dropped, gate_calls
 ):
-    """On the runner's path no hypothesis after the first unmet kept one
-    runs, nor do the conclusion and the notes; the full report still runs
-    every hypothesis and the notes."""
+    """No hypothesis after the first unmet kept one runs, nor do the
+    conclusion and the notes: the instance is filtered."""
     law, calls = _spy_law({"h1": True, "h2": False, "h3": False, "h4": True})
-    assert law.gate(None, frozenset(dropped)) is None
+    assert law(None, frozenset(dropped)) is None
     assert calls == gate_calls
-    calls.clear()
-    rep = law(None, frozenset(dropped))
-    assert rep.conclusion_checked is None
-    assert calls == ["h1", "h2", "h3", "h4", "notes"]
 
 
 def test_the_gate_runs_each_hypothesis_once_when_it_passes():
-    """When every kept hypothesis holds, the gate runs each hypothesis once,
+    """When every kept hypothesis holds, the law runs each hypothesis once,
     the kept ones first and the dropped ones for the report, then the
-    conclusion and the notes, and its report is the full one."""
+    conclusion and the notes."""
     law, calls = _spy_law({"h1": True, "h2": False, "h3": False, "h4": True})
-    dropped = frozenset({"h2", "h3"})
-    rep = law.gate(None, dropped)
-    assert calls == ["h1", "h4", "h2", "h3", "notes", "conclusion"]
-    calls.clear()
-    assert vars(rep) == vars(law(None, dropped))
-    assert sorted(calls) == sorted(["h1", "h2", "h3", "h4", "notes", "conclusion"])
+    rep = law(None, frozenset({"h2", "h3"}))
+    assert calls == ["h1", "h4", "h2", "h3", "conclusion", "notes"]
     assert rep.hypotheses_checked == (("h1", True), ("h2", False), ("h3", False), ("h4", True))
     assert rep.conclusion_checked is True
+    assert rep.model_collapse[-1] == "a note"

@@ -138,7 +138,9 @@ def test_separation_is_the_quotient_by_the_core_with_the_discrete_topology():
     assert len(tops) == 215
     for t in tops:
         Q, proj = quotient(t.group, t.open_core)
-        assert separation(t) == (discrete(Q), TopHom(proj, t, discrete(Q)))
+        haus, q = separation(t)
+        assert haus == discrete(Q)
+        assert (q.map, q.source, q.target) == (proj, t, haus)
 
 
 def test_separation_hom_functorial():
