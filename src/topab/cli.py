@@ -23,8 +23,8 @@ from .errors import (
     UnknownTheorem,
 )
 from .extensions import (
-    AlgExtension,
     canonical_section,
+    cocycle_extension,
     enumerate_sections,
     nagao_topology,
     realize_cocycle,
@@ -114,10 +114,8 @@ def cmd_extend(args) -> int:
         a_top = jsonio.topgroup_from_json(_read(args.kernel))
         b_top = jsonio.topgroup_from_json(_read(args.quotient))
         h = jsonio.cocycle_from_json(_read(args.cocycle))
-        if h.A != a_top.group or h.B != b_top.group:
-            raise TopabError("cocycle groups do not match the given groups")
+        alg = cocycle_extension(a_top, b_top, h)
         real = realize_cocycle(h)
-        alg = AlgExtension(a_top, real.G, b_top, real.iota, real.pi)
         if args.section:
             data = _read(args.section)
             A, B = a_top.group, b_top.group

@@ -14,10 +14,12 @@ topology it induces, depend only on its restriction to N_B, so
 `section_census` lists the topologizing sections of an extension by that
 restriction; it is their one source, and builds and keeps each by its index.
 A row of a square is its algebra and its section: `realize_cocycle` realizes
-each cocycle once, and `nagao_topology` topologizes each (extension, section)
-pair once, so every square over the row shares one `Extension`.  An
-extension square is the two-square `topology.Ladder` of `extension_square`:
-the rows' iota and pi over each other, joined by alpha, gamma and beta.
+each cocycle once, `cocycle_extension` makes it an algebraic extension over
+topologized ends once, and `nagao_topology` topologizes an (extension,
+section) pair on every call; the search's interned rows each keep theirs.
+An extension square is the two-square `topology.Ladder` of
+`extension_square`: the rows' iota and pi over each other, joined by alpha,
+gamma and beta.
 `FactorSet`, `AlgExtension` and `Section` are interned (`groups.Interned`),
 so each cocycle and algebraic extension is checked once while it lives, and
 these caches meet each value as one object and hash it by identity.
@@ -307,6 +309,16 @@ def realize_cocycle(h: FactorSet) -> Realization:
     return Realization(G, from_pair, iota, pi)
 
 
+@cache
+def cocycle_extension(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
+    """The realization of h as an algebraic extension of B by A, whose
+    topologies it keeps; InvalidCocycle if h is over other groups."""
+    if h.A is not A.group or h.B is not B.group:
+        raise InvalidCocycle("cocycle groups do not match the groups A and B")
+    real = realize_cocycle(h)
+    return AlgExtension(A, real.G, B, real.iota, real.pi)
+
+
 def is_topologizing(A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet) -> bool:
     """Continuity of h at (0, 0): h maps N_B x N_B into N_A."""
     bad = cocycle_violations(h)
@@ -417,11 +429,9 @@ def _core_on(alg: AlgExtension, images: tuple[Element, ...]) -> Subgroup:
     return subgroup(G, {G.add(alg.iota(a), g) for a in alg.A.open_core for g in images})
 
 
-@cache
 def nagao_topology(alg: AlgExtension, s: Section) -> Extension:
-    """Topologize G with open core theta_s(N_A x N_B): the one topologized
-    extension of (alg, s).  A non-topologizing s raises NotTopologizing on
-    every call, since only results are cached."""
+    """Topologize G with open core theta_s(N_A x N_B): the topologized
+    extension of (alg, s).  NotTopologizing if s does not topologize."""
     h = factor_set_from_section(alg.iota, alg.pi, s)
     if not is_topologizing(alg.A, alg.B, h):
         witness = next(

@@ -13,8 +13,8 @@ generators and totalized on first use, so applying them inside enumeration
 loops is a dict lookup.  `commutes` checks a square on those tables.
 
 Values are validated once.  `FinAbGroup`, `Subgroup` and `Homomorphism`
-(here), `TopAbGroup`, `FactorSet`, `Section` and `AlgExtension` are
-`Interned`: a constructor call with the arguments of a live object returns
+(here), `TopAbGroup`, `FactorSet`, `Section`, `AlgExtension` and `RowData`
+are `Interned`: a constructor call with the arguments of a live object returns
 that object, which passed the same checks on the same value.  Equal values
 are one object, so these classes compare and hash by identity, and their
 tables, image and kernel are built once.  `hom_set`, `identity_hom`,

@@ -16,15 +16,16 @@ reports failures as witnesses after a core-shrinking pass; `replay_witness`
 calls the law the same way.
 
 The algebra of an instance does not depend on its topologies, so it is
-built once per algebraic input and shared: `realize_cocycle` realizes each
-cocycle h once, `_gamma_from_lift` builds each middle map once per (h1, s1,
-h2, alpha, lift), a sample lists the lifts of each algebraic square once,
-and `_zero_padded_row` and `_glued_row` build each five-term row once per
-extension or pair of extensions, keyed by (e.alg, e.G).  Only the open
-cores vary between instances over the same algebra, and between the trials
-of a shrink.  A row is its algebra and its `Section`, which the strata hand
-over as they enumerate them and `RowData.from_json` decodes at the witness
-boundary; `nagao_topology` topologizes each (algebra, section) pair once.
+built once per algebraic input and shared: `cocycle_extension` realizes each
+cocycle h over its ends once, `_gamma_from_lift` builds each middle map once
+per (h1, s1, h2, alpha, lift), a sample lists the lifts of each algebraic
+square once, and `_zero_padded_row` and `_glued_row` build each five-term
+row once per extension or pair of extensions, keyed by (e.alg, e.G).  Only
+the open cores vary between instances over the same algebra, and between
+the trials of a shrink.  A row is its ends, its cocycle and its `Section`;
+a lift is a `Section` too.  Rows are interned (`groups.Interned`), so the
+strata, a shrink trial and `RowData.from_json` get one object per row
+value, and the row holds its topologized extension, built on first use.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from math import prod
 from .errors import (
     BudgetExceeded,
     DiagramError,
-    InvalidCocycle,
     InvalidFamilySpec,
     InvalidSection,
     NotTopologizing,
@@ -46,9 +46,9 @@ from .errors import (
     UnknownTheorem,
 )
 from .groups import (
-    Element,
     FinAbGroup,
     Homomorphism,
+    Interned,
     all_subgroups,
     commutes,
     compose,
@@ -65,6 +65,7 @@ from .extensions import (
     Extension,
     FactorSet,
     Section,
+    cocycle_extension,
     extension_square,
     factor_set_from_section,
     nagao_topology,
@@ -110,9 +111,7 @@ _COCYCLE_BUDGET = 10**6
 
 
 @cache
-def _cocycles_by_class(
-    A: FinAbGroup, B: FinAbGroup, budget: int
-) -> tuple[tuple[FactorSet, ...], ...]:
+def _cocycles_by_class(A: FinAbGroup, B: FinAbGroup) -> tuple[tuple[FactorSet, ...], ...]:
     """The normalized symmetric cocycles B x B -> A, one tuple per class.
 
     Ext(Z/n_1 + ... + Z/n_k, A) = A/n_1A + ... + A/n_kA, so the class with
@@ -134,7 +133,7 @@ def _cocycles_by_class(
     ]
     nonzero = B.elements[1:]
     classes = prod(len(c) for c in cosets)
-    if classes * A.order ** len(nonzero) > budget:
+    if classes * A.order ** len(nonzero) > _COCYCLE_BUDGET:
         raise BudgetExceeded(
             f"{classes} x {A.order}^{len(nonzero)} cocycle tables for A = {A}, "
             f"B = {B} exceed the budget; lower --max-order"
@@ -169,18 +168,16 @@ def _cocycles_by_class(
 
 
 @cache
-def all_cocycles(
-    A: FinAbGroup, B: FinAbGroup, budget: int = _COCYCLE_BUDGET
-) -> tuple[FactorSet, ...]:
+def all_cocycles(A: FinAbGroup, B: FinAbGroup) -> tuple[FactorSet, ...]:
     """All normalized symmetric cocycles B x B -> A, sorted by table."""
-    hs = itertools.chain.from_iterable(_cocycles_by_class(A, B, budget))
+    hs = itertools.chain.from_iterable(_cocycles_by_class(A, B))
     return tuple(sorted(hs, key=lambda h: h.entries))
 
 
 @cache
 def cocycle_class_representatives(A: FinAbGroup, B: FinAbGroup) -> tuple[FactorSet, ...]:
     """The least table of each cohomology class, sorted by table."""
-    classes = _cocycles_by_class(A, B, _COCYCLE_BUDGET)
+    classes = _cocycles_by_class(A, B)
     reps = (min(hs, key=lambda h: h.entries) for hs in classes)
     return tuple(sorted(reps, key=lambda h: h.entries))
 
@@ -252,47 +249,45 @@ class _Instance:
         return {"kind": _KIND_OF[type(self)], **jsonio.to_json(self)}
 
 
-@dataclass(frozen=True)
-class RowData:
+@dataclass(frozen=True, eq=False)
+class RowData(metaclass=Interned):
     """An extension row: a cocycle over topologized ends plus a section of
-    its realization, which topologizes the middle group."""
+    its realization, which topologizes the middle group.  It is interned, so
+    it holds the one topologized extension of its value."""
 
     A: TopAbGroup
     B: TopAbGroup
     h: FactorSet
     s: Section
 
+    _pool_key = staticmethod(lambda A, B, h, s: (A, B, h, s))
+
     @cached_property
     def alg(self) -> AlgExtension:
-        return _cached_alg(self.A, self.B, self.h)
+        return cocycle_extension(self.A, self.B, self.h)
 
-    def realize(self) -> Extension:
+    @cached_property
+    def extension(self) -> Extension:
+        """NotTopologizing, on every read, unless s topologizes."""
         return nagao_topology(self.alg, self.s)
 
     @staticmethod
     def from_json(data) -> "RowData":
         """The row; InvalidSection unless s is a section of its pi."""
         A, B, h = _ends_and_cocycle_from_json(data)
-        alg = _cached_alg(A, B, h)
+        alg = cocycle_extension(A, B, h)
         s = jsonio.section_from_json(B.group, alg.G, data["s"])
         return RowData(A, B, h, section_for(alg, s.table))
 
 
 def _ends_and_cocycle_from_json(data) -> tuple[TopAbGroup, TopAbGroup, FactorSet]:
     """The topologized ends A, B and the cocycle h: B x B -> A of a row or a
-    cocycle instance; InvalidCocycle if h is over other groups."""
+    cocycle instance; InvalidCocycle unless h is a cocycle over A and B."""
     A = jsonio.topgroup_from_json(data["A"])
     B = jsonio.topgroup_from_json(data["B"])
     h = jsonio.cocycle_from_json(data["h"])
-    if h.A != A.group or h.B != B.group:
-        raise InvalidCocycle("cocycle groups do not match the groups A and B")
+    cocycle_extension(A, B, h)
     return A, B, h
-
-
-@cache
-def _cached_alg(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtension:
-    real = realize_cocycle(h)
-    return AlgExtension(A, real.G, B, real.iota, real.pi)
 
 
 def gamma_lifts(
@@ -301,8 +296,9 @@ def gamma_lifts(
     alg2: AlgExtension,
     alpha: Homomorphism,
     beta: Homomorphism,
-) -> tuple[tuple[tuple[Element, Element], ...], ...]:
-    """All middle maps commuting over (alpha, beta), as tables t = gamma o s1."""
+) -> tuple[Section, ...]:
+    """All middle maps commuting over (alpha, beta), as their lifts
+    t = gamma o s1: B1 -> G2, each a `Section` table with t(0) = 0."""
     h1 = factor_set_from_section(alg1.iota, alg1.pi, s1)
     B1, G2 = alg1.B.group, alg2.G
     fibers = alg2.pi.fibers()
@@ -320,7 +316,7 @@ def gamma_lifts(
         t = {B1.zero: G2.zero}
         t.update(zip(nonzero, choice))
         if all(sums[t[b]][t[bp]] == sums[t[c]][e] for b, bp, c, e in conditions):
-            out.append(tuple(sorted(t.items())))
+            out.append(Section(B1, G2, tuple(t.items())))
     return tuple(out)
 
 
@@ -330,13 +326,13 @@ def _gamma_from_lift(
     s1: Section,
     h2: FactorSet,
     alpha: Homomorphism,
-    lift: tuple[tuple[Element, Element], ...],
+    lift: Section,
 ) -> Homomorphism:
     """The middle map iota1(a) + s1(b) -> iota2(alpha(a)) + lift(b), over the
     realizations of h1 and h2.  It depends on no topology, so every instance
     and shrink trial over the same algebra shares it."""
     real1, real2 = realize_cocycle(h1), realize_cocycle(h2)
-    t = dict(lift)
+    t = lift.table
     B1 = h1.B.elements
     s1_values, t_values = [s1(b) for b in B1], [t[b] for b in B1]
     sums1, sums2 = real1.G.sums, real2.G.sums
@@ -355,12 +351,12 @@ class P3Instance(_Instance):
     row2: RowData
     alpha: Homomorphism
     beta: Homomorphism
-    lift: tuple[tuple[Element, Element], ...]
+    lift: Section
 
     def build(self) -> SquareWithSections:
         r1, r2 = self.row1, self.row2
         gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.alpha, self.lift)
-        square = extension_square(r1.realize(), r2.realize(), self.alpha, gamma, self.beta)
+        square = extension_square(r1.extension, r2.extension, self.alpha, gamma, self.beta)
         return SquareWithSections(square, r1.s, r2.s)
 
     @staticmethod
@@ -369,7 +365,7 @@ class P3Instance(_Instance):
         row2 = RowData.from_json(data["row2"])
         alpha = jsonio.map_from_json(row1.A.group, row2.A.group, data["alpha"])
         beta = jsonio.map_from_json(row1.B.group, row2.B.group, data["beta"])
-        lift = jsonio.section_from_json(row1.B.group, row2.s.G, data["lift"]).entries
+        lift = jsonio.section_from_json(row1.B.group, row2.s.G, data["lift"])
         return P3Instance(row1, row2, alpha, beta, lift)
 
 
@@ -421,7 +417,7 @@ class ExtensionInstance(_Instance):
     row: RowData
 
     def build(self) -> Extension:
-        return self.row.realize()
+        return self.row.extension
 
     @staticmethod
     def from_json(data) -> "ExtensionInstance":
@@ -437,7 +433,7 @@ class CocycleInstance(_Instance):
     h: FactorSet
 
     def build(self) -> AlgExtension:
-        return _cached_alg(self.A, self.B, self.h)
+        return cocycle_extension(self.A, self.B, self.h)
 
     @staticmethod
     def from_json(data) -> "CocycleInstance":
@@ -498,13 +494,13 @@ class FiveLemmaInstance(_Instance):
     chain1: RowData | None  # glued: second extension over row's B (both sides equal)
     v_a: Homomorphism
     v_b: Homomorphism
-    lift: tuple[tuple[Element, Element], ...]
+    lift: Section
 
     def build(self) -> Ladder:
         z = identity_top(_trivial_top())
         if self.shape == "zero_pad":
             r1, r2 = self.row1, self.row2
-            e1, e2 = r1.realize(), r2.realize()
+            e1, e2 = r1.extension, r2.extension
             gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.v_a, self.lift)
             v_a, v_b = TopHom(self.v_a, e1.A, e2.A), TopHom(self.v_b, e1.B, e2.B)
             verts = (z, v_a, TopHom(gamma, e1.G, e2.G), v_b, z)
@@ -512,8 +508,8 @@ class FiveLemmaInstance(_Instance):
             return Ladder(row1, row2, verts)
         # glued: both 5-term rows come from the same chain E, E'; the middle
         # vertical is a lift over E' with identity outer maps.
-        e, c = self.row1.realize(), self.chain1
-        ec = c.realize()
+        e, c = self.row1.extension, self.chain1
+        ec = c.extension
         gamma_p = _gamma_from_lift(c.h, c.s, c.h, identity_hom(c.h.A), self.lift)
         verts = (identity_top(e.A), identity_top(e.G), TopHom(gamma_p, ec.G, ec.G))
         row = _glued_row(e.alg, e.G, ec.alg, ec.G)
@@ -542,7 +538,7 @@ class FiveLemmaInstance(_Instance):
         # the lift maps the quotient of row1 (glued: of chain1) into the
         # middle group of row2 (glued: of chain1)
         source, target = (chain1 or row1).B.group, (chain1 or row2).s.G
-        lift = jsonio.section_from_json(source, target, data["lift"]).entries
+        lift = jsonio.section_from_json(source, target, data["lift"])
         return FiveLemmaInstance(shape, row1, row2, chain1, v_a, v_b, lift)
 
 
@@ -588,7 +584,7 @@ def _row_pool(spec: FamilySpec, max_order: int) -> list[RowData]:
     return [
         RowData(A_top, B_top, h, s)
         for A_top, B_top, h in _cocycle_triples(spec, max_order, reps=False)
-        for s in section_census(_cached_alg(A_top, B_top, h)).sections()
+        for s in section_census(cocycle_extension(A_top, B_top, h)).sections()
     ]
 
 
@@ -596,7 +592,7 @@ def _diagonal_rows(spec: FamilySpec):
     """Each class representative row with its section census; the row's own
     section is the census's first."""
     for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=True):
-        census = section_census(_cached_alg(A_top, B_top, h))
+        census = section_census(cocycle_extension(A_top, B_top, h))
         if census.section_count:
             yield RowData(A_top, B_top, h, census.section(0)), census
 
@@ -625,9 +621,8 @@ def _sampled_squares(spec: FamilySpec):
     of its extension, and only the drawn section is built."""
     rng = random.Random(spec.seed)
     tops = topologized_groups(spec.max_group_order)
-    # a sample repeats rows and lifts; equal ones share one object, and the
-    # lifts of one algebraic square are listed once
-    shared, lifts_of = {}, {}
+    # the lifts of one algebraic square are listed once
+    lifts_of = {}
     made, attempts = 0, 0
     while made < spec.sample_count and attempts < 40 * spec.sample_count:
         attempts += 1
@@ -635,7 +630,7 @@ def _sampled_squares(spec: FamilySpec):
         a2, b2 = rng.choice(tops), rng.choice(tops)
         h1 = rng.choice(all_cocycles(a1.group, b1.group))
         h2 = rng.choice(all_cocycles(a2.group, b2.group))
-        alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
+        alg1, alg2 = cocycle_extension(a1, b1, h1), cocycle_extension(a2, b2, h2)
         c1, c2 = section_census(alg1), section_census(alg2)
         if not c1.section_count or not c2.section_count:
             continue
@@ -650,10 +645,7 @@ def _sampled_squares(spec: FamilySpec):
         if not lifts:
             continue
         lift = lifts[rng.randrange(len(lifts))]
-        r1 = RowData(a1, b1, h1, s1)
-        r2 = RowData(a2, b2, h2, s2)
-        r1, r2, lift = (shared.setdefault(x, x) for x in (r1, r2, lift))
-        yield r1, r2, alpha, beta, lift
+        yield RowData(a1, b1, h1, s1), RowData(a2, b2, h2, s2), alpha, beta, lift
         made += 1
 
 
@@ -680,7 +672,7 @@ def _diagonal_squares(spec: FamilySpec):
         ida, idb = identity_hom(r1.A.group), identity_hom(r1.B.group)
         for s2 in census.sections():
             r2 = replace(r1, s=s2)
-            yield P3Instance(r1, r2, ida, idb, r1.s.entries)
+            yield P3Instance(r1, r2, ida, idb, r1.s)
 
 
 @cache
@@ -747,7 +739,7 @@ def _extensions(spec: FamilySpec):
     sections first meet them, so the first section with a new core is the
     first section of the first restriction that has it."""
     for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False):
-        census = section_census(_cached_alg(A_top, B_top, h))
+        census = section_census(cocycle_extension(A_top, B_top, h))
         seen_cores = set()
         for r in census.restrictions:
             core = census.core(r).elements
@@ -787,7 +779,7 @@ def _glued_small(spec: FamilySpec):
         for C_top in topologized_groups(small):
             idc = identity_hom(C_top.group)
             for hc in all_cocycles(e_b.group, C_top.group):
-                algc = _cached_alg(e_b, C_top, hc)
+                algc = cocycle_extension(e_b, C_top, hc)
                 for sc in section_census(algc).sections():
                     chain = RowData(e_b, C_top, hc, sc)
                     for lift in gamma_lifts(algc, sc, algc, idb, idc):
@@ -816,11 +808,9 @@ class TheoremSpec:
     evaluate(instance.build(), dropped), which returns None for a filtered
     instance; a benchmark may wrap it."""
 
-    theorem_id: str
     law: Law
     build_family: object
     evaluate: object
-    expect_zero_failures: bool
 
     @property
     def droppable(self) -> tuple[str, ...]:
@@ -830,23 +820,21 @@ class TheoremSpec:
 THEOREMS: dict[str, TheoremSpec] = {}
 
 
-def _register(law, family, expect_zero=True):
-    THEOREMS[law.theorem_id] = TheoremSpec(
-        law.theorem_id, law, family, law, expect_zero
-    )
+def _register(law, family):
+    THEOREMS[law.theorem_id] = TheoremSpec(law, family, law)
 
 
 _register(verify_p3_generalized, p3_family)
-_register(verify_open_fibers, p3_family, expect_zero=False)
-_register(verify_p3_discrete, p3_family, expect_zero=False)
-_register(verify_five_lemma_nagao, p3_family, expect_zero=False)
+_register(verify_open_fibers, p3_family)
+_register(verify_p3_discrete, p3_family)
+_register(verify_five_lemma_nagao, p3_family)
 _register(verify_lemma_strictness_injectivity, inj_family)
 _register(verify_haus_exactness, extension_family)
-_register(verify_topological_five_lemma, five_lemma_family, expect_zero=False)
-_register(verify_topological_five_lemma_relaxed, five_lemma_family, expect_zero=False)
+_register(verify_topological_five_lemma, five_lemma_family)
+_register(verify_topological_five_lemma_relaxed, five_lemma_family)
 _register(verify_nagao_comparison, cocycle_family)
 _register(verify_choice_discrete, cocycle_family)
-_register(verify_topologizable, cocycle_family, expect_zero=False)
+_register(verify_topologizable, cocycle_family)
 
 
 # ---------------------------------------------------------------------------

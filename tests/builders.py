@@ -11,6 +11,7 @@ from topab.extensions import (
     Extension,
     FactorSet,
     canonical_section,
+    cocycle_extension,
     nagao_topology,
     section_census,
 )
@@ -20,7 +21,6 @@ from topab.jsonio import to_json
 from topab.search import (
     FamilySpec,
     RowData,
-    _cached_alg,
     all_cocycles,
     gamma_lifts,
     topologized_groups,
@@ -61,7 +61,7 @@ def factor_set(A: FinAbGroup, B: FinAbGroup, mapping: dict) -> FactorSet:
 
 def split_extension(A_top: TopAbGroup, B_top: TopAbGroup) -> Extension:
     """The direct product with the product topology, as an extension."""
-    alg = _cached_alg(A_top, B_top, factor_set(A_top.group, B_top.group, {}))
+    alg = cocycle_extension(A_top, B_top, factor_set(A_top.group, B_top.group, {}))
     return nagao_topology(alg, canonical_section(alg))
 
 
@@ -98,7 +98,7 @@ def sampled_squares_by_list(spec: FamilySpec, drawn: dict):
         a2, b2 = rng.choice(tops), rng.choice(tops)
         h1 = rng.choice(all_cocycles(a1.group, b1.group))
         h2 = rng.choice(all_cocycles(a2.group, b2.group))
-        alg1, alg2 = _cached_alg(a1, b1, h1), _cached_alg(a2, b2, h2)
+        alg1, alg2 = cocycle_extension(a1, b1, h1), cocycle_extension(a2, b2, h2)
         s1s, s2s = (tuple(section_census(alg).sections()) for alg in (alg1, alg2))
         if not s1s or not s2s:
             continue

@@ -7,13 +7,12 @@ default family contains the order-2 ones and that each fails there.
 
 import pytest
 
-from topab.extensions import section_census
+from topab.extensions import Section, cocycle_extension, section_census
 from topab.groups import FinAbGroup, identity_hom, zero_hom
 from topab.search import (
     FiveLemmaInstance,
     P3Instance,
     RowData,
-    _cached_alg,
 )
 from topab.topology import discrete
 
@@ -27,7 +26,7 @@ def _split_row(a_top, b_top) -> RowData:
     """The split extension of b_top by a_top with its first topologizing
     section."""
     h = factor_set(a_top.group, b_top.group, {})
-    census = section_census(_cached_alg(a_top, b_top, h))
+    census = section_census(cocycle_extension(a_top, b_top, h))
     return RowData(a_top, b_top, h, next(census.sections()))
 
 
@@ -36,7 +35,7 @@ def _mixed_row():
     generator b of its quotient to iota(1) + s(b)."""
     r = _split_row(discrete(Z2), indiscrete(Z2))
     alg = r.alg
-    return r, (((0,), alg.G.zero), ((1,), alg.G.add(alg.iota((1,)), r.s((1,)))))
+    return r, Section(Z2, alg.G, (((0,), alg.G.zero), ((1,), alg.G.add(alg.iota((1,)), r.s((1,))))))
 
 
 @pytest.fixture
@@ -62,8 +61,8 @@ def forward_open_fibers_square() -> P3Instance:
     strict clauses of open_fibers and p3_discrete."""
     r1 = _split_row(discrete(Z2), discrete(Z2))
     r2 = _split_row(indiscrete(K4), discrete(Z2))
-    alg2 = _cached_alg(r2.A, r2.B, r2.h)
-    lift = (((0,), alg2.G.zero), ((1,), alg2.iota((0, 1))))
+    alg2 = cocycle_extension(r2.A, r2.B, r2.h)
+    lift = Section(Z2, alg2.G, (((0,), alg2.G.zero), ((1,), alg2.iota((0, 1)))))
     return P3Instance(r1, r2, zero_hom(Z2, K4), zero_hom(Z2, Z2), lift)
 
 

@@ -297,6 +297,15 @@ def test_extend_malformed_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_extend_cocycle_over_other_groups_exit_2(tmp_path, capsys):
+    """A cocycle over Z/2 with a kernel Z/4 is refused with the message of
+    the witness decoders."""
+    a = write(tmp_path, "a.json", jsonio.to_json(discrete(FinAbGroup([4]))))
+    b = write(tmp_path, "b.json", jsonio.to_json(discrete(FinAbGroup([2]))))
+    h = write(tmp_path, "h.json", jsonio.to_json(factor_set(FinAbGroup([2]), FinAbGroup([2]), {})))
+    assert_usage_error(*run_cli(capsys, "extend", a, b, h), "cocycle groups do not match")
+
+
 def test_dual_command(tmp_path, capsys):
     z4 = FinAbGroup([4])
     g = write(tmp_path, "g.json", jsonio.to_json(topologize(z4, [(0,), (2,)])))
@@ -571,9 +580,10 @@ def test_non_integer_json_entry_exit_2(tmp_path, capsys, data):
     ],
 )
 def test_verify_exit_code_ignores_expect_zero_failures(capsys, theorem, argv, code):
-    """verify exits 1 exactly when it finds a failure, also for the refuted
-    laws that the registry declares with expect_zero_failures=False."""
-    assert THEOREMS[theorem].expect_zero_failures is False
+    """verify exits 1 exactly when it finds a failure, also for a law that
+    its golden report refutes: only the run's own failures set the code."""
+    golden = Path(__file__).parent / "golden" / f"{theorem}.jsonl"
+    assert json.loads(golden.read_text(encoding="utf-8").splitlines()[-1])["failures"] > 0
     got, out, _ = run_cli(capsys, "verify", theorem, *argv)
     assert got == code
     assert "instances evaluated: 0 " not in out

@@ -4,20 +4,23 @@ definitions and counted.
 A cocycle's realization, a section's factor set, a square's middle map gamma
 and a five-term row are built once per algebraic input and then shared by
 every choice of open cores and every instance over that input, and each row
-(an algebraic extension and a section) is topologized once.  The first tests
-compare each shared piece with a reference built from scratch on every
-instance of the square families; the last ones count the constructions on a
-small spec.
+(an algebraic extension and a section) is topologized once, by the one
+interned row object of its value.  The first tests compare each shared piece
+with a reference built from scratch on every instance of the square
+families; the last ones count the constructions on a small spec.
 """
+
+import sys
 
 import pytest
 
-from topab import diagrams, extensions, search, topology
+from topab import extensions, search, topology
 from topab.diagrams import is_strict_exact
 from topab.errors import NotAnExtension
 from topab.extensions import (
     AlgExtension,
     Extension,
+    cocycle_extension,
     factor_set_from_section,
     nagao_topology,
     realize_cocycle,
@@ -28,7 +31,6 @@ from topab.search import (
     FamilySpec,
     P3Instance,
     SearchTask,
-    _cached_alg,
     five_lemma_family,
     inj_family,
     p3_family,
@@ -56,7 +58,7 @@ def objects(row):
 
 def check_row_algebra(row):
     """The shared realization and factor set of a row equal fresh ones."""
-    alg, fresh = _cached_alg(row.A, row.B, row.h), fresh_alg(row)
+    alg, fresh = cocycle_extension(row.A, row.B, row.h), fresh_alg(row)
     assert (alg.G, alg.iota, alg.pi) == (fresh.G, fresh.iota, fresh.pi)
     uncached = factor_set_from_section.__wrapped__(fresh.iota, fresh.pi, row.s)
     assert factor_set_from_section(alg.iota, alg.pi, row.s) == uncached
@@ -72,7 +74,7 @@ def test_p3_pieces_equal_their_definitions(spec):
         fresh1 = check_row_algebra(inst.row1)
         fresh2 = check_row_algebra(inst.row2)
         expected = gamma_by_definition(
-            fresh1, inst.row1.s.table, fresh2, inst.alpha, dict(inst.lift)
+            fresh1, inst.row1.s.table, fresh2, inst.alpha, inst.lift.table
         )
         assert sws.square.verticals[1].map.table == expected
 
@@ -94,7 +96,7 @@ def test_five_lemma_pieces_equal_their_definitions(spec):
         else:
             fresh1 = fresh2 = check_row_algebra(inst.chain1)
             s1, alpha = inst.chain1.s.table, identity_hom(inst.chain1.h.A)
-        expected = gamma_by_definition(fresh1, s1, fresh2, alpha, dict(inst.lift))
+        expected = gamma_by_definition(fresh1, s1, fresh2, alpha, inst.lift.table)
         assert fts.verticals[2].map.table == expected
     assert shapes == ({"zero_pad", "glued"} if spec is SPECS["order2"] else {"zero_pad"})
 
@@ -107,23 +109,13 @@ TINY = FamilySpec(max_group_order=2, seed=3, sample_count=20)
 
 @pytest.fixture
 def cold_caches():
-    """Empty every cache that holds an algebraic piece or a family."""
-    for fn in (
-        extensions.realize_cocycle,
-        search._cached_alg,
-        extensions.nagao_topology,
-        search._gamma_from_lift,
-        search._zero_padded_row,
-        search._glued_row,
-        search.p3_family,
-        search.five_lemma_family,
-        extensions.factor_set_from_section,
-        extensions.section_census,
-        extensions._core_on,
-        diagrams.is_strict_exact,
-        topology._square_commutes,
-    ):
-        fn.cache_clear()
+    """Empty every functools cache of topab's modules, each algebraic piece
+    and family among them."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "topab":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_info", None)):
+                    value.cache_clear()
 
 
 def test_each_cocycle_is_realized_once(cold_caches, monkeypatch):
@@ -133,7 +125,8 @@ def test_each_cocycle_is_realized_once(cold_caches, monkeypatch):
         looked_up.append(h)
         return realize_cocycle(h)
 
-    monkeypatch.setattr(search, "realize_cocycle", recording)
+    for module in (search, extensions):
+        monkeypatch.setattr(module, "realize_cocycle", recording)
     for theorem in ("open_fibers", "five_lemma_topological"):
         run_search(SearchTask(theorem, family=TINY))
     info = realize_cocycle.cache_info()
@@ -141,7 +134,7 @@ def test_each_cocycle_is_realized_once(cold_caches, monkeypatch):
     rows = {r for _, inst in p3_family(TINY) for r in (inst.row1, inst.row2)}
     assert {r.h for r in rows} <= set(looked_up)
     # the same h over several pairs of open cores still has one realization
-    assert _cached_alg.cache_info().misses > info.misses
+    assert cocycle_extension.cache_info().misses > info.misses
 
 
 def test_each_factor_set_is_built_once_per_realization_and_section(
@@ -192,9 +185,9 @@ def test_each_five_term_row_is_built_and_checked_once(cold_caches):
     extensions_used = set()
     for inst in family:
         if inst.shape == "glued":
-            extensions_used.add((key(inst.row1.realize()), key(inst.chain1.realize())))
+            extensions_used.add((key(inst.row1.extension), key(inst.chain1.extension)))
         else:
-            extensions_used.update(key(r.realize()) for r in (inst.row1, inst.row2))
+            extensions_used.update(key(r.extension) for r in (inst.row1, inst.row2))
     assert len({id(row) for row in rows}) == len(extensions_used) < len(rows)
     law = search.THEOREMS["five_lemma_topological"].evaluate
     for fts in squares * 2:
@@ -227,23 +220,58 @@ def test_each_square_of_a_ladder_is_compared_once(cold_caches):
     assert info.hits == len(squares) - info.misses > info.misses
 
 
-def test_each_row_is_topologized_once(cold_caches):
+def recorded_topologies(monkeypatch) -> list:
+    """The (alg, s) of every call of nagao_topology that a row makes and
+    that returns an extension."""
+    calls = []
+
+    def recording(alg, s):
+        e = nagao_topology(alg, s)
+        calls.append((alg, s))
+        return e
+
+    monkeypatch.setattr(search, "nagao_topology", recording)
+    return calls
+
+
+def test_each_row_is_topologized_once(cold_caches, monkeypatch):
     """Building every square of both square families topologizes each
     distinct row, an algebraic extension with a section, exactly once."""
-    rows = set()
+    calls = recorded_topologies(monkeypatch)
+    rows, reads = set(), 0
     for family in (p3_family(TINY), five_lemma_family(TINY)):
         for _, inst in family:
             inst.build()
-            rows |= {inst.row1, inst.row2, getattr(inst, "chain1", None)} - {None}
-    info = nagao_topology.cache_info()
-    assert info.misses == len({(r.alg, r.s) for r in rows}) > 0
-    assert info.hits > info.misses
+            used = [inst.row1, getattr(inst, "chain1", None) or inst.row2]
+            rows.update(used)
+            reads += len(used)
+    assert len(calls) == len(set(calls)) == len({(r.alg, r.s) for r in rows}) > 0
+    assert reads - len(calls) > len(calls)
+
+
+def test_a_search_topologizes_each_distinct_row_once(cold_caches, monkeypatch):
+    """Two searches over both square families, shrink trials included,
+    topologize each distinct row once: the pool hands every builder the row
+    object that holds its extension.  (A trial row whose section does not
+    topologize raises NotTopologizing on every build.)"""
+    calls = recorded_topologies(monkeypatch)
+    for theorem in ("open_fibers", "five_lemma_topological"):
+        run_search(SearchTask(theorem, family=TINY))
+    assert len(calls) == len(set(calls)) > 0
+    rows = [
+        r
+        for family in (p3_family(TINY), five_lemma_family(TINY))
+        for _, inst in family
+        for r in (inst.row1, inst.row2, getattr(inst, "chain1", None))
+        if r is not None
+    ]
+    assert {(r.alg, r.s) for r in rows} <= set(calls)
 
 
 def test_a_square_carries_the_topologies_of_its_sections(cold_caches, monkeypatch):
-    """Row i of a P3 square is (iota, pi) of the cached nagao_topology(alg_i,
-    s_i), with s_i beside it, so the square derives no Nagao core to check it,
-    also when it is built again."""
+    """Row i of a P3 square is (iota, pi) of its row's extension, the
+    topology of (alg_i, s_i), with s_i beside it, so the square derives no
+    Nagao core to check it, also when it is built again."""
     built = [(inst, inst.build()) for _, inst in p3_family(TINY)]
     cores = []
     nagao_core = extensions.nagao_core
@@ -251,8 +279,7 @@ def test_a_square_carries_the_topologies_of_its_sections(cold_caches, monkeypatc
         extensions, "nagao_core", lambda alg, s: cores.append(s) or nagao_core(alg, s)
     )
     for inst, sws in built:
-        e1 = nagao_topology(inst.row1.alg, inst.row1.s)
-        e2 = nagao_topology(inst.row2.alg, inst.row2.s)
+        e1, e2 = inst.row1.extension, inst.row2.extension
         for sq in (sws, inst.build()):
             assert sq.square.top[0] is e1.iota and sq.square.top[1] is e1.pi
             assert sq.square.bottom[0] is e2.iota and sq.square.bottom[1] is e2.pi
@@ -268,7 +295,7 @@ def test_square_maps_are_one_top_hom_each():
     assert family
     for _, inst in family:
         assert isinstance(inst, P3Instance)
-        e1, e2 = inst.row1.realize(), inst.row2.realize()
+        e1, e2 = inst.row1.extension, inst.row2.extension
         alpha, gamma, beta = inst.build().square.verticals
         r1, r2 = inst.row1, inst.row2
         middle = search._gamma_from_lift(r1.h, r1.s, r2.h, inst.alpha, inst.lift)
@@ -303,7 +330,7 @@ def test_a_non_exact_extension_is_refused_on_every_call():
     """Only checked extensions are cached, so a sequence that is not exact
     raises NotAnExtension however often it is built."""
     family = p3_family(FamilySpec(max_group_order=2, generators=("squares_small",)))
-    e = next(e for _, inst in family if (e := inst.row1.realize()).A.group.order > 1)
+    e = next(e for _, inst in family if (e := inst.row1.extension).A.group.order > 1)
     zero = TopHom(zero_hom(e.A.group, e.G.group), e.A, e.G)
     for _ in range(2):
         with pytest.raises(NotAnExtension, match="iota is not injective"):

@@ -16,7 +16,7 @@ from topab.diagrams import (
     verify_topological_five_lemma,
 )
 from topab.errors import DiagramError
-from topab.extensions import section_census
+from topab.extensions import Section, cocycle_extension, section_census
 from topab.groups import FinAbGroup, hom_set, identity_hom, zero_hom
 from topab.search import (
     THEOREMS,
@@ -24,7 +24,6 @@ from topab.search import (
     FiveLemmaInstance,
     P3Instance,
     RowData,
-    _cached_alg,
     _commuting_squares,
     five_lemma_family,
     topologized_groups,
@@ -41,7 +40,7 @@ Z4 = FinAbGroup([4])
 
 def make_row(a_top, b_top, h=None, s_index=0):
     h = h if h is not None else factor_set(a_top.group, b_top.group, {})
-    census = section_census(_cached_alg(a_top, b_top, h))
+    census = section_census(cocycle_extension(a_top, b_top, h))
     return RowData(a_top, b_top, h, census.section(s_index))
 
 
@@ -52,7 +51,7 @@ def unmet(law, x):
 
 def identity_p3_instance(row):
     return P3Instance(
-        row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s.entries
+        row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s
     )
 
 
@@ -109,12 +108,11 @@ def test_p3_generalized_incompatible_gate():
     a2 = discrete(Z2)
     b2 = discrete(FinAbGroup([]))
     row2 = make_row(a2, b2)
-    alg1 = _cached_alg(row1.A, row1.B, row1.h)
-    alg2 = _cached_alg(row2.A, row2.B, row2.h)
+    alg2 = cocycle_extension(row2.A, row2.B, row2.h)
     alpha = zero_hom(a1.group, a2.group)
     beta = zero_hom(b1.group, b2.group)
     # lift sending the generator of B1 into iota2(1)
-    lift = ((alg1.B.group.zero, alg2.G.zero), ((1,), alg2.iota((1,))))
+    lift = Section(b1.group, alg2.G, ((b1.group.zero, alg2.G.zero), ((1,), alg2.iota((1,)))))
     inst = P3Instance(row1, row2, alpha, beta, lift)
     sws = inst.build()
     assert unmet(verify_p3_generalized, sws) == ["sections_compatible"]
@@ -148,7 +146,7 @@ def test_five_lemma_nagao_case_gate():
 def zero_pad_instance(row, v_a=None, v_b=None, lift=None):
     v_a = v_a or identity_hom(row.A.group)
     v_b = v_b or identity_hom(row.B.group)
-    lift = lift or row.s.entries
+    lift = lift or row.s
     return FiveLemmaInstance("zero_pad", row, row, None, v_a, v_b, lift)
 
 
@@ -180,7 +178,7 @@ def test_five_lemma_glued_shape():
         chain,
         identity_hom(Z2),
         identity_hom(Z2),
-        chain.s.entries,
+        chain.s,
     )
     fts = inst.build()
     rep = verify_topological_five_lemma(fts)

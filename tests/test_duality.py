@@ -4,9 +4,9 @@ import pytest
 
 from topab.errors import NotContinuous
 from topab.duality import dual_extension, dual_group, dual_hom
-from topab.extensions import canonical_section, nagao_topology
+from topab.extensions import canonical_section, cocycle_extension, nagao_topology
 from topab.groups import FinAbGroup, all_subgroups, compose, hom_set, identity_hom, zero_hom
-from topab.search import _cached_alg, all_groups_up_to_order
+from topab.search import all_groups_up_to_order
 from topab.topology import (
     TopAbGroup,
     TopHom,
@@ -154,7 +154,7 @@ def _dual_sequence(e):
 
 
 def test_dual_extension_discrete_z4():
-    alg = _cached_alg(
+    alg = cocycle_extension(
         discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {((1,), (1,)): (1,)})
     )
     e = nagao_topology(alg, canonical_section(alg))

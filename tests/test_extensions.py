@@ -25,6 +25,7 @@ from topab.extensions import (
     Section,
     TwistedGroup,
     canonical_section,
+    cocycle_extension,
     cocycle_violations,
     comparison_map,
     enumerate_sections,
@@ -55,7 +56,6 @@ from topab.duality import dual_extension
 from topab.search import (
     FamilySpec,
     RowData,
-    _cached_alg,
     all_groups_up_to_order,
     extension_family,
     five_lemma_family,
@@ -168,9 +168,9 @@ def test_enumerate_sections_counts():
     secs = list(enumerate_sections(alg))
     assert len(secs) == 2
     assert sorted(s((1,)) for s in secs) == [(1,), (3,)]
-    split = _cached_alg(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {}))
+    split = cocycle_extension(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {}))
     assert len(list(enumerate_sections(split))) == 2
-    b_trivial = _cached_alg(
+    b_trivial = cocycle_extension(
         discrete(Z4), discrete(FinAbGroup([])), factor_set(Z4, FinAbGroup([]), {})
     )
     assert len(list(enumerate_sections(b_trivial))) == 1
@@ -185,7 +185,7 @@ def test_factor_set_from_section_z4():
     h3 = factor_set_from_section(alg.iota, alg.pi, s3)
     assert h3((1,), (1,)) == (1,)
     # split extension with a homomorphic section gives the zero cocycle
-    split = _cached_alg(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {}))
+    split = cocycle_extension(discrete(Z2), discrete(Z2), factor_set(Z2, Z2, {}))
     s = canonical_section(split)
     h = factor_set_from_section(split.iota, split.pi, s)
     assert all(h(b, bp) == Z2.zero for b in Z2.elements for bp in Z2.elements)
@@ -208,7 +208,7 @@ def test_theta_roundtrip_exhaustive_small():
         from topab.search import all_cocycles
 
         for h in all_cocycles(A, B):
-            alg = _cached_alg(discrete(A), discrete(B), h)
+            alg = cocycle_extension(discrete(A), discrete(B), h)
             for s in enumerate_sections(alg):
                 th = checked_theta(alg, s)
                 assert len(set(th.mapping.values())) == alg.G.order
@@ -257,7 +257,7 @@ def test_nagao_is_topological_extension():
             for nb in all_subgroups(B):
                 at, bt = TopAbGroup(A, na), TopAbGroup(B, nb)
                 for h in all_cocycles(A, B):
-                    alg = _cached_alg(at, bt, h)
+                    alg = cocycle_extension(at, bt, h)
                     for s in enumerate_sections(alg):
                         hs = factor_set_from_section(alg.iota, alg.pi, s)
                         if not is_topologizing(at, bt, hs):
@@ -451,7 +451,7 @@ def topologized_extensions(draw):
     """An extension of B_top by A_top, |A| * |B| <= 32, by a drawn cocycle,
     topologized by a section drawn from its census."""
     A_top, B_top = draw(st.sampled_from(_ends_up_to_32()))
-    alg = _cached_alg(A_top, B_top, _draw_cocycle(draw, A_top.group, B_top.group))
+    alg = cocycle_extension(A_top, B_top, _draw_cocycle(draw, A_top.group, B_top.group))
     census = section_census(alg)
     assume(census.section_count)
     return nagao_topology(alg, census.section(draw(st.integers(0, census.section_count - 1))))
@@ -605,7 +605,6 @@ def test_one_alg_extension_per_extension(monkeypatch):
     monkeypatch.setattr(
         AlgExtension, "__post_init__", lambda self: calls.append(1) or post_init(self)
     )
-    nagao_topology.cache_clear()
     alg = z4_extension(a_core="indiscrete", b_core="discrete")
     calls.clear()
     for s in enumerate_sections(alg):
@@ -670,7 +669,16 @@ def test_unhashable_arguments_skip_the_pool():
     assert s == Section(Z2, Z4, (((0,), (0,)), ((1,), (1,))))
 
 
-INTERNED = (FinAbGroup, Subgroup, Homomorphism, TopAbGroup, FactorSet, Section, AlgExtension)
+INTERNED = (
+    FinAbGroup,
+    Subgroup,
+    Homomorphism,
+    TopAbGroup,
+    FactorSet,
+    Section,
+    AlgExtension,
+    RowData,
+)
 
 
 @pytest.mark.parametrize("cls", INTERNED)
@@ -688,6 +696,7 @@ def test_one_object_per_value_on_every_path():
     assert h is FactorSet(Z2, Z2, [list(e) for e in reversed(h.entries)])
     alg = z4_extension(a_core="indiscrete")
     A = alg.A
+    row = RowData(A, alg.B, h, s)
     round_trips = [
         (Z4, jsonio.group_from_json),
         (A.open_core, lambda d: jsonio.subgroup_from_json(Z2, d)),
@@ -696,6 +705,7 @@ def test_one_object_per_value_on_every_path():
         (h, jsonio.cocycle_from_json),
         (s, lambda d: jsonio.section_from_json(Z2, Z4, d)),
         (alg, jsonio.alg_extension_from_json),
+        (row, RowData.from_json),
     ]
     assert [type(x) for x, _ in round_trips] == list(INTERNED)
     for x, decode in round_trips:

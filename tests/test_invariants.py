@@ -5,6 +5,7 @@ import pytest
 from topab.duality import dual_group, dual_hom
 from topab.errors import NotContinuous
 from topab.extensions import (
+    cocycle_extension,
     nagao_core,
     nagao_topology,
     factor_set_from_section,
@@ -12,7 +13,7 @@ from topab.extensions import (
     enumerate_sections,
 )
 from topab.groups import all_homs, compose
-from topab.search import _cached_alg, all_cocycles, topologized_groups
+from topab.search import all_cocycles, topologized_groups
 from topab.topology import TopHom, is_continuous, is_discrete, is_hausdorff
 
 from oracles import has_property_p, open_sets
@@ -22,7 +23,7 @@ def extensions_up_to(max_order):
     for a_top in topologized_groups(max_order):
         for b_top in topologized_groups(max_order):
             for h in all_cocycles(a_top.group, b_top.group):
-                alg = _cached_alg(a_top, b_top, h)
+                alg = cocycle_extension(a_top, b_top, h)
                 seen = set()
                 for s in enumerate_sections(alg):
                     hs = factor_set_from_section(alg.iota, alg.pi, s)

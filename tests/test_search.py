@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -18,6 +19,7 @@ from topab.search import (
     THEOREMS,
     CocycleInstance,
     FamilySpec,
+    RowData,
     SearchTask,
     all_cocycles,
     all_groups_up_to_order,
@@ -68,12 +70,25 @@ def test_all_cocycles_budget():
         all_cocycles(z16, z16)
 
 
-def test_all_cocycles_budget_counts_symmetric_slots():
+def test_all_cocycles_budget_counts_symmetric_slots(monkeypatch):
     # the budget charges the constructed tables: |Z/2 / 4(Z/2)| * 2^3 = 16
     z4_over_z2 = all_cocycles(Z2, Z4)
-    assert all_cocycles(Z2, Z4, budget=16) == z4_over_z2
-    with pytest.raises(BudgetExceeded, match=r"2 x 2\^3 "):
-        all_cocycles(Z2, Z4, budget=15)
+    caches = (search.all_cocycles, search._cocycles_by_class)
+
+    def under_budget(budget):
+        monkeypatch.setattr(search, "_COCYCLE_BUDGET", budget)
+        for fn in caches:
+            fn.cache_clear()
+        return all_cocycles(Z2, Z4)
+
+    try:
+        assert under_budget(16) == z4_over_z2
+        with pytest.raises(BudgetExceeded, match=r"2 x 2\^3 "):
+            under_budget(15)
+    finally:
+        monkeypatch.undo()
+        for fn in caches:
+            fn.cache_clear()
 
 
 def test_cocycle_representatives():
@@ -161,7 +176,7 @@ def test_cocycle_transversal_builds_each_table_once(A, B, monkeypatch):
     monkeypatch.setattr(search, "FactorSet", counted)
     classes = prod(_quotient_order(A, n) for n in B.moduli)
     homs = sum(1 for _ in all_homs(B, A))
-    by_class = search._cocycles_by_class.__wrapped__(A, B, search._COCYCLE_BUDGET)
+    by_class = search._cocycles_by_class.__wrapped__(A, B)
     assert len(built) * homs == classes * A.order ** (B.order - 1)
     assert [h for hs in by_class for h in hs] == built
     assert len({h.entries for h in built}) == len(built)
@@ -336,7 +351,7 @@ def test_witness_lifts_list_each_element_once(theorem, case):
         owner(data)[key] = _edit_table(case, owner(data)[key])
         if case == "reordered":
             inst = instance_from_json(data)
-            assert list(inst.lift) == sorted(inst.lift)
+            assert list(inst.lift.entries) == sorted(inst.lift.entries)
             assert list(inst.row1.s.entries) == sorted(inst.row1.s.entries)
             assert replay_witness(theorem, data).conclusion_checked is False
             continue
@@ -376,7 +391,7 @@ def test_witness_rows_are_sections_of_their_projection():
     assert len(moved) == 18  # over 10 rows
     for row, t in moved:
         square = search.P3Instance(
-            row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s.entries
+            row, row, identity_hom(row.A.group), identity_hom(row.B.group), row.s
         )
         for inst, owners in (
             (search.ExtensionInstance(row), ("row",)),
@@ -389,6 +404,34 @@ def test_witness_rows_are_sections_of_their_projection():
                 bad[owner]["s"] = jsonio.to_json(t)
                 with pytest.raises(InvalidSection, match=r"^pi\(s\("):
                     instance_from_json(bad)
+
+
+def test_a_row_is_one_object_per_value():
+    """Rows are interned: a second construction of a row's value, `replace`
+    and the decoding of a witness all return the family's row object, which
+    holds one topologized extension."""
+    instances = [
+        inst
+        for theorem, stratum in (
+            ("open_fibers", "squares_small"),
+            ("five_lemma_topological", "glued_small"),
+        )
+        for _, inst in THEOREMS[theorem].build_family(
+            FamilySpec(max_group_order=2, generators=(stratum,))
+        )
+    ]
+    assert {type(inst).__name__ for inst in instances} == {"P3Instance", "FiveLemmaInstance"}
+    for inst in instances:
+        decoded = instance_from_json(json.loads(jsonio.dumps(inst.to_json())))
+        for name in ("row1", "row2", "chain1"):
+            row = getattr(inst, name, None)
+            if row is None:
+                continue
+            assert RowData(row.A, row.B, row.h, row.s) is row
+            assert replace(row, s=row.s) is row
+            assert getattr(decoded, name) is row
+            assert row.extension is row.extension
+        assert decoded.lift is inst.lift
 
 
 @pytest.mark.parametrize("kind", ["square", None, "P3Instance"])

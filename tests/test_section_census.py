@@ -23,6 +23,7 @@ from topab.diagrams import (
 from topab.extensions import (
     Section,
     _core_on,
+    cocycle_extension,
     factor_set_from_section,
     is_topologizing,
     nagao_core,
@@ -33,7 +34,6 @@ from topab.search import (
     ExtensionInstance,
     FamilySpec,
     RowData,
-    _cached_alg,
     _cocycle_triples,
     _extensions,
     all_cocycles,
@@ -55,7 +55,7 @@ COCYCLE_LAWS = (verify_nagao_comparison, verify_choice_discrete, verify_topologi
 def _algs(max_order):
     """Every extension (A_top, B_top, h) with every cocycle up to max_order."""
     spec = FamilySpec(max_group_order=max_order)
-    return [_cached_alg(*t) for t in _cocycle_triples(spec, max_order, reps=False)]
+    return [cocycle_extension(*t) for t in _cocycle_triples(spec, max_order, reps=False)]
 
 
 def _new_algs(max_order):
@@ -146,7 +146,7 @@ def drawn_sections(draw):
     below its census count (None if no section topologizes)."""
     A_top, B_top = draw(st.sampled_from(_ends_up_to_16()))
     h = draw(st.sampled_from(all_cocycles(A_top.group, B_top.group)))
-    alg = _cached_alg(A_top, B_top, h)
+    alg = cocycle_extension(A_top, B_top, h)
     count = section_census(alg).section_count
     return alg, draw(st.integers(0, count - 1)) if count else None
 
@@ -178,7 +178,7 @@ def test_extensions_stratum_matches_per_section_walk():
         ExtensionInstance(RowData(A_top, B_top, h, s))
         for A_top, B_top, h in _cocycle_triples(spec, 4, reps=False)
         for s in first_section_per_core(
-            _cached_alg(A_top, B_top, h), _sections(_cached_alg(A_top, B_top, h))
+            cocycle_extension(A_top, B_top, h), _sections(cocycle_extension(A_top, B_top, h))
         )
     ]
     assert list(_extensions(spec)) == expected
