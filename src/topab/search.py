@@ -671,8 +671,7 @@ def _diagonal_squares(spec: FamilySpec):
     for r1, census in _diagonal_rows(spec):
         ida, idb = identity_hom(r1.A.group), identity_hom(r1.B.group)
         for s2 in census.sections():
-            r2 = replace(r1, s=s2)
-            yield P3Instance(r1, r2, ida, idb, r1.s)
+            yield P3Instance(r1, RowData(r1.A, r1.B, r1.h, s2), ida, idb, r1.s)
 
 
 @cache
@@ -858,9 +857,7 @@ def _with_cores(inst, cores):
     """The instance with the open cores of _instance_cores replaced."""
 
     def row(r: RowData, a_core, b_core) -> RowData:
-        return replace(
-            r, A=TopAbGroup(r.A.group, a_core), B=TopAbGroup(r.B.group, b_core)
-        )
+        return RowData(TopAbGroup(r.A.group, a_core), TopAbGroup(r.B.group, b_core), r.h, r.s)
 
     if isinstance(inst, P3Instance):
         return replace(
