@@ -350,8 +350,8 @@ def _reduced_row_is_extension(row: tuple[TopHom, ...]) -> bool:
     is a topological extension; decided once per row."""
     f, g, h, _ = row
     c_top = g.target
-    bq_top, bq_proj = quotient_top(g.source, f.map.image())
-    imh_top, imh_incl = subspace_top(h.target, h.map.image())
+    bq_top, bq_proj = quotient_top(g.source, f.map.image)
+    imh_top, imh_incl = subspace_top(h.target, h.map.image)
     g_prime = induced(g.map, bq_proj.map, identity_hom(c_top.group))  # B/Im f -> C
     h_prime = corestricted(h.map, imh_incl.map)  # C -> Im h
     return is_topological_extension(

@@ -16,13 +16,16 @@ restriction; it is their one source, and builds and keeps each by its index.
 A row of a square is its algebra and its section: `realize_cocycle` realizes
 each cocycle once, `cocycle_extension` makes it an algebraic extension over
 topologized ends once, and `nagao_topology` topologizes an (extension,
-section) pair on every call; the search's interned rows each keep theirs.
+section) pair as the `Extension` of the algebra and its Nagao topology.
 An extension square is the two-square `topology.Ladder` of
 `extension_square`: the rows' iota and pi over each other, joined by alpha,
 gamma and beta.
-`FactorSet`, `AlgExtension` and `Section` are interned (`groups.Interned`),
-so each cocycle and algebraic extension is checked once while it lives, and
-these caches meet each value as one object and hash it by identity.
+`FactorSet`, `AlgExtension`, `Section` and `Extension` are interned
+(`groups.Interned`), so each cocycle and (algebraic or topological)
+extension is checked once while it lives, and these caches meet each value
+as one object and hash it by identity.  An `Extension` is its `alg` and
+the topology G on alg's middle group: sections with one Nagao core, and
+cocycles with one realization, share it.
 """
 
 from __future__ import annotations
@@ -214,33 +217,38 @@ class AlgExtension(metaclass=Interned):
 def _pull_back(iota: Homomorphism, g: Element) -> Element:
     """iota^{-1}(g) for the injective iota."""
     try:
-        return iota.fibers()[g][0]
+        return iota.fibers[g][0]
     except KeyError:
         raise ValueOutsideIotaImage(f"{g} is not in the image of iota") from None
 
 
 @dataclass(frozen=True, eq=False)
-class Extension:
-    """A topological extension: exact, with iota and pi continuous and strict.
-    It compares and hashes by identity, like its maps."""
+class Extension(metaclass=Interned):
+    """A topological extension: the exact `alg` with G topologizing its
+    middle group, iota and pi continuous and strict.  iota: A -> G and
+    pi: G -> B are the `TopHom`s of alg's maps, built with the object and
+    not fields, so that the value is (alg, G)."""
 
-    A: TopAbGroup
+    alg: AlgExtension
     G: TopAbGroup
-    B: TopAbGroup
-    iota: TopHom
-    pi: TopHom
-    alg: AlgExtension = field(init=False, repr=False)
+
+    _pool_key = staticmethod(lambda alg, G: (alg, G))
 
     def __post_init__(self):
-        if self.iota.source != self.A or self.iota.target != self.G:
-            raise NotAnExtension("iota endpoints are wrong")
-        if self.pi.source != self.G or self.pi.target != self.B:
-            raise NotAnExtension("pi endpoints are wrong")
-        # algebraic exactness, checked once per algebraic extension
-        alg = AlgExtension(self.A, self.G.group, self.B, self.iota.map, self.pi.map)
-        object.__setattr__(self, "alg", alg)
+        if self.G.group is not self.alg.G:
+            raise NotAnExtension("G must topologize the middle group of alg")
+        object.__setattr__(self, "iota", TopHom(self.alg.iota, self.A, self.G))
+        object.__setattr__(self, "pi", TopHom(self.alg.pi, self.G, self.B))
         if reason := strictness_failure(iota=self.iota, pi=self.pi):
             raise NotAnExtension(reason)
+
+    @property
+    def A(self) -> TopAbGroup:
+        return self.alg.A
+
+    @property
+    def B(self) -> TopAbGroup:
+        return self.alg.B
 
 
 def section_for(alg: AlgExtension, mapping: dict[Element, Element]) -> Section:
@@ -253,7 +261,7 @@ def section_for(alg: AlgExtension, mapping: dict[Element, Element]) -> Section:
 
 def enumerate_sections(alg: AlgExtension) -> Iterator[Section]:
     """All sections with s(0) = 0; there are |A| ** (|B| - 1) of them."""
-    B, G, fibers = alg.B.group, alg.G, alg.pi.fibers()
+    B, G, fibers = alg.B.group, alg.G, alg.pi.fibers
     nonzero = B.elements[1:]
     for choice in itertools.product(*map(fibers.__getitem__, nonzero)):
         yield Section(B, G, ((B.zero, G.zero), *zip(nonzero, choice)))
@@ -261,7 +269,7 @@ def enumerate_sections(alg: AlgExtension) -> Iterator[Section]:
 
 def canonical_section(alg: AlgExtension) -> Section:
     """The section picking the lexicographically least preimage of each b."""
-    entries = tuple((b, gs[0]) for b, gs in alg.pi.fibers().items())
+    entries = tuple((b, gs[0]) for b, gs in alg.pi.fibers.items())
     return Section(alg.B.group, alg.G, entries)
 
 
@@ -364,7 +372,7 @@ class SectionCensus:
             raise IndexError(f"section {k} of {self.section_count}")
         alg = self.alg
         B, G, core_b = alg.B.group, alg.G, alg.B.open_core
-        fibers, a_order = alg.pi.fibers(), alg.A.group.order
+        fibers, a_order = alg.pi.fibers, alg.A.group.order
         free = B.order - core_b.order
         candidates, j, rest = self.restrictions, 0, k
         entries = [(B.zero, G.zero)]
@@ -396,7 +404,7 @@ class SectionCensus:
         N_B it takes the least element of each fiber."""
         alg = self.alg
         t = dict(zip(alg.B.open_core, r))
-        entries = tuple((b, t.get(b, gs[0])) for b, gs in alg.pi.fibers().items())
+        entries = tuple((b, t.get(b, gs[0])) for b, gs in alg.pi.fibers.items())
         return Section(alg.B.group, alg.G, entries)
 
 
@@ -405,7 +413,7 @@ def section_census(alg: AlgExtension) -> SectionCensus:
     """Each restriction r to N_B is tested once, on N_B x N_B:
     r(b) + r(b') - r(b + b') must lie in iota(N_A)."""
     G, B, core_b = alg.G, alg.B.group, alg.B.open_core
-    fibers = alg.pi.fibers()
+    fibers = alg.pi.fibers
     iota_core = {alg.iota(a) for a in alg.A.open_core}
     sums_g, neg_g, sums_b = G.sums, G.negation, B.sums
     pairs = [(b, c, sums_b[b][c]) for b, c in itertools.product(core_b, repeat=2)]
@@ -443,14 +451,7 @@ def nagao_topology(alg: AlgExtension, s: Section) -> Extension:
         raise NotTopologizing(
             f"h_s({witness[0]}, {witness[1]}) = {h(*witness)} falls outside N_A"
         )
-    G_top = TopAbGroup(alg.G, nagao_core(alg, s))
-    return Extension(
-        alg.A,
-        G_top,
-        alg.B,
-        TopHom(alg.iota, alg.A, G_top),
-        TopHom(alg.pi, G_top, alg.B),
-    )
+    return Extension(alg, TopAbGroup(alg.G, nagao_core(alg, s)))
 
 
 def comparison_map(alg: AlgExtension, s1: Section, s2: Section) -> dict[Element, Element]:
@@ -517,16 +518,16 @@ def snake_haus_sequence(E: Extension) -> tuple[Homomorphism, Homomorphism, Homom
     alg = E.alg
     _, q_g = separation(E.G)
     _, q_b = separation(E.B)
-    kemb = subgroup_as_group(induced(alg.pi, q_g.map, q_b.map).kernel())
+    kemb = subgroup_as_group(induced(alg.pi, q_g.map, q_b.map).kernel)
     f = corestricted(compose(q_g.map, alg.iota), kemb.include)
-    ker_f = subgroup_as_group(f.kernel()).include
+    ker_f = subgroup_as_group(f.kernel).include
     n_g = subgroup_as_group(E.G.open_core).include
     n_b = subgroup_as_group(E.B.open_core).include
-    coker, coker_proj = quotient(kemb.group, f.image())
+    coker, coker_proj = quotient(kemb.group, f.image)
     m1 = corestricted(compose(alg.iota, ker_f), n_g)
     m2 = corestricted(compose(alg.pi, n_g), n_b)
     # connecting map N_B -> coker f: lift along pi, push through q_G, project
-    lift = alg.pi.fibers()
+    lift = alg.pi.fibers
     m3 = hom_from_table(
         n_b.source,
         coker,

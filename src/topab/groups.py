@@ -13,13 +13,13 @@ generators and totalized on first use, so applying them inside enumeration
 loops is a dict lookup.  `commutes` checks a square on those tables.
 
 Values are validated once.  `FinAbGroup`, `Subgroup` and `Homomorphism`
-(here), `TopAbGroup`, `FactorSet`, `Section`, `AlgExtension` and `RowData`
-are `Interned`: a constructor call with the arguments of a live object returns
-that object, which passed the same checks on the same value.  Equal values
-are one object, so these classes compare and hash by identity, and their
-tables, image and kernel are built once.  `hom_set`, `identity_hom`,
-`zero_hom`, `quotient` and `subgroup_as_group` are cached, so each builds
-its result once per value.
+(here), `TopAbGroup`, `FactorSet`, `Section`, `AlgExtension`, `Extension`
+and `RowData` are `Interned`: a constructor call with the arguments of a
+live object returns that object, which passed the same checks on the same
+value.  Equal values are one object, so these classes compare and hash by
+identity, and their tables, image and kernel are built once.  `hom_set`,
+`identity_hom`, `zero_hom`, `quotient` and `subgroup_as_group` are cached,
+so each builds its result once per value.
 
 The other modules call these constructions owned here: `group_structure`
 (the canonical form of any concrete finite abelian group, with the concrete
@@ -352,33 +352,24 @@ class Homomorphism(metaclass=Interned):
             raise ElementNotInGroup(f"{x!r} is not in {self.source}") from None
 
     @cached_property
-    def _kernel(self) -> Subgroup:
+    def kernel(self) -> Subgroup:
         return Subgroup(
             self.source,
             tuple(x for x, y in self.table.items() if y == self.target.zero),
         )
 
     @cached_property
-    def _image(self) -> Subgroup:
+    def image(self) -> Subgroup:
         return Subgroup(self.target, tuple(set(self.table.values())))
 
     @cached_property
-    def _fibers(self) -> dict[Element, tuple[Element, ...]]:
+    def fibers(self) -> dict[Element, tuple[Element, ...]]:
+        """y -> its preimages in element order, for each y in the image; the
+        first preimage is the least."""
         out: dict[Element, list[Element]] = {}
         for x, y in self.table.items():
             out.setdefault(y, []).append(x)
         return {y: tuple(xs) for y, xs in out.items()}
-
-    def kernel(self) -> Subgroup:
-        return self._kernel
-
-    def image(self) -> Subgroup:
-        return self._image
-
-    def fibers(self) -> dict[Element, tuple[Element, ...]]:
-        """y -> its preimages in element order, for each y in the image; the
-        first preimage is the least."""
-        return self._fibers
 
     def is_injective(self) -> bool:
         return len(set(self.table.values())) == self.source.order
@@ -428,9 +419,9 @@ def induced(f: Homomorphism, p: Homomorphism, q: Homomorphism) -> Homomorphism:
     maps p: X -> P, q: Y -> Q; IllDefined unless f(ker p) lies in ker q."""
     if p.source != f.source or q.source != f.target:
         raise CompositionMismatch("p must start at the source of f, q at its target")
-    if any(q(f(k)) != q.target.zero for k in p.kernel()):
+    if any(q(f(k)) != q.target.zero for k in p.kernel):
         raise IllDefined("f does not map ker p into ker q")
-    table = {y: q(f(xs[0])) for y, xs in p.fibers().items()}
+    table = {y: q(f(xs[0])) for y, xs in p.fibers.items()}
     return hom_from_table(p.target, q.target, table)
 
 
@@ -439,8 +430,8 @@ def corestricted(f: Homomorphism, j: Homomorphism) -> Homomorphism:
     IllDefined unless f(X) lies in j(J)."""
     if j.target != f.target:
         raise CompositionMismatch("j must map into the target of f")
-    pre = j.fibers()
-    if not pre.keys() >= f.image().element_set:
+    pre = j.fibers
+    if not pre.keys() >= f.image.element_set:
         raise IllDefined("f does not map into the image of j")
     return hom_from_table(f.source, j.source, {x: pre[y][0] for x, y in f.table.items()})
 
@@ -478,7 +469,7 @@ def is_exact_at(f: Homomorphism, g: Homomorphism) -> bool:
     """Exactness at the middle of source(f) -> target(f) = source(g) -> target(g)."""
     if f.target != g.source:
         raise CompositionMismatch("target of f must equal source of g")
-    return f.image().element_set == g.kernel().element_set
+    return f.image.element_set == g.kernel.element_set
 
 
 def exactness_failure(**maps: Homomorphism) -> str | None:
@@ -625,7 +616,7 @@ def quotient(G: FinAbGroup, K: Subgroup) -> tuple[FinAbGroup, Homomorphism]:
     Q, reps = group_structure(set(rep.values()), lambda a, b: rep[G.add(a, b)], G.zero)
     coords = dict(zip(reps, Q.elements))
     proj = hom_from_table(G, Q, {x: coords[rep[x]] for x in G.elements})
-    assert proj.kernel().elements == K.elements
+    assert proj.kernel.elements == K.elements
     assert Q.order * K.order == G.order
     return Q, proj
 

@@ -20,7 +20,7 @@ built once per algebraic input and shared: `cocycle_extension` realizes each
 cocycle h over its ends once, `_gamma_from_lift` builds each middle map once
 per (h1, s1, h2, alpha, lift), a sample lists the lifts of each algebraic
 square once, and `_zero_padded_row` and `_glued_row` build each five-term
-row once per extension or pair of extensions, keyed by (e.alg, e.G).  Only
+row once per pooled extension or pair of extensions.  Only
 the open cores vary between instances over the same algebra, and between
 the trials of a shrink.  A row is its ends, its cocycle and its `Section`;
 a lift is a `Section` too.  Rows are interned (`groups.Interned`), so the
@@ -110,6 +110,23 @@ def all_groups_up_to_order(n: int) -> tuple[FinAbGroup, ...]:
 _COCYCLE_BUDGET = 10**6
 
 
+def _budgeted_cosets(A: FinAbGroup, B: FinAbGroup) -> list[list]:
+    """For each modulus n_j of B, the least element of each coset of n_jA in
+    A, in increasing order; BudgetExceeded if the classes they span hold more
+    than _COCYCLE_BUDGET tables B x B -> A."""
+    cosets = [
+        sorted(set(coset_reps(A, {A.scale(n, a) for a in A.elements}).values()))
+        for n in B.moduli
+    ]
+    classes, nonzero = prod(map(len, cosets)), B.order - 1
+    if classes * A.order**nonzero > _COCYCLE_BUDGET:
+        raise BudgetExceeded(
+            f"{classes} x {A.order}^{nonzero} cocycle tables for A = {A}, "
+            f"B = {B} exceed the budget; lower --max-order"
+        )
+    return cosets
+
+
 @cache
 def _cocycles_by_class(A: FinAbGroup, B: FinAbGroup) -> tuple[tuple[FactorSet, ...], ...]:
     """The normalized symmetric cocycles B x B -> A, one tuple per class.
@@ -126,18 +143,8 @@ def _cocycles_by_class(A: FinAbGroup, B: FinAbGroup) -> tuple[tuple[FactorSet, .
     from the class's carry table.  That every table is a cocycle, and a new
     one, is checked by tests/test_search.py on every pair up to order 4.
     """
-    # the least element of each coset of n_jA in A, in increasing order
-    cosets = [
-        sorted(set(coset_reps(A, {A.scale(n, a) for a in A.elements}).values()))
-        for n in B.moduli
-    ]
+    cosets = _budgeted_cosets(A, B)
     nonzero = B.elements[1:]
-    classes = prod(len(c) for c in cosets)
-    if classes * A.order ** len(nonzero) > _COCYCLE_BUDGET:
-        raise BudgetExceeded(
-            f"{classes} x {A.order}^{len(nonzero)} cocycle tables for A = {A}, "
-            f"B = {B} exceed the budget; lower --max-order"
-        )
     choices = {b: A.elements for b in nonzero}
     for e, n in zip(B.generators, B.moduli):
         if e != B.zero:
@@ -301,7 +308,7 @@ def gamma_lifts(
     t = gamma o s1: B1 -> G2, each a `Section` table with t(0) = 0."""
     h1 = factor_set_from_section(alg1.iota, alg1.pi, s1)
     B1, G2 = alg1.B.group, alg2.G
-    fibers = alg2.pi.fibers()
+    fibers = alg2.pi.fibers
     nonzero = [b for b in B1.elements if b != B1.zero]
     # t(b) + t(b') = t(b + b') + iota2(alpha(h1(b, b'))); both sides are
     # symmetric in (b, b') and hold when either is 0, as h1 is normalized.
@@ -452,35 +459,24 @@ def _to_zero(T: TopAbGroup) -> TopHom:
     return TopHom(zero_hom(T.group, z.group), T, z)
 
 
-# The row caches are keyed by an extension's interned algebra and middle
-# group, (e.alg, e.G), which determine it, so they look rows up by identity.
-
-
 @cache
-def _zero_padded_row(alg: AlgExtension, G: TopAbGroup) -> tuple[TopHom, ...]:
+def _zero_padded_row(e: Extension) -> tuple[TopHom, ...]:
     """0 -> A -> G -> B -> 0 as a five-term row, one per extension."""
     z = _trivial_top()
-    return (
-        TopHom(zero_hom(z.group, alg.A.group), z, alg.A),
-        TopHom(alg.iota, alg.A, G),
-        TopHom(alg.pi, G, alg.B),
-        _to_zero(alg.B),
-    )
+    return (TopHom(zero_hom(z.group, e.A.group), z, e.A), e.iota, e.pi, _to_zero(e.B))
 
 
 @cache
-def _glued_row(
-    alg: AlgExtension, G: TopAbGroup, algc: AlgExtension, Gc: TopAbGroup
-) -> tuple[TopHom, ...]:
-    """A -> G -> Gc -> C -> 0 for an extension (algc, Gc) of the quotient of
-    (alg, G), one per pair."""
-    if algc.A != alg.B:
+def _glued_row(e: Extension, ec: Extension) -> tuple[TopHom, ...]:
+    """A -> G -> Gc -> C -> 0 for an extension ec of the quotient of e, one
+    per pair."""
+    if ec.A != e.B:
         raise DiagramError("chain must extend the base row's quotient")
     return (
-        TopHom(alg.iota, alg.A, G),
-        TopHom(compose(algc.iota, alg.pi), G, Gc),
-        TopHom(algc.pi, Gc, algc.B),
-        _to_zero(algc.B),
+        e.iota,
+        TopHom(compose(ec.alg.iota, e.alg.pi), e.G, ec.G),
+        ec.pi,
+        _to_zero(ec.B),
     )
 
 
@@ -504,15 +500,14 @@ class FiveLemmaInstance(_Instance):
             gamma = _gamma_from_lift(r1.h, r1.s, r2.h, self.v_a, self.lift)
             v_a, v_b = TopHom(self.v_a, e1.A, e2.A), TopHom(self.v_b, e1.B, e2.B)
             verts = (z, v_a, TopHom(gamma, e1.G, e2.G), v_b, z)
-            row1, row2 = _zero_padded_row(e1.alg, e1.G), _zero_padded_row(e2.alg, e2.G)
-            return Ladder(row1, row2, verts)
+            return Ladder(_zero_padded_row(e1), _zero_padded_row(e2), verts)
         # glued: both 5-term rows come from the same chain E, E'; the middle
         # vertical is a lift over E' with identity outer maps.
         e, c = self.row1.extension, self.chain1
         ec = c.extension
         gamma_p = _gamma_from_lift(c.h, c.s, c.h, identity_hom(c.h.A), self.lift)
         verts = (identity_top(e.A), identity_top(e.G), TopHom(gamma_p, ec.G, ec.G))
-        row = _glued_row(e.alg, e.G, ec.alg, ec.G)
+        row = _glued_row(e, ec)
         return Ladder(row, row, verts + (identity_top(ec.B), z))
 
     @staticmethod
@@ -570,7 +565,12 @@ def instance_from_json(data):
 def _cocycle_triples(spec: FamilySpec, max_order: int, reps: bool):
     """Every (A, B, h) over topologized groups of order <= max_order, h a
     cocycle (a class representative if reps), at most max_cocycle_count per
-    pair of groups."""
+    pair of groups.  Every pair of groups is checked against the budget
+    before any table is built."""
+    groups = all_groups_up_to_order(max_order)
+    for A in groups:
+        for B in groups:
+            _budgeted_cosets(A, B)
     tops = topologized_groups(max_order)
     for A_top in tops:
         for B_top in tops:
@@ -811,10 +811,6 @@ class TheoremSpec:
     build_family: object
     evaluate: object
 
-    @property
-    def droppable(self) -> tuple[str, ...]:
-        return self.law.droppable
-
 
 THEOREMS: dict[str, TheoremSpec] = {}
 
@@ -966,7 +962,7 @@ def _check_task(task: SearchTask) -> TheoremSpec:
         raise UnknownTheorem(f"unknown theorem {task.theorem_id!r}")
     info = THEOREMS[task.theorem_id]
     for h in task.dropped_hypotheses:
-        if h not in info.droppable:
+        if h not in info.law.droppable:
             raise UnknownHypothesis(
                 f"{h!r} is not a droppable hypothesis of {task.theorem_id}"
             )

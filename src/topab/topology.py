@@ -126,7 +126,7 @@ def is_strict(f: TopHom) -> bool:
     if not is_continuous(f):
         raise NotContinuous("strictness is a property of continuous homomorphisms")
     core_image = frozenset(map(f.map.table.__getitem__, f.source.open_core))
-    return core_image == f.map.image().element_set & f.target.core_set
+    return core_image == f.map.image.element_set & f.target.core_set
 
 
 def strictness_failure(**maps: TopHom) -> str | None:

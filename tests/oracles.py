@@ -147,7 +147,7 @@ def is_strict_oracle(f: TopHom) -> bool:
     """Literal check: the image of every open set is open in the image."""
     if not is_continuous_oracle(f):
         raise NotContinuous("strictness is a property of continuous homomorphisms")
-    img = f.map.image().element_set
+    img = f.map.image.element_set
     relative_opens = frozenset(u & img for u in _open_family(f.target))
     table = f.map.table
     for u in _open_family(f.source):
@@ -411,7 +411,7 @@ def compatible_section_via_eta(
     if not beta.is_surjective():
         raise InvalidSection("the construction needs beta surjective")
     if eta is None:
-        entries = tuple((b2, b1s[0]) for b2, b1s in beta.fibers().items())
+        entries = tuple((b2, b1s[0]) for b2, b1s in beta.fibers.items())
         eta = Section(a2.B.group, a1.B.group, entries)
     else:
         if eta.B != a2.B.group or eta.G != a1.B.group:

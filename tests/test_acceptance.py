@@ -357,8 +357,8 @@ def test_criterion_9_duality():
         ev = evaluation(t)
         ok = (
             d.order == haus.group.order
-            and ev.map.kernel().elements == t.open_core.elements
-            and ev.map.image().order == haus.group.order
+            and ev.map.kernel.elements == t.open_core.elements
+            and ev.map.image.order == haus.group.order
             and ev.map.is_surjective()
             and separation_dual_iso(t).is_bijective()
         )

@@ -42,7 +42,7 @@ LAWS = {
 
 def clause_lines(theorem_id: str, spec: FamilySpec) -> list[str]:
     info = THEOREMS[theorem_id]
-    dropped = frozenset(info.droppable)
+    dropped = frozenset(info.law.droppable)
     digest, failing, count = hashlib.sha256(), {}, 0
     for i, (_, inst) in enumerate(info.build_family(spec)):
         rep = info.law(inst.build(), dropped)

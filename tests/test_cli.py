@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -465,6 +466,27 @@ def test_verify_budget_exceeded_exit_2(capsys):
         "1",
     )
     assert_usage_error(code, out, err, "exceed the budget")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("theorem", ["topologizable", "p3_generalized"])
+def test_an_over_budget_order_is_refused_before_any_table_is_built(theorem):
+    """At order 16 the first pair of groups over the budget is A = Z/3,
+    B = Z/2 x Z/7, and the pairs before it hold about 1.2 M cocycle tables:
+    the spec is refused before any of them is built, within 1 GB."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "topab", "verify", theorem, "--max-order", "16"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert_usage_error(proc.returncode, proc.stdout, proc.stderr, "A = Z/3,", "B = Z/2 x Z/7 ")
 
 
 def test_report_malformed_jsonl_exit_2(tmp_path, capsys):

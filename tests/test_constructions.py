@@ -25,8 +25,8 @@ from topab.extensions import (
     nagao_topology,
     realize_cocycle,
 )
-from topab.groups import identity_hom, zero_hom
-from topab.topology import TopHom
+from topab.groups import Subgroup, identity_hom, zero_hom
+from topab.topology import TopAbGroup
 from topab.search import (
     FamilySpec,
     P3Instance,
@@ -327,14 +327,46 @@ def test_each_algebraic_extension_is_checked_once(cold_caches, monkeypatch):
 
 
 def test_a_non_exact_extension_is_refused_on_every_call():
-    """Only checked extensions are cached, so a sequence that is not exact
-    raises NotAnExtension however often it is built."""
+    """Only checked extensions are pooled, so a sequence that is not exact,
+    or a topology on G that is not strict, raises NotAnExtension however
+    often it is built."""
     family = p3_family(FamilySpec(max_group_order=2, generators=("squares_small",)))
-    e = next(e for _, inst in family if (e := inst.row1.extension).A.group.order > 1)
-    zero = TopHom(zero_hom(e.A.group, e.G.group), e.A, e.G)
+    e = next(
+        e
+        for _, inst in family
+        if (e := inst.row1.extension).A.group.order > 1 and e.A.open_core.order == 1
+    )
+    alg = e.alg
+    zero = zero_hom(alg.A.group, alg.G)
+    indiscrete_g = TopAbGroup(alg.G, Subgroup(alg.G, alg.G.elements))
     for _ in range(2):
         with pytest.raises(NotAnExtension, match="iota is not injective"):
-            Extension(e.A, e.G, e.B, zero, e.pi)
+            AlgExtension(alg.A, alg.G, alg.B, zero, alg.pi)
+        with pytest.raises(NotAnExtension, match="iota is not strict"):
+            Extension(alg, indiscrete_g)
+
+
+def test_a_five_term_row_holds_its_extension_maps():
+    """The zero-padded row of an extension is keyed by the extension and
+    carries its iota and pi."""
+    rows = [inst.row1 for _, inst in five_lemma_family(TINY) if inst.shape == "zero_pad"]
+    assert rows
+    for e in (r.extension for r in rows):
+        row = search._zero_padded_row(e)
+        assert row[1] is e.iota and row[2] is e.pi
+
+
+def test_a_search_builds_one_extension_per_value(cold_caches, monkeypatch):
+    """Two searches over both square families, shrink trials included,
+    construct one Extension per (alg, G)."""
+    built = []
+    post_init = Extension.__post_init__
+    monkeypatch.setattr(
+        Extension, "__post_init__", lambda self: built.append((self.alg, self.G)) or post_init(self)
+    )
+    for theorem in ("open_fibers", "five_lemma_topological"):
+        run_search(SearchTask(theorem, family=TINY))
+    assert 0 < len(built) == len(set(built))
 
 
 def test_five_term_verticals_are_one_top_hom_each():

@@ -321,7 +321,7 @@ def test_the_runner_filters_exactly_the_instances_the_full_report_filters(theore
     when every clause does."""
     info = THEOREMS[theorem]
     built = [inst.build() for _, inst in info.build_family(GOLDEN_SPEC)]
-    for dropped in _dropped_choices(info.droppable):
+    for dropped in _dropped_choices(info.law.droppable):
         filtered = 0
         for i, x in enumerate(built):
             values = tuple((n, holds(x)) for n, holds in info.law.hypotheses)
@@ -332,7 +332,7 @@ def test_the_runner_filters_exactly_the_instances_the_full_report_filters(theore
                 continue
             assert rep.hypotheses_checked == values, (dropped, i)
             assert rep.conclusion_checked is all(ok for _, ok in rep.details), (dropped, i)
-        if dropped == frozenset(info.droppable):
+        if dropped == frozenset(info.law.droppable):
             assert filtered == 0
 
 

@@ -105,10 +105,10 @@ def test_evaluation_kernel_is_core():
         for s in all_subgroups(G):
             t = TopAbGroup(G, s)
             ev = evaluation(t)
-            assert ev.map.kernel().elements == t.open_core.elements
+            assert ev.map.kernel.elements == t.open_core.elements
             # induced map on the separation is an isomorphism
             haus, q = separation(t)
-            assert ev.map.image().order == haus.group.order
+            assert ev.map.image.order == haus.group.order
 
 
 def test_evaluation_discrete_is_iso():

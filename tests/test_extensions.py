@@ -64,7 +64,6 @@ from topab.search import (
 )
 from topab.topology import (
     TopAbGroup,
-    TopHom,
     discrete,
     is_continuous,
     is_strict,
@@ -510,13 +509,7 @@ def test_extension_rejects_non_strict():
     b = indiscrete(Z2)
     g = topologize(Z4, [(0,), (2,)])
     with pytest.raises(NotAnExtension):
-        Extension(
-            a,
-            g,
-            b,
-            TopHom(make_hom(Z2, Z4, [(2,)]), a, g),
-            TopHom(make_hom(Z4, Z2, [(1,)]), g, b),
-        )
+        Extension(AlgExtension(a, Z4, b, make_hom(Z2, Z4, [(2,)]), make_hom(Z4, Z2, [(1,)])), g)
 
 
 _to_z4, _onto_z2 = make_hom(Z2, Z4, [(2,)]), make_hom(Z4, Z2, [(1,)])
@@ -537,8 +530,7 @@ def test_alg_extension_refuses_wrong_endpoints(iota, pi, message):
     assert str(error.value) == message
 
 
-# (A, G, B, iota, pi, message): one case per reason a sequence is not exact,
-# refused by the AlgExtension and by the Extension over the discrete G
+# (A, G, B, iota, pi, message): one case per reason a sequence is not exact
 ALGEBRAIC_FAILURES = [
     (Z2, Z4, Z2, zero_hom(Z2, Z4), _onto_z2, "iota is not injective"),
     (Z2, Z2, Z2, identity_hom(Z2), zero_hom(Z2, Z2), "pi is not surjective"),
@@ -551,36 +543,20 @@ ALGEBRAIC_FAILURES = [
 
 @pytest.mark.parametrize("A, G, B, iota, pi, message", ALGEBRAIC_FAILURES)
 def test_each_algebraic_failure_has_its_message(A, G, B, iota, pi, message):
-    a, g, b = discrete(A), discrete(G), discrete(B)
     with pytest.raises(NotAnExtension) as alg_error:
-        AlgExtension(a, G, b, iota, pi)
-    with pytest.raises(NotAnExtension) as ext_error:
-        Extension(
-            a, g, b, TopHom(iota, a, discrete(iota.target)), TopHom(pi, discrete(pi.source), b)
-        )
-    assert str(alg_error.value) == str(ext_error.value) == message
+        AlgExtension(discrete(A), G, discrete(B), iota, pi)
+    assert str(alg_error.value) == message
 
 
 def _k4_extension(a, g_core, b):
-    g = topologize(K4, g_core)
-    return Extension(a, g, b, TopHom(_K4_FIRST, a, g), TopHom(_K4_SECOND, g, b))
+    return Extension(AlgExtension(a, K4, b, _K4_FIRST, _K4_SECOND), topologize(K4, g_core))
 
 
-# one case per reason an exact sequence is not a topological extension
+# one case per reason an exact sequence with a topology on G is not a
+# topological extension
 TOPOLOGICAL_FAILURES = {
-    "iota endpoints are wrong": lambda: Extension(
-        discrete(Z2),
-        discrete(Z4),
-        discrete(Z2),
-        TopHom(_to_z4, indiscrete(Z2), discrete(Z4)),
-        TopHom(_onto_z2, discrete(Z4), discrete(Z2)),
-    ),
-    "pi endpoints are wrong": lambda: Extension(
-        discrete(Z2),
-        discrete(Z4),
-        discrete(Z2),
-        TopHom(_to_z4, discrete(Z2), discrete(Z4)),
-        TopHom(_onto_z2, discrete(Z4), indiscrete(Z2)),
+    "G must topologize the middle group of alg": lambda: Extension(
+        AlgExtension(discrete(Z2), Z4, discrete(Z2), _to_z4, _onto_z2), discrete(K4)
     ),
     "iota is not continuous": lambda: _k4_extension(indiscrete(Z2), [(0, 0)], discrete(Z2)),
     "iota is not strict": lambda: _k4_extension(discrete(Z2), K4.elements, indiscrete(Z2)),
@@ -597,9 +573,9 @@ def test_each_topological_failure_has_its_message(message):
 
 
 def test_one_alg_extension_per_extension(monkeypatch):
-    """nagao_topology checks no exactness that is checked already: the
-    Extension keeps the live AlgExtension of its algebra as `alg`, whatever
-    its section."""
+    """nagao_topology checks no exactness that is checked already: it builds
+    no AlgExtension, and its Extension is over the AlgExtension it was
+    given, whatever the section."""
     calls = []
     post_init = AlgExtension.__post_init__
     monkeypatch.setattr(
@@ -610,6 +586,33 @@ def test_one_alg_extension_per_extension(monkeypatch):
     for s in enumerate_sections(alg):
         assert nagao_topology(alg, s).alg is alg
     assert calls == []
+
+
+def test_an_extension_is_one_object_per_algebra_and_topology():
+    """Extension(alg, G) is pooled by (alg, G), so the two sections of
+    Z/4 over discrete Z/2, which agree on N_B = 0, topologize to one
+    extension."""
+    alg = z4_extension(a_core="indiscrete")
+    g = topologize(Z4, [(0,), (2,)])
+    e = Extension(alg, g)
+    assert Extension(alg, g) is e and dataclasses.replace(e) is e
+    assert (e.A, e.B, e.iota.map, e.pi.map) == (alg.A, alg.B, alg.iota, alg.pi)
+    s1, s2 = enumerate_sections(alg)
+    assert s1 is not s2
+    assert nagao_topology(alg, s1) is nagao_topology(alg, s2) is e
+
+
+def test_rows_whose_cocycles_realize_one_algebra_share_one_extension():
+    """The zero cocycle of Z/3 by Z/2 and a coboundary realize one
+    AlgExtension, so their rows with one section hold one extension."""
+    z3 = FinAbGroup([3])
+    a, b = discrete(Z2), discrete(z3)
+    h1 = factor_set(Z2, z3, {})
+    h2 = factor_set(Z2, z3, {((1,), (2,)): (1,), ((2,), (1,)): (1,), ((2,), (2,)): (1,)})
+    alg = cocycle_extension(a, b, h1)
+    assert h1 is not h2 and cocycle_extension(a, b, h2) is alg
+    s = canonical_section(alg)
+    assert RowData(a, b, h1, s).extension is RowData(a, b, h2, s).extension
 
 
 def test_equal_topologized_groups_and_sections_are_one_object():
@@ -650,6 +653,11 @@ _Z4_COCYCLE = factor_set(Z2, Z2, {((1,), (1,)): (1,)})
         ),
         (FactorSet, (Z2, Z2, _Z4_COCYCLE.entries * 2), InvalidCocycle),
         (FactorSet, (Z2, Z2, _Z4_COCYCLE.entries[:3] + (((1,), (1,), (2,)),)), ElementNotInGroup),
+        (
+            Extension,  # iota of the discrete Z/2 into the indiscrete Z/4 is not strict
+            (AlgExtension(discrete(Z2), Z4, discrete(Z2), _to_z4, _onto_z2), indiscrete(Z4)),
+            NotAnExtension,
+        ),
     ],
 )
 def test_invalid_values_raise_on_every_call_and_are_never_pooled(cls, args, error):
@@ -677,6 +685,7 @@ INTERNED = (
     FactorSet,
     Section,
     AlgExtension,
+    Extension,
     RowData,
 )
 
@@ -697,6 +706,7 @@ def test_one_object_per_value_on_every_path():
     alg = z4_extension(a_core="indiscrete")
     A = alg.A
     row = RowData(A, alg.B, h, s)
+    e = row.extension
     round_trips = [
         (Z4, jsonio.group_from_json),
         (A.open_core, lambda d: jsonio.subgroup_from_json(Z2, d)),
@@ -705,6 +715,7 @@ def test_one_object_per_value_on_every_path():
         (h, jsonio.cocycle_from_json),
         (s, lambda d: jsonio.section_from_json(Z2, Z4, d)),
         (alg, jsonio.alg_extension_from_json),
+        (e, _extension_from_json),
         (row, RowData.from_json),
     ]
     assert [type(x) for x, _ in round_trips] == list(INTERNED)
@@ -712,6 +723,17 @@ def test_one_object_per_value_on_every_path():
         data = alg_extension_to_json(x) if x is alg else jsonio.to_json(x)
         assert decode(json.loads(jsonio.dumps(data))) is x
         assert dataclasses.replace(x) is x
+
+
+def _extension_from_json(data) -> Extension:
+    """The extension of the field-by-field JSON of `jsonio.to_json`, whose
+    maps leave out their endpoints."""
+    a = data["alg"]
+    A, B = jsonio.topgroup_from_json(a["A"]), jsonio.topgroup_from_json(a["B"])
+    G = jsonio.group_from_json(a["G"])
+    iota = jsonio.map_from_json(A.group, G, a["iota"])
+    alg = AlgExtension(A, G, B, iota, jsonio.map_from_json(G, B.group, a["pi"]))
+    return Extension(alg, jsonio.topgroup_from_json(data["G"]))
 
 
 def test_an_object_nothing_holds_leaves_the_pool():

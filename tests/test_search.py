@@ -524,8 +524,8 @@ def test_reported_hypotheses_are_the_droppable_ones(theorem):
     info = THEOREMS[theorem]
     spec = FamilySpec(max_group_order=2, sample_count=10)
     for stratum, inst in _first_instance_of_each_stratum(theorem, spec):
-        rep = info.law(inst.build(), frozenset(info.droppable))
-        assert tuple(n for n, _ in rep.hypotheses_checked) == info.droppable, stratum
+        rep = info.law(inst.build(), frozenset(info.law.droppable))
+        assert tuple(n for n, _ in rep.hypotheses_checked) == info.law.droppable, stratum
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
