@@ -80,7 +80,9 @@ _DECODE_ERRORS = (TopabError, KeyError, ValueError, IndexError, TypeError)
 def cmd_run(args) -> int:
     """`verify` and `search`: run the theorem over its family and write the
     report.  `search` may drop hypotheses and stop at the first witness; it
-    prints the witness count and exits 0, where `verify` exits 1 on a failure."""
+    prints the witness count and exits 0, where `verify` exits 1 on a failure.
+    Running out of memory is exit 2 and one line."""
+    hook, sys.unraisablehook = sys.unraisablehook, _quiet_memory_errors
     try:
         task = SearchTask(
             args.theorem,
@@ -91,16 +93,41 @@ def cmd_run(args) -> int:
         # a bad task or an unwritable report directory fails before the search
         _check_task(task)
         if args.out:
-            d = Path(args.out)
-            d.mkdir(parents=True, exist_ok=True)
-        result = run_search(task)
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        code = _run_and_write(task, args)
     except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    jsonl = result.to_jsonl()
+    except MemoryError:
+        code = None  # reported below, once the handler has let the run's frames go
+    finally:
+        sys.unraisablehook = hook
+    if code is None:
+        family = task.family
+        print(
+            f"error: out of memory on {task.theorem_id} at max order"
+            f" {family.max_group_order}, seed {family.seed}; lower --max-order",
+            file=sys.stderr,
+        )
+        return 2
+    return code
+
+
+def _quiet_memory_errors(unraisable) -> None:
+    """A generator that a MemoryError closes on its way out of the run may
+    fail to allocate its own GeneratorExit; cmd_run reports the first one."""
+    if not issubclass(unraisable.exc_type, MemoryError):
+        sys.__unraisablehook__(unraisable)
+
+
+def _run_and_write(task: SearchTask, args) -> int:
+    """Search, then write the JSONL report line by line and the Markdown."""
+    result = run_search(task)
     md = result.to_markdown()
     if args.out:
-        (d / f"{task.theorem_id}.jsonl").write_text(jsonl, encoding="utf-8")
+        d = Path(args.out)
+        with open(d / f"{task.theorem_id}.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(result.lines())
         (d / f"{task.theorem_id}.md").write_text(md, encoding="utf-8")
     sys.stdout.write(md)
     if args.command == "search":
@@ -227,7 +254,8 @@ def _render_report(text: str) -> str:
             raise ValueError("details must be a list of {name: string, ok: boolean}")
         if not _is_list_of(str, r["model_collapse"]):
             raise ValueError("model_collapse must be a list of strings")
-    return markdown_report(summary, failures)
+    broken = [[d["name"] for d in r["details"] if not d["ok"]] for r in failures]
+    return markdown_report(summary, broken, failures[0]["model_collapse"] if failures else ())
 
 
 def _is_list_of(t: type, value) -> bool:

@@ -75,12 +75,21 @@ MODEL_COLLAPSE_NOTES = (
 
 @dataclass
 class VerificationReport:
+    """A law's verdict on one instance.  A reported failure holds its
+    witness instance, whose parts are the family's own interned values, and
+    encodes it only when its JSON is read."""
+
     theorem_id: str
     hypotheses_checked: tuple[tuple[str, bool], ...]
     conclusion_checked: bool
     details: tuple[tuple[str, bool], ...] = ()
     model_collapse: tuple[str, ...] = MODEL_COLLAPSE_NOTES
-    witness: dict | None = None  # the instance JSON of a reported failure
+    instance: object = None  # the shrunk witness instance of a reported failure
+
+    @property
+    def witness(self) -> dict | None:
+        """The instance JSON of a reported failure, encoded on each read."""
+        return None if self.instance is None else self.instance.to_json()
 
     def to_json(self) -> dict:
         return {

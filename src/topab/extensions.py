@@ -103,21 +103,24 @@ class FactorSet(metaclass=Interned):
 @cache
 def cocycle_violations(h: FactorSet) -> tuple[str, ...]:
     """Diagnostics: normalization, symmetry, and cocycle-identity failures."""
-    A, B = h.A, h.B
+    rows, sums_a, sums_b = h.rows, h.A.sums, h.B.sums
+    elems, zero_a, zero_b = h.B.elements, h.A.zero, h.B.zero
     out = []
-    for b in B.elements:
-        if h(b, B.zero) != A.zero or h(B.zero, b) != A.zero:
+    for b in elems:
+        if rows[b][zero_b] != zero_a or rows[zero_b][b] != zero_a:
             out.append(f"normalization fails at {b}")
-    for b in B.elements:
-        for bp in B.elements:
-            if h(b, bp) != h(bp, b):
+    for b in elems:
+        for bp in elems:
+            if rows[b][bp] != rows[bp][b]:
                 out.append(f"symmetry fails at ({b}, {bp})")
-    for b in B.elements:
-        for bp in B.elements:
-            for bpp in B.elements:
-                lhs = A.add(h(b, bp), h(B.add(b, bp), bpp))
-                rhs = A.add(h(bp, bpp), h(b, B.add(bp, bpp)))
-                if lhs != rhs:
+    for b in elems:
+        h_b, b_plus = rows[b], sums_b[b]
+        for bp in elems:
+            h_bp, bp_plus = rows[bp], sums_b[bp]
+            # h(b, b') + h(b + b', b'') against h(b', b'') + h(b, b' + b'')
+            plus_h, h_sum = sums_a[h_b[bp]], rows[b_plus[bp]]
+            for bpp in elems:
+                if plus_h[h_sum[bpp]] != sums_a[h_bp[bpp]][h_b[bp_plus[bpp]]]:
                     out.append(f"cocycle identity fails at ({b}, {bp}, {bpp})")
     return tuple(out)
 
@@ -310,7 +313,13 @@ def realize_cocycle(h: FactorSet) -> Realization:
     the one realization of h, whatever the topologies on h.A and h.B."""
     tw = TwistedGroup(h)
     A, B = h.A, h.B
-    G, pairs = group_structure(tw.elements, tw.add, tw.zero)
+    rows, sums_a, sums_b = h.rows, A.sums, B.sums
+
+    def add(x: Pair, y: Pair) -> Pair:  # tw.add, read off the tables
+        (a, b), (ap, bp) = x, y
+        return (sums_a[sums_a[a][ap]][rows[b][bp]], sums_b[b][bp])
+
+    G, pairs = group_structure(tw.elements, add, tw.zero)
     from_pair = dict(zip(pairs, G.elements))
     iota = hom_from_table(A, G, {a: from_pair[(a, B.zero)] for a in A.elements})
     pi = hom_from_table(G, B, {y: b for y, (_, b) in zip(G.elements, pairs)})

@@ -2,10 +2,12 @@
 
 `to_json` encodes a value by its type; a tuple is an array, and a dataclass
 with no encoder of its own (a topologized group, a search row, a family
-spec, a witness instance) is the object of its fields.  A dual group writes
-each of its characters G -> Z/e as the table of its values over the
-denominator e.  `dumps` renders with sorted keys and compact separators so
-repeated runs are byte-identical.
+spec, a witness instance) is the object of its fields.  The element tables
+of a subgroup, a map, a section and a factor set are encoded directly, each
+by one comprehension, as the arrays the tuple rule would give.  A dual
+group writes each of its characters G -> Z/e as the table of its values
+over the denominator e.  `dumps` renders with sorted keys and compact
+separators so repeated runs are byte-identical.
 The decoders are strict: an element is an array of integers in its group,
 and each value runs its own checks.  `map_from_json` and `section_from_json`
 take the endpoints that the JSON of a map or a section leaves out.
@@ -48,10 +50,14 @@ def _field_names(t: type) -> tuple[str, ...] | None:
 
 _ENCODERS = {
     FinAbGroup: lambda G: {"moduli": list(G.moduli)},
-    Subgroup: lambda S: {"elements": to_json(S.elements)},
-    Homomorphism: lambda f: to_json(f.gen_images),
-    Section: lambda s: to_json(s.entries),
-    FactorSet: lambda h: {"A": to_json(h.A), "B": to_json(h.B), "table": to_json(h.entries)},
+    Subgroup: lambda S: {"elements": [list(x) for x in S.elements]},
+    Homomorphism: lambda f: [list(y) for y in f.gen_images],
+    Section: lambda s: [[list(b), list(g)] for b, g in s.entries],
+    FactorSet: lambda h: {
+        "A": to_json(h.A),
+        "B": to_json(h.B),
+        "table": [[list(b), list(bp), list(a)] for b, bp, a in h.entries],
+    },
     DualGroup: lambda d: {
         "structure": to_json(d.structure),
         "characters": [

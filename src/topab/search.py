@@ -12,8 +12,10 @@ run_search builds each instance of the family and calls the law on it
 (`TheoremSpec.evaluate`), which runs the hypotheses in order and returns
 None, the instance filtered, at the first unmet one that is not dropped,
 computing nothing further.  On the rest it evaluates the conclusion, and it
-reports failures as witnesses after a core-shrinking pass; `replay_witness`
-calls the law the same way.
+reports failures as witnesses after a core-shrinking pass: each failing
+report holds its shrunk instance, and `RunResult.lines` encodes each
+witness once, when its JSONL line is written.  `replay_witness` calls the
+law the same way.
 
 The algebra of an instance does not depend on its topologies, so it is
 built once per algebraic input and shared: `cocycle_extension` realizes each
@@ -35,6 +37,7 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from math import prod
+from typing import Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -918,18 +921,26 @@ class RunResult:
             "failures": self.failure_count,
         }
 
+    def lines(self) -> Iterator[str]:
+        """The JSONL report, one line at a time: each failure, its witness
+        encoded as the line is yielded, then the summary."""
+        for r in self.failures:
+            yield jsonio.dumps({"type": "failure", **r.to_json()}) + "\n"
+        yield jsonio.dumps(self.summary_json()) + "\n"
+
     def to_jsonl(self) -> str:
-        lines = [jsonio.dumps({"type": "failure", **r.to_json()}) for r in self.failures]
-        lines.append(jsonio.dumps(self.summary_json()))
-        return "\n".join(lines) + "\n"
+        return "".join(self.lines())
 
     def to_markdown(self) -> str:
-        return markdown_report(self.summary_json(), [r.to_json() for r in self.failures])
+        broken = [[n for n, ok in r.details if not ok] for r in self.failures]
+        notes = self.failures[0].model_collapse if self.failures else ()
+        return markdown_report(self.summary_json(), broken, notes)
 
 
-def markdown_report(summary: dict, failures: list[dict]) -> str:
-    """The Markdown of a run, from its JSONL records: the summary and the
-    failure lines, in order.  KeyError or TypeError if a record lacks a field."""
+def markdown_report(summary: dict, broken: list[list[str]], notes) -> str:
+    """The Markdown of a run: its summary record, the names of the broken
+    conclusions of each failure, in order, and the model-collapse notes of
+    the first failure.  KeyError or TypeError if the summary lacks a field."""
     task = summary["task"]
     head = [
         f"# {task['theorem']}",
@@ -947,13 +958,12 @@ def markdown_report(summary: dict, failures: list[dict]) -> str:
     strata = summary["strata"]
     for name in sorted(strata):
         head.append(f"| {name} | {strata[name]} |")
-    if failures:
+    if broken:
         head += ["", "## failures", ""]
-        for i, r in enumerate(failures):
-            bad = [d["name"] for d in r["details"] if not d["ok"]]
+        for i, bad in enumerate(broken):
             head.append(f"- failure {i}: broken conclusions: {', '.join(bad)}")
         head += ["", "## model-collapse notes", ""]
-        head += [f"- {note}" for note in failures[0]["model_collapse"]]
+        head += [f"- {note}" for note in notes]
     return "\n".join(head) + "\n"
 
 
@@ -988,7 +998,7 @@ def run_search(task: SearchTask) -> RunResult:
         evaluated += 1
         if not rep.conclusion_checked:
             small, rep = shrink_witness(inst, rep, info.evaluate, dropped)
-            rep.witness = small.to_json()
+            rep.instance = small
             failures.append(rep)
             if task.stop_at_first:
                 break

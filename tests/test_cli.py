@@ -489,6 +489,52 @@ def test_an_over_budget_order_is_refused_before_any_table_is_built(theorem):
     assert_usage_error(proc.returncode, proc.stdout, proc.stderr, "A = Z/3,", "B = Z/2 x Z/7 ")
 
 
+def _limit_address_space_to_100_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+
+def test_running_out_of_memory_is_one_line_and_exit_2():
+    """topologizable at order 6 peaks near 500 MB: under a 100 MB address
+    space the search raises MemoryError within seconds, and verify exits 2
+    with one line that names the spec."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "topab", "verify", "topologizable", "--max-order", "6"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space_to_100_mb,
+    )
+    assert_usage_error(
+        proc.returncode,
+        proc.stdout,
+        proc.stderr,
+        "out of memory on topologizable at max order 6",
+        "lower --max-order",
+    )
+
+
+def test_verify_writes_the_report_line_by_line(tmp_path, capsys, monkeypatch):
+    """verify never joins the report: the JSONL it writes one line at a time
+    is run_search(task).to_jsonl() byte for byte."""
+    from topab.search import RunResult, SearchTask, run_search
+
+    task = SearchTask("five_lemma_nagao", family=FamilySpec(max_group_order=2))
+    expected = run_search(task).to_jsonl()
+    assert expected.count("\n") > 1
+
+    def joined(self):
+        raise AssertionError("the whole report was joined")
+
+    monkeypatch.setattr(RunResult, "to_jsonl", joined)
+    code, out, err = run_cli(
+        capsys, "verify", "five_lemma_nagao", "--max-order", "2", "--out", str(tmp_path)
+    )
+    assert (code, err) == (1, "")
+    assert (tmp_path / "five_lemma_nagao.jsonl").read_bytes() == expected.encode()
+
+
 def test_report_malformed_jsonl_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"type": "summary"\n', encoding="utf-8")

@@ -48,6 +48,8 @@ from topab.groups import (
     Interned,
     Subgroup,
     exactness_failure,
+    group_structure,
+    hom_from_table,
     identity_hom,
     zero_hom,
 )
@@ -56,6 +58,7 @@ from topab.duality import dual_extension
 from topab.search import (
     FamilySpec,
     RowData,
+    all_cocycles,
     all_groups_up_to_order,
     extension_family,
     five_lemma_family,
@@ -117,6 +120,67 @@ def test_cocycle_validation():
     )
     assert not validate_cocycle(bad)
     assert any("normalization" in v for v in cocycle_violations(bad))
+
+
+def _violations_by_triple_loop(h: FactorSet) -> tuple[str, ...]:
+    """cocycle_violations written with h(...), A.add and B.add."""
+    A, B = h.A, h.B
+    out = []
+    for b in B.elements:
+        if h(b, B.zero) != A.zero or h(B.zero, b) != A.zero:
+            out.append(f"normalization fails at {b}")
+    for b in B.elements:
+        for bp in B.elements:
+            if h(b, bp) != h(bp, b):
+                out.append(f"symmetry fails at ({b}, {bp})")
+    for b in B.elements:
+        for bp in B.elements:
+            for bpp in B.elements:
+                lhs = A.add(h(b, bp), h(B.add(b, bp), bpp))
+                rhs = A.add(h(bp, bpp), h(b, B.add(bp, bpp)))
+                if lhs != rhs:
+                    out.append(f"cocycle identity fails at ({b}, {bp}, {bpp})")
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "law, edits",
+    [
+        ("normalization", {((1,), (0,)): (1,)}),
+        ("normalization", {((0,), (3,)): (2,)}),
+        ("symmetry", {((1,), (2,)): (3,)}),
+        ("cocycle identity", {((1,), (2,)): (1,), ((2,), (1,)): (1,)}),
+    ],
+)
+def test_cocycle_violations_read_off_the_tables_as_the_triple_loop(law, edits):
+    """A valid cocycle Z4 x Z4 -> Z4 with entries overwritten so that it
+    breaks the law: the table-reading diagnostics are the triple loop's,
+    message for message and in order."""
+    h = factor_set(Z4, Z4, {(b, bp): ((b[0] + bp[0]) // 4,) for b in Z4.elements for bp in Z4.elements})
+    assert cocycle_violations(h) == ()
+    entries = tuple((b, bp, edits.get((b, bp), a)) for b, bp, a in h.entries)
+    bad = FactorSet(Z4, Z4, entries)
+    got = cocycle_violations(bad)
+    assert any(m.startswith(f"{law} fails") for m in got)
+    assert got == _violations_by_triple_loop(bad)
+
+
+def test_realize_cocycle_is_the_twisted_group_path():
+    """Every cocycle over groups of order <= 4 realizes as group_structure
+    over TwistedGroup.add, with the same canonical group, pair map, iota
+    and pi."""
+    groups = all_groups_up_to_order(4)
+    cocycles = [h for A in groups for B in groups for h in all_cocycles(A, B)]
+    assert len(cocycles) == 393
+    for h in cocycles:
+        A, B = h.A, h.B
+        tw = TwistedGroup(h)
+        G, pairs = group_structure(tw.elements, tw.add, tw.zero)
+        from_pair = dict(zip(pairs, G.elements))
+        iota = hom_from_table(A, G, {a: from_pair[(a, B.zero)] for a in A.elements})
+        pi = hom_from_table(G, B, {y: b for y, (_, b) in zip(G.elements, pairs)})
+        real = realize_cocycle(h)
+        assert (real.G, real.from_pair, real.iota, real.pi) == (G, from_pair, iota, pi)
 
 
 def test_twisted_group_z4():

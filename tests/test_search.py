@@ -225,6 +225,48 @@ def test_negative_control_alpha_dropped():
         assert replayed.conclusion_checked is False
 
 
+def test_a_failure_holds_its_shrunk_instance(monkeypatch):
+    """Each failure keeps the instance that shrink_witness returned, and
+    its witness is that instance's JSON, encoded afresh on each read."""
+    shrunk = []
+    shrink = search.shrink_witness
+
+    def recorded(*args):
+        small, rep = shrink(*args)
+        shrunk.append(small)
+        return small, rep
+
+    monkeypatch.setattr(search, "shrink_witness", recorded)
+    res = run_search(SearchTask("p3_generalized", ("alpha_continuous",), SMALL))
+    assert res.failure_count == len(shrunk) > 0
+    for rep, small in zip(res.failures, shrunk):
+        assert rep.instance is small
+        assert rep.witness == small.to_json()
+        assert rep.witness is not rep.witness
+
+
+def test_the_markdown_encodes_no_witness(monkeypatch):
+    """to_markdown reads each failure's details and notes, not its witness;
+    it renders what `topab report` renders from the JSONL.  The JSONL
+    encodes each witness once."""
+    from topab.cli import _render_report
+
+    res = run_search(SearchTask("p3_generalized", ("alpha_continuous",), SMALL))
+    assert res.failure_count > 0
+    encoded = []
+    encode = search._Instance.to_json
+
+    def counted(self):
+        encoded.append(self)
+        return encode(self)
+
+    monkeypatch.setattr(search._Instance, "to_json", counted)
+    md = res.to_markdown()
+    assert encoded == []
+    assert md == _render_report(res.to_jsonl())
+    assert encoded == [rep.instance for rep in res.failures]
+
+
 def test_verify_mode_zero_failures_on_sound_theorems():
     for tid in ("p3_generalized", "strictness_injectivity", "haus_exactness"):
         fam = SMALL if tid != "haus_exactness" else FamilySpec(max_group_order=2)
