@@ -13,8 +13,9 @@ over one realization shares it.  Whether a section topologizes, and the
 topology it induces, depend only on its restriction to N_B, so
 `section_census` lists the topologizing sections of an extension by that
 restriction; it is their one source, and builds and keeps each by its index.
-A row of a square is its algebra and its section: `realize_cocycle` realizes
-each cocycle once, `cocycle_extension` makes it an algebraic extension over
+A row of a square is its algebra and its section: `realize_cocycle` checks
+each cocycle and realizes it once, by the one twisted sum on A x B, which
+it owns; `cocycle_extension` makes it an algebraic extension over
 topologized ends once, and `nagao_topology` topologizes an (extension,
 section) pair as the `Extension` of the algebra and its Nagao topology.
 An extension square is the two-square `topology.Ladder` of
@@ -100,7 +101,6 @@ class FactorSet(metaclass=Interned):
         return self.rows[b][bp]
 
 
-@cache
 def cocycle_violations(h: FactorSet) -> tuple[str, ...]:
     """Diagnostics: normalization, symmetry, and cocycle-identity failures."""
     rows, sums_a, sums_b = h.rows, h.A.sums, h.B.sums
@@ -127,41 +127,6 @@ def cocycle_violations(h: FactorSet) -> tuple[str, ...]:
 
 def validate_cocycle(h: FactorSet) -> bool:
     return not cocycle_violations(h)
-
-
-@dataclass(frozen=True)
-class TwistedGroup:
-    """A x B under (a,b) + (a',b') = (a + a' + h(b,b'), b + b')."""
-
-    h: FactorSet
-
-    def __post_init__(self):
-        bad = cocycle_violations(self.h)
-        if bad:
-            raise InvalidCocycle(bad[0])
-
-    @property
-    def A(self) -> FinAbGroup:
-        return self.h.A
-
-    @property
-    def B(self) -> FinAbGroup:
-        return self.h.B
-
-    @cached_property
-    def elements(self) -> tuple[Pair, ...]:
-        return tuple(
-            (a, b) for a in self.A.elements for b in self.B.elements
-        )
-
-    @property
-    def zero(self) -> Pair:
-        return (self.A.zero, self.B.zero)
-
-    def add(self, x: Pair, y: Pair) -> Pair:
-        (a, b), (ap, bp) = x, y
-        sums_a = self.A.sums
-        return (sums_a[sums_a[a][ap]][self.h.rows[b][bp]], self.B.sums[b][bp])
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,17 +274,20 @@ class Realization:
 
 @cache
 def realize_cocycle(h: FactorSet) -> Realization:
-    """Canonicalize the twisted group and return the extension data around it:
-    the one realization of h, whatever the topologies on h.A and h.B."""
-    tw = TwistedGroup(h)
+    """Canonicalize the twisted group, A x B under (a, b) + (a', b') =
+    (a + a' + h(b, b'), b + b'), and return the extension data around it: the
+    one realization of h, whatever the topologies on A and B.  InvalidCocycle,
+    with the first of `cocycle_violations(h)`, unless h is a cocycle."""
+    if bad := cocycle_violations(h):
+        raise InvalidCocycle(bad[0])
     A, B = h.A, h.B
     rows, sums_a, sums_b = h.rows, A.sums, B.sums
 
-    def add(x: Pair, y: Pair) -> Pair:  # tw.add, read off the tables
+    def add(x: Pair, y: Pair) -> Pair:
         (a, b), (ap, bp) = x, y
         return (sums_a[sums_a[a][ap]][rows[b][bp]], sums_b[b][bp])
 
-    G, pairs = group_structure(tw.elements, add, tw.zero)
+    G, pairs = group_structure(itertools.product(A.elements, B.elements), add, (A.zero, B.zero))
     from_pair = dict(zip(pairs, G.elements))
     iota = hom_from_table(A, G, {a: from_pair[(a, B.zero)] for a in A.elements})
     pi = hom_from_table(G, B, {y: b for y, (_, b) in zip(G.elements, pairs)})
@@ -337,10 +305,10 @@ def cocycle_extension(A: TopAbGroup, B: TopAbGroup, h: FactorSet) -> AlgExtensio
 
 
 def is_topologizing(A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet) -> bool:
-    """Continuity of h at (0, 0): h maps N_B x N_B into N_A."""
-    bad = cocycle_violations(h)
-    if bad:
-        raise InvalidCocycle(bad[0])
+    """Continuity of h at (0, 0): h maps N_B x N_B into N_A.  h must be a
+    cocycle and is not checked: a section's factor set, the one h that
+    `nagao_topology` passes, is normalized (s(0) = 0), symmetric (G is
+    abelian) and a coboundary in G, so always one."""
     core_a = A_top.core_set
     return all(
         h(b, bp) in core_a for b in B_top.open_core for bp in B_top.open_core

@@ -773,19 +773,17 @@ def _zero_pad_diagonal(spec: FamilySpec):
 
 
 def _glued_small(spec: FamilySpec):
-    """Each small row glued to every extension of its quotient by a small group."""
-    small = min(2, spec.max_group_order)
-    for base in _row_pool(spec, small):
-        e_b = base.B
-        ida, idb = identity_hom(base.A.group), identity_hom(e_b.group)
-        for C_top in topologized_groups(small):
-            idc = identity_hom(C_top.group)
-            for hc in all_cocycles(e_b.group, C_top.group):
-                algc = cocycle_extension(e_b, C_top, hc)
-                for sc in section_census(algc).sections():
-                    chain = RowData(e_b, C_top, hc, sc)
-                    for lift in gamma_lifts(algc, sc, algc, idb, idc):
-                        yield FiveLemmaInstance("glued", base, base, chain, ida, idb, lift)
+    """Each small row glued to every small row over its quotient: the chains
+    are the pool's rows whose kernel is the base row's quotient, so they
+    keep the pool's order and its cap on cocycles per pair."""
+    rows = _row_pool(spec, min(2, spec.max_group_order))
+    for base in rows:
+        ida, idb = identity_hom(base.A.group), identity_hom(base.B.group)
+        for chain in rows:
+            if chain.A is base.B:
+                idc = identity_hom(chain.B.group)
+                for lift in gamma_lifts(chain.alg, chain.s, chain.alg, idb, idc):
+                    yield FiveLemmaInstance("glued", base, base, chain, ida, idb, lift)
 
 
 @cache

@@ -14,11 +14,11 @@ from math import prod
 
 from topab.diagrams import VerificationReport, first_disagreeing_pair
 from topab.duality import _rescale, dual_group, dual_hom
-from topab.errors import InvalidSection, NotContinuous, NotTopologizing
+from topab.errors import InvalidCocycle, InvalidSection, NotContinuous, NotTopologizing
 from topab.extensions import (
     AlgExtension,
+    FactorSet,
     Section,
-    TwistedGroup,
     comparison_map,
     enumerate_sections,
     factor_set_from_section,
@@ -190,6 +190,62 @@ def is_strict_exact_oracle(groups, maps) -> bool:
 
 # ---------------------------------------------------------------------------
 # extensions
+
+
+def violations_by_triple_loop(h: FactorSet) -> tuple[str, ...]:
+    """The normalization, symmetry and cocycle-identity failures of h,
+    written with h(...), A.add and B.add, in the messages and order of
+    `extensions.cocycle_violations`."""
+    A, B = h.A, h.B
+    out = []
+    for b in B.elements:
+        if h(b, B.zero) != A.zero or h(B.zero, b) != A.zero:
+            out.append(f"normalization fails at {b}")
+    for b in B.elements:
+        for bp in B.elements:
+            if h(b, bp) != h(bp, b):
+                out.append(f"symmetry fails at ({b}, {bp})")
+    for b in B.elements:
+        for bp in B.elements:
+            for bpp in B.elements:
+                lhs = A.add(h(b, bp), h(B.add(b, bp), bpp))
+                rhs = A.add(h(bp, bpp), h(b, B.add(bp, bpp)))
+                if lhs != rhs:
+                    out.append(f"cocycle identity fails at ({b}, {bp}, {bpp})")
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class TwistedGroup:
+    """A x B under (a, b) + (a', b') = (a + a' + h(b, b'), b + b'), summed
+    with A.add, h and B.add; InvalidCocycle unless the triple loop finds h
+    a cocycle."""
+
+    h: FactorSet
+
+    def __post_init__(self):
+        if bad := violations_by_triple_loop(self.h):
+            raise InvalidCocycle(bad[0])
+
+    @property
+    def A(self) -> FinAbGroup:
+        return self.h.A
+
+    @property
+    def B(self) -> FinAbGroup:
+        return self.h.B
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(itertools.product(self.A.elements, self.B.elements))
+
+    @property
+    def zero(self):
+        return (self.A.zero, self.B.zero)
+
+    def add(self, x, y):
+        (a, b), (ap, bp) = x, y
+        return (self.A.add(self.A.add(a, ap), self.h(b, bp)), self.B.add(b, bp))
 
 
 def check_group_laws(tw: TwistedGroup) -> None:

@@ -307,6 +307,18 @@ def test_extend_cocycle_over_other_groups_exit_2(tmp_path, capsys):
     assert_usage_error(*run_cli(capsys, "extend", a, b, h), "cocycle groups do not match")
 
 
+def test_extend_non_cocycle_exit_2(tmp_path, capsys):
+    """A table with h(0, 1) = 1 is refused with the first failure of the
+    cocycle laws, on one line."""
+    z2 = {"moduli": [2]}
+    t = write(tmp_path, "t.json", jsonio.to_json(discrete(FinAbGroup([2]))))
+    table = [[[0], [0], [0]], [[0], [1], [1]], [[1], [0], [0]], [[1], [1], [0]]]
+    h = write(tmp_path, "h.json", {"A": z2, "B": z2, "table": table})
+    code, out, err = run_cli(capsys, "extend", t, t, h)
+    assert_usage_error(code, out, err)
+    assert err == "error: normalization fails at (1,)\n"
+
+
 def test_dual_command(tmp_path, capsys):
     z4 = FinAbGroup([4])
     g = write(tmp_path, "g.json", jsonio.to_json(topologize(z4, [(0,), (2,)])))

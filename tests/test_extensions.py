@@ -23,7 +23,6 @@ from topab.extensions import (
     Extension,
     FactorSet,
     Section,
-    TwistedGroup,
     canonical_section,
     cocycle_extension,
     cocycle_violations,
@@ -83,11 +82,13 @@ from builders import (
     topologize,
 )
 from oracles import (
+    TwistedGroup,
     check_group_laws,
     checked_theta,
     compatible_section_via_eta,
     psi_maps,
     same_topology,
+    violations_by_triple_loop,
 )
 from test_groups import PROPERTIES
 
@@ -122,28 +123,8 @@ def test_cocycle_validation():
     assert any("normalization" in v for v in cocycle_violations(bad))
 
 
-def _violations_by_triple_loop(h: FactorSet) -> tuple[str, ...]:
-    """cocycle_violations written with h(...), A.add and B.add."""
-    A, B = h.A, h.B
-    out = []
-    for b in B.elements:
-        if h(b, B.zero) != A.zero or h(B.zero, b) != A.zero:
-            out.append(f"normalization fails at {b}")
-    for b in B.elements:
-        for bp in B.elements:
-            if h(b, bp) != h(bp, b):
-                out.append(f"symmetry fails at ({b}, {bp})")
-    for b in B.elements:
-        for bp in B.elements:
-            for bpp in B.elements:
-                lhs = A.add(h(b, bp), h(B.add(b, bp), bpp))
-                rhs = A.add(h(bp, bpp), h(b, B.add(bp, bpp)))
-                if lhs != rhs:
-                    out.append(f"cocycle identity fails at ({b}, {bp}, {bpp})")
-    return tuple(out)
-
-
-@pytest.mark.parametrize(
+# entries that break a valid cocycle Z4 x Z4 -> Z4 at one law
+BROKEN_LAWS = pytest.mark.parametrize(
     "law, edits",
     [
         ("normalization", {((1,), (0,)): (1,)}),
@@ -152,17 +133,36 @@ def _violations_by_triple_loop(h: FactorSet) -> tuple[str, ...]:
         ("cocycle identity", {((1,), (2,)): (1,), ((2,), (1,)): (1,)}),
     ],
 )
-def test_cocycle_violations_read_off_the_tables_as_the_triple_loop(law, edits):
-    """A valid cocycle Z4 x Z4 -> Z4 with entries overwritten so that it
-    breaks the law: the table-reading diagnostics are the triple loop's,
-    message for message and in order."""
+
+
+def _z4_cocycle_with(edits) -> FactorSet:
+    """The carry cocycle Z4 x Z4 -> Z4 with the entries of edits overwritten."""
     h = factor_set(Z4, Z4, {(b, bp): ((b[0] + bp[0]) // 4,) for b in Z4.elements for bp in Z4.elements})
     assert cocycle_violations(h) == ()
-    entries = tuple((b, bp, edits.get((b, bp), a)) for b, bp, a in h.entries)
-    bad = FactorSet(Z4, Z4, entries)
+    return FactorSet(Z4, Z4, tuple((b, bp, edits.get((b, bp), a)) for b, bp, a in h.entries))
+
+
+@BROKEN_LAWS
+def test_cocycle_violations_read_off_the_tables_as_the_triple_loop(law, edits):
+    """A valid cocycle with entries overwritten so that it breaks the law:
+    the table-reading diagnostics are the triple loop's, message for message
+    and in order."""
+    bad = _z4_cocycle_with(edits)
     got = cocycle_violations(bad)
     assert any(m.startswith(f"{law} fails") for m in got)
-    assert got == _violations_by_triple_loop(bad)
+    assert got == violations_by_triple_loop(bad)
+
+
+@BROKEN_LAWS
+def test_realize_cocycle_raises_the_first_violation(law, edits):
+    """realize_cocycle checks the cocycle itself: on a table broken at the
+    law it raises InvalidCocycle with the first diagnostic, and raises again
+    on a second call, since a raise leaves nothing in its cache."""
+    bad = _z4_cocycle_with(edits)
+    for _ in range(2):
+        with pytest.raises(InvalidCocycle) as exc:
+            realize_cocycle(bad)
+        assert str(exc.value) == cocycle_violations(bad)[0]
 
 
 def test_realize_cocycle_is_the_twisted_group_path():

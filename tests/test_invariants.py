@@ -1,5 +1,8 @@
 """Cross-module invariant sweeps at desk scale."""
 
+import random
+import re
+
 import pytest
 
 from topab.duality import dual_group, dual_hom
@@ -13,10 +16,11 @@ from topab.extensions import (
     enumerate_sections,
 )
 from topab.groups import all_homs, compose
-from topab.search import all_cocycles, topologized_groups
+from topab.search import THEOREMS, FamilySpec, all_cocycles, cocycle_family, topologized_groups
 from topab.topology import TopHom, is_continuous, is_discrete, is_hausdorff
 
 from oracles import has_property_p, open_sets
+from transport import random_cocycle_copy
 
 
 def extensions_up_to(max_order):
@@ -87,3 +91,36 @@ def test_open_set_counts():
     for t in topologized_groups(4):
         k = t.group.order // t.open_core.order
         assert len(open_sets(t)) == 2**k
+
+
+def _cocycle_outcome(theorem: str, A, B, h, dropped):
+    """None if the law filters (A, B, h), else its hypotheses, conclusion and
+    clauses, with the section indices cut from each clause name."""
+    report = THEOREMS[theorem].evaluate(cocycle_extension(A, B, h), dropped)
+    if report is None:
+        return None
+    details = tuple((re.sub(r"(_\d+)+$", "", name), ok) for name, ok in report.details)
+    return report.hypotheses_checked, report.conclusion_checked, details
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["gated", "all_dropped"])
+def test_cocycle_verdicts_are_invariant_under_isomorphism(drop):
+    """Each cocycle instance at the default spec and 3 seeded copies of it,
+    moved along automorphisms of A and B and a coboundary, get the same
+    outcome from each law on cocycles."""
+    rng = random.Random(0)
+    family = cocycle_family(FamilySpec())
+    assert len(family) == 5073
+    changed, moved = [], 0
+    for theorem in ("nagao_comparison", "choice_discrete", "topologizable"):
+        law = THEOREMS[theorem].law
+        dropped = frozenset(law.droppable if drop else ())
+        for _, inst in family:
+            outcome = _cocycle_outcome(theorem, inst.A, inst.B, inst.h, dropped)
+            for _ in range(3):
+                copy = random_cocycle_copy(rng, inst.A, inst.B, inst.h)
+                moved += copy != (inst.A, inst.B, inst.h)
+                if _cocycle_outcome(theorem, *copy, dropped) != outcome:
+                    changed.append((theorem, inst, copy))
+    assert moved > 3 * 3 * len(family) * 0.9, "the copies must be other instances"
+    assert not changed, f"{len(changed)} copies change their verdict"

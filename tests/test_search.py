@@ -546,6 +546,18 @@ def test_a_glued_witness_has_no_field_that_its_build_ignores(key):
             decode(data)
 
 
+def test_the_glued_chains_obey_the_cocycle_cap():
+    """At max_cocycle_count 1, the base row and the chain of each glued
+    square take the first cocycle of their pair of groups, as every other
+    exhaustive stratum does."""
+    spec = FamilySpec(max_group_order=2, max_cocycle_count=1, generators=("glued_small",))
+    family = search.five_lemma_family(spec)
+    assert len(family) == 99
+    for _, inst in family:
+        for row in (inst.row1, inst.chain1):
+            assert row.h in all_cocycles(row.h.A, row.h.B)[: spec.max_cocycle_count]
+
+
 def test_cocycle_witness_names_the_groups_of_its_cocycle():
     """A cocycle instance whose h is not a cocycle on its B with values in
     its A is rejected when the witness is decoded, as a row is."""
