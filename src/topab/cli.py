@@ -199,10 +199,10 @@ def cmd_sections(args) -> int:
         return 2
     sections = list(enumerate_sections(alg))
     census = section_census(alg)
-    passing = set(census.restrictions)
+    passing = set(census.splittings)
     topologizing, classes = [], {}
     for i, s in enumerate(sections):
-        r = tuple(map(s, alg.B.open_core))
+        r = census.splitting(s)
         if r in passing:
             topologizing.append(i)
             classes.setdefault(census.core(r).elements, []).append(i)

@@ -469,19 +469,18 @@ def _criteria_agree(alg: AlgExtension):
     = iota^{-1}(s_i(b) - s_j(b)) maps N_B into N_A exactly when s_i and s_j
     meet the same cosets of iota(N_A) on N_B, so a section's class is the
     least element of each such coset.  Core and class depend only on the
-    restriction to N_B: the partitions are compared over the census, and
+    section's splitting: the partitions are compared over the census, and
     only a disagreement is traced back to the first pair of section indices.
     """
     census = section_census(alg)
-    rs = census.restrictions
+    sp = census.splittings
     least = coset_reps(alg.G, {alg.iota(a) for a in alg.A.open_core})
-    cores = [census.core(r).elements for r in rs]
-    keys = [tuple(map(least.__getitem__, r)) for r in rs]
+    cores = [census.core(r).elements for r in sp]
+    keys = [tuple(map(least.__getitem__, r)) for r in sp]
     pair = first_disagreeing_pair(cores, keys)
     if pair is not None:
-        index = {r: i for i, r in enumerate(rs)}
-        core_b = alg.B.open_core
-        of_section = [index[tuple(map(s, core_b))] for s in census.sections()]
+        index = {r: i for i, r in enumerate(sp)}
+        of_section = [index[census.splitting(s)] for s in census.sections()]
         pair = first_disagreeing_pair(
             [cores[i] for i in of_section], [keys[i] for i in of_section]
         )
@@ -490,7 +489,7 @@ def _criteria_agree(alg: AlgExtension):
 
 
 def _topologizable(alg: AlgExtension) -> bool:
-    return bool(section_census(alg).restrictions)
+    return bool(section_census(alg).splittings)
 
 
 verify_nagao_comparison = Law(
@@ -503,7 +502,7 @@ verify_nagao_comparison = Law(
 def _unique_core(alg: AlgExtension):
     """Over a discrete quotient every topologizing section gives one core."""
     census = section_census(alg)
-    cores = {census.core(r).elements for r in census.restrictions}
+    cores = {census.core(r).elements for r in census.splittings}
     return (("unique_core_across_sections", len(cores) <= 1),)
 
 

@@ -9,10 +9,12 @@ sequence a topological extension.
 
 The factor set of a section is algebra alone: `factor_set_from_section` is
 keyed by iota, pi and the section, so every choice of open cores on A and B
-over one realization shares it.  Whether a section topologizes, and the
-topology it induces, depend only on its restriction to N_B, so
-`section_census` lists the topologizing sections of an extension by that
-restriction; it is their one source, and builds and keeps each by its index.
+over one realization shares it.  A section topologizes exactly when its
+restriction to N_B, taken mod iota(N_A), is a homomorphic splitting over
+N_B, and the topology it induces depends only on that splitting, so
+`section_census` lists the topologizing sections of an extension by their
+splittings, found in closed form from the generators of N_B; it is their
+one source, and builds and keeps each by its index.
 A row of a square is its algebra and its section: `realize_cocycle` checks
 each cocycle and realizes it once, by the one twisted sum on A x B, which
 it owns; `cocycle_extension` makes it an algebraic extension over
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Iterator
 
 from .errors import (
@@ -51,6 +53,7 @@ from .groups import (
     Subgroup,
     compose,
     corestricted,
+    coset_reps,
     exactness_failure,
     group_structure,
     hom_from_table,
@@ -317,20 +320,23 @@ def is_topologizing(A_top: TopAbGroup, B_top: TopAbGroup, h: FactorSet) -> bool:
 
 @dataclass(frozen=True)
 class SectionCensus:
-    """The topologizing sections of one extension, by their restriction to N_B.
+    """The topologizing sections of one extension, by their splittings.
 
-    Whether a section s topologizes, its Nagao core and its comparison class
-    all depend only on r = s|N_B, listed as the images of `alg.B.open_core`.
-    `restrictions` holds every r of a topologizing section, in product
-    order, which is the order in which `enumerate_sections` first meets
-    them; each stands for the |A|^(|B| - |N_B|) sections that agree with it
-    on N_B, so there are `section_count` topologizing sections, and
-    `section(k)` builds the k-th of them alone and keeps it in `built`.
+    A section s topologizes exactly when s|N_B, taken mod iota(N_A), is a
+    homomorphic splitting over N_B; its Nagao core and comparison class
+    depend only on that splitting.  A splitting is stored as its least
+    restriction: the images of `alg.B.open_core`, each the least element of
+    its coset (`least`).  `splittings` are sorted, which is the order in
+    which `enumerate_sections` first meets them; each stands for
+    |N_A|^(|N_B| - 1) * |A|^(|B| - |N_B|) sections, so there are
+    `section_count` topologizing sections, and `section(k)` builds the k-th
+    of them alone and keeps it in `built`.
     """
 
     alg: AlgExtension
-    restrictions: tuple[tuple[Element, ...], ...]
+    splittings: tuple[tuple[Element, ...], ...]
     section_count: int
+    least: dict[Element, Element] = field(compare=False, repr=False)
     built: dict[int, Section] = field(default_factory=dict, compare=False, repr=False)
 
     def sections(self) -> Iterator[Section]:
@@ -340,37 +346,43 @@ class SectionCensus:
     def section(self, k: int) -> Section:
         """The k-th topologizing section in `enumerate_sections` order.
 
-        Walking B's nonzero elements in order, a position on N_B keeps the
-        restrictions that agree with the prefix, and a free position divides
-        k by the number of sections each of its choices stands for."""
+        Walking B's nonzero elements in order, each choice stands for the
+        splittings that meet the cosets chosen so far on N_B, times |N_A|
+        per N_B position and |A| per free position still to come."""
         if k in self.built:
             return self.built[k]
         if not 0 <= k < self.section_count:
             raise IndexError(f"section {k} of {self.section_count}")
-        alg = self.alg
+        alg, least = self.alg, self.least
         B, G, core_b = alg.B.group, alg.G, alg.B.open_core
-        fibers, a_order = alg.pi.fibers, alg.A.group.order
-        free = B.order - core_b.order
-        candidates, j, rest = self.restrictions, 0, k
+        fibers, a_order, na = alg.pi.fibers, alg.A.group.order, alg.A.open_core.order
+        free, j = B.order - core_b.order, 0
+        candidates, rest = self.splittings, k
         entries = [(B.zero, G.zero)]
         for b in B.elements[1:]:
             if b in core_b.element_set:
                 # core_b is sorted, so its j-th element is the j-th met here
                 j += 1
-                block = a_order**free
-                for g, agreeing in itertools.groupby(candidates, key=lambda r: r[j]):
-                    agreeing = tuple(agreeing)
+                block = na ** (core_b.order - 1 - j) * a_order**free
+                for g in fibers[b]:
+                    agreeing = [sp for sp in candidates if sp[j] == least[g]]
                     if rest < len(agreeing) * block:
                         break
                     rest -= len(agreeing) * block
                 candidates = agreeing
             else:
                 free -= 1
-                q, rest = divmod(rest, len(candidates) * a_order**free)
+                block = na ** (core_b.order - 1 - j) * a_order**free
+                q, rest = divmod(rest, len(candidates) * block)
                 g = fibers[b][q]
             entries.append((b, g))
         s = self.built[k] = Section(B, G, tuple(entries))
         return s
+
+    def splitting(self, s: Section) -> tuple[Element, ...]:
+        """The least restriction of s's cosets on N_B: one of `splittings`
+        exactly when s topologizes."""
+        return tuple(self.least[s(b)] for b in self.alg.B.open_core)
 
     def core(self, r: tuple[Element, ...]) -> Subgroup:
         """The Nagao core of every section restricting to r, built on first use."""
@@ -387,20 +399,26 @@ class SectionCensus:
 
 @cache
 def section_census(alg: AlgExtension) -> SectionCensus:
-    """Each restriction r to N_B is tested once, on N_B x N_B:
-    r(b) + r(b') - r(b + b') must lie in iota(N_A)."""
-    G, B, core_b = alg.G, alg.B.group, alg.B.open_core
+    """The splittings in closed form, with no walk over restrictions: one
+    for each choice, for every generator e_j of N_B, of order n_j, of a
+    coset of iota(N_A) over e_j whose n_j-th multiple is iota(N_A)."""
+    G, A, n_b = alg.G, alg.A, subgroup_as_group(alg.B.open_core)
+    least = coset_reps(G, {alg.iota(a) for a in A.open_core})
     fibers = alg.pi.fibers
-    iota_core = {alg.iota(a) for a in alg.A.open_core}
-    sums_g, neg_g, sums_b = G.sums, G.negation, B.sums
-    pairs = [(b, c, sums_b[b][c]) for b, c in itertools.product(core_b, repeat=2)]
-    passing = []
-    for r in itertools.product(*(fibers[b] for b in core_b.elements[1:])):
-        t = dict(zip(core_b, (G.zero, *r)))
-        if all(sums_g[sums_g[t[b]][t[c]]][neg_g[t[bc]]] in iota_core for b, c, bc in pairs):
-            passing.append((G.zero, *r))
-    free = B.order - core_b.order
-    return SectionCensus(alg, tuple(passing), len(passing) * alg.A.group.order**free)
+    cosets = [
+        [g for g in fibers[n_b.include(e)] if least[g] == g and least[G.scale(n, g)] == G.zero]
+        for e, n in zip(n_b.group.generators, n_b.group.moduli)
+    ]
+
+    def image(gs: tuple[Element, ...], x: Element) -> Element:
+        return least[reduce(G.add, map(G.scale, n_b.coords[x], gs), G.zero)]
+
+    splittings = sorted(
+        tuple(image(gs, x) for x in alg.B.open_core) for gs in itertools.product(*cosets)
+    )
+    free, n = alg.B.group.order - n_b.group.order, n_b.group.order - 1
+    count = len(splittings) * A.open_core.order**n * A.group.order**free
+    return SectionCensus(alg, tuple(splittings), count, least)
 
 
 def nagao_core(alg: AlgExtension, s: Section) -> Subgroup:

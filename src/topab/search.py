@@ -737,17 +737,15 @@ def inj_family(spec: FamilySpec) -> list[tuple[str, object]]:
 def _extensions(spec: FamilySpec):
     """For each cocycle, the first topologizing section with each Nagao core.
 
-    The census lists the restrictions to N_B in the order in which the
-    sections first meet them, so the first section with a new core is the
-    first section of the first restriction that has it."""
+    Distinct splittings have distinct cores (a core meets the fiber over b
+    in the splitting's coset), the census lists the splittings in the order
+    in which the sections first meet them, and each is the least
+    restriction to N_B of its sections: so the first section with each core
+    is the first section of each splitting."""
     for A_top, B_top, h in _cocycle_triples(spec, spec.max_group_order, reps=False):
         census = section_census(cocycle_extension(A_top, B_top, h))
-        seen_cores = set()
-        for r in census.restrictions:
-            core = census.core(r).elements
-            if core not in seen_cores:
-                seen_cores.add(core)
-                yield ExtensionInstance(RowData(A_top, B_top, h, census.first_section(r)))
+        for r in census.splittings:
+            yield ExtensionInstance(RowData(A_top, B_top, h, census.first_section(r)))
 
 
 @cache

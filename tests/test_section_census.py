@@ -1,8 +1,8 @@
 """The topologizing-section census and the Nagao cores, checked against the
 per-section definitions.
 
-`section_census` tests each restriction of a section to N_B once, and the
-census cores are built once per restriction.  The references in
+`section_census` lists the splittings over N_B in closed form, and the
+census cores are built once per splitting.  The references in
 tests/oracles.py are per-section constructions: every section, kept when
 its cocycle h_s maps N_B x N_B into N_A, the subgroup
 {iota(a) + s(b) : a in N_A, b in N_B} built for each section, and the cocycle
@@ -34,9 +34,11 @@ from topab.search import (
     ExtensionInstance,
     FamilySpec,
     RowData,
+    SearchTask,
     _cocycle_triples,
     _extensions,
     all_cocycles,
+    run_search,
     topologized_groups,
 )
 
@@ -78,10 +80,10 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
     computed once per extension:
     - the materialized census is the filtered list of sections, and the
       census counts them and builds the k-th of them by its index alone;
-    - the census lists each restriction of a topologizing section once, in
-      the order the sections first meet it; each covers |A|^(|B| - |N_B|)
-      sections, and its core is their per-section core (which reads only
-      N_B, so the first of them stands for all);
+    - the census lists one splitting per comparison class of the sections,
+      in the order the sections first meet the classes; each is the least
+      restriction to N_B in its class, covers |N_A|^(|N_B| - 1) *
+      |A|^(|B| - |N_B|) sections, and its core is their per-section core;
     - the three cocycle laws, with and without their hypotheses, report
       what the per-section reference reports, and build no Section.
     Each section's core and comparison key are computed once and shared by
@@ -108,16 +110,18 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
         assert [census.built[k] for k in range(len(secs))] == list(secs)
         with pytest.raises(IndexError):
             census.section(census.section_count)
-        by_restriction = {}
-        for s, core in zip(secs, cores):
-            by_restriction.setdefault(_restriction(alg, s), []).append((s, core))
-        assert census.restrictions == tuple(by_restriction)
-        free = alg.A.group.order ** (alg.B.group.order - alg.B.open_core.order)
-        for r, covered in by_restriction.items():
+        by_class = {}
+        for s, core, key in zip(secs, cores, keys):
+            by_class.setdefault(key, []).append((s, core))
+        assert len(census.splittings) == len(by_class)
+        A, B, N_A, N_B = alg.A.group, alg.B.group, alg.A.open_core, alg.B.open_core
+        free = N_A.order ** (N_B.order - 1) * A.order ** (B.order - N_B.order)
+        for sp, covered in zip(census.splittings, by_class.values()):
             assert len(covered) == free
+            assert sp == min(_restriction(alg, s) for s, _ in covered)
             first, core = covered[0]
-            assert census.first_section(r) == first
-            assert census.core(r).element_set == core
+            assert census.first_section(sp) == first
+            assert census.core(sp).element_set == core
         for law in COCYCLE_LAWS:
             for dropped in (frozenset(), frozenset(law.droppable)):
                 with monkeypatch.context() as m:
@@ -131,6 +135,23 @@ def test_census_matches_per_section_reference(max_order, monkeypatch):
     assert built == []
     # the dropped hypothesis meets empty censuses from order 2 on
     assert empty or max_order == 1
+
+
+# (evaluated, filtered, failures) of `topab verify LAW --max-order 5`
+ORDER_5_COUNTS = {
+    "nagao_comparison": (12_279, 1_902, 0),
+    "choice_discrete": (5_432, 8_749, 0),
+    "topologizable": (14_181, 0, 1_902),
+    "haus_exactness": (8_491, 5_690, 0),
+}
+
+
+@pytest.mark.parametrize("theorem_id", ORDER_5_COUNTS)
+def test_census_laws_keep_their_counts_at_max_order_5(theorem_id):
+    """The laws that read the census, one order past the default spec,
+    which the golden reports stop at: their counts are pinned here."""
+    res = run_search(SearchTask(theorem_id, family=FamilySpec(max_group_order=5)))
+    assert (res.evaluated, res.filtered, res.failure_count) == ORDER_5_COUNTS[theorem_id]
 
 
 @functools.cache
@@ -154,7 +175,8 @@ def drawn_sections(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(drawn_sections())
 def test_drawn_section_topologizes_and_count_has_closed_form(case):
-    """A nonempty census counts |Hom(N_B, A/N_A)| * |N_A|^(|N_B| - 1) *
+    """A nonempty census lists |Hom(N_B, A/N_A)| splittings, one Nagao core
+    each, and counts |Hom(N_B, A/N_A)| * |N_A|^(|N_B| - 1) *
     |A|^(|B| - |N_B|) sections, and the section drawn by index passes the
     definition: its full factor set maps N_B x N_B into N_A."""
     alg, k = case
@@ -163,6 +185,8 @@ def test_drawn_section_topologizes_and_count_has_closed_form(case):
     census = section_census(alg)
     A, B, N_A, N_B = alg.A.group, alg.B.group, alg.A.open_core, alg.B.open_core
     homs = len(hom_set(subgroup_as_group(N_B).group, quotient(A, N_A)[0]))
+    assert len(census.splittings) == homs
+    assert len({census.core(r).elements for r in census.splittings}) == homs
     assert census.section_count == (
         homs * N_A.order ** (N_B.order - 1) * A.order ** (B.order - N_B.order)
     )
@@ -220,17 +244,16 @@ def test_nagao_core_is_built_once_per_restriction():
 
 
 def test_disagreement_is_traced_back_to_the_first_pair_of_sections(monkeypatch):
-    """The two criteria provably agree, so the expansion from restrictions
-    to section indices only runs on a broken key.  With every element its own
-    coset representative, the key of a section is its restriction, and the
-    reported pair must be the first disagreeing pair of sections."""
-    monkeypatch.setattr(diagrams, "coset_reps", lambda G, K: {x: x for x in G.elements})
+    """The two criteria provably agree, so the expansion from splittings
+    to section indices only runs on a broken key.  With one coset
+    representative for all of G, every section has the same key, and the
+    reported pair must be the first pair of sections with different cores."""
+    monkeypatch.setattr(diagrams, "coset_reps", lambda G, K: {x: G.zero for x in G.elements})
     disagreeing = 0
     for alg in _algs(3):
         secs = topologizing_sections_by_filter(alg)
         cores = [core_by_definition(alg, s) for s in secs]
-        keys = [_restriction(alg, s) for s in secs]
-        pair = diagrams.first_disagreeing_pair(cores, keys)
+        pair = diagrams.first_disagreeing_pair(cores, [()] * len(secs))
         every = frozenset(verify_nagao_comparison.droppable)
         details = verify_nagao_comparison(alg, every).details
         if pair is None:
