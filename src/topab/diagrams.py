@@ -28,7 +28,6 @@ from typing import Callable, NamedTuple
 
 from .groups import (
     corestricted,
-    coset_reps,
     exactness_failure,
     identity_hom,
     induced,
@@ -467,23 +466,20 @@ def _criteria_agree(alg: AlgExtension):
     """Core equality vs continuity of the comparison map f_ij on all pairs of
     sections, as partitions by Nagao core and by comparison class.  f_ij(b)
     = iota^{-1}(s_i(b) - s_j(b)) maps N_B into N_A exactly when s_i and s_j
-    meet the same cosets of iota(N_A) on N_B, so a section's class is the
-    least element of each such coset.  Core and class depend only on the
-    section's splitting: the partitions are compared over the census, and
-    only a disagreement is traced back to the first pair of section indices.
+    meet the same cosets of iota(N_A) on N_B, so a section's class is its
+    splitting, the least element of each such coset, which the census holds.
+    Core and class depend only on the splitting: the partitions are compared
+    over the census, and only a disagreement is traced back to the first
+    pair of section indices.
     """
     census = section_census(alg)
     sp = census.splittings
-    least = coset_reps(alg.G, {alg.iota(a) for a in alg.A.open_core})
     cores = [census.core(r).elements for r in sp]
-    keys = [tuple(map(least.__getitem__, r)) for r in sp]
-    pair = first_disagreeing_pair(cores, keys)
+    pair = first_disagreeing_pair(cores, list(sp))
     if pair is not None:
         index = {r: i for i, r in enumerate(sp)}
         of_section = [index[census.splitting(s)] for s in census.sections()]
-        pair = first_disagreeing_pair(
-            [cores[i] for i in of_section], [keys[i] for i in of_section]
-        )
+        pair = first_disagreeing_pair([cores[i] for i in of_section], of_section)
     bad = () if pair is None else (("disagreeing_pair_%d_%d" % pair, False),)
     return (("criteria_agree_on_all_pairs", pair is None),) + bad
 

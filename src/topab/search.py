@@ -70,7 +70,6 @@ from .extensions import (
     Section,
     cocycle_extension,
     extension_square,
-    factor_set_from_section,
     nagao_topology,
     realize_cocycle,
     section_census,
@@ -278,7 +277,8 @@ class RowData(metaclass=Interned):
 
     @cached_property
     def extension(self) -> Extension:
-        """NotTopologizing, on every read, unless s topologizes."""
+        """NotTopologizing, on every read, unless h_s is continuous on
+        N_B x N_B, that is maps it into N_A."""
         return nagao_topology(self.alg, self.s)
 
     @staticmethod
@@ -308,18 +308,20 @@ def gamma_lifts(
     beta: Homomorphism,
 ) -> tuple[Section, ...]:
     """All middle maps commuting over (alpha, beta), as their lifts
-    t = gamma o s1: B1 -> G2, each a `Section` table with t(0) = 0."""
-    h1 = factor_set_from_section(alg1.iota, alg1.pi, s1)
-    B1, G2 = alg1.B.group, alg2.G
+    t = gamma o s1: B1 -> G2, each a `Section` table with t(0) = 0.  The
+    factor set h1 of s1 is computed on the pairs the conditions read."""
+    B1, G1, G2 = alg1.B.group, alg1.G, alg2.G
     fibers = alg2.pi.fibers
     nonzero = [b for b in B1.elements if b != B1.zero]
-    # t(b) + t(b') = t(b + b') + iota2(alpha(h1(b, b'))); both sides are
-    # symmetric in (b, b') and hold when either is 0, as h1 is normalized.
-    conditions = [
-        (b, bp, B1.add(b, bp), alg2.iota(alpha(h1(b, bp))))
-        for i, b in enumerate(nonzero)
-        for bp in nonzero[i:]
-    ]
+    # t(b) + t(b') = t(b + b') + iota2(alpha(h1(b, b'))), where h1(b, b') =
+    # iota1^{-1}(s1(b) + s1(b') - s1(b + b')); both sides are symmetric in
+    # (b, b') and hold when either is 0, as h1 is normalized.
+    conditions = []
+    for i, b in enumerate(nonzero):
+        for bp in nonzero[i:]:
+            c = B1.add(b, bp)
+            h1 = alg1.pull_back(G1.sub(G1.add(s1(b), s1(bp)), s1(c)))
+            conditions.append((b, bp, c, alg2.iota(alpha(h1))))
     sums = G2.sums
     out = []
     for choice in itertools.product(*(fibers[beta(b)] for b in nonzero)):

@@ -21,7 +21,6 @@ from topab.extensions import (
     Section,
     comparison_map,
     enumerate_sections,
-    factor_set_from_section,
     is_topologizing,
     nagao_core,
     section_for,
@@ -213,6 +212,19 @@ def violations_by_triple_loop(h: FactorSet) -> tuple[str, ...]:
                 if lhs != rhs:
                     out.append(f"cocycle identity fails at ({b}, {bp}, {bpp})")
     return tuple(out)
+
+
+def factor_set_from_section(iota: Homomorphism, pi: Homomorphism, s: Section) -> FactorSet:
+    """h_s(b, b') = iota^{-1}(s(b) + s(b') - s(b + b')) on all of B x B: a
+    section's whole factor set, the reference for the pairs of it that
+    `nagao_topology` and `search.gamma_lifts` compute."""
+    G, B = pi.source, pi.target
+    entries = (
+        (b, bp, iota.fibers[G.sub(G.add(s(b), s(bp)), s(B.add(b, bp)))][0])
+        for b in B.elements
+        for bp in B.elements
+    )
+    return FactorSet(iota.source, B, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from topab.duality import dual_group
 from topab.extensions import (
     AlgExtension,
     enumerate_sections,
-    factor_set_from_section,
     realize_cocycle,
 )
 from topab.groups import FinAbGroup, all_homs, all_subgroups
@@ -46,6 +45,7 @@ from topab.topology import (
 from oracles import (
     checked_theta,
     evaluation,
+    factor_set_from_section,
     is_continuous_oracle,
     is_strict_oracle,
     psi_maps,

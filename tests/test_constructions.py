@@ -1,31 +1,32 @@
 """The algebra that every topology over it shares, checked against its
 definitions and counted.
 
-A cocycle's realization, a section's factor set, a square's middle map gamma
-and a five-term row are built once per algebraic input and then shared by
-every choice of open cores and every instance over that input, and each row
-(an algebraic extension and a section) is topologized once, by the one
-interned row object of its value.  The first tests compare each shared piece
+A cocycle's realization, a square's middle map gamma and a five-term row
+are built once per algebraic input and then shared by every choice of open
+cores and every instance over that input, and each row (an algebraic
+extension and a section) is topologized once, by the one interned row
+object of its value.  The first tests compare each shared piece
 with a reference built from scratch on every instance of the square
 families; the last ones count the constructions on a small spec.
 """
 
+import itertools
 import sys
 
 import pytest
 
 from topab import extensions, search, topology
 from topab.diagrams import is_strict_exact
-from topab.errors import NotAnExtension
+from topab.errors import IllDefined, NotAnExtension
 from topab.extensions import (
     AlgExtension,
     Extension,
+    Section,
     cocycle_extension,
-    factor_set_from_section,
     nagao_topology,
     realize_cocycle,
 )
-from topab.groups import Subgroup, identity_hom, zero_hom
+from topab.groups import Subgroup, hom_from_table, hom_set, identity_hom, zero_hom
 from topab.topology import TopAbGroup
 from topab.search import (
     FamilySpec,
@@ -57,11 +58,9 @@ def objects(row):
 
 
 def check_row_algebra(row):
-    """The shared realization and factor set of a row equal fresh ones."""
+    """The shared realization of a row equals a fresh one."""
     alg, fresh = cocycle_extension(row.A, row.B, row.h), fresh_alg(row)
     assert (alg.G, alg.iota, alg.pi) == (fresh.G, fresh.iota, fresh.pi)
-    uncached = factor_set_from_section.__wrapped__(fresh.iota, fresh.pi, row.s)
-    assert factor_set_from_section(alg.iota, alg.pi, row.s) == uncached
     return fresh
 
 
@@ -118,6 +117,34 @@ def cold_caches():
                     value.cache_clear()
 
 
+def test_gamma_lifts_are_the_sections_over_beta_with_a_middle_map():
+    """On every square of rows over groups of order <= 2, gamma_lifts lists,
+    in product order, every section t over beta whose middle map
+    iota1(a) + s1(b) -> iota2(alpha(a)) + t(b) hom_from_table accepts."""
+    rows = search._row_pool(FamilySpec(max_group_order=2), 2)
+    lifts = rejected = 0
+    for r1 in rows:
+        B1, G1 = r1.B.group, r1.alg.G
+        for r2 in rows:
+            G2, fibers = r2.alg.G, r2.alg.pi.fibers
+            for alpha in hom_set(r1.A.group, r2.A.group):
+                for beta in hom_set(B1, r2.B.group):
+                    expected = []
+                    fibers_over = [fibers[beta(b)] for b in B1.elements[1:]]
+                    for choice in itertools.product(*fibers_over):
+                        t = Section(B1, G2, ((B1.zero, G2.zero), *zip(B1.elements[1:], choice)))
+                        middle = gamma_by_definition(r1.alg, r1.s.table, r2.alg, alpha, t.table)
+                        try:
+                            hom_from_table(G1, G2, middle)
+                        except IllDefined:
+                            rejected += 1
+                            continue
+                        expected.append(t)
+                    assert search.gamma_lifts(r1.alg, r1.s, r2.alg, alpha, beta) == tuple(expected)
+                    lifts += len(expected)
+    assert lifts and rejected
+
+
 def test_each_cocycle_is_realized_once(cold_caches, monkeypatch):
     looked_up = []
 
@@ -135,24 +162,6 @@ def test_each_cocycle_is_realized_once(cold_caches, monkeypatch):
     assert {r.h for r in rows} <= set(looked_up)
     # the same h over several pairs of open cores still has one realization
     assert cocycle_extension.cache_info().misses > info.misses
-
-
-def test_each_factor_set_is_built_once_per_realization_and_section(
-    cold_caches, monkeypatch
-):
-    cached = extensions.factor_set_from_section
-    keys = []
-
-    def recording(iota, pi, s):
-        keys.append((iota, pi, s))
-        return cached(iota, pi, s)
-
-    for module in (search, extensions):
-        monkeypatch.setattr(module, "factor_set_from_section", recording)
-    run_search(SearchTask("open_fibers", family=TINY))
-    info = cached.cache_info()
-    assert info.misses == len(set(keys)) > 0
-    assert info.hits == len(keys) - len(set(keys)) > 0
 
 
 def test_each_middle_map_is_built_once_per_algebraic_input(cold_caches):

@@ -29,7 +29,6 @@ from topab.extensions import (
     comparison_map,
     enumerate_sections,
     extension_square,
-    factor_set_from_section,
     has_open_fibers,
     is_compatible,
     is_topologizing,
@@ -86,6 +85,7 @@ from oracles import (
     check_group_laws,
     checked_theta,
     compatible_section_via_eta,
+    factor_set_from_section,
     psi_maps,
     same_topology,
     violations_by_triple_loop,

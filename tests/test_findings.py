@@ -18,14 +18,13 @@ from topab.extensions import (
     extension_square,
     is_compatible,
     is_topologizing,
-    factor_set_from_section,
 )
 from topab.groups import FinAbGroup, zero_hom
 from topab.search import run_search, FamilySpec, SearchTask
 from topab.topology import discrete, is_continuous, is_strict
 
 from builders import indiscrete, make_hom, split_extension
-from oracles import compatible_section_via_eta, open_sets
+from oracles import compatible_section_via_eta, factor_set_from_section, open_sets
 
 Z2 = FinAbGroup([2])
 

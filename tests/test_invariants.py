@@ -11,7 +11,6 @@ from topab.extensions import (
     cocycle_extension,
     nagao_core,
     nagao_topology,
-    factor_set_from_section,
     is_topologizing,
     enumerate_sections,
 )
@@ -19,7 +18,7 @@ from topab.groups import all_homs, compose
 from topab.search import THEOREMS, FamilySpec, all_cocycles, cocycle_family, topologized_groups
 from topab.topology import TopHom, is_continuous, is_discrete, is_hausdorff
 
-from oracles import has_property_p, open_sets
+from oracles import factor_set_from_section, has_property_p, open_sets
 from transport import random_cocycle_copy
 
 

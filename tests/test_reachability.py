@@ -19,6 +19,7 @@ class, if the function binds that name nowhere else.  Any other read
 apart there.  A name that any perfbench/*.py file mentions, as a word
 anywhere in it, is a root, and so is a method of that name, because the
 benchmark looks names up with getattr and wraps methods on their classes.
+`BENCHMARK_ONLY` pins the definitions that only the benchmark reaches.
 """
 
 import ast
@@ -246,6 +247,32 @@ def unreached_definitions(package=PACKAGE, bench=ROOT / "perfbench"):
 
 def test_every_definition_is_reached_by_a_command_a_law_or_the_benchmark():
     assert unreached_definitions() == []
+
+
+# reached only as names that perfbench/ wraps, calls or looks up
+BENCHMARK_ONLY = [
+    "extensions.comparison_map",
+    "extensions.is_topologizing",
+    "extensions.validate_cocycle",
+    "jsonio.section_from_json",
+    "search.CocycleInstance.from_json",
+    "search.ExtensionInstance.from_json",
+    "search.FiveLemmaInstance.from_json",
+    "search.InjSquareInstance.from_json",
+    "search.P3Instance.from_json",
+    "search.RowData.from_json",
+    "search.RunResult.to_jsonl",
+    "search._ends_and_cocycle_from_json",
+    "search.instance_from_json",
+    "search.replay_witness",
+]
+
+
+def test_the_definitions_kept_only_for_the_benchmark_are_these(tmp_path):
+    """Without perfbench/ as a root, exactly BENCHMARK_ONLY goes unreached,
+    so a definition that the product stops using, or starts using again,
+    changes this list in the same change."""
+    assert unreached_definitions(bench=tmp_path) == BENCHMARK_ONLY
 
 
 SYNTHETIC = '''

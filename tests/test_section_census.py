@@ -14,22 +14,24 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topab import diagrams
+from topab import diagrams, extensions
 from topab.diagrams import (
     verify_choice_discrete,
     verify_nagao_comparison,
     verify_topologizable,
 )
+from topab.errors import NotTopologizing
 from topab.extensions import (
     Section,
     _core_on,
     cocycle_extension,
-    factor_set_from_section,
+    enumerate_sections,
     is_topologizing,
     nagao_core,
+    nagao_topology,
     section_census,
 )
-from topab.groups import hom_set, quotient, subgroup_as_group
+from topab.groups import hom_set, quotient, subgroup, subgroup_as_group
 from topab.search import (
     ExtensionInstance,
     FamilySpec,
@@ -46,6 +48,7 @@ from oracles import (
     cocycle_law_by_section,
     comparison_key,
     core_by_definition,
+    factor_set_from_section,
     first_section_per_core,
     topologizing_sections_by_filter,
 )
@@ -245,15 +248,15 @@ def test_nagao_core_is_built_once_per_restriction():
 
 def test_disagreement_is_traced_back_to_the_first_pair_of_sections(monkeypatch):
     """The two criteria provably agree, so the expansion from splittings
-    to section indices only runs on a broken key.  With one coset
-    representative for all of G, every section has the same key, and the
-    reported pair must be the first pair of sections with different cores."""
-    monkeypatch.setattr(diagrams, "coset_reps", lambda G, K: {x: G.zero for x in G.elements})
+    to section indices only runs on a broken core.  With one core for every
+    splitting, every section has the same core, and the reported pair must
+    be the first pair of sections with different comparison keys."""
+    monkeypatch.setattr(extensions, "_core_on", lambda alg, images: subgroup(alg.G, {alg.G.zero}))
     disagreeing = 0
     for alg in _algs(3):
         secs = topologizing_sections_by_filter(alg)
-        cores = [core_by_definition(alg, s) for s in secs]
-        pair = diagrams.first_disagreeing_pair(cores, [()] * len(secs))
+        keys = [comparison_key(alg, s, secs[0]) for s in secs]
+        pair = diagrams.first_disagreeing_pair([()] * len(secs), keys)
         every = frozenset(verify_nagao_comparison.droppable)
         details = verify_nagao_comparison(alg, every).details
         if pair is None:
@@ -262,3 +265,36 @@ def test_disagreement_is_traced_back_to_the_first_pair_of_sections(monkeypatch):
             disagreeing += 1
             assert details[1:] == (("disagreeing_pair_%d_%d" % pair, False),)
     assert disagreeing
+
+
+def test_nagao_topology_decides_on_n_b_pairs_as_the_whole_factor_set():
+    """On every section of every extension up to order 4, nagao_topology
+    raises exactly when the section's whole factor set fails
+    is_topologizing, and names the first pair of N_B x N_B that falls
+    outside N_A and its value; otherwise its core is the reference core.
+    The reference factor sets are built once per realization, and the
+    returned extensions are kept, so that sections with one core meet the
+    pooled extension."""
+    by_realization = {}
+    for alg in _algs(4):
+        by_realization.setdefault((alg.iota, alg.pi), []).append(alg)
+    raised = returned = 0
+    built = set()
+    for (iota, pi), algs in by_realization.items():
+        tables = [(s, factor_set_from_section(iota, pi, s)) for s in enumerate_sections(algs[0])]
+        for alg in algs:
+            core_b, core_a = alg.B.open_core, alg.A.core_set
+            for s, h in tables:
+                try:
+                    e = nagao_topology(alg, s)
+                except NotTopologizing as error:
+                    assert not is_topologizing(alg.A, alg.B, h)
+                    b, bp = next((b, bp) for b in core_b for bp in core_b if h(b, bp) not in core_a)
+                    assert str(error) == f"h_s({b}, {bp}) = {h(b, bp)} falls outside N_A"
+                    raised += 1
+                else:
+                    assert is_topologizing(alg.A, alg.B, h)
+                    assert e.alg is alg and e.G.core_set == core_by_definition(alg, s)
+                    built.add(e)
+                    returned += 1
+    assert raised and returned > len(built)
